@@ -11,7 +11,8 @@ and the coordinate triple c is unique once reduced to the chamber
 
 The symmetry group identifying equivalent triples is generated by
 permutations, paired sign flips, and translations by π on each axis; on the
-c3 = 0 face there is one extra identification [c1, c2, 0] ~ [π-c1, c2, 0].
+c3 = 0 face this identifies [c1, c2, 0] with [π-c1, c2, 0].  One fixed
+sequence of these moves (``_fold``) reaches the chamber from any triple.
 
 Named reference points in the chamber (useful constants)::
 
@@ -28,10 +29,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .cartan import MAGIC
+from .cartan import MAGIC, WEYL_REFLECTIONS
 from .errors import VerificationError
 from .invariants import (
-    LocalInvariants,
     invariant_distance,
     invariants_from_coords,
     local_invariants,
@@ -39,7 +39,7 @@ from .invariants import (
 )
 from .linalg import TOL_UNITARY, check_unitary
 
-TOL_BASE = 1e-9  # below this, c3 counts as "on the base" for the mirror rule
+TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule
 _TOL_CHAMBER = 1e-12  # slack for the closed chamber inequalities
 _TOL_DEDUPE = 1e-12
 
@@ -97,35 +97,60 @@ def weyl_orbit(c, dedupe_tol: float = _TOL_DEDUPE) -> list[np.ndarray]:
 def canonicalize(c) -> np.ndarray:
     """The chamber representative of a coordinate triple.
 
-    Scans the full orbit for points satisfying the chamber inequalities,
-    takes the lexicographically least (which settles boundary ties), and
-    then applies the base-mirror rule: if c3 < 1e-9 and c1 > π/2, replace
-    c1 by π - c1 and re-sort.
+    The coordinates of the fold: each coordinate mod π, sorted descending,
+    reflected once across c1 + c2 = π if needed, then mirrored on the base
+    ([c1, c2, c3] -> [π-c1, c2, -c3] when c3 ≤ 1e-9 and c1 > π/2).  The
+    mirror's exact image sits up to 1e-9 below the base; its magnitudes,
+    sorted, are returned, so the result is always in the closed chamber.
     """
-    candidates = [p for p in weyl_orbit(c) if _chamber_pre(p)]
-    if not candidates:
-        # Floating-point edge: every candidate missed a closed inequality by
-        # ~1 ulp. Retry with a loose slack; the result is still in the
-        # chamber to machine precision.
-        candidates = [p for p in weyl_orbit(c) if _chamber_pre(p, tol=1e-9)]
-    if not candidates:
+    out, _ = _fold(c)
+    return np.sort(np.abs(out))[::-1]
+
+
+def _fold(c) -> tuple[np.ndarray, list]:
+    """Reduce a coordinate triple to the chamber by exact symmetry moves.
+
+    Returns the image and the moves that produced it, in order: ``(axis, n)``
+    for the π-translation c[axis] -> c[axis] - n·π, or a WEYL_REFLECTIONS
+    label for c -> action @ c.  Every move maps A(c) to a locally equivalent
+    gate, so kak_decompose can turn the list into explicit local factors.
+    """
+    c = np.array(c, dtype=float)
+    if c.shape != (3,):
+        raise ValueError("coords must be a length-3 vector")
+    if not np.isfinite(c).all():
         raise VerificationError(f"no chamber representative found for {c!r}")
-    best = candidates[0]  # orbit list is lexicographically sorted
-    c1, c2, c3 = best
-    if c3 < TOL_BASE and c1 > PI / 2 + _TOL_CHAMBER:
-        mirrored = np.sort(np.array([PI - c1, c2, c3]))[::-1]
-        return mirrored
-    return best.copy()
+    moves: list = []
 
+    def translate(*axes):
+        for axis in axes:
+            n = int(np.floor(c[axis] / PI))
+            if n:
+                c[axis] -= n * PI
+                moves.append((axis, n))
 
-def _chamber_pre(p, tol: float = _TOL_CHAMBER) -> bool:
-    """Chamber inequalities without the base-mirror rule."""
-    return (
-        p[0] >= p[1] - tol
-        and p[1] >= p[2] - tol
-        and p[2] >= -tol
-        and p[0] + p[1] <= PI + tol
-    )
+    def reflect(label):
+        c[:] = WEYL_REFLECTIONS[label].action @ c
+        moves.append(label)
+
+    def sort_descending():
+        for i in (0, 1, 0):
+            if c[i] < c[i + 1]:
+                reflect(("c2-c1", "c3-c2")[i])  # swap c[i], c[i+1]
+
+    translate(0, 1, 2)
+    sort_descending()
+    # With c sorted in [0, π)³ one reflection brings c1 + c2 to ≤ π.
+    if c[0] + c[1] > PI:
+        reflect("c1+c2")  # -> (-c2, -c1, c3)
+        translate(0, 1)
+        sort_descending()
+    if c[2] <= TOL_BASE and c[0] > PI / 2 + _TOL_CHAMBER:
+        reflect("c1+c3")  # -> (-c3, c2, -c1)
+        reflect("c1-c3")  # -> (-c1, c2, -c3)
+        translate(0)  # -> (π-c1, c2, -c3)
+        sort_descending()
+    return c + 0.0, moves  # + 0.0 turns -0.0 into 0.0
 
 
 def coords_of_inverse(c) -> np.ndarray:
@@ -138,47 +163,29 @@ def coords_of_inverse(c) -> np.ndarray:
 def gate_coords(u, tol: float = TOL_UNITARY, verify_tol: float = 1e-8) -> np.ndarray:
     """Canonical coordinates of an arbitrary two-qubit gate.
 
-    Extracts the eigenphases θ of m(U) (balanced to sum to zero), solves the
-    linear pattern for (c1, c2, c3) under every eigenvalue ordering, reduces
-    each solution to the chamber, and keeps the ones whose closed-form
-    invariants reproduce the gate's invariants within ``verify_tol``.  All
-    survivors must agree; their common value is returned.  Other 2π branch
-    choices need not be searched: they shift the solved triple by multiples
-    of π, which the mod-π reduction already identifies.
+    In the magic basis m(A(c)) is diagonal with phases
+    (c1-c2+c3, c1+c2-c3, -(c1+c2+c3), -c1+c2+c3).  With the balanced
+    eigenphases of m(U) sorted as θ0 ≥ θ1 ≥ θ2 ≥ θ3 (they sum to zero),
+    c = ((θ0+θ1)/2, (θ0+θ2)/2, (θ1+θ2)/2) reproduces them, and the fold
+    (see canonicalize) takes c to the chamber.  Any other ordering of the
+    phases, or any other 2π branch, gives a symmetry image of the same
+    point, which the fold identifies.
+
+    Raises
+    ------
+    VerificationError
+        If the closed-form invariants of the result are farther than
+        ``verify_tol`` from the gate's own invariants.
     """
     u = check_unitary(u, tol=tol)
-    theta = m_spectrum(u, tol=tol).theta_balanced
-    target = local_invariants(u, tol=tol)
-
-    raw: list[tuple[float, float, float]] = []
-    for p in _PERMS4:
-        t = theta[list(p)]
-        raw.append(
-            (
-                (t[0] + t[1]) / 2.0,
-                (t[1] + t[3]) / 2.0,
-                (t[0] + t[3]) / 2.0,
-            )
-        )
-    survivors: list[np.ndarray] = []
-    for triple in dict.fromkeys((round(a, 12), round(b, 12), round(g, 12)) for a, b, g in raw):
-        cand = canonicalize(np.array(triple))
-        if invariant_distance(invariants_from_coords(cand), target) <= verify_tol:
-            survivors.append(cand)
-    if not survivors:
+    t = np.sort(m_spectrum(u, tol=tol).theta_balanced)[::-1]
+    c = canonicalize([(t[0] + t[1]) / 2.0, (t[0] + t[2]) / 2.0, (t[1] + t[2]) / 2.0])
+    dist = invariant_distance(invariants_from_coords(c), local_invariants(u, tol=tol))
+    if dist > verify_tol:
         raise VerificationError(
-            "no eigenphase ordering reproduced the gate's invariants"
+            f"coordinates miss the gate's invariants by {dist:.3e} > {verify_tol:.1e}"
         )
-    first = survivors[0]
-    for s in survivors[1:]:
-        if np.max(np.abs(s - first)) > 10 * verify_tol:
-            raise VerificationError(
-                "eigenphase orderings disagree on the canonical point"
-            )
-    return first
-
-
-_PERMS4 = tuple(permutations(range(4)))
+    return c
 
 
 def canonical_gate(c) -> np.ndarray:

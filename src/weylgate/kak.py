@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .cartan import MAGIC, PAULIS, WEYL_REFLECTIONS
-from .chamber import TOL_BASE, canonical_gate, coordinate_phase_pattern
+from .chamber import _fold, canonical_gate, coordinate_phase_pattern
 from .errors import BranchSearchError, NotLocalError, VerificationError
 from .invariants import m_matrix, m_spectrum, magic_transform
 from .linalg import TOL_UNITARY, check_unitary, kron2
@@ -35,8 +35,6 @@ _TRANSLATION_WORDS = (
     kron2(PAULIS["z"], PAULIS["z"]),
 )
 
-_SWAP_LABEL = {(0, 1): "c2-c1", (1, 2): "c3-c2", (0, 2): "c1-c3"}
-
 
 @dataclass(frozen=True)
 class KakDecomposition:
@@ -45,7 +43,9 @@ class KakDecomposition:
     ``alpha`` is arg(det U)/4 plus the exact π/2 multiples absorbed while
     reducing to the chamber, wrapped to (-π, π].  ``a_factor`` equals
     canonical_gate(coords).  ``residual`` is the Frobenius reconstruction
-    error actually measured.
+    error actually measured.  Within TOL_BASE of the base, ``coords`` is
+    the base mirror's exact image, with -TOL_BASE ≤ c3 ≤ 0; canonicalize
+    maps it to the chamber point gate_coords reports.
     """
 
     alpha: float
@@ -60,18 +60,27 @@ def kak_reconstruct(d: KakDecomposition) -> np.ndarray:
     return np.exp(1j * d.alpha) * (d.k1 @ d.a_factor @ d.k2)
 
 
+def _m_scalar(u, tol: float) -> complex | None:
+    """λ when m(u) = λ·I within ``tol``, else None.
+
+    m(u) ∝ I is exactly the test for u = e^{iφ}·(a⊗b), and then λ = e^{2iφ}.
+    """
+    m = m_matrix(u, tol=max(tol, TOL_UNITARY))
+    lam = m[0, 0]
+    if abs(abs(lam) - 1.0) > tol or np.max(np.abs(m - lam * np.eye(4))) > tol:
+        return None
+    return complex(lam)
+
+
 def is_local_gate(u, tol: float = 1e-8) -> bool:
-    """True iff the magic-basis conjugate of ``u`` is real orthogonal.
+    """True iff m(u) = I, i.e. the magic-basis conjugate of ``u`` is real
+    orthogonal.
 
     This recognizes exactly SU(2)⊗SU(2): a tensor product dressed with a
-    global phase other than ±1 does NOT pass (its magic conjugate is complex).
+    global phase other than ±1 does NOT pass (its m is e^{2iφ}·I).
     """
-    u = check_unitary(u, tol=max(tol, TOL_UNITARY))
-    o = magic_transform(u)
-    if np.max(np.abs(o.imag)) > tol:
-        return False
-    r = o.real
-    return bool(np.linalg.norm(r.T @ r - np.eye(4)) <= max(tol, 1e-9))
+    lam = _m_scalar(u, tol)
+    return lam is not None and abs(lam - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -95,10 +104,8 @@ def factor_local(k, tol: float = 1e-8) -> LocalFactors:
         If m(k) is not proportional to the identity within ``tol``, or the
         rank-one factorization leaves a residual above ``tol``.
     """
-    k = check_unitary(k, tol=max(tol, TOL_UNITARY))
-    m = m_matrix(k)
-    m00 = m[0, 0]
-    if abs(abs(m00) - 1.0) > tol or np.max(np.abs(m - m00 * np.eye(4))) > tol:
+    k = check_unitary(k)
+    if _m_scalar(k, tol) is None:
         raise NotLocalError("gate is not a tensor product of single-qubit gates")
 
     # Reshuffle k[(i,k),(j,l)] -> M[(i,j),(k,l)]; a tensor product becomes
@@ -119,58 +126,6 @@ def factor_local(k, tol: float = 1e-8) -> LocalFactors:
     return LocalFactors(a=a, b=b, phase=phase)
 
 
-class _Reducer:
-    """Tracks A(c_start) = e^{iφ}·gl·A(c)·gr through exact chamber moves."""
-
-    def __init__(self, c):
-        self.c = np.asarray(c, dtype=float).copy()
-        self.phase = 0.0
-        self.gl = np.eye(4, dtype=complex)
-        self.gr = np.eye(4, dtype=complex)
-
-    def translate_to_mod_pi(self, axis: int) -> None:
-        n = int(np.floor(self.c[axis] / _PI))
-        if n == 0:
-            return
-        # A(c) = A(c - πn·e_axis)·(i·W)^n
-        self.c[axis] -= _PI * n
-        self.phase += n * _PI / 2.0
-        if n % 2:
-            self.gr = _TRANSLATION_WORDS[axis] @ self.gr
-
-    def reflect(self, label: str) -> None:
-        r = WEYL_REFLECTIONS[label]
-        # A(c) = gate†·A(action·c)·gate
-        self.c = r.action @ self.c
-        self.gl = self.gl @ r.gate.conj().T
-        self.gr = r.gate @ self.gr
-
-    def sort_descending(self) -> None:
-        for i, j in ((0, 1), (1, 2), (0, 1)):
-            if self.c[i] < self.c[j]:
-                self.reflect(_SWAP_LABEL[(i, j)])
-
-    def reduce(self) -> None:
-        for axis in range(3):
-            self.translate_to_mod_pi(axis)
-        self.sort_descending()
-        guard = 0
-        while self.c[0] + self.c[1] > _PI + 1e-15:
-            guard += 1
-            if guard > 30:
-                raise BranchSearchError("chamber reduction did not terminate")
-            self.reflect("c1+c2")  # -> (-c2, -c1, c3)
-            self.translate_to_mod_pi(0)
-            self.translate_to_mod_pi(1)
-            self.sort_descending()
-        if self.c[2] < TOL_BASE and self.c[0] > _PI / 2 + 1e-12:
-            self.reflect("c1+c3")  # -> (-c3, c2, -c1)
-            self.reflect("c1-c3")  # -> (-c1, c2, -c3)
-            self.translate_to_mod_pi(0)  # -> (π-c1, c2, -c3)
-            self.sort_descending()
-        self.c = self.c + 0.0  # normalize any -0.0
-
-
 def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     """Factor a two-qubit gate as e^{iα}·k1·A(c)·k2 with c in the chamber.
 
@@ -178,8 +133,10 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     real and imaginary parts of m = u_Bᵀu_B to get the eigenframe and
     balanced eigenphases; solve the phase pattern for raw coordinates; pick
     the square-root branch of the diagonal factor (8 sign patterns with
-    det +1) that makes the left frame real; finally reduce the raw
-    coordinates to the chamber with exact reflection/translation gates.
+    det +1) that makes the left frame real; finally fold the raw
+    coordinates into the chamber (the moves canonicalize makes) and absorb
+    each move exactly: a π-translation as a σa⊗σa word in k2 and a phase
+    in α, a reflection as its local gate in k1 and k2.
 
     Raises
     ------
@@ -228,26 +185,33 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     k1 = MAGIC @ o1.real @ MAGIC.conj().T
     k2 = MAGIC @ o2 @ MAGIC.conj().T
 
-    red = _Reducer(c_adj)
-    red.reduce()
-    coords = red.c
-    alpha_out = alpha + red.phase
-    alpha_out = float(np.angle(np.exp(1j * alpha_out)))  # wrap to (-π, π]
-    k1_final = k1 @ red.gl
-    k2_final = red.gr @ k2
+    # Each move keeps u = e^{iα}·k1·A(c)·k2 for the running c:
+    # A(c) = A(c - πn·e_axis)·(i·W_axis)^n and A(c) = g†·A(action·c)·g.
+    coords, moves = _fold(c_adj)
+    for move in moves:
+        if isinstance(move, str):
+            g = WEYL_REFLECTIONS[move].gate
+            k1 = k1 @ g.conj().T
+            k2 = g @ k2
+        else:
+            axis, n = move
+            alpha += n * _PI / 2.0
+            if n % 2:
+                k2 = _TRANSLATION_WORDS[axis] @ k2
+    alpha_out = float(np.angle(np.exp(1j * alpha)))  # wrap to (-π, π]
     a_factor = canonical_gate(coords)
 
-    rec = np.exp(1j * alpha_out) * (k1_final @ a_factor @ k2_final)
+    rec = np.exp(1j * alpha_out) * (k1 @ a_factor @ k2)
     residual = float(np.linalg.norm(u - rec))
     if residual > 1e-9:
         raise VerificationError(f"reconstruction residual {residual:.3e} > 1e-9")
-    if not (is_local_gate(k1_final) and is_local_gate(k2_final)):
+    if not (is_local_gate(k1) and is_local_gate(k2)):
         raise VerificationError("a reduced outer factor failed local recognition")
 
     return KakDecomposition(
         alpha=alpha_out,
-        k1=k1_final,
-        k2=k2_final,
+        k1=k1,
+        k2=k2,
         coords=coords,
         a_factor=a_factor,
         residual=residual,

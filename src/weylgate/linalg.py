@@ -37,8 +37,11 @@ def _as_square(a, n: int, name: str = "matrix") -> np.ndarray:
 
 
 def check_unitary(u, tol: float = TOL_UNITARY, n: int = 4) -> np.ndarray:
-    """Return ``u`` as a complex array after checking u†u = I within ``tol``."""
+    """Return ``u`` as a complex array after checking u†u = I within ``tol``
+    (non-finite entries fail the check)."""
     u = _as_square(u, n).astype(complex)
+    if not np.isfinite(u).all():
+        raise NotUnitaryError("matrix has non-finite entries")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(n))
     if defect > tol:
         raise NotUnitaryError(f"matrix is not unitary: ||u†u - I|| = {defect:.3e} > {tol:.1e}")
@@ -46,8 +49,11 @@ def check_unitary(u, tol: float = TOL_UNITARY, n: int = 4) -> np.ndarray:
 
 
 def check_hermitian(h, tol: float = TOL_HERMITIAN, n: int = 4) -> np.ndarray:
-    """Return ``h`` as a complex array after checking h = h† within ``tol``."""
+    """Return ``h`` as a complex array after checking h = h† within ``tol``
+    (non-finite entries fail the check)."""
     h = _as_square(h, n).astype(complex)
+    if not np.isfinite(h).all():
+        raise NotHermitianError("matrix has non-finite entries")
     defect = np.linalg.norm(h - h.conj().T)
     if defect > tol:
         raise NotHermitianError(f"matrix is not Hermitian: ||h - h†|| = {defect:.3e} > {tol:.1e}")

@@ -28,8 +28,7 @@ from .errors import (
     VerificationError,
 )
 from .hamflow import HamiltonianSpec, realize
-from .invariants import m_matrix
-from .kak import kak_decompose
+from .kak import _m_scalar, kak_decompose
 from .linalg import check_unitary, dist_up_to_phase, expm_i_hermitian
 from .cartan import WEYL_REFLECTIONS
 
@@ -154,6 +153,9 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
     k2 = kd @ l3.conj().T @ l2 @ k
     k3 = d.k1 @ l3 @ k
 
+    # Durations at rounding-noise level are exact zeros: a time of -1e-16
+    # would otherwise cost a full recurrence period in with_nonnegative_times.
+    t = np.where(np.abs(t) <= TOL_TIME, 0.0, t)
     plan = CircuitPlan(
         locals=(k0, k1, k2, k3),
         times=(float(t[0]), float(t[1]), float(t[2])),
@@ -185,12 +187,6 @@ def cnot_from_isotropic() -> CircuitPlan:
     )
 
 
-def _is_local_up_to_phase(u, tol: float = 1e-8) -> bool:
-    m = m_matrix(u, tol=max(tol, 1e-8))
-    m00 = m[0, 0]
-    return abs(abs(m00) - 1.0) <= tol and np.max(np.abs(m - m00 * np.eye(4))) <= tol
-
-
 def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = 1e-9) -> float | None:
     """Smallest T with exp(iHT) local up to phase, when the Cartan
     coefficients are commensurate (rational ratios with denominators below
@@ -209,7 +205,7 @@ def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = 1e-9) -> float
             return None
         q = lcm(q, frac.denominator)
     period = np.pi * q / ref
-    if not _is_local_up_to_phase(expm_i_hermitian(h, period)):
+    if _m_scalar(expm_i_hermitian(h, period), tol=1e-8) is None:
         return None
     return float(period)
 

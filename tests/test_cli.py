@@ -147,6 +147,17 @@ def test_rejects_nonunitary_file(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "NotUnitaryError"
 
 
+def test_rejects_nan_file(capsys, tmp_path):
+    u = named_gate("cnot")
+    doc = {"matrix": [[[z.real, z.imag] for z in row] for row in u]}
+    doc["matrix"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes the NaN literal, and reads it back
+    code, out, err = run(capsys, "coords", str(path))
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "NotUnitaryError"
+
+
 def test_unknown_gate_name(capsys):
     code, out, err = run(capsys, "invariants", "frobnicator")
     assert code == 1

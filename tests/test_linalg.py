@@ -14,7 +14,11 @@ from weylgate import (
     dist_up_to_phase,
     eig_real_symmetric,
     expm_i_hermitian,
+    gate_coords,
+    is_perfect_entangler,
+    kak_decompose,
     kron2,
+    local_invariants,
     named_gate,
     simdiag_commuting_symmetric,
 )
@@ -44,6 +48,29 @@ def test_check_hermitian():
     assert_allclose(check_hermitian(h), h)
     with pytest.raises(NotHermitianError):
         check_hermitian(h + 1e-6 * 1j * np.eye(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checks_reject_nonfinite(bad):
+    # nan > tol is False, so a defect-only test would let these through.
+    u = named_gate("cnot")
+    u[1, 2] = bad
+    with pytest.raises(NotUnitaryError):
+        check_unitary(u)
+    h = np.eye(4, dtype=complex)
+    h[0, 0] = bad
+    with pytest.raises(NotHermitianError):
+        check_hermitian(h)
+
+
+@pytest.mark.parametrize(
+    "fn", [local_invariants, gate_coords, kak_decompose, is_perfect_entangler]
+)
+def test_entry_points_reject_nan_gate(fn):
+    u = named_gate("iswap")
+    u[3, 3] = complex(np.nan, 0.0)
+    with pytest.raises(NotUnitaryError):
+        fn(u)
 
 
 def test_kron2_matches_numpy():

@@ -197,6 +197,15 @@ def test_nonnegative_rewrite_keeps_nonnegative_plans():
     assert_allclose(lifted.times, plan.times, atol=1e-12)
 
 
+def test_noise_level_times_are_zero():
+    # CNOT from the Ising-like exchange coupling needs one pulse; the other two
+    # solve to ~1e-16 and must not be lifted by a full period each.
+    plan = synthesize(named_gate("cnot"), HamiltonianSpec.exchange(1.0, 0.0))
+    assert abs(plan.times[0] - PI / 2) < 1e-12
+    assert plan.times[1:] == (0.0, 0.0)
+    assert with_nonnegative_times(plan) is plan
+
+
 def test_nonnegative_rewrite_without_period():
     # No commensurable recurrence time: the rewrite isn't available for
     # plans that actually need it.
