@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNonlocalError
-from .linalg import check_hermitian, eig_real_symmetric, kron2
+from .linalg import _as_triple, check_hermitian, eig_real_symmetric, kron2
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -127,7 +127,10 @@ def split_hamiltonian(h, tol: float = 1e-9) -> HamiltonianSplit:
     form H = (1/2)(Σ J_ab σa⊗σb + ...) therefore reports the J coefficients
     directly.
     """
-    h = check_hermitian(h, tol=tol)
+    return _split(check_hermitian(h, tol=tol))
+
+
+def _split(h) -> HamiltonianSplit:
     e0 = float(np.trace(h).real) / 4.0
     coeffs = np.array([np.trace(w @ h).real / 2.0 for w in _WORDS])
     return HamiltonianSplit(
@@ -140,8 +143,8 @@ def split_hamiltonian(h, tol: float = 1e-9) -> HamiltonianSplit:
 def assemble_nonlocal(coeffs) -> np.ndarray:
     """Inverse of split_hamiltonian for the two-body part: (1/2)Σ J_ab σaσb."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (9,):
-        raise ValueError("expected 9 two-body coefficients (xx, xy, ..., zz)")
+    if coeffs.shape != (9,) or not np.isfinite(coeffs).all():
+        raise ValueError("expected 9 finite two-body coefficients (xx, xy, ..., zz)")
     out = np.zeros((4, 4), dtype=complex)
     for j, w in enumerate(_WORDS[6:]):
         out += 0.5 * coeffs[j] * w
@@ -175,8 +178,11 @@ def cartan_conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
     NotNonlocalError
         If the single-qubit part of ``h`` exceeds ``tol_local``.
     """
-    h = check_hermitian(h)
-    split = split_hamiltonian(h)
+    return _conjugate(check_hermitian(h), tol_local)
+
+
+def _conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
+    split = _split(h)
     if split.local_norm > tol_local:
         raise NotNonlocalError(
             f"Hamiltonian has single-qubit terms (norm {split.local_norm:.3e})"
@@ -209,7 +215,7 @@ def cartan_conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
 
 def cartan_element(coeffs) -> np.ndarray:
     """(c1·σxσx + c2·σyσy + c3·σzσz)/2 as an explicit Hermitian matrix."""
-    c = np.asarray(coeffs, dtype=float)
+    c = _as_triple(coeffs)
     return 0.5 * (
         c[0] * _WORDS[6] + c[1] * _WORDS[10] + c[2] * _WORDS[14]
     )

@@ -31,13 +31,8 @@ import numpy as np
 
 from .cartan import MAGIC, WEYL_REFLECTIONS
 from .errors import VerificationError
-from .invariants import (
-    invariant_distance,
-    invariants_from_coords,
-    local_invariants,
-    m_spectrum,
-)
-from .linalg import TOL_UNITARY, check_unitary
+from .invariants import _invariants, _spectrum, invariant_distance, invariants_from_coords
+from .linalg import TOL_UNITARY, _as_triple, check_unitary
 
 TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule
 _TOL_CHAMBER = 1e-12  # slack for the closed chamber inequalities
@@ -65,7 +60,7 @@ _PERMS = tuple(permutations(range(3)))
 
 def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
     """Closed chamber membership test (base-mirror rule included)."""
-    c1, c2, c3 = (float(x) for x in np.asarray(c, dtype=float))
+    c1, c2, c3 = _as_triple(c)
     if not (c1 >= c2 - tol and c2 >= c3 - tol and c3 >= -tol):
         return False
     if c1 + c2 > PI + tol:
@@ -78,9 +73,7 @@ def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
 def weyl_orbit(c, dedupe_tol: float = _TOL_DEDUPE) -> list[np.ndarray]:
     """All images of a coordinate triple under the identification group,
     reduced mod π to [0, π)³ and deduplicated.  Sorted lexicographically."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (3,):
-        raise ValueError("coords must be a length-3 vector")
+    c = _as_triple(c)
     pts = []
     for s in _EVEN_SIGNS:
         base = np.mod(s * c, PI)
@@ -115,11 +108,7 @@ def _fold(c) -> tuple[np.ndarray, list]:
     label for c -> action @ c.  Every move maps A(c) to a locally equivalent
     gate, so kak_decompose can turn the list into explicit local factors.
     """
-    c = np.array(c, dtype=float)
-    if c.shape != (3,):
-        raise ValueError("coords must be a length-3 vector")
-    if not np.isfinite(c).all():
-        raise VerificationError(f"no chamber representative found for {c!r}")
+    c = _as_triple(c)
     moves: list = []
 
     def translate(*axes):
@@ -156,7 +145,7 @@ def _fold(c) -> tuple[np.ndarray, list]:
 def coords_of_inverse(c) -> np.ndarray:
     """Canonical coordinates of U⁻¹ given those of U: mirror of c1 through π/2
     on the π-translated axis, i.e. canonicalize([π-c1, c2, c3])."""
-    c = np.asarray(c, dtype=float)
+    c = _as_triple(c)
     return canonicalize(np.array([PI - c[0], c[1], c[2]]))
 
 
@@ -177,10 +166,13 @@ def gate_coords(u, tol: float = TOL_UNITARY, verify_tol: float = 1e-8) -> np.nda
         If the closed-form invariants of the result are farther than
         ``verify_tol`` from the gate's own invariants.
     """
-    u = check_unitary(u, tol=tol)
-    t = np.sort(m_spectrum(u, tol=tol).theta_balanced)[::-1]
+    return _gate_coords(check_unitary(u, tol=tol), verify_tol)
+
+
+def _gate_coords(u, verify_tol: float = 1e-8) -> np.ndarray:
+    t = np.sort(_spectrum(u).theta_balanced)[::-1]
     c = canonicalize([(t[0] + t[1]) / 2.0, (t[0] + t[2]) / 2.0, (t[1] + t[2]) / 2.0])
-    dist = invariant_distance(invariants_from_coords(c), local_invariants(u, tol=tol))
+    dist = invariant_distance(invariants_from_coords(c), _invariants(u))
     if dist > verify_tol:
         raise VerificationError(
             f"coordinates miss the gate's invariants by {dist:.3e} > {verify_tol:.1e}"
@@ -194,9 +186,7 @@ def canonical_gate(c) -> np.ndarray:
     In the magic basis A(c) is diagonal with phases
     (c1-c2+c3, c1+c2-c3, -(c1+c2+c3), -c1+c2+c3)/2.
     """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (3,):
-        raise ValueError("coords must be a length-3 vector")
+    c = _as_triple(c)
     ph = coordinate_phase_pattern(c) / 2.0
     return (MAGIC * np.exp(1j * ph)) @ MAGIC.conj().T
 
@@ -245,9 +235,7 @@ def controlled_gate(phases) -> np.ndarray:
     V = exp(i(γ1 σx + γ2 σy + γ3 σz)); only the invariant class matters
     here, which depends on the γ's through the single angle |γ|.
     """
-    g = np.asarray(phases, dtype=float)
-    if g.shape != (3,):
-        raise ValueError("controlled gate takes 3 rotation components")
+    g = _as_triple(phases, "controlled gate rotation components")
     from .cartan import PAULIS  # local import to avoid a cycle at module load
 
     h = g[0] * PAULIS["x"] + g[1] * PAULIS["y"] + g[2] * PAULIS["z"]

@@ -40,7 +40,6 @@ from .hamflow import (
 )
 from .invariants import invariant_distance, local_invariants
 from .kak import factor_local, kak_decompose
-from .linalg import TOL_UNITARY, check_unitary
 from .synth import steps, synthesize, verify_plan, with_nonnegative_times
 
 DIGITS = 12
@@ -68,10 +67,10 @@ def _reals(v, digits: int = DIGITS) -> list[float]:
     return [_f(x, digits) for x in np.asarray(v, dtype=float)]
 
 
-def load_gate(text: str, tol: float = TOL_UNITARY) -> np.ndarray:
-    """A gate from a name or from a JSON gate-file path."""
+def load_gate(text: str) -> np.ndarray:
+    """A gate from a name or a JSON gate-file path, parsed; the library checks it."""
     try:
-        return check_unitary(named_gate(text), tol=tol)
+        return named_gate(text)
     except ValueError:
         pass
     try:
@@ -90,7 +89,7 @@ def load_gate(text: str, tol: float = TOL_UNITARY) -> np.ndarray:
         )
     except (TypeError, IndexError) as exc:
         raise ValueError("InvalidSpec: matrix entries must be [re, im] pairs") from exc
-    return check_unitary(m, tol=tol)
+    return m
 
 
 def gate_doc(name: str, matrix) -> dict:
@@ -122,7 +121,7 @@ def _plan_doc(plan, residual: float) -> dict:
 
 
 def _cmd_invariants(args) -> dict:
-    u = load_gate(args.gate, tol=args.tol)
+    u = load_gate(args.gate)
     inv = local_invariants(u)
     return {
         "g1": _cplx(inv.g1),
@@ -132,13 +131,13 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_coords(args) -> dict:
-    u = load_gate(args.gate, tol=args.tol)
+    u = load_gate(args.gate)
     return {"c": _reals(gate_coords(u))}
 
 
 def _cmd_equiv(args) -> dict:
-    a = load_gate(args.gate_a, tol=args.tol)
-    b = load_gate(args.gate_b, tol=args.tol)
+    a = load_gate(args.gate_a)
+    b = load_gate(args.gate_b)
     ia, ib = local_invariants(a), local_invariants(b)
     dist = invariant_distance(ia, ib)
     return {
@@ -153,7 +152,7 @@ def _cmd_equiv(args) -> dict:
 
 
 def _cmd_pe(args) -> dict:
-    u = load_gate(args.gate, tol=args.tol)
+    u = load_gate(args.gate)
     v = is_perfect_entangler(u)
     return {
         "is_pe": bool(v.is_pe),
@@ -163,7 +162,7 @@ def _cmd_pe(args) -> dict:
 
 
 def _cmd_kak(args) -> dict:
-    u = load_gate(args.gate, tol=args.tol)
+    u = load_gate(args.gate)
     d = kak_decompose(u)
     return {
         "alpha": _f(d.alpha),
@@ -178,7 +177,7 @@ def _cmd_kak(args) -> dict:
 
 
 def _cmd_entangle_input(args) -> dict:
-    u = load_gate(args.gate, tol=args.tol)
+    u = load_gate(args.gate)
     psi_in, psi_out = entangling_input(u)
     return {
         "psi_in": _vec(psi_in),
@@ -235,7 +234,7 @@ def _cmd_pe_fraction(args) -> dict:
 
 
 def _cmd_synth(args) -> dict:
-    u = load_gate(args.gate, tol=args.tol)
+    u = load_gate(args.gate)
     spec = parse_hamiltonian(args.hamiltonian)
     plan = synthesize(u, spec)
     doc = _plan_doc(plan, verify_plan(plan, u))
@@ -265,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weylgate",
         description="Weyl-chamber analysis and synthesis of two-qubit gates",
-    )
-    ap.add_argument(
-        "--tol", type=float, default=TOL_UNITARY, help="unitarity tolerance for gate input"
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -42,9 +42,9 @@ from .errors import (
     NotPerfectEntanglerError,
     VerificationError,
 )
-from .invariants import m_spectrum
-from .kak import kak_decompose
-from .linalg import TOL_UNITARY, check_unitary
+from .invariants import _spectrum
+from .kak import _kak
+from .linalg import check_unitary
 
 TOL_HULL = 1e-9
 
@@ -66,7 +66,7 @@ def ent(psi, tol: float = 1e-9) -> complex:
     if psi.shape != (4,):
         raise ValueError("state must have 4 amplitudes")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also rejects a NaN norm
         raise NotNormalizedError(f"state norm {norm} is not 1 within {tol:.1e}")
     return complex(psi @ P_ENT @ psi)
 
@@ -167,10 +167,14 @@ def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
     U is a perfect entangler iff no arc of length > π is free of
     eigenphases, i.e. iff 0 lies in the convex hull of the four points
     e^{iθ_k}.  The verdict carries the hull margin and, when the test
-    passes, the convex weights that witness it.
+    passes, the convex weights that witness it.  The unitarity bound is
+    the default 1e-9 of check_unitary, whatever ``tol`` is.
     """
-    u = check_unitary(u, tol=max(tol, TOL_UNITARY))
-    spec = m_spectrum(u)
+    return _verdict(check_unitary(u), tol)
+
+
+def _verdict(u, tol: float) -> PeVerdict:
+    spec = _spectrum(u)
     theta = np.sort(spec.theta)
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * np.pi]]))
     max_gap = float(np.max(gaps))
@@ -211,12 +215,12 @@ def entangling_input(u, tol: float = TOL_HULL):
         If the hull test fails.
     """
     u = check_unitary(u)
-    verdict = is_perfect_entangler(u, tol=tol)
+    verdict = _verdict(u, tol)
     if not verdict.is_pe:
         raise NotPerfectEntanglerError(
             f"gate is not a perfect entangler (hull margin {verdict.margin:.3e})"
         )
-    d = kak_decompose(u)
+    d = _kak(u)
     lam = np.exp(0.5j * coordinate_phase_pattern(d.coords))
     weights = _hull_weights(lam**2, tol=tol)
     if weights is None:

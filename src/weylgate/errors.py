@@ -44,7 +44,7 @@ class DegenerateHamiltonianError(WeylgateError):
 
 
 class BranchSearchError(WeylgateError):
-    """No sign/branch assignment satisfied the search's acceptance test."""
+    """A chosen sign or branch failed its acceptance test (e.g. a KAK frame not real)."""
 
 
 class VerificationError(WeylgateError):

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import PAULIS, cartan_element
-from .chamber import gate_coords
+from .chamber import _gate_coords
 from .entangler import pe_from_coords
 from .errors import ConvergenceError
-from .invariants import LocalInvariants, local_invariants
-from .linalg import check_hermitian, expm_i_hermitian, kron2
+from .invariants import LocalInvariants, _invariants
+from .linalg import _flow, check_hermitian, kron2
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,11 @@ class HamiltonianSpec:
 
 
 def realize(spec: HamiltonianSpec) -> np.ndarray:
-    """The explicit Hermitian matrix of a HamiltonianSpec."""
-    if isinstance(spec, (np.ndarray, list, tuple)):
+    """The explicit Hermitian matrix of a HamiltonianSpec, which it checks."""
+    if not isinstance(spec, HamiltonianSpec):  # an explicit matrix
         return check_hermitian(np.asarray(spec))
+    if not np.isfinite(spec.params).all():
+        raise ValueError(f"InvalidParams: non-finite parameter in {spec!r}")
     kind = spec.kind
     if kind == "isotropic":
         return cartan_element([0.5, 0.5, 0.5])
@@ -140,16 +142,16 @@ class TrajectorySample:
 
 def trajectory(spec, times) -> list[TrajectorySample]:
     """Coordinates, invariants, and PE status of exp(iHt) along a time grid."""
-    h = realize(spec)
+    flow = _flow(realize(spec))
     out = []
     for t in np.asarray(times, dtype=float):
-        u = expm_i_hermitian(h, float(t))
-        coords = gate_coords(u)
+        u = flow(float(t))
+        coords = _gate_coords(u)
         out.append(
             TrajectorySample(
                 t=float(t),
                 coords=coords,
-                invariants=local_invariants(u),
+                invariants=_invariants(u),
                 is_pe=pe_from_coords(coords),
             )
         )
@@ -253,9 +255,7 @@ def josephson_cnot_min_time(
                     lo = mid
             alpha = 0.5 * (lo + hi)
             t = q / (alpha**2 * e_l)
-            inv = local_invariants(
-                expm_i_hermitian(realize(HamiltonianSpec.josephson(alpha, e_l)), t)
-            )
+            inv = _invariants(_flow(realize(HamiltonianSpec.josephson(alpha, e_l)))(t))
             if abs(inv.g1) > 1e-6 or abs(inv.g2 - 1.0) > 1e-6:
                 continue
             if best is None or t < best.t:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import MAGIC
-from .linalg import TOL_UNITARY, check_unitary, simdiag_commuting_symmetric
+from .linalg import TOL_UNITARY, _as_triple, check_unitary, simdiag_commuting_symmetric
 
 Q_DAG = MAGIC.conj().T
 
@@ -31,7 +31,10 @@ def magic_transform(u) -> np.ndarray:
 
 def m_matrix(u, tol: float = TOL_UNITARY) -> np.ndarray:
     """The complex symmetric matrix m = u_Bᵀ u_B, u_B the magic transform."""
-    u = check_unitary(u, tol=tol)
+    return _m(check_unitary(u, tol=tol))
+
+
+def _m(u) -> np.ndarray:
     ub = magic_transform(u)
     return ub.T @ ub
 
@@ -50,8 +53,12 @@ class LocalInvariants:
 
 def local_invariants(u, tol: float = TOL_UNITARY) -> LocalInvariants:
     """Local-equivalence invariants of a two-qubit gate (phase insensitive)."""
-    m = m_matrix(u, tol=tol)
-    det_u = np.linalg.det(np.asarray(u, dtype=complex))
+    return _invariants(check_unitary(u, tol=tol))
+
+
+def _invariants(u) -> LocalInvariants:
+    m = _m(u)
+    det_u = np.linalg.det(u)
     tr = np.trace(m)
     g1 = tr * tr / (16.0 * det_u)
     g2c = (tr * tr - np.trace(m @ m)) / (4.0 * det_u)
@@ -70,9 +77,7 @@ def invariants_from_coords(coords) -> LocalInvariants:
         G2 = 4 cos²c1 cos²c2 cos²c3 - 4 sin²c1 sin²c2 sin²c3
              - cos 2c1 cos 2c2 cos 2c3
     """
-    c = np.asarray(coords, dtype=float)
-    if c.shape != (3,):
-        raise ValueError("coords must be a length-3 vector")
+    c = _as_triple(coords)
     cos2 = np.cos(c) ** 2
     sin2 = np.sin(c) ** 2
     prod_cos = float(np.prod(cos2))
@@ -119,10 +124,13 @@ def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
     diagonalized simultaneously and the phases recovered per joint
     eigenvalue pair.
     """
-    u = check_unitary(u, tol=tol)
+    return _spectrum(check_unitary(u, tol=tol))
+
+
+def _spectrum(u) -> MSpectrum:
     alpha = np.angle(np.linalg.det(u)) / 4.0
     u1 = np.exp(-1j * alpha) * u
-    m = m_matrix(u1, tol=max(tol, 1e-8))
+    m = _m(u1)
     dre, dim, vecs = simdiag_commuting_symmetric(m.real, m.imag)
     theta = np.arctan2(dim, dre)
     balanced = theta.copy()

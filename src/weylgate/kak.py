@@ -14,17 +14,14 @@ and α, never by replacing coordinates numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .cartan import MAGIC, PAULIS, WEYL_REFLECTIONS
 from .chamber import _fold, canonical_gate, coordinate_phase_pattern
 from .errors import BranchSearchError, NotLocalError, VerificationError
-from .invariants import m_matrix, m_spectrum, magic_transform
+from .invariants import _m, _spectrum, magic_transform
 from .linalg import TOL_UNITARY, check_unitary, kron2
-
-_PI = np.pi
 
 # σa⊗σa words: conjugating A(c) by nothing, they implement the π translations
 # A(c + π·e_j) = A(c)·(i·W_j); the i goes into the global phase, W_j into a
@@ -61,25 +58,25 @@ def kak_reconstruct(d: KakDecomposition) -> np.ndarray:
 
 
 def _m_scalar(u, tol: float) -> complex | None:
-    """λ when m(u) = λ·I within ``tol``, else None.
+    """λ when m(u) = λ·I within ``tol`` and det u = λ², else None (u checked).
 
-    m(u) ∝ I is exactly the test for u = e^{iφ}·(a⊗b), and then λ = e^{2iφ}.
+    That is exactly u = e^{iφ}·(a⊗b), with λ = e^{2iφ}; SWAP has det u = -λ².
     """
-    m = m_matrix(u, tol=max(tol, TOL_UNITARY))
+    m = _m(u)
     lam = m[0, 0]
     if abs(abs(lam) - 1.0) > tol or np.max(np.abs(m - lam * np.eye(4))) > tol:
         return None
-    return complex(lam)
+    return complex(lam) if abs(np.linalg.det(u) - lam * lam) < 1.0 else None
 
 
 def is_local_gate(u, tol: float = 1e-8) -> bool:
-    """True iff m(u) = I, i.e. the magic-basis conjugate of ``u`` is real
-    orthogonal.
+    """True iff m(u) = I and det u = 1, i.e. the magic-basis conjugate of
+    ``u`` is a rotation (real orthogonal with det +1).
 
     This recognizes exactly SU(2)⊗SU(2): a tensor product dressed with a
     global phase other than ±1 does NOT pass (its m is e^{2iφ}·I).
     """
-    lam = _m_scalar(u, tol)
+    lam = _m_scalar(check_unitary(u, tol=max(tol, TOL_UNITARY)), tol)
     return lam is not None and abs(lam - 1.0) <= tol
 
 
@@ -95,13 +92,13 @@ class LocalFactors:
 def factor_local(k, tol: float = 1e-8) -> LocalFactors:
     """Split a local gate into its single-qubit factors and a global phase.
 
-    Accepts any e^{iφ}·(a⊗b); the test used is m(k) ∝ identity, which is
+    Accepts any e^{iφ}·(a⊗b); the test, m(k) = λ·I with det k = λ², is
     phase-blind (strictly local gates come back with phase 0 or π).
 
     Raises
     ------
     NotLocalError
-        If m(k) is not proportional to the identity within ``tol``, or the
+        If m(k) is not λ·I with det k = λ² within ``tol``, or the
         rank-one factorization leaves a residual above ``tol``.
     """
     k = check_unitary(k)
@@ -131,25 +128,29 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
 
     Algorithm: scale to SU(4); in the magic basis, jointly diagonalize the
     real and imaginary parts of m = u_Bᵀu_B to get the eigenframe and
-    balanced eigenphases; solve the phase pattern for raw coordinates; pick
-    the square-root branch of the diagonal factor (8 sign patterns with
-    det +1) that makes the left frame real; finally fold the raw
-    coordinates into the chamber (the moves canonicalize makes) and absorb
-    each move exactly: a π-translation as a σa⊗σa word in k2 and a phase
-    in α, a reflection as its local gate in k1 and k2.
+    balanced eigenphases; solve the phase pattern for raw coordinates; the
+    square root F of the diagonal factor then gives the left frame
+    o1 = u_B·o2ᵀ·F̄, which is real (complex orthogonal and unitary; any
+    other sign choice in F would only negate columns of o1); finally fold
+    the raw coordinates into the chamber (the moves canonicalize makes) and
+    absorb each move exactly: a π-translation as a σa⊗σa word in k2 and a
+    phase in α, a reflection as its local gate in k1 and k2.
 
     Raises
     ------
     BranchSearchError
-        If no sign pattern yields a real left frame.
+        If the left frame is not real within 1e-8.
     VerificationError
         If the reconstruction residual exceeds 1e-9.
     """
-    u = check_unitary(u, tol=tol)
+    return _kak(check_unitary(u, tol=tol))
+
+
+def _kak(u) -> KakDecomposition:
     alpha = float(np.angle(np.linalg.det(u)) / 4.0)
     u1 = np.exp(-1j * alpha) * u
 
-    spec = m_spectrum(u, tol=tol)
+    spec = _spectrum(u)
     theta = spec.theta_balanced
     o2 = spec.frame
     ub = magic_transform(u1)
@@ -161,33 +162,17 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
             (theta[0] + theta[3]) / 2.0,
         ]
     )
-    f_base = np.exp(0.5j * coordinate_phase_pattern(c_raw))
-
-    o1 = None
-    signs_used = None
-    for signs in product((1.0, -1.0), repeat=4):
-        if signs[0] * signs[1] * signs[2] * signs[3] < 0:
-            continue  # need det F = +1
-        f = np.asarray(signs) * f_base
-        cand = ub @ (o2.T * f.conj())
-        if np.max(np.abs(cand.imag)) < 1e-8:
-            o1 = cand
-            signs_used = signs
-            break
-    if o1 is None:
-        raise BranchSearchError("no square-root branch produced a real frame")
-
-    # A sign flip on F entry k adds 2π to pattern entry k, which shifts the
-    # raw coordinates by exact multiples of π:
-    b = (1.0 - np.asarray(signs_used)) / 2.0
-    c_adj = c_raw + _PI * np.array([b[0] + b[1], b[1] + b[3], b[0] + b[3]])
+    f = np.exp(0.5j * coordinate_phase_pattern(c_raw))
+    o1 = ub @ (o2.T * f.conj())
+    if np.max(np.abs(o1.imag)) >= 1e-8:
+        raise BranchSearchError("the square-root branch did not produce a real frame")
 
     k1 = MAGIC @ o1.real @ MAGIC.conj().T
     k2 = MAGIC @ o2 @ MAGIC.conj().T
 
     # Each move keeps u = e^{iα}·k1·A(c)·k2 for the running c:
     # A(c) = A(c - πn·e_axis)·(i·W_axis)^n and A(c) = g†·A(action·c)·g.
-    coords, moves = _fold(c_adj)
+    coords, moves = _fold(c_raw)
     for move in moves:
         if isinstance(move, str):
             g = WEYL_REFLECTIONS[move].gate
@@ -195,7 +180,7 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
             k2 = g @ k2
         else:
             axis, n = move
-            alpha += n * _PI / 2.0
+            alpha += n * np.pi / 2.0
             if n % 2:
                 k2 = _TRANSLATION_WORDS[axis] @ k2
     alpha_out = float(np.angle(np.exp(1j * alpha)))  # wrap to (-π, π]
@@ -205,7 +190,8 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     residual = float(np.linalg.norm(u - rec))
     if residual > 1e-9:
         raise VerificationError(f"reconstruction residual {residual:.3e} > 1e-9")
-    if not (is_local_gate(k1) and is_local_gate(k2)):
+    lams = (_m_scalar(k1, 1e-8), _m_scalar(k2, 1e-8))
+    if any(lam is None or abs(lam - 1.0) > 1e-8 for lam in lams):
         raise VerificationError("a reduced outer factor failed local recognition")
 
     return KakDecomposition(

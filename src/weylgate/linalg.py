@@ -4,6 +4,11 @@ Everything here works on explicit 4x4 (or 2x2) complex matrices.  Eigen
 problems are delegated to LAPACK via numpy; the wrappers fix conventions
 (descending eigenvalue order, right-handed eigenvector frames) and enforce
 the pre/postconditions the higher layers rely on.
+
+A matrix is validated once, where it enters the library: each public
+function checks its own gate or Hamiltonian arguments exactly once (a
+HamiltonianSpec by one ``realize``), and ``_``-prefixed cores take checked
+arrays, and the matrices built from them, without checking them again.
 """
 
 from __future__ import annotations
@@ -34,6 +39,13 @@ def _as_square(a, n: int, name: str = "matrix") -> np.ndarray:
     if a.shape != (n, n):
         raise ValueError(f"{name} must be {n}x{n}, got shape {a.shape}")
     return a
+
+
+def _as_triple(c, name: str = "coords") -> np.ndarray:
+    c = np.array(c, dtype=float)
+    if c.shape != (3,) or not np.isfinite(c).all():
+        raise ValueError(f"{name} must be a length-3 vector of finite numbers, got {c!r}")
+    return c
 
 
 def check_unitary(u, tol: float = TOL_UNITARY, n: int = 4) -> np.ndarray:
@@ -86,10 +98,10 @@ def eig_real_symmetric(s, tol: float = TOL_SYMMETRIC):
     s = np.asarray(s)
     n = s.shape[0]
     s = _as_square(s, n)
-    if np.linalg.norm(np.imag(s)) > tol:
+    if not np.linalg.norm(np.imag(s)) <= tol:
         raise NotSymmetricError("matrix has a nonreal part")
     s = np.real(s).astype(float)
-    if np.linalg.norm(s - s.T) > tol:
+    if not np.isfinite(s).all() or not np.linalg.norm(s - s.T) <= tol:
         raise NotSymmetricError(f"matrix is not symmetric within {tol:.1e}")
     evals, vecs = np.linalg.eigh(s)
     evals = evals[::-1].copy()
@@ -104,9 +116,13 @@ def eig_real_symmetric(s, tol: float = TOL_SYMMETRIC):
 
 def expm_i_hermitian(h, t: float = 1.0, tol: float = TOL_HERMITIAN) -> np.ndarray:
     """exp(i·h·t) for Hermitian ``h`` via its spectral decomposition."""
-    h = check_hermitian(h, tol=tol, n=np.asarray(h).shape[0])
+    return _flow(check_hermitian(h, tol=tol, n=len(np.atleast_1d(h))))(t)
+
+
+def _flow(h):
+    """t ↦ exp(i·h·t) for a checked Hermitian ``h``, diagonalized once."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+    return lambda t: (v * np.exp(1j * t * w)) @ v.conj().T
 
 
 def simdiag_commuting_symmetric(a, b, tol: float = TOL_EIG):

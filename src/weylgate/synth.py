@@ -20,7 +20,7 @@ from math import ceil, lcm
 
 import numpy as np
 
-from .cartan import cartan_conjugate
+from .cartan import WEYL_REFLECTIONS, _conjugate
 from .chamber import canonical_gate
 from .errors import (
     DegenerateHamiltonianError,
@@ -28,9 +28,8 @@ from .errors import (
     VerificationError,
 )
 from .hamflow import HamiltonianSpec, realize
-from .kak import _m_scalar, kak_decompose
-from .linalg import check_unitary, dist_up_to_phase, expm_i_hermitian
-from .cartan import WEYL_REFLECTIONS
+from .kak import _kak, _m_scalar
+from .linalg import _as_triple, _flow, check_unitary, dist_up_to_phase
 
 TOL_TIME = 1e-10
 _COMMENSURABLE_DENOM = 10**6
@@ -52,16 +51,19 @@ class CircuitPlan:
 
 def plan_unitary(plan: CircuitPlan) -> np.ndarray:
     """Multiply the plan out into an explicit 4x4 unitary."""
-    h = realize(plan.hamiltonian)
+    return _plan_unitary(plan, _flow(realize(plan.hamiltonian)))
+
+
+def _plan_unitary(plan: CircuitPlan, flow) -> np.ndarray:
     u = plan.locals[0]
     for t, k in zip(plan.times, plan.locals[1:]):
-        u = k @ expm_i_hermitian(h, t) @ u
+        u = k @ flow(t) @ u
     return u
 
 
 def verify_plan(plan: CircuitPlan, target) -> float:
     """Phase-insensitive Frobenius distance between the plan and the target."""
-    return dist_up_to_phase(plan_unitary(plan), np.asarray(target, dtype=complex))
+    return dist_up_to_phase(plan_unitary(plan), check_unitary(target))
 
 
 def steps(plan: CircuitPlan, tol_time: float = TOL_TIME):
@@ -101,14 +103,14 @@ def solve_times(coeffs, target_coords, tol_det: float = 1e-12) -> np.ndarray:
     DegenerateHamiltonianError
         If |det M| ≤ tol_det (coefficients too degenerate to steer).
     """
-    c1, c2, c3 = (float(x) for x in np.asarray(coeffs, dtype=float))
+    c1, c2, c3 = _as_triple(coeffs, "coeffs")
     m = np.array([[c1, -c3, c3], [c2, -c1, -c2], [c3, c2, -c1]])
     det = float(np.linalg.det(m))
     if abs(det) <= tol_det:
         raise DegenerateHamiltonianError(
             f"pulse-time system is singular (det {det:.3e}) for coefficients {coeffs}"
         )
-    return np.linalg.solve(m, np.asarray(target_coords, dtype=float))
+    return np.linalg.solve(m, _as_triple(target_coords))
 
 
 def _conjugation_frames() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,10 +142,10 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
     target = check_unitary(target)
     h = realize(hamiltonian)
     h0 = h - (np.trace(h).real / 4.0) * np.eye(4)
-    ct = cartan_conjugate(h0)  # raises NotNonlocalError on local terms
+    ct = _conjugate(h0)  # raises NotNonlocalError on local terms
     k = ct.k
 
-    d = kak_decompose(target)
+    d = _kak(target)
     t = solve_times(ct.coeffs, d.coords)
 
     l1, l2, l3 = _conjugation_frames()
@@ -161,7 +163,7 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
         times=(float(t[0]), float(t[1]), float(t[2])),
         hamiltonian=hamiltonian,
     )
-    resid = verify_plan(plan, target)
+    resid = dist_up_to_phase(_plan_unitary(plan, _flow(h)), target)
     if resid > tol_residual:
         raise VerificationError(
             f"synthesized plan misses target: residual {resid:.3e} > {tol_residual:.1e}"
@@ -191,9 +193,12 @@ def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = 1e-9) -> float
     """Smallest T with exp(iHT) local up to phase, when the Cartan
     coefficients are commensurate (rational ratios with denominators below
     10⁶); None otherwise."""
-    h = realize(hamiltonian)
+    return _period(realize(hamiltonian), tol)
+
+
+def _period(h, tol: float = 1e-9) -> float | None:
     h0 = h - (np.trace(h).real / 4.0) * np.eye(4)
-    c = cartan_conjugate(h0).coeffs
+    c = _conjugate(h0).coeffs
     nonzero = [abs(x) for x in c if abs(x) > 1e-12]
     if not nonzero:
         return None
@@ -205,7 +210,7 @@ def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = 1e-9) -> float
             return None
         q = lcm(q, frac.denominator)
     period = np.pi * q / ref
-    if _m_scalar(expm_i_hermitian(h, period), tol=1e-8) is None:
+    if _m_scalar(_flow(h)(period), tol=1e-8) is None:
         return None
     return float(period)
 
@@ -220,23 +225,24 @@ def with_nonnegative_times(plan: CircuitPlan, tol_residual: float = 1e-8) -> Cir
     """
     if all(t >= 0.0 for t in plan.times):
         return plan
-    period = fundamental_period(plan.hamiltonian)
+    h = realize(plan.hamiltonian)
+    period = _period(h)
     if period is None:
         return None
-    h = realize(plan.hamiltonian)
+    flow = _flow(h)
     new_locals = list(plan.locals)
     new_times = list(plan.times)
     for j, t in enumerate(plan.times):
         if t < 0.0:
             n = ceil(-t / period)
             new_times[j] = t + n * period
-            comp = expm_i_hermitian(h, -n * period)  # local up to phase
+            comp = flow(-n * period)  # local up to phase
             new_locals[j] = comp @ new_locals[j]
     out = CircuitPlan(
         locals=tuple(new_locals), times=tuple(new_times), hamiltonian=plan.hamiltonian
     )
     # the compensators are only local up to phase, which verify ignores
-    ref = plan_unitary(plan)
-    if dist_up_to_phase(plan_unitary(out), ref) > tol_residual:
+    ref = _plan_unitary(plan, flow)
+    if dist_up_to_phase(_plan_unitary(out, flow), ref) > tol_residual:
         return None
     return out

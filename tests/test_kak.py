@@ -117,3 +117,13 @@ def test_decomposition_factors_multiply_back():
     d = kak_decompose(u)
     rebuilt = np.exp(1j * d.alpha) * d.k1 @ d.a_factor @ d.k2
     assert_allclose(rebuilt, u, atol=1e-9)
+
+
+def test_swap_is_not_local():
+    # m(SWAP) = I, but SWAP's magic-basis conjugate is a reflection (det -1),
+    # not a rotation; no phase or local dressing makes it a tensor product.
+    rng = np.random.default_rng(12)
+    for u in (named_gate("swap"), np.exp(0.7j) * rand_local(rng) @ named_gate("swap")):
+        assert not is_local_gate(u)
+        with pytest.raises(NotLocalError):
+            factor_local(u)
