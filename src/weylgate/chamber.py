@@ -31,7 +31,12 @@ import numpy as np
 
 from .cartan import MAGIC, WEYL_REFLECTIONS
 from .errors import VerificationError
-from .invariants import _invariants, _spectrum, invariant_distance, invariants_from_coords
+from .invariants import (
+    _invariants,
+    _spectrum,
+    invariant_distance,
+    invariants_from_coords,
+)
 from .linalg import TOL_UNITARY, _as_triple, check_unitary
 
 TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule

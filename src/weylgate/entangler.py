@@ -167,8 +167,7 @@ def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
     U is a perfect entangler iff no arc of length > π is free of
     eigenphases, i.e. iff 0 lies in the convex hull of the four points
     e^{iθ_k}.  The verdict carries the hull margin and, when the test
-    passes, the convex weights that witness it.  The unitarity bound is
-    the default 1e-9 of check_unitary, whatever ``tol`` is.
+    passes, the convex weights that witness it.  ``tol`` is the hull's.
     """
     return _verdict(check_unitary(u), tol)
 

@@ -128,13 +128,12 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
 
     Algorithm: scale to SU(4); in the magic basis, jointly diagonalize the
     real and imaginary parts of m = u_Bᵀu_B to get the eigenframe and
-    balanced eigenphases; solve the phase pattern for raw coordinates; the
-    square root F of the diagonal factor then gives the left frame
-    o1 = u_B·o2ᵀ·F̄, which is real (complex orthogonal and unitary; any
-    other sign choice in F would only negate columns of o1); finally fold
-    the raw coordinates into the chamber (the moves canonicalize makes) and
-    absorb each move exactly: a π-translation as a σa⊗σa word in k2 and a
-    phase in α, a reflection as its local gate in k1 and k2.
+    balanced eigenphases; solve the phase pattern for raw coordinates; with
+    F the square root of the diagonal factor, the left frame u_B·o2ᵀ·F̄ is
+    real (complex orthogonal and unitary); finally fold the raw coordinates
+    into the chamber (the moves canonicalize makes) and absorb each move
+    exactly: a π-translation as a σa⊗σa word in k2 and a phase in α, a
+    reflection as its local gate in k1 and k2.
 
     Raises
     ------

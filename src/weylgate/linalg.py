@@ -5,10 +5,9 @@ problems are delegated to LAPACK via numpy; the wrappers fix conventions
 (descending eigenvalue order, right-handed eigenvector frames) and enforce
 the pre/postconditions the higher layers rely on.
 
-A matrix is validated once, where it enters the library: each public
-function checks its own gate or Hamiltonian arguments exactly once (a
-HamiltonianSpec by one ``realize``), and ``_``-prefixed cores take checked
-arrays, and the matrices built from them, without checking them again.
+A matrix is validated once, where it enters the library: public functions
+check their gate or Hamiltonian arguments once (a spec by one ``realize``),
+and ``_``-prefixed cores take checked arrays and never check again.
 """
 
 from __future__ import annotations

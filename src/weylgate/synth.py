@@ -141,8 +141,7 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
     """
     target = check_unitary(target)
     h = realize(hamiltonian)
-    h0 = h - (np.trace(h).real / 4.0) * np.eye(4)
-    ct = _conjugate(h0)  # raises NotNonlocalError on local terms
+    ct = _conjugate(h)  # drops the identity part; raises NotNonlocalError on local terms
     k = ct.k
 
     d = _kak(target)
@@ -197,8 +196,7 @@ def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = 1e-9) -> float
 
 
 def _period(h, tol: float = 1e-9) -> float | None:
-    h0 = h - (np.trace(h).real / 4.0) * np.eye(4)
-    c = _conjugate(h0).coeffs
+    c = _conjugate(h).coeffs
     nonzero = [abs(x) for x in c if abs(x) > 1e-12]
     if not nonzero:
         return None
