@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNonlocalError
-from .linalg import _as_triple, check_hermitian, eig_real_symmetric, kron2
+from .linalg import _as_triple, _eigh, check_hermitian, kron2
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -117,7 +117,7 @@ def _word(label: str) -> np.ndarray:
     return kron2(PAULIS[label[0]], PAULIS[label[1]])
 
 
-_WORDS = tuple(_word(lbl) for lbl in BASIS_LABELS)
+_WORDS = np.array([_word(lbl) for lbl in BASIS_LABELS])
 
 
 def split_hamiltonian(h, tol: float = 1e-9) -> HamiltonianSplit:
@@ -132,7 +132,7 @@ def split_hamiltonian(h, tol: float = 1e-9) -> HamiltonianSplit:
 
 def _split(h) -> HamiltonianSplit:
     e0 = float(np.trace(h).real) / 4.0
-    coeffs = np.array([np.trace(w @ h).real / 2.0 for w in _WORDS])
+    coeffs = np.einsum("kij,ji->k", _WORDS, h).real / 2.0  # tr(W_k·h) / 2
     return HamiltonianSplit(
         local_coeffs=coeffs[:6].copy(),
         nonlocal_coeffs=coeffs[6:].copy(),
@@ -194,7 +194,7 @@ def _conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
         # A Hermitian two-body operator is always real in the magic basis;
         # failure here means the input was not actually two-body.
         raise NotNonlocalError("Hamiltonian is not purely two-body")
-    mu, v = eig_real_symmetric(s.real)
+    mu, v = _eigh(s.real)
 
     # In the magic basis a Cartan element (c1·σxσx + c2·σyσy + c3·σzσz)/2 is
     # diagonal with entries, in basis order,

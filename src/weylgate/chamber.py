@@ -31,12 +31,7 @@ import numpy as np
 
 from .cartan import MAGIC, WEYL_REFLECTIONS
 from .errors import VerificationError
-from .invariants import (
-    _invariants,
-    _spectrum,
-    invariant_distance,
-    invariants_from_coords,
-)
+from .invariants import _g, _g_from_coords, _spectrum
 from .linalg import TOL_UNITARY, _as_triple, check_unitary
 
 TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule
@@ -61,6 +56,8 @@ _EVEN_SIGNS = np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
 )
 _PERMS = tuple(permutations(range(3)))
+# The phase pairs (θ0, θ1), (θ0, θ2), (θ1, θ2) that gate_coords sums.
+_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
 
 
 def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
@@ -171,18 +168,26 @@ def gate_coords(u, tol: float = TOL_UNITARY, verify_tol: float = 1e-8) -> np.nda
         If the closed-form invariants of the result are farther than
         ``verify_tol`` from the gate's own invariants.
     """
-    return _gate_coords(check_unitary(u, tol=tol), verify_tol)
+    return _gate_coords(check_unitary(u, tol=tol), verify_tol)[0]
 
 
-def _gate_coords(u, verify_tol: float = 1e-8) -> np.ndarray:
-    t = np.sort(_spectrum(u).theta_balanced)[::-1]
-    c = canonicalize([(t[0] + t[1]) / 2.0, (t[0] + t[2]) / 2.0, (t[1] + t[2]) / 2.0])
-    dist = invariant_distance(invariants_from_coords(c), _invariants(u))
-    if dist > verify_tol:
+def _gate_coords(u, verify_tol: float = 1e-8):
+    """gate_coords' core over a stack (..., 4, 4) of checked gates.
+
+    Returns the coordinates (..., 3) and the gates' own (g1, complex g2),
+    which they were checked against.
+    """
+    t = np.sort(_spectrum(u).theta_balanced, axis=-1)[..., ::-1]
+    raw = t[..., _PAIRS].sum(-1) / 2.0
+    c = np.array([canonicalize(r) for r in raw.reshape(-1, 3)]).reshape(raw.shape)
+    g1, g2c = _g(u)
+    cg1, cg2 = _g_from_coords(c)
+    dist = np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)
+    if (dist > verify_tol).any():
         raise VerificationError(
-            f"coordinates miss the gate's invariants by {dist:.3e} > {verify_tol:.1e}"
+            f"coordinates miss the gate's invariants by {np.max(dist):.3e} > {verify_tol:.1e}"
         )
-    return c
+    return c, (g1, g2c)
 
 
 def canonical_gate(c) -> np.ndarray:

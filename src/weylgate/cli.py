@@ -189,6 +189,8 @@ def _cmd_entangle_input(args) -> dict:
 
 def _cmd_trajectory(args, out) -> dict | None:
     spec = parse_hamiltonian(args.hamiltonian)
+    if not np.isfinite(args.t_max):  # linspace would warn on an infinite end
+        raise ValueError(f"InvalidSpec: --t-max must be finite, got {args.t_max}")
     times = np.linspace(0.0, args.t_max, args.steps)
     samples = trajectory(spec, times)
     if args.format == "csv":

@@ -42,7 +42,7 @@ from .errors import (
     NotPerfectEntanglerError,
     VerificationError,
 )
-from .invariants import _spectrum
+from .invariants import MSpectrum, _spectrum
 from .kak import _kak
 from .linalg import check_unitary
 
@@ -169,11 +169,10 @@ def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
     e^{iθ_k}.  The verdict carries the hull margin and, when the test
     passes, the convex weights that witness it.  ``tol`` is the hull's.
     """
-    return _verdict(check_unitary(u), tol)
+    return _verdict(_spectrum(check_unitary(u)), tol)
 
 
-def _verdict(u, tol: float) -> PeVerdict:
-    spec = _spectrum(u)
+def _verdict(spec: MSpectrum, tol: float) -> PeVerdict:
     theta = np.sort(spec.theta)
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * np.pi]]))
     max_gap = float(np.max(gaps))
@@ -189,12 +188,13 @@ def _verdict(u, tol: float) -> PeVerdict:
 def pe_from_coords(coords, tol: float = TOL_HULL) -> bool:
     """Polyhedron membership in canonical coordinates (canonicalizes first):
     c1+c2 ≥ π/2, c2+c3 ≤ π/2, c1-c2 ≤ π/2."""
-    c = canonicalize(coords)
-    return bool(
-        c[0] + c[1] >= np.pi / 2 - tol
-        and c[1] + c[2] <= np.pi / 2 + tol
-        and c[0] - c[1] <= np.pi / 2 + tol
-    )
+    return bool(_in_pe(canonicalize(coords), tol))
+
+
+def _in_pe(c, tol: float = TOL_HULL) -> np.ndarray:
+    """The polyhedron test on a stack (..., 3) of chamber coordinates."""
+    c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2]
+    return (c1 + c2 >= np.pi / 2 - tol) & (c2 + c3 <= np.pi / 2 + tol) & (c1 - c2 <= np.pi / 2 + tol)
 
 
 def entangling_input(u, tol: float = TOL_HULL):
@@ -214,12 +214,13 @@ def entangling_input(u, tol: float = TOL_HULL):
         If the hull test fails.
     """
     u = check_unitary(u)
-    verdict = _verdict(u, tol)
+    spec = _spectrum(u)
+    verdict = _verdict(spec, tol)
     if not verdict.is_pe:
         raise NotPerfectEntanglerError(
             f"gate is not a perfect entangler (hull margin {verdict.margin:.3e})"
         )
-    d = _kak(u)
+    d = _kak(u, spec)
     lam = np.exp(0.5j * coordinate_phase_pattern(d.coords))
     weights = _hull_weights(lam**2, tol=tol)
     if weights is None:
@@ -290,7 +291,6 @@ def pe_fraction_mc(n: int, seed: int) -> float:
     rng = np.random.Generator(np.random.Philox(key=seed))
     accepted = 0
     hits = 0
-    half_pi = np.pi / 2
     while accepted < n:
         block = rng.uniform(0.0, np.pi, size=(max(4 * (n - accepted), 1024), 3))
         block.sort(axis=1)
@@ -299,10 +299,5 @@ def pe_fraction_mc(n: int, seed: int) -> float:
         if block.shape[0] > n - accepted:
             block = block[: n - accepted]
         accepted += block.shape[0]
-        ok = (
-            (block[:, 0] + block[:, 1] >= half_pi)
-            & (block[:, 1] + block[:, 2] <= half_pi)
-            & (block[:, 0] - block[:, 1] <= half_pi)
-        )
-        hits += int(np.count_nonzero(ok))
+        hits += int(np.count_nonzero(_in_pe(block, 0.0)))
     return hits / n

@@ -24,9 +24,9 @@ import numpy as np
 
 from .cartan import PAULIS, cartan_element
 from .chamber import _gate_coords
-from .entangler import pe_from_coords
+from .entangler import _in_pe
 from .errors import ConvergenceError
-from .invariants import LocalInvariants, _invariants
+from .invariants import LocalInvariants, _as_invariants, _invariants
 from .linalg import _flow, check_hermitian, kron2
 
 
@@ -141,21 +141,19 @@ class TrajectorySample:
 
 
 def trajectory(spec, times) -> list[TrajectorySample]:
-    """Coordinates, invariants, and PE status of exp(iHt) along a time grid."""
+    """Coordinates, invariants, and PE status of exp(iHt) along a time grid
+    (a 1-D sequence of finite numbers, else ValueError), all times in one
+    stacked pass."""
     flow = _flow(realize(spec))
-    out = []
-    for t in np.asarray(times, dtype=float):
-        u = flow(float(t))
-        coords = _gate_coords(u)
-        out.append(
-            TrajectorySample(
-                t=float(t),
-                coords=coords,
-                invariants=_invariants(u),
-                is_pe=pe_from_coords(coords),
-            )
-        )
-    return out
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all():
+        raise ValueError("times must be a 1-D sequence of finite numbers")
+    coords, (g1, g2c) = _gate_coords(flow(times[:, None, None]))
+    is_pe = _in_pe(coords)
+    return [
+        TrajectorySample(float(t), coords[i], _as_invariants(g1[i], g2c[i]), bool(is_pe[i]))
+        for i, t in enumerate(times)
+    ]
 
 
 def exchange_coords(jxx: float, jyy: float, jxy: float = 0.0, jyx: float = 0.0) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import MAGIC
-from .linalg import TOL_UNITARY, _as_triple, check_unitary, simdiag_commuting_symmetric
+from .linalg import TOL_UNITARY, _as_triple, _simdiag, check_unitary
 
 Q_DAG = MAGIC.conj().T
 
@@ -36,7 +36,7 @@ def m_matrix(u, tol: float = TOL_UNITARY) -> np.ndarray:
 
 def _m(u) -> np.ndarray:
     ub = magic_transform(u)
-    return ub.T @ ub
+    return ub.swapaxes(-1, -2) @ ub
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,23 @@ def local_invariants(u, tol: float = TOL_UNITARY) -> LocalInvariants:
 
 
 def _invariants(u) -> LocalInvariants:
-    m = _m(u)
-    det_u = np.linalg.det(u)
-    tr = np.trace(m)
-    g1 = tr * tr / (16.0 * det_u)
-    g2c = (tr * tr - np.trace(m @ m)) / (4.0 * det_u)
+    return _as_invariants(*_g(u))
+
+
+def _as_invariants(g1, g2c) -> LocalInvariants:
     return LocalInvariants(
         g1=complex(g1), g2=float(g2c.real), g2_imag_residual=float(abs(g2c.imag))
     )
+
+
+def _g(u) -> tuple[np.ndarray, np.ndarray]:
+    """g1 and the complex g2 of a stack (..., 4, 4) of checked gates."""
+    m = _m(u)
+    det_u = np.linalg.det(u)
+    tr = m.trace(0, -2, -1)
+    g1 = tr * tr / (16.0 * det_u)
+    g2c = (tr * tr - (m @ m).trace(0, -2, -1)) / (4.0 * det_u)
+    return g1, g2c
 
 
 def invariants_from_coords(coords) -> LocalInvariants:
@@ -77,14 +86,17 @@ def invariants_from_coords(coords) -> LocalInvariants:
         G2 = 4 cos²c1 cos²c2 cos²c3 - 4 sin²c1 sin²c2 sin²c3
              - cos 2c1 cos 2c2 cos 2c3
     """
-    c = _as_triple(coords)
-    cos2 = np.cos(c) ** 2
-    sin2 = np.sin(c) ** 2
-    prod_cos = float(np.prod(cos2))
-    prod_sin = float(np.prod(sin2))
-    g1 = prod_cos - prod_sin + 0.25j * float(np.prod(np.sin(2 * c)))
-    g2 = 4 * prod_cos - 4 * prod_sin - float(np.prod(np.cos(2 * c)))
+    g1, g2 = _g_from_coords(_as_triple(coords))
     return LocalInvariants(g1=complex(g1), g2=float(g2), g2_imag_residual=0.0)
+
+
+def _g_from_coords(c) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form g1 and g2 of a stack (..., 3) of coordinate triples."""
+    prod_cos = (np.cos(c) ** 2).prod(-1)
+    prod_sin = (np.sin(c) ** 2).prod(-1)
+    g1 = prod_cos - prod_sin + 0.25j * np.sin(2 * c).prod(-1)
+    g2 = 4 * prod_cos - 4 * prod_sin - np.cos(2 * c).prod(-1)
+    return g1, g2
 
 
 def invariant_distance(a: LocalInvariants, b: LocalInvariants) -> float:
@@ -128,19 +140,18 @@ def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
 
 
 def _spectrum(u) -> MSpectrum:
+    """m_spectrum's core over a stack (..., 4, 4) of checked gates."""
     alpha = np.angle(np.linalg.det(u)) / 4.0
-    u1 = np.exp(-1j * alpha) * u
+    u1 = np.exp(-1j * alpha)[..., None, None] * u
     m = _m(u1)
-    dre, dim, vecs = simdiag_commuting_symmetric(m.real, m.imag)
+    dre, dim, vecs = _simdiag(m.real, m.imag)
     theta = np.arctan2(dim, dre)
     balanced = theta.copy()
-    k = int(round(balanced.sum() / (2 * np.pi)))
-    if k != 0:
-        order = np.argsort(balanced)  # ascending
-        if k > 0:
-            for idx in order[::-1][:k]:
-                balanced[idx] -= 2 * np.pi
-        else:
-            for idx in order[: -k]:
-                balanced[idx] += 2 * np.pi
-    return MSpectrum(theta=theta, theta_balanced=balanced, frame=vecs.T)
+    k = np.rint(theta.sum(axis=-1) / (2 * np.pi))[..., None]
+    if k.any():
+        # Rank 0 is the smallest phase; the k largest (k > 0) lose 2π and
+        # the -k smallest (k < 0) gain it.
+        rank = theta.argsort(-1).argsort(-1)
+        balanced = np.where((k > 0) & (rank >= 4 - k), theta - 2 * np.pi, theta)
+        balanced = np.where((k < 0) & (rank < -k), theta + 2 * np.pi, balanced)
+    return MSpectrum(theta=theta, theta_balanced=balanced, frame=vecs.swapaxes(-1, -2))

@@ -20,7 +20,7 @@ import numpy as np
 from .cartan import MAGIC, PAULIS, WEYL_REFLECTIONS
 from .chamber import _fold, canonical_gate, coordinate_phase_pattern
 from .errors import BranchSearchError, NotLocalError, VerificationError
-from .invariants import _m, _spectrum, magic_transform
+from .invariants import MSpectrum, _m, _spectrum, magic_transform
 from .linalg import TOL_UNITARY, check_unitary, kron2
 
 # σa⊗σa words: conjugating A(c) by nothing, they implement the π translations
@@ -145,11 +145,13 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     return _kak(check_unitary(u, tol=tol))
 
 
-def _kak(u) -> KakDecomposition:
+def _kak(u, spec: MSpectrum | None = None) -> KakDecomposition:
+    """kak_decompose's core; ``spec`` is ``_spectrum(u)`` when the caller
+    already holds it."""
     alpha = float(np.angle(np.linalg.det(u)) / 4.0)
     u1 = np.exp(-1j * alpha) * u
 
-    spec = _spectrum(u)
+    spec = _spectrum(u) if spec is None else spec
     theta = spec.theta_balanced
     o2 = spec.frame
     ub = magic_transform(u1)

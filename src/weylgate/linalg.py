@@ -7,7 +7,10 @@ the pre/postconditions the higher layers rely on.
 
 A matrix is validated once, where it enters the library: public functions
 check their gate or Hamiltonian arguments once (a spec by one ``realize``),
-and ``_``-prefixed cores take checked arrays and never check again.
+and ``_``-prefixed cores take checked arrays and never check again.  The
+cores here and above them (spectrum, invariants, coordinates) take a stack
+``(..., n, n)``, so ``trajectory`` runs all its times in one NumPy pass;
+public functions take one matrix and run the same cores on it.
 """
 
 from __future__ import annotations
@@ -94,23 +97,36 @@ def eig_real_symmetric(s, tol: float = TOL_SYMMETRIC):
     NotSymmetricError
         If ``s`` has an imaginary part or s != s.T beyond ``tol``.
     """
-    s = np.asarray(s)
-    n = s.shape[0]
+    return _eigh(_as_symmetric(s, np.shape(s)[0], tol))
+
+
+def _as_symmetric(s, n: int, tol: float) -> np.ndarray:
     s = _as_square(s, n)
     if not np.linalg.norm(np.imag(s)) <= tol:
         raise NotSymmetricError("matrix has a nonreal part")
     s = np.real(s).astype(float)
     if not np.isfinite(s).all() or not np.linalg.norm(s - s.T) <= tol:
         raise NotSymmetricError(f"matrix is not symmetric within {tol:.1e}")
+    return s
+
+
+def _eigh(s):
+    """eig_real_symmetric's core over a stack (..., n, n) of checked real
+    symmetric matrices; the residual is checked per matrix."""
     evals, vecs = np.linalg.eigh(s)
-    evals = evals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    if np.linalg.det(vecs) < 0:
-        vecs[:, -1] = -vecs[:, -1]
-    resid = np.linalg.norm(vecs @ np.diag(evals) @ vecs.T - s)
-    if resid > 1e-10 * max(1.0, np.linalg.norm(s)):
-        raise ConvergenceError(f"eigendecomposition residual {resid:.3e} too large")
+    evals = evals[..., ::-1].copy()
+    vecs = vecs[..., ::-1].copy()
+    vecs[..., -1] *= np.sign(np.linalg.det(vecs))[..., None]  # det is ±1
+    resid = _frobenius((vecs * evals[..., None, :]) @ vecs.swapaxes(-1, -2) - s)
+    bound = 1e-10 * np.maximum(1.0, _frobenius(s))
+    if not (resid <= bound).all():  # a NaN residual fails too
+        raise ConvergenceError(f"eigendecomposition residual {np.max(resid):.3e} too large")
     return evals, vecs
+
+
+def _frobenius(a) -> np.ndarray:
+    """Frobenius norm of each real matrix of a stack."""
+    return np.sqrt((a * a).sum((-2, -1)))
 
 
 def expm_i_hermitian(h, t: float = 1.0, tol: float = TOL_HERMITIAN) -> np.ndarray:
@@ -135,20 +151,39 @@ def simdiag_commuting_symmetric(a, b, tol: float = TOL_EIG):
 
     Returns ``(da, db, vecs)`` with ``a = vecs @ diag(da) @ vecs.T`` and
     ``b = vecs @ diag(db) @ vecs.T``; ``vecs`` is orthogonal with det +1.
+    Each input is checked as eig_real_symmetric checks its matrix.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    scale = max(1.0, np.linalg.norm(a), np.linalg.norm(b))
-    for w in _SIMDIAG_WEIGHTS:
-        _, vecs = eig_real_symmetric(a + w * b)
-        da_full = vecs.T @ a @ vecs
-        db_full = vecs.T @ b @ vecs
-        off = max(
-            np.linalg.norm(da_full - np.diag(np.diag(da_full))),
-            np.linalg.norm(db_full - np.diag(np.diag(db_full))),
-        )
-        if off <= tol * scale:
-            return np.diag(da_full).copy(), np.diag(db_full).copy(), vecs
+    n = np.shape(a)[0]
+    return _simdiag(_as_symmetric(a, n, TOL_SYMMETRIC), _as_symmetric(b, n, TOL_SYMMETRIC), tol)
+
+
+def _simdiag(a, b, tol: float = TOL_EIG):
+    """simdiag_commuting_symmetric's core over stacks (..., n, n) of checked
+    commuting pairs.  Only the rows whose frame fails the off-diagonal test
+    retry with the next blend weight."""
+    lead, n = a.shape[:-2], a.shape[-1]
+    a, b = a.reshape(-1, n, n), b.reshape(-1, n, n)
+    scale = np.maximum(1.0, np.maximum(_frobenius(a), _frobenius(b)))
+    off_diagonal = 1.0 - np.eye(n)
+    todo = np.arange(len(a))
+    for i, w in enumerate(_SIMDIAG_WEIGHTS):
+        # The first weight takes all rows as views, so each matrix product
+        # sees the same memory layout as for a lone matrix.
+        ra, rb = (a, b) if i == 0 else (a[todo], b[todo])
+        _, v = _eigh(ra + w * rb)
+        vt = v.swapaxes(-1, -2)
+        fa, fb = vt @ ra @ v, vt @ rb @ v
+        off = np.maximum(_frobenius(fa * off_diagonal), _frobenius(fb * off_diagonal))
+        ok = off <= tol * scale[todo]
+        dfa, dfb = fa.diagonal(0, -2, -1), fb.diagonal(0, -2, -1)
+        if i == 0:  # every row; those that failed are overwritten below
+            da, db, vecs = dfa.copy(), dfb.copy(), v
+        else:
+            rows = todo[ok]
+            da[rows], db[rows], vecs[rows] = dfa[ok], dfb[ok], v[ok]
+        todo = todo[~ok]
+        if not len(todo):
+            return da.reshape(*lead, n), db.reshape(*lead, n), vecs.reshape(*lead, n, n)
     raise ConvergenceError(
         "simultaneous diagonalization failed for every blend weight; "
         "inputs may not commute"

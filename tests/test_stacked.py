@@ -1,0 +1,138 @@
+"""The stacked cores: a stack of gates gives, row by row, what one gate gives.
+
+``trajectory`` runs all of its times through the ``(..., 4, 4)`` cores in one
+pass.  The reference here is the per-point loop it ran before: U(t) for one
+t at a time, through the public single-gate functions.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+import weylgate as wg
+from conftest import gate_at, rand_u4
+from weylgate import HamiltonianSpec
+from weylgate.chamber import VERTEX_A3, VERTEX_L, VERTEX_O, VERTEX_P, _gate_coords
+from weylgate.invariants import _spectrum
+from weylgate.linalg import _SIMDIAG_WEIGHTS, TOL_EIG, _eigh, _simdiag
+
+PI = np.pi
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+NAMED_KINDS = (
+    HamiltonianSpec.isotropic(),
+    HamiltonianSpec.xy(),
+    HamiltonianSpec.ising(),
+    HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
+    HamiltonianSpec.josephson(1.2),
+)
+couplings = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9)
+specs = st.one_of(
+    st.sampled_from(NAMED_KINDS),
+    couplings.map(lambda c: HamiltonianSpec.custom(wg.assemble_nonlocal(c))),
+)
+# Multiples of π, t = 0 among them, ahead of a grid like the CLI's.
+grids = st.tuples(st.floats(0.1, 4 * PI), st.integers(1, 40)).map(
+    lambda g: np.concatenate([PI * np.arange(-2, 5), np.linspace(0.0, g[0], g[1])])
+)
+
+
+def per_point(spec, times):
+    """The loop ``trajectory`` ran before the stacked cores, one U(t) at a time."""
+    h = wg.realize(spec)
+    out = []
+    for t in times:
+        u = wg.expm_i_hermitian(h, float(t))
+        coords = wg.gate_coords(u)
+        out.append((float(t), coords, wg.local_invariants(u), wg.pe_from_coords(coords)))
+    return out
+
+
+@PROPERTY
+@given(specs, grids)
+def test_trajectory_matches_per_point_loop(spec, times):
+    samples = wg.trajectory(spec, times)
+    assert len(samples) == len(times)
+    for s, (t, coords, inv, is_pe) in zip(samples, per_point(spec, times)):
+        assert s.t == t
+        assert_array_equal(s.coords, coords)
+        assert s.is_pe == is_pe
+        assert abs(s.invariants.g1 - inv.g1) <= 1e-14
+        assert abs(s.invariants.g2 - inv.g2) <= 1e-14
+        assert abs(s.invariants.g2_imag_residual - inv.g2_imag_residual) <= 1e-14
+
+
+def _gate_stack():
+    """Haar gates with random phases, and dressed gates near chamber vertices."""
+    rng = np.random.default_rng(11)
+    gates = [rand_u4(rng) * np.exp(1j * rng.uniform(-PI, PI)) for _ in range(40)]
+    for v in (VERTEX_O, VERTEX_L, VERTEX_P, VERTEX_A3):
+        for eps in (0.0, 1e-9):
+            gates.append(gate_at(v + eps * rng.standard_normal(3), rng, rng.uniform(-PI, PI)))
+    return np.array(gates)
+
+
+def test_stacked_spectrum_equals_row_by_row():
+    stack = _gate_stack()
+    spec = _spectrum(stack)
+    shifted = np.rint(spec.theta.sum(axis=-1) / (2 * PI)) != 0
+    assert 0 < shifted.sum() < len(stack)  # both sides of the balanced-phase branch
+    for i, u in enumerate(stack):
+        row = _spectrum(u)
+        assert_array_equal(spec.theta[i], row.theta)
+        assert_array_equal(spec.theta_balanced[i], row.theta_balanced)
+        assert_array_equal(spec.frame[i], row.frame)
+
+
+def test_stacked_gate_coords_equal_row_by_row():
+    stack = _gate_stack()
+    coords, (g1, g2c) = _gate_coords(stack)
+    assert coords.shape == (len(stack), 3)
+    for i, u in enumerate(stack):
+        row_coords, (row_g1, row_g2c) = _gate_coords(u)
+        assert_array_equal(coords[i], row_coords)
+        # NumPy rounds a complex product on arrays and on scalars differently
+        # in the last bit, so the invariants agree to rounding only.
+        assert abs(g1[i] - row_g1) <= 1e-14 and abs(g2c[i] - row_g2c) <= 1e-14
+
+
+def _rotate(d, o):
+    return (o * d) @ o.T
+
+
+def _off_diagonal(f):
+    return np.linalg.norm(f - np.diag(np.diag(f)))
+
+
+def test_simdiag_retries_only_the_colliding_row():
+    rng = np.random.default_rng(5)
+    w0 = _SIMDIAG_WEIGHTS[0]
+    frames = [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(3)]
+    diagonals = [
+        (rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)),
+        # da + w0·db ties in its first two entries, which differ in da and db.
+        (np.array([1.0, 1.0 + w0, -0.5, 2.0]), np.array([1.0, 0.0, 0.3, -1.2])),
+        (rng.uniform(-2, 2, 4), rng.uniform(-2, 2, 4)),
+    ]
+    a = np.array([_rotate(da, o) for (da, _), o in zip(diagonals, frames)])
+    b = np.array([_rotate(db, o) for (_, db), o in zip(diagonals, frames)])
+    scale = np.maximum(1.0, np.maximum(np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(b, axis=(1, 2))))
+
+    # Precondition: at the first weight only the middle frame mixes the pair.
+    _, v0 = _eigh(a + w0 * b)
+    first_ok = [_off_diagonal(v.T @ ai @ v) <= TOL_EIG * s for v, ai, s in zip(v0, a, scale)]
+    assert first_ok == [True, False, True]
+
+    da, db, vecs = _simdiag(a, b)
+    for i in range(3):
+        v = vecs[i]
+        assert np.linalg.norm(v.T @ v - np.eye(4)) <= 1e-12 and np.linalg.det(v) > 0
+        assert np.linalg.norm(_rotate(da[i], v) - a[i]) <= 1e-10 * scale[i]
+        assert np.linalg.norm(_rotate(db[i], v) - b[i]) <= 1e-10 * scale[i]
+    for i in (0, 2):
+        solo = _simdiag(a[i], b[i])
+        assert_array_equal(da[i], solo[0])
+        assert_array_equal(db[i], solo[1])
+        assert_array_equal(vecs[i], solo[2])

@@ -73,6 +73,12 @@ BAD_SPECS = {
     ),
     **{f"matrix {k}": v for k, v in BAD_HAMILTONIANS.items()},
 }
+BAD_TIMES = {
+    "nan": ([0.0, NAN], ValueError),
+    "inf": ([np.inf], ValueError),
+    "2d": ([[0.1, 0.2]], ValueError),
+    "scalar": (0.5, ValueError),
+}
 BAD_COORDS = {
     "nan": ([NAN, 0.0, 0.0], ValueError),
     "inf": ([np.inf, 0.0, 0.0], ValueError),
@@ -160,6 +166,7 @@ def _table(fns, inputs):
     + _table(SPEC_FNS, BAD_SPECS)
     + _table(SYMMETRIC_FNS, BAD_SYMMETRIC)
     + _table(COORD_FNS, BAD_COORDS)
+    + _table({"trajectory times": lambda times: wg.trajectory(_ISO, times)}, BAD_TIMES)
     + _table(
         {"assemble_nonlocal": wg.assemble_nonlocal},
         {"nan": ([NAN] * 9, ValueError), "short": ([1.0] * 8, ValueError)},
@@ -172,6 +179,11 @@ def test_malformed_input_raises_typed_error(fn, bad, error):
             fn(bad)
     # NumPy's LinAlgError is a ValueError too; the library must not let one out.
     assert not isinstance(info.value, np.linalg.LinAlgError), info.value
+
+
+def test_trajectory_of_no_times_is_empty():
+    assert wg.trajectory(_ISO, []) == []
+    assert wg.trajectory(_ISO, np.zeros(0)) == []
 
 
 def test_short_coords_message():
@@ -316,3 +328,12 @@ def test_cli_bad_gate_file(capsys, tmp_path, matrix, error, argv):
     code = main([argv[0], path, *argv[1:]])
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == error
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_cli_trajectory_rejects_non_finite_t_max(capsys, t_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["trajectory", "isotropic", "--t-max", t_max])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
