@@ -29,7 +29,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .cartan import MAGIC, WEYL_REFLECTIONS
+from .cartan import MAGIC, PAULIS, WEYL_REFLECTIONS
 from .errors import VerificationError
 from .invariants import _g, _g_from_coords, _spectrum
 from .linalg import TOL_UNITARY, _as_triple, check_unitary
@@ -246,8 +246,6 @@ def controlled_gate(phases) -> np.ndarray:
     here, which depends on the γ's through the single angle |γ|.
     """
     g = _as_triple(phases, "controlled gate rotation components")
-    from .cartan import PAULIS  # local import to avoid a cycle at module load
-
     h = g[0] * PAULIS["x"] + g[1] * PAULIS["y"] + g[2] * PAULIS["z"]
     angle = np.linalg.norm(g)
     if angle < 1e-300:

@@ -1,15 +1,18 @@
 """Perfect entanglers: the gates that can take some product state to a
 maximally entangled state.
 
-Three equivalent characterizations are provided side by side and are kept
-independent on purpose (they cross-check each other):
+Two equivalent tests are provided side by side and are kept independent on
+purpose (they cross-check each other):
 
-* the convex-hull test: U is a perfect entangler iff the convex hull of the
-  squared eigenvalues of m(U) (four points on the unit circle) contains 0;
+* the convex-hull test on the spectrum of m(U): U is a perfect entangler iff
+  the convex hull of the eigenvalues e^{iθ_k} of m(U) (four points on the
+  unit circle) contains 0, i.e. iff no arc wider than π is free of them;
 * the chamber polyhedron: in canonical coordinates the perfect entanglers
   are exactly the points with c1+c2 ≥ π/2, c2+c3 ≤ π/2 and c1-c2 ≤ π/2
-  (a polyhedron spanned by L, M, N, P, Q, A2);
-* the invariant-plane condition implied by both (used only in tests).
+  (a polyhedron spanned by L, M, N, P, Q, A2).
+
+The same spectrum gives the witness: m's real eigenframe and the hull's
+convex weights build a product state that U maximally entangles.
 
 The entanglement measure on states is Ent(ψ) = ψᵀ·P·ψ with
 P = -(1/2)·σy⊗σy; |Ent| = 0 on product states and 1/2 on maximally
@@ -35,7 +38,6 @@ from .chamber import (
     VERTEX_P,
     VERTEX_Q,
     canonicalize,
-    coordinate_phase_pattern,
 )
 from .errors import (
     NotNormalizedError,
@@ -43,7 +45,6 @@ from .errors import (
     VerificationError,
 )
 from .invariants import MSpectrum, _spectrum
-from .kak import _kak
 from .linalg import check_unitary
 
 TOL_HULL = 1e-9
@@ -76,7 +77,10 @@ class PeVerdict:
     """Outcome of the convex-hull perfect-entangler test.
 
     ``margin`` is the signed distance from 0 to the hull boundary (positive
-    inside).  ``weights``, present when the test passes, are convex weights
+    inside): cos(g/2) with g the widest gap between neighboring eigenphases,
+    since the chord across that arc is the hull edge nearest 0 (and, when 0
+    is outside, the chord's midpoint is the hull point nearest 0).
+    ``weights``, present when the test passes, are convex weights
     w on the squared eigenphases z with |Σ w·z| < 1e-9, ordered like
     ``phases``.
     """
@@ -85,42 +89,6 @@ class PeVerdict:
     margin: float
     phases: np.ndarray
     weights: np.ndarray | None
-
-
-def _hull_margin(z: np.ndarray) -> float:
-    """Signed distance from the origin to the hull of ≤4 unit-circle points.
-
-    Positive inside, negative outside, ~0 on the boundary.  Points on a
-    circle are in convex position, so sorting by angle walks the hull
-    boundary counterclockwise.
-    """
-    pts = [z[0]]
-    for p in z[1:]:
-        if all(abs(p - q) > 1e-9 for q in pts):
-            pts.append(p)
-    if len(pts) == 1:
-        return -abs(pts[0])
-    if len(pts) == 2:
-        return -_dist_to_segment(pts[0], pts[1])
-    pts = sorted(pts, key=np.angle)
-    edge_dist = []
-    for i, p in enumerate(pts):
-        q = pts[(i + 1) % len(pts)]
-        d = q - p
-        # signed distance of the origin from the edge line; interior is left
-        edge_dist.append((d.real * (-p).imag - d.imag * (-p).real) / abs(d))
-    if min(edge_dist) >= 0:
-        return float(min(edge_dist))
-    return -float(
-        min(_dist_to_segment(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
-    )
-
-
-def _dist_to_segment(p: complex, q: complex) -> float:
-    d = q - p
-    t = ((0 - p).real * d.real + (0 - p).imag * d.imag) / (abs(d) ** 2)
-    t = min(1.0, max(0.0, t))
-    return float(abs(p + t * d))
 
 
 def _hull_weights(z: np.ndarray, tol: float = TOL_HULL) -> np.ndarray | None:
@@ -178,7 +146,7 @@ def _verdict(spec: MSpectrum, tol: float) -> PeVerdict:
     max_gap = float(np.max(gaps))
     is_pe = max_gap <= np.pi + tol
     z = np.exp(1j * spec.theta)
-    margin = _hull_margin(z)
+    margin = float(np.cos(max_gap / 2))
     weights = _hull_weights(z, tol=tol) if is_pe else None
     if is_pe and weights is None:
         raise VerificationError("hull test passed but no convex witness found")
@@ -203,10 +171,12 @@ def entangling_input(u, tol: float = TOL_HULL):
     Returns ``(psi_in, psi_out)`` with |Ent(psi_in)| < 1e-9 and
     |Ent(psi_out)| = 1/2 within 1e-9, psi_out = u·psi_in.
 
-    Construction: with U = e^{iα}k1·A(c)·k2 and λ the magic-basis phases of
-    A(c), convex weights w with Σ w·λ² = 0 give the magic-frame vector
-    φ_k = sqrt(w_k)/λ_k; ψ = Q·φ is a product state that A(c) maps to a
-    maximally entangled one, and k2†·ψ is the corresponding input of U.
+    Construction: the spectrum gives m(e^{-iα}·U) = Oᵀ·diag(e^{iθ})·O with
+    det U = e^{4iα} and O real orthogonal, and the hull gives weights w with
+    Σ w·e^{iθ} = 0.  The magic-frame vector φ_k = sqrt(w_k)·e^{-iθ_k/2}
+    gives ψ = Q·Oᵀ·φ.  In the magic basis Ent(Q·x) = xᵀx/2, so
+    Ent(ψ) = Σ w·e^{-iθ}/2 = 0 and Ent(U·ψ) = e^{2iα}·φᵀ·diag(e^{iθ})·φ/2
+    = e^{2iα}/2, on any branch of θ/2.
 
     Raises
     ------
@@ -220,14 +190,8 @@ def entangling_input(u, tol: float = TOL_HULL):
         raise NotPerfectEntanglerError(
             f"gate is not a perfect entangler (hull margin {verdict.margin:.3e})"
         )
-    d = _kak(u, spec)
-    lam = np.exp(0.5j * coordinate_phase_pattern(d.coords))
-    weights = _hull_weights(lam**2, tol=tol)
-    if weights is None:
-        raise VerificationError("no convex witness for the canonical phases")
-    phi = np.sqrt(weights) / lam
-    psi = MAGIC @ phi
-    psi_in = d.k2.conj().T @ psi
+    phi = np.sqrt(verdict.weights) * np.exp(-0.5j * spec.theta)
+    psi_in = MAGIC @ spec.frame.T @ phi
     psi_out = u @ psi_in
     if abs(ent(psi_in)) > 1e-9 or abs(abs(ent(psi_out)) - 0.5) > 1e-9:
         raise VerificationError("entangling input failed its self-check")

@@ -236,13 +236,13 @@ def josephson_cnot_min_time(
     for k in range(k_max + 1):
         q = (2 * k + 1) * np.pi / 4.0
 
-        def f(alpha: float) -> float:
+        def f(alpha: float | np.ndarray) -> float | np.ndarray:
             return 2.0 * alpha**2 * np.cos(np.sqrt(1.0 + alpha**-2) * q) ** 2 - (
                 alpha**2 - 1.0
             )
 
         grid = np.linspace(1.0 + 1e-9, alpha_max, 4001)
-        vals = np.array([f(a) for a in grid])
+        vals = f(grid)
         for i in np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]:
             lo, hi = grid[i], grid[i + 1]
             for _ in range(100):

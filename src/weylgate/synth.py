@@ -21,10 +21,8 @@ from math import ceil, lcm
 import numpy as np
 
 from .cartan import WEYL_REFLECTIONS, _conjugate
-from .chamber import canonical_gate
 from .errors import (
     DegenerateHamiltonianError,
-    NotNonlocalError,
     VerificationError,
 )
 from .hamflow import HamiltonianSpec, realize

@@ -143,3 +143,17 @@ def test_mc_fraction_frozen():
 
 def test_mc_fraction_converges():
     assert abs(pe_fraction_mc(400_000, 99) - 0.5) < 0.005
+
+
+def test_boundary_named_gates_report_nonnegative_margin():
+    # These classes sit on the polyhedron's boundary, where the margin is 0;
+    # it must not come out negative while the verdict says True.
+    for name in ("cnot", "cz", "iswap", "sqrtswap", "sqrtswap_inv"):
+        verdict = is_perfect_entangler(named_gate(name))
+        assert verdict.is_pe
+        assert verdict.margin >= 0.0
+
+
+def test_margin_is_builtin_float():
+    # np.float64 subclasses float, so isinstance would not tell them apart.
+    assert type(is_perfect_entangler(named_gate("identity")).margin) is float

@@ -187,3 +187,13 @@ def test_josephson_cnot_matches_gate_class():
     u = expm_i_hermitian(h, result.t)
     c = gate_coords(u)
     assert_allclose(c, [PI / 2, 0.0, 0.0], atol=1e-5)
+
+
+def test_josephson_cnot_min_time_scales_with_e_l():
+    # E_L only rescales time: the same root, the same pulse, t·E_L fixed.
+    ref = josephson_cnot_min_time(1.0)
+    for e_l in (0.5, 2.0):
+        result = josephson_cnot_min_time(e_l)
+        assert result.alpha_ratio == ref.alpha_ratio
+        assert result.pulse_index == ref.pulse_index == 5
+        assert abs(result.t * e_l - ref.t) <= 1e-12 * ref.t
