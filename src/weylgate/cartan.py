@@ -267,6 +267,32 @@ def _reflection_table() -> dict[str, WeylReflection]:
 WEYL_REFLECTIONS = _reflection_table()
 
 
+def _weyl_group() -> tuple[np.ndarray, np.ndarray]:
+    """The 24 signed permutations the reflections generate (every
+    permutation, with an even number of sign flips), each with a local gate
+    g realizing it: g·A(c)·g† = A(P·c).
+
+    Element 0 is the identity; the others are found breadth first, each gate
+    the product of the reflection gates along the way.
+    """
+    actions, gates = [np.eye(3)], [np.eye(4, dtype=complex)]
+    seen = {np.eye(3, dtype=int).tobytes()}
+    for action, gate in zip(actions, gates):  # both lists grow as they are walked
+        for r in WEYL_REFLECTIONS.values():
+            image = r.action @ action
+            key = image.astype(int).tobytes()
+            if key not in seen:
+                seen.add(key)
+                actions.append(image)
+                gates.append(r.gate @ gate)
+    return np.array(actions), np.array(gates)
+
+
+# The Weyl group acting on canonical coordinates: the fold names its element
+# by an index into these tables.
+_WEYL_ACTIONS, _WEYL_GATES = _weyl_group()
+
+
 def weyl_reflection_gate(label: str) -> np.ndarray:
     """The local gate for one Weyl reflection, by root label.
 

@@ -11,8 +11,11 @@ and the coordinate triple c is unique once reduced to the chamber
 
 The symmetry group identifying equivalent triples is generated by
 permutations, paired sign flips, and translations by π on each axis; on the
-c3 = 0 face this identifies [c1, c2, 0] with [π-c1, c2, 0].  One fixed
-sequence of these moves (``_fold``) reaches the chamber from any triple.
+c3 = 0 face this identifies [c1, c2, 0] with [π-c1, c2, 0].  The fold
+(``_fold``) reaches the chamber from a whole stack of triples at once, by
+one fixed sequence of these moves per triple, and reports their composite
+as one Weyl-group element P (a signed permutation with an even number of
+sign flips) and one integer translation n: image = P·c + π·n.
 
 Named reference points in the chamber (useful constants)::
 
@@ -29,7 +32,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .cartan import MAGIC, PAULIS, WEYL_REFLECTIONS
+from .cartan import _WEYL_ACTIONS, MAGIC, PAULIS, WEYL_REFLECTIONS
 from .errors import VerificationError
 from .invariants import _g, _g_from_coords, _spectrum
 from .linalg import TOL_UNITARY, _as_triple, check_unitary
@@ -58,6 +61,19 @@ _EVEN_SIGNS = np.array(
 _PERMS = tuple(permutations(range(3)))
 # The phase pairs (θ0, θ1), (θ0, θ2), (θ1, θ2) that gate_coords sums.
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
+
+
+# A fold state x has shape (3, N, 3): the coordinates x[0], the codes
+# x[1] = P·(1, 2, 3), which name the element P, and the translations x[2] = n.
+# Every move acts on the three alike, so x[0] = P·c + π·n throughout.
+_CODE = np.array([1.0, 2.0, 3.0])
+_CODE_KEY = np.array([1.0, 7.0, 49.0])  # codes -> key in -171..171
+# Element index by key; a negative key wraps, on lookup as on filling.
+_ELEMENT = np.zeros(343, dtype=np.intp)
+_ELEMENT[(_WEYL_ACTIONS @ _CODE @ _CODE_KEY).astype(np.intp)] = np.arange(len(_WEYL_ACTIONS))
+# x @ M applies a move to every triple of a fold state x.
+_REFLECT_SUM = WEYL_REFLECTIONS["c1+c2"].action.T
+_BASE_MIRROR = (WEYL_REFLECTIONS["c1-c3"].action @ WEYL_REFLECTIONS["c1+c3"].action).T
 
 
 def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
@@ -97,51 +113,71 @@ def canonicalize(c) -> np.ndarray:
     ([c1, c2, c3] -> [π-c1, c2, -c3] when c3 ≤ 1e-9 and c1 > π/2).  The
     mirror's exact image sits up to 1e-9 below the base; its magnitudes,
     sorted, are returned, so the result is always in the closed chamber.
+
+    The mirror rule is a threshold on rounded numbers.  Where c3 lands
+    within rounding of ``TOL_BASE`` with c1 > π/2, two triples of one orbit
+    may fall on either side of it, and either the point or its exact base
+    mirror [π-c1, c2, c3] (sorted) may come back.
     """
-    out, _ = _fold(c)
-    return np.sort(np.abs(out))[::-1]
+    return _canonical(_as_triple(c))
 
 
-def _fold(c) -> tuple[np.ndarray, list]:
-    """Reduce a coordinate triple to the chamber by exact symmetry moves.
+def _canonical(c) -> np.ndarray:
+    """canonicalize's core over a stack (..., 3) of triples."""
+    return np.sort(np.abs(_fold(c)[0]), axis=-1)[..., ::-1]
 
-    Returns the image and the moves that produced it, in order: ``(axis, n)``
-    for the π-translation c[axis] -> c[axis] - n·π, or a WEYL_REFLECTIONS
-    label for c -> action @ c.  Every move maps A(c) to a locally equivalent
-    gate, so kak_decompose can turn the list into explicit local factors.
+
+def _fold(c):
+    """Reduce a stack (..., 3) of coordinate triples to the chamber by exact
+    symmetry moves.
+
+    Returns, per row, the image, the index p of a Weyl-group element P into
+    ``cartan._WEYL_ACTIONS`` and ``cartan._WEYL_GATES``, and an integer
+    vector n, with image = P·c + π·n: the moves' composite is one signed
+    permutation and one translation.  The moves, in order: each coordinate
+    mod π; a stable descending sort; one reflection across c1 + c2 = π if
+    needed, then mod π on the two reflected axes and sort again; the base
+    mirror [c1, c2, c3] -> [π-c1, c2, -c3] when c3 ≤ TOL_BASE and
+    c1 > π/2, then sort again.  Each row takes a branch only if its own
+    test holds, so the image is the one each row would get alone.
     """
-    c = _as_triple(c)
-    moves: list = []
+    lead = c.shape[:-1]
+    c = c.reshape(-1, 3)
+    offsets = np.arange(0, c.size, 3)[:, None]
+    n = np.floor(c / PI)
+    x = np.empty((3,) + c.shape)
+    np.subtract(c, n * PI, out=x[0])  # _translate on all axes, built in place
+    x[1] = _CODE
+    np.negative(n, out=x[2])
+    x = _sort(x, offsets)
+    m = x[0, :, 0] + x[0, :, 1] > PI
+    if m.any():
+        y = x @ _REFLECT_SUM  # -> (-c2, -c1, c3)
+        _translate(y, slice(0, 2))
+        x = np.where(m[:, None], _sort(y, offsets), x)
+    m = (x[0, :, 2] <= TOL_BASE) & (x[0, :, 0] > PI / 2 + _TOL_CHAMBER)
+    if m.any():
+        y = x @ _BASE_MIRROR  # -> (-c1, c2, -c3)
+        _translate(y, slice(0, 1))  # -> (π-c1, c2, -c3)
+        x = np.where(m[:, None], _sort(y, offsets), x)
+    p = _ELEMENT[(x[1] @ _CODE_KEY).astype(np.intp)]
+    image = x[0] + 0.0  # + 0.0 turns -0.0 into 0.0
+    shape = lead + (3,)
+    return image.reshape(shape), p.reshape(lead), x[2].astype(np.intp).reshape(shape)
 
-    def translate(*axes):
-        for axis in axes:
-            n = int(np.floor(c[axis] / PI))
-            if n:
-                c[axis] -= n * PI
-                moves.append((axis, n))
 
-    def reflect(label):
-        c[:] = WEYL_REFLECTIONS[label].action @ c
-        moves.append(label)
+def _translate(x, axes) -> None:
+    """Take the coordinates on ``axes`` of a fold state mod π, in place."""
+    n = np.floor(x[0, :, axes] / PI)
+    x[0, :, axes] -= n * PI
+    x[2, :, axes] -= n
 
-    def sort_descending():
-        for i in (0, 1, 0):
-            if c[i] < c[i + 1]:
-                reflect(("c2-c1", "c3-c2")[i])  # swap c[i], c[i+1]
 
-    translate(0, 1, 2)
-    sort_descending()
-    # With c sorted in [0, π)³ one reflection brings c1 + c2 to ≤ π.
-    if c[0] + c[1] > PI:
-        reflect("c1+c2")  # -> (-c2, -c1, c3)
-        translate(0, 1)
-        sort_descending()
-    if c[2] <= TOL_BASE and c[0] > PI / 2 + _TOL_CHAMBER:
-        reflect("c1+c3")  # -> (-c3, c2, -c1)
-        reflect("c1-c3")  # -> (-c1, c2, -c3)
-        translate(0)  # -> (π-c1, c2, -c3)
-        sort_descending()
-    return c + 0.0, moves  # + 0.0 turns -0.0 into 0.0
+def _sort(x, offsets):
+    """A fold state with each triple sorted descending; equal coordinates
+    keep their order.  ``offsets`` are the rows' starts in x.reshape(3, -1)."""
+    order = (-x[0]).argsort(axis=-1, kind="stable")
+    return x.reshape(3, -1).take(order + offsets, axis=1)
 
 
 def coords_of_inverse(c) -> np.ndarray:
@@ -179,7 +215,7 @@ def _gate_coords(u, verify_tol: float = 1e-8):
     """
     t = np.sort(_spectrum(u).theta_balanced, axis=-1)[..., ::-1]
     raw = t[..., _PAIRS].sum(-1) / 2.0
-    c = np.array([canonicalize(r) for r in raw.reshape(-1, 3)]).reshape(raw.shape)
+    c = _canonical(raw)
     g1, g2c = _g(u)
     cg1, cg2 = _g_from_coords(c)
     dist = np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import PAULIS, cartan_element
+from .cartan import _WORDS, cartan_element
 from .chamber import _gate_coords
 from .entangler import _in_pe
 from .errors import ConvergenceError
 from .invariants import LocalInvariants, _as_invariants, _invariants
-from .linalg import _flow, check_hermitian, kron2
+from .linalg import _flow, check_hermitian
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,10 @@ class HamiltonianSpec:
         return HamiltonianSpec("custom", tuple(flat))
 
 
+# The Pauli words x1, x2, xx, xy, yx, yy (rows of _WORDS, see BASIS_LABELS).
+_X1, _X2, _XX, _XY, _YX, _YY = _WORDS[[0, 3, 6, 7, 9, 10]]
+
+
 def realize(spec: HamiltonianSpec) -> np.ndarray:
     """The explicit Hermitian matrix of a HamiltonianSpec, which it checks."""
     if not isinstance(spec, HamiltonianSpec):  # an explicit matrix
@@ -83,20 +87,11 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
         return cartan_element([0.0, 0.0, 0.5])
     if kind == "exchange":
         jxx, jyy, jxy, jyx = spec.params
-        return 0.5 * (
-            jxx * kron2(PAULIS["x"], PAULIS["x"])
-            + jyy * kron2(PAULIS["y"], PAULIS["y"])
-            + jxy * kron2(PAULIS["x"], PAULIS["y"])
-            + jyx * kron2(PAULIS["y"], PAULIS["x"])
-        )
+        return 0.5 * (jxx * _XX + jyy * _YY + jxy * _XY + jyx * _YX)
     if kind == "josephson":
         alpha, e_l = spec.params
         e_j = alpha * e_l
-        i2 = np.eye(2)
-        return (
-            -0.5 * e_j * (kron2(PAULIS["x"], i2) + kron2(i2, PAULIS["x"]))
-            + (e_j**2 / e_l) * kron2(PAULIS["y"], PAULIS["y"])
-        )
+        return -0.5 * e_j * (_X1 + _X2) + (e_j**2 / e_l) * _YY
     if kind == "custom":
         vals = np.asarray(spec.params, dtype=float).reshape(16, 2)
         return check_hermitian((vals[:, 0] + 1j * vals[:, 1]).reshape(4, 4))

@@ -25,8 +25,13 @@ Q_DAG = MAGIC.conj().T
 
 
 def magic_transform(u) -> np.ndarray:
-    """Conjugate a gate into the magic basis: Q† u Q."""
-    return Q_DAG @ np.asarray(u, dtype=complex) @ MAGIC
+    """Conjugate a gate, which it checks, into the magic basis: Q† u Q."""
+    return _magic(check_unitary(u))
+
+
+def _magic(u) -> np.ndarray:
+    """magic_transform's core over a stack (..., 4, 4)."""
+    return Q_DAG @ u @ MAGIC
 
 
 def m_matrix(u, tol: float = TOL_UNITARY) -> np.ndarray:
@@ -35,7 +40,7 @@ def m_matrix(u, tol: float = TOL_UNITARY) -> np.ndarray:
 
 
 def _m(u) -> np.ndarray:
-    ub = magic_transform(u)
+    ub = _magic(u)
     return ub.swapaxes(-1, -2) @ ub
 
 
@@ -142,8 +147,11 @@ def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
 def _spectrum(u) -> MSpectrum:
     """m_spectrum's core over a stack (..., 4, 4) of checked gates."""
     alpha = np.angle(np.linalg.det(u)) / 4.0
-    u1 = np.exp(-1j * alpha)[..., None, None] * u
-    m = _m(u1)
+    return _spectrum_of_m(_m(np.exp(-1j * alpha)[..., None, None] * u))
+
+
+def _spectrum_of_m(m) -> MSpectrum:
+    """_spectrum's core over a stack of m(U), U scaled to det 1."""
     dre, dim, vecs = _simdiag(m.real, m.imag)
     theta = np.arctan2(dim, dre)
     balanced = theta.copy()

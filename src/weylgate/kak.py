@@ -6,9 +6,10 @@ Any U in U(4) factors as
 
 with k1, k2 tensor products of single-qubit gates, c the canonical
 coordinates reduced to the Weyl chamber, and A(c) the canonical gate.  The
-factorization here is exact by construction: the chamber reduction is done
-with explicit reflection gates and π-translation gates folded into k1, k2
-and α, never by replacing coordinates numerically.
+factorization here is exact by construction: the chamber reduction is one
+Weyl-group element and one π-translation, absorbed into k1, k2 and α as a
+local gate, a Pauli word and a phase, never by replacing coordinates
+numerically.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import MAGIC, PAULIS, WEYL_REFLECTIONS
+from .cartan import _WEYL_GATES, MAGIC, PAULIS
 from .chamber import _fold, canonical_gate, coordinate_phase_pattern
 from .errors import BranchSearchError, NotLocalError, VerificationError
-from .invariants import _m, _spectrum, magic_transform
+from .invariants import _m, _magic, _spectrum_of_m
 from .linalg import TOL_UNITARY, check_unitary, kron2
 
 # σa⊗σa words: conjugating A(c) by nothing, they implement the π translations
@@ -33,12 +34,28 @@ _TRANSLATION_WORDS = (
 )
 
 
+def _parity_words() -> np.ndarray:
+    """Π_j W_j^(b_j) for each parity vector b, indexed by b·(1, 2, 4)."""
+    out = np.empty((8, 4, 4), dtype=complex)
+    for key in range(8):
+        w = np.eye(4, dtype=complex)
+        for j, word in enumerate(_TRANSLATION_WORDS):
+            if key >> j & 1:
+                w = word @ w
+        out[key] = w
+    return out
+
+
+_PARITY_WORDS = _parity_words()
+_PARITY_KEY = np.array([1, 2, 4])
+
+
 @dataclass(frozen=True)
 class KakDecomposition:
     """U = e^{iα}·k1·a_factor·k2 with coords in the Weyl chamber.
 
-    ``alpha`` is arg(det U)/4 plus the exact π/2 multiples absorbed while
-    reducing to the chamber, wrapped to (-π, π].  ``a_factor`` equals
+    ``alpha`` is arg(det U)/4 minus (π/2)·Σn for the fold's translation n,
+    wrapped to (-π, π].  ``a_factor`` equals
     canonical_gate(coords).  ``residual`` is the Frobenius reconstruction
     error actually measured.  Within TOL_BASE of the base, ``coords`` is
     the base mirror's exact image, with -TOL_BASE ≤ c3 ≤ 0; canonicalize
@@ -131,9 +148,9 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     balanced eigenphases; solve the phase pattern for raw coordinates; with
     F the square root of the diagonal factor, the left frame u_B·o2ᵀ·F̄ is
     real (complex orthogonal and unitary); finally fold the raw coordinates
-    into the chamber (the moves canonicalize makes) and absorb each move
-    exactly: a π-translation as a σa⊗σa word in k2 and a phase in α, a
-    reflection as its local gate in k1 and k2.
+    into the chamber (the moves canonicalize makes) and absorb their
+    composite c -> P·c + π·n exactly: P as its local gate g_P in k1 and k2,
+    n as a σa⊗σa word per odd n_j in k2 and a phase -(π/2)·Σn in α.
 
     Raises
     ------
@@ -148,12 +165,11 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
 def _kak(u) -> KakDecomposition:
     """kak_decompose's core."""
     alpha = float(np.angle(np.linalg.det(u)) / 4.0)
-    u1 = np.exp(-1j * alpha) * u
+    ub = _magic(np.exp(-1j * alpha) * u)
 
-    spec = _spectrum(u)
+    spec = _spectrum_of_m(ub.T @ ub)  # _spectrum(u), scaling and transforming u once
     theta = spec.theta_balanced
     o2 = spec.frame
-    ub = magic_transform(u1)
 
     c_raw = np.array(
         [
@@ -170,19 +186,13 @@ def _kak(u) -> KakDecomposition:
     k1 = MAGIC @ o1.real @ MAGIC.conj().T
     k2 = MAGIC @ o2 @ MAGIC.conj().T
 
-    # Each move keeps u = e^{iα}·k1·A(c)·k2 for the running c:
-    # A(c) = A(c - πn·e_axis)·(i·W_axis)^n and A(c) = g†·A(action·c)·g.
-    coords, moves = _fold(c_raw)
-    for move in moves:
-        if isinstance(move, str):
-            g = WEYL_REFLECTIONS[move].gate
-            k1 = k1 @ g.conj().T
-            k2 = g @ k2
-        else:
-            axis, n = move
-            alpha += n * np.pi / 2.0
-            if n % 2:
-                k2 = _TRANSLATION_WORDS[axis] @ k2
+    # With coords = P·c_raw + π·n: A(c) = g_P†·A(P·c)·g_P, and
+    # A(y) = A(y + π·n)·Π_j (-i·W_j)^(n_j), the W_j commuting and squaring to I.
+    coords, p, n = _fold(c_raw)
+    g = _WEYL_GATES[p]
+    k1 = k1 @ g.conj().T
+    k2 = _PARITY_WORDS[(n % 2) @ _PARITY_KEY] @ g @ k2
+    alpha -= np.pi / 2.0 * n.sum(-1)
     alpha_out = float(np.angle(np.exp(1j * alpha)))  # wrap to (-π, π]
     a_factor = canonical_gate(coords)
 

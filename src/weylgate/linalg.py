@@ -191,15 +191,19 @@ def _simdiag(a, b, tol: float = TOL_EIG):
 
 
 def dist_up_to_phase(u, v) -> float:
-    """Frobenius distance between 4x4 unitaries minimized over a global phase.
+    """Frobenius distance between 4x4 unitaries, which it checks, minimized
+    over a global phase.
 
     min over φ of ||u - e^{iφ} v||_F, equal to sqrt(8 - 2|tr(u†v)|); computed
     by subtracting at the optimal phase e^{iφ} = conj(tr(u†v))/|tr(u†v)|,
     which stays accurate when the distance is near zero (the closed form
     loses half the significant digits there).
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    return _dist_up_to_phase(check_unitary(u), check_unitary(v))
+
+
+def _dist_up_to_phase(u, v) -> float:
+    """dist_up_to_phase's core over two checked gates."""
     t = np.trace(u.conj().T @ v)
     if abs(t) < 1e-12:
         return float(np.sqrt(8.0))

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .hamflow import HamiltonianSpec, realize
 from .kak import _kak, _m_scalar
-from .linalg import _as_triple, _flow, check_unitary, dist_up_to_phase
+from .linalg import _as_triple, _dist_up_to_phase, _flow, check_unitary
 
 TOL_TIME = 1e-10
 _COMMENSURABLE_DENOM = 10**6
@@ -61,7 +61,7 @@ def _plan_unitary(plan: CircuitPlan, flow) -> np.ndarray:
 
 def verify_plan(plan: CircuitPlan, target) -> float:
     """Phase-insensitive Frobenius distance between the plan and the target."""
-    return dist_up_to_phase(plan_unitary(plan), check_unitary(target))
+    return _dist_up_to_phase(plan_unitary(plan), check_unitary(target))
 
 
 def steps(plan: CircuitPlan, tol_time: float = TOL_TIME):
@@ -160,7 +160,7 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
         times=(float(t[0]), float(t[1]), float(t[2])),
         hamiltonian=hamiltonian,
     )
-    resid = dist_up_to_phase(_plan_unitary(plan, _flow(h)), target)
+    resid = _dist_up_to_phase(_plan_unitary(plan, _flow(h)), target)
     if resid > tol_residual:
         raise VerificationError(
             f"synthesized plan misses target: residual {resid:.3e} > {tol_residual:.1e}"
@@ -239,6 +239,6 @@ def with_nonnegative_times(plan: CircuitPlan, tol_residual: float = 1e-8) -> Cir
     )
     # the compensators are only local up to phase, which verify ignores
     ref = _plan_unitary(plan, flow)
-    if dist_up_to_phase(_plan_unitary(out, flow), ref) > tol_residual:
+    if _dist_up_to_phase(_plan_unitary(out, flow), ref) > tol_residual:
         return None
     return out

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from weylgate import (
     HamiltonianSpec,
@@ -27,17 +27,22 @@ PI = np.pi
 
 def test_realize_isotropic():
     h = realize(HamiltonianSpec.isotropic())
-    assert_allclose(h, cartan_element([0.5, 0.5, 0.5]), atol=1e-15)
-    assert_allclose(h, h.conj().T, atol=1e-15)
+    assert_array_equal(h, cartan_element([0.5, 0.5, 0.5]))
+    assert_array_equal(h, h.conj().T)
 
 
 def test_realize_xy_and_ising():
-    assert_allclose(realize(HamiltonianSpec.xy()), cartan_element([0.5, 0.5, 0.0]), atol=1e-15)
-    assert_allclose(realize(HamiltonianSpec.ising()), cartan_element([0.0, 0.0, 0.5]), atol=1e-15)
+    assert_array_equal(realize(HamiltonianSpec.xy()), cartan_element([0.5, 0.5, 0.0]))
+    assert_array_equal(realize(HamiltonianSpec.ising()), cartan_element([0.0, 0.0, 0.5]))
 
 
 def test_realize_exchange():
     h = realize(HamiltonianSpec.exchange(1.0, 0.5, 0.2, -0.1))
+    sx, sy = PAULIS["x"], PAULIS["y"]
+    expected = 0.5 * (
+        1.0 * kron2(sx, sx) + 0.5 * kron2(sy, sy) + 0.2 * kron2(sx, sy) - 0.1 * kron2(sy, sx)
+    )
+    assert_array_equal(h, expected)
     s = split_hamiltonian(h)
     assert_allclose(s.nonlocal_coeffs[0], 1.0, atol=1e-15)  # xx
     assert_allclose(s.nonlocal_coeffs[1], 0.2, atol=1e-15)  # xy
@@ -52,7 +57,7 @@ def test_realize_josephson():
     sx, sy = PAULIS["x"], PAULIS["y"]
     expected = -(alpha * e_l / 2.0) * (kron2(sx, np.eye(2)) + kron2(np.eye(2), sx))
     expected = expected + alpha**2 * e_l * kron2(sy, sy)
-    assert_allclose(h, expected, atol=1e-13)
+    assert_array_equal(h, expected)
 
 
 def test_realize_custom_roundtrip():
@@ -60,7 +65,7 @@ def test_realize_custom_roundtrip():
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = z + z.conj().T
     spec = HamiltonianSpec.custom(h)
-    assert_allclose(realize(spec), h, atol=1e-12)
+    assert_array_equal(realize(spec), h)
 
 
 def test_parse_hamiltonian():

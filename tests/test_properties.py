@@ -4,18 +4,20 @@ and the perfect-entangler predicates.
 Inputs come from ``hypothesis`` (derandomized, so every run draws the same
 examples); the oracles are the symmetry group itself (``weyl_orbit``), the
 closed-form invariants, the defining identities of the inverse and of
-local equivalence, the chamber polyhedron, and a polygon walk over the
-hull of m's eigenvalues.
+local equivalence, the chamber polyhedron, a scalar fold that records its
+moves, and a polygon walk over the hull of m's eigenvalues.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import gate_at, rand_chamber_point, rand_local, rand_u4
 from weylgate import (
     WEYL_REFLECTIONS,
+    canonical_gate,
     canonicalize,
     coords_of_inverse,
     ent,
@@ -23,13 +25,15 @@ from weylgate import (
     gate_coords,
     in_chamber,
     invariants_from_coords,
+    is_local_gate,
     is_perfect_entangler,
     kak_decompose,
     kak_reconstruct,
     pe_from_coords,
     weyl_orbit,
 )
-from weylgate.chamber import TOL_BASE, _fold
+from weylgate.cartan import _WEYL_ACTIONS, _WEYL_GATES
+from weylgate.chamber import _TOL_CHAMBER, TOL_BASE, _fold
 from weylgate.entangler import TOL_HULL
 
 PI = np.pi
@@ -39,6 +43,97 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=
 coord = st.floats(-7.0, 7.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(coord, coord, coord).map(np.array)
 seeds = st.integers(0, 2**32 - 1)
+# Where the fold's tests and roundings sit: the π/4 lattice, signed zeros,
+# ±π, values a rounding error from 0, and c3 around TOL_BASE.
+special_coord = st.one_of(
+    st.integers(-16, 16).map(lambda k: k * PI / 4),
+    st.sampled_from([0.0, -0.0, PI, -PI, 1e-17, -1e-17, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9]),
+    coord,
+)
+special_triples = st.tuples(special_coord, special_coord, special_coord).map(np.array)
+
+
+@st.composite
+def triple_stacks(draw):
+    """A stack of shape (3,), (N, 3) or (a, b, 3) of special triples."""
+    lead = draw(
+        st.one_of(
+            st.just(()),
+            st.tuples(st.integers(0, 6)),
+            st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        )
+    )
+    size = int(np.prod(lead))
+    rows = draw(st.lists(special_triples, min_size=size, max_size=size))
+    return np.array(rows, dtype=float).reshape(lead + (3,))
+
+
+def _reference_fold(c):
+    """The scalar fold, one triple at a time, recording its moves in order:
+    ``(axis, n)`` for the π-translation c[axis] -> c[axis] - n·π, or a
+    WEYL_REFLECTIONS label for c -> action @ c."""
+    c = np.array(c, dtype=float)
+    moves: list = []
+
+    def translate(*axes):
+        for axis in axes:
+            n = int(np.floor(c[axis] / PI))
+            if n:
+                c[axis] -= n * PI
+                moves.append((axis, n))
+
+    def reflect(label):
+        c[:] = WEYL_REFLECTIONS[label].action @ c
+        moves.append(label)
+
+    def sort_descending():
+        for i in (0, 1, 0):
+            if c[i] < c[i + 1]:
+                reflect(("c2-c1", "c3-c2")[i])  # swap c[i], c[i+1]
+
+    translate(0, 1, 2)
+    sort_descending()
+    if c[0] + c[1] > PI:
+        reflect("c1+c2")  # -> (-c2, -c1, c3)
+        translate(0, 1)
+        sort_descending()
+    if c[2] <= TOL_BASE and c[0] > PI / 2 + _TOL_CHAMBER:
+        reflect("c1+c3")  # -> (-c3, c2, -c1)
+        reflect("c1-c3")  # -> (-c1, c2, -c3)
+        translate(0)  # -> (π-c1, c2, -c3)
+        sort_descending()
+    return c + 0.0, moves
+
+
+def _composed(moves):
+    """The moves composed in exact integer arithmetic: (M, t) with
+    image = M·c + π·t."""
+    m, t = np.eye(3, dtype=int), np.zeros(3, dtype=int)
+    for move in moves:
+        if isinstance(move, str):
+            a = WEYL_REFLECTIONS[move].action.astype(int)
+            m, t = a @ m, a @ t
+        else:
+            axis, n = move
+            t[axis] -= n
+    return m, t
+
+
+# canonicalize's contract: where c3 lands within rounding of TOL_BASE with
+# c1 > π/2, a point or its exact base mirror may come back.  The band is how
+# near TOL_BASE both answers must sit for the mirror to be accepted.
+_BASE_BAND = 4 * np.spacing(PI)
+
+
+def _assert_same_chamber_point(a, b, atol):
+    """a equals b within ``atol``, or, both with c3 inside the band around
+    TOL_BASE, the one with c1 > π/2 is the other's base mirror [π-c1, c2, c3]."""
+    if np.max(np.abs(a - b)) <= atol:
+        return
+    hi, lo = (a, b) if a[0] > b[0] else (b, a)
+    assert hi[0] > PI / 2, (a, b)
+    assert abs(a[2] - TOL_BASE) <= _BASE_BAND and abs(b[2] - TOL_BASE) <= _BASE_BAND, (a, b)
+    assert_allclose(np.sort([PI - hi[0], hi[1], hi[2]])[::-1], lo, atol=atol)
 
 # Vertices, edges and faces of the chamber, as points of a parameter s in [0, 1].
 _SPECIAL = (
@@ -81,16 +176,66 @@ def test_fold_idempotent_and_in_chamber(c):
 
 @PROPERTY
 @given(triples)
+@example(np.array([1.0, 1e-9, -1.0]))
 def test_fold_constant_on_orbit(c):
     ref = canonicalize(c)
     for image in weyl_orbit(c):
-        assert_allclose(canonicalize(image), ref, atol=1e-9)
+        _assert_same_chamber_point(canonicalize(image), ref, atol=1e-9)
+
+
+@PROPERTY
+@given(triple_stacks())
+def test_stacked_fold_matches_reference(c):
+    image, p, n = _fold(c)
+    assert image.shape == n.shape == c.shape and p.shape == c.shape[:-1]
+    for row, got in zip(c.reshape(-1, 3), image.reshape(-1, 3)):
+        ref, _ = _reference_fold(row)
+        assert_array_equal(got, ref)
+        assert_array_equal(canonicalize(row), np.sort(np.abs(ref))[::-1])
+
+
+@PROPERTY
+@given(triple_stacks())
+def test_stacked_fold_element_is_reference_moves(c):
+    image, p, n = _fold(c)
+    for row, q, k in zip(c.reshape(-1, 3), p.reshape(-1), n.reshape(-1, 3)):
+        m, t = _composed(_reference_fold(row)[1])
+        assert_array_equal(_WEYL_ACTIONS[q], m)
+        assert_array_equal(k, t)
+
+
+@pytest.mark.parametrize("p", range(24))
+def test_weyl_table_gate_realizes_its_element(p):
+    action, g = _WEYL_ACTIONS[p], _WEYL_GATES[p]
+    assert np.array_equal(np.abs(action) @ np.ones(3), np.ones(3))  # a signed permutation
+    assert np.prod(action.sum(0)) == 1  # an even number of sign flips
+    assert is_local_gate(g)
+    rng = np.random.default_rng(p)
+    for c in (rng.uniform(-PI, PI, 3), rng.uniform(-7.0, 7.0, 3), [PI / 2, PI / 4, 0.0]):
+        c = np.asarray(c)
+        assert_allclose(g @ canonical_gate(c) @ g.conj().T, canonical_gate(action @ c), atol=1e-12)
+
+
+def test_weyl_table_is_the_group():
+    keys = {tuple(a.astype(int).ravel()) for a in _WEYL_ACTIONS}
+    assert len(keys) == 24 and np.array_equal(_WEYL_ACTIONS[0], np.eye(3))
+
+
+def test_base_mirror_flips_on_recorded_inputs():
+    # Both answers of canonicalize's contract come back on these inputs.
+    c = np.array([1.0, 1e-9, -1.0])
+    outs = [canonicalize(image) for image in weyl_orbit(c)]
+    assert any(np.max(np.abs(o - canonicalize(c))) > 1e-9 for o in outs)
+    u = gate_at([4.0, 1e-9, -1.0])
+    rng = np.random.default_rng(0)
+    v = np.exp(1j * rng.uniform(0.0, 2 * PI)) * (rand_local(rng) @ u @ rand_local(rng))
+    assert np.max(np.abs(gate_coords(v) - gate_coords(u))) > 1e-7
 
 
 @PROPERTY
 @given(triples)
 def test_fold_moves_reproduce_output(c):
-    out, moves = _fold(c)
+    out, moves = _reference_fold(c)
     x = c.copy()
     for move in moves:
         if isinstance(move, str):
@@ -106,11 +251,12 @@ def test_fold_moves_reproduce_output(c):
 
 @PROPERTY
 @given(triples, seeds)
+@example(np.array([4.0, 1e-9, -1.0]), 0)
 def test_gate_coords_ignore_dressing_and_phase(c, seed):
     rng = np.random.default_rng(seed)
     u = gate_at(c)
     v = np.exp(1j * rng.uniform(0.0, 2 * PI)) * (rand_local(rng) @ u @ rand_local(rng))
-    assert_allclose(gate_coords(v), gate_coords(u), atol=1e-7)
+    _assert_same_chamber_point(gate_coords(v), gate_coords(u), atol=1e-7)
 
 
 @PROPERTY

@@ -27,6 +27,7 @@ from weylgate import (
     NotSymmetricError,
     NotUnitaryError,
 )
+from weylgate.chamber import _gate_coords
 from weylgate.cli import main
 
 NAN = float("nan")
@@ -104,6 +105,9 @@ GATE_FNS = {
     "locally_equivalent(., v)": lambda v: wg.locally_equivalent(CNOT, v),
     "synthesize": lambda u: wg.synthesize(u, _ISO),
     "verify_plan": lambda u: wg.verify_plan(_PLAN, u),
+    "magic_transform": wg.magic_transform,
+    "dist_up_to_phase(u, .)": lambda u: wg.dist_up_to_phase(u, CNOT),
+    "dist_up_to_phase(., v)": lambda v: wg.dist_up_to_phase(CNOT, v),
 }
 HAMILTONIAN_FNS = {
     "check_hermitian": wg.check_hermitian,
@@ -133,9 +137,9 @@ BAD_SYMMETRIC = {
     "4x3": (np.ones((4, 3)), ValueError),
     "asymmetric": (np.triu(np.ones((4, 4))), NotSymmetricError),
 }
-# Not in the tables: magic_transform, dist_up_to_phase, kron2, dagger,
-# commutator, killing_form, kak_reconstruct and steps are plain matrix
-# arithmetic on arrays their caller already holds, and check nothing.
+# Not in the tables: kron2, dagger, commutator, killing_form,
+# kak_reconstruct and steps are plain matrix arithmetic on arrays their
+# caller already holds, and check nothing.
 COORD_FNS = {
     "canonicalize": wg.canonicalize,
     "canonical_gate": wg.canonical_gate,
@@ -239,6 +243,8 @@ COUNT_CASES = {
     "is_perfect_entangler": (lambda: wg.is_perfect_entangler(_U), {"check_unitary": 1}),
     "entangling_input": (lambda: wg.entangling_input(CNOT), {"check_unitary": 1}),
     "locally_equivalent": (lambda: wg.locally_equivalent(_U, CNOT), {"check_unitary": 2}),
+    "magic_transform": (lambda: wg.magic_transform(_U), {"check_unitary": 1}),
+    "dist_up_to_phase": (lambda: wg.dist_up_to_phase(_U, CNOT), {"check_unitary": 2}),
     "expm_i_hermitian": (lambda: wg.expm_i_hermitian(ISO_H, 0.3), {"check_hermitian": 1}),
     "split_hamiltonian": (lambda: wg.split_hamiltonian(ISO_H), {"check_hermitian": 1}),
     "cartan_conjugate": (lambda: wg.cartan_conjugate(ISO_H), {"check_hermitian": 1}),
@@ -268,6 +274,37 @@ COUNT_CASES = {
 def test_one_check_per_matrix_argument(checks, call, expected):
     call()
     assert dict(+checks) == expected
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """Counts of chamber._fold and canonicalize calls, wrapped where the
+    library looks them up."""
+    from weylgate import chamber
+
+    counts = Counter()
+    for name in ("_fold", "canonicalize"):
+        fn = getattr(chamber, name)
+
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(chamber, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wg.trajectory(_ISO, np.linspace(0, 3, 7)),
+        lambda: _gate_coords(np.array([rand_u4(np.random.default_rng(k)) for k in range(5)])),
+    ],
+    ids=["trajectory", "stacked _gate_coords"],
+)
+def test_one_fold_per_stack(folds, call):
+    call()
+    assert dict(+folds) == {"_fold": 1}
 
 
 def test_library_built_matrices_are_not_rechecked(checks):
