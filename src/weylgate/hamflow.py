@@ -18,16 +18,24 @@ Supported kinds
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 import numpy as np
 
-from .cartan import _WORDS, cartan_element
+from .cartan import _WORDS, WEYL_REFLECTIONS, CartanTarget, _conjugate, cartan_element
 from .chamber import _gate_coords
 from .entangler import _in_pe
 from .errors import ConvergenceError
 from .invariants import LocalInvariants, _as_invariants, _invariants
+from .kak import _m_scalar
 from .linalg import _flow, check_hermitian
+
+_TOL_PERIOD = 1e-9
+_COMMENSURABLE_DENOM = 10**6
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,12 @@ class HamiltonianSpec:
             flat.extend((float(v.real), float(v.imag)))
         return HamiltonianSpec("custom", tuple(flat))
 
+    @cached_property
+    def _generator(self) -> "_Generator":
+        """This spec's generator record, derived on first use and kept by
+        the spec (a failed derivation is not kept, and raises again)."""
+        return _Generator.of(realize(self))
+
 
 # The Pauli words x1, x2, xx, xy, yx, yy (rows of _WORDS, see BASIS_LABELS).
 _X1, _X2, _XX, _XY, _YX, _YY = _WORDS[[0, 3, 6, 7, 9, 10]]
@@ -96,6 +110,78 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
         vals = np.asarray(spec.params, dtype=float).reshape(16, 2)
         return check_hermitian((vals[:, 0] + 1j * vals[:, 1]).reshape(4, 4))
     raise ValueError(f"UnsupportedKind: {kind!r}")
+
+
+# The fixed locals l1, l2, l3 whose conjugation realizes the columns of the
+# pulse-time matrix of synth.solve_times.
+_R = {label: r.gate for label, r in WEYL_REFLECTIONS.items()}
+_L1 = np.eye(4, dtype=complex)
+_L2 = _R["c3-c2"] @ _R["c1+c3"]
+_L3 = _R["c2-c1"] @ _R["c3-c2"] @ _R["c1+c2"]
+
+
+@dataclass(frozen=True, eq=False)
+class _Generator:
+    """What flows and synthesis need of one checked Hamiltonian h, which
+    depends on the coupling alone and not on any target: the flow
+    t ↦ exp(i·h·t), diagonalized once, and, derived on first use, the
+    Cartan conjugation, the generator-only plan locals and the period.
+
+    The lazy parts fail for some h (single-qubit terms); a failure is not
+    kept, so it raises again on the next use.
+    """
+
+    h: np.ndarray
+    flow: Callable[[float], np.ndarray]
+
+    @classmethod
+    def of(cls, h) -> "_Generator":
+        return cls(h, _flow(h))
+
+    @cached_property
+    def cartan(self) -> CartanTarget:
+        # drops the identity part; raises NotNonlocalError on local terms
+        return _conjugate(self.h)
+
+    @cached_property
+    def pulse_locals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """k†, k1 = k†·l2†·l1·k and k2 = k†·l3†·l2·k, with k the conjugating
+        local gate: a plan's locals are k†·(KAK k2), k1, k2 and
+        (KAK k1)·l3·k."""
+        k = self.cartan.k
+        kd = k.conj().T
+        return kd, kd @ _L2.conj().T @ _L1 @ k, kd @ _L3.conj().T @ _L2 @ k
+
+    @cached_property
+    def period(self) -> float | None:
+        return _period(self, _TOL_PERIOD)
+
+
+def _generator(hamiltonian) -> _Generator:
+    """The generator record of a spec, which the spec keeps; an explicit
+    matrix gets a fresh one."""
+    if isinstance(hamiltonian, HamiltonianSpec):
+        return hamiltonian._generator
+    return _Generator.of(realize(hamiltonian))
+
+
+def _period(g: _Generator, tol: float) -> float | None:
+    """fundamental_period's core on a generator record."""
+    nonzero = [abs(x) for x in g.cartan.coeffs if abs(x) > 1e-12]
+    if not nonzero:
+        return None
+    ref = nonzero[0]
+    ratios = [x / ref for x in nonzero[1:]]
+    fracs = [Fraction(r).limit_denominator(_COMMENSURABLE_DENOM) for r in ratios]
+    q = lcm(*(f.denominator for f in fracs))
+    # At T = π·q/ref each c_j·T misses its multiple of π by π·q·|x/ref − p/q_x|;
+    # limit_denominator alone always lands within about 1e-12 of the ratio.
+    if any(np.pi * q * abs(r - f) > tol for r, f in zip(ratios, fracs)):
+        return None
+    period = np.pi * q / ref
+    if _m_scalar(g.flow(period), tol=1e-8) is None:
+        return None
+    return float(period)
 
 
 def parse_hamiltonian(text: str) -> HamiltonianSpec:
@@ -139,7 +225,7 @@ def trajectory(spec, times) -> list[TrajectorySample]:
     """Coordinates, invariants, and PE status of exp(iHt) along a time grid
     (a 1-D sequence of finite numbers, else ValueError), all times in one
     stacked pass."""
-    flow = _flow(realize(spec))
+    flow = _generator(spec).flow
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValueError("times must be a 1-D sequence of finite numbers")
@@ -248,7 +334,7 @@ def josephson_cnot_min_time(
                     lo = mid
             alpha = 0.5 * (lo + hi)
             t = q / (alpha**2 * e_l)
-            inv = _invariants(_flow(realize(HamiltonianSpec.josephson(alpha, e_l)))(t))
+            inv = _invariants(HamiltonianSpec.josephson(alpha, e_l)._generator.flow(t))
             if abs(inv.g1) > 1e-6 or abs(inv.g2 - 1.0) > 1e-6:
                 continue
             if best is None or t < best.t:

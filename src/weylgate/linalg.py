@@ -6,14 +6,17 @@ problems are delegated to LAPACK via numpy; the wrappers fix conventions
 the pre/postconditions the higher layers rely on.
 
 A matrix is validated once, where it enters the library: public functions
-check their gate or Hamiltonian arguments once (a spec by one ``realize``),
-and ``_``-prefixed cores take checked arrays and never check again.  The
-cores here and above them (spectrum, invariants, coordinates) take a stack
-``(..., n, n)``, so ``trajectory`` runs all its times in one NumPy pass;
-public functions take one matrix and run the same cores on it.
+check their gate or Hamiltonian arguments once (a spec by one ``realize``
+per spec object), and ``_``-prefixed cores take checked arrays and never
+check again.  The cores here and above them (spectrum, invariants,
+coordinates) take a stack ``(..., n, n)``, so ``trajectory`` runs all its
+times in one NumPy pass; public functions take one matrix and run the same
+cores on it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -137,7 +140,12 @@ def expm_i_hermitian(h, t: float = 1.0, tol: float = TOL_HERMITIAN) -> np.ndarra
 def _flow(h):
     """t ↦ exp(i·h·t) for a checked Hermitian ``h``, diagonalized once."""
     w, v = np.linalg.eigh(h)
-    return lambda t: (v * np.exp(1j * t * w)) @ v.conj().T
+    return partial(_evolve, w, v, v.conj().T)
+
+
+def _evolve(w, v, vh, t):
+    """exp(i·h·t) from the eigenpair (w, v) of h and vh = v†."""
+    return (v * np.exp(1j * t * w)) @ vh
 
 
 def simdiag_commuting_symmetric(a, b, tol: float = TOL_EIG):

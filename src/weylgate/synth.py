@@ -10,27 +10,35 @@ products of single-qubit gates.  The times come from a 3x3 linear system
 relating the Hamiltonian's Cartan coefficients to the target's canonical
 coordinates; the locals come from the target's KAK factors, the gate that
 rotates H into the Cartan subalgebra, and fixed reflection gates.
+
+Work per generator and per target
+---------------------------------
+Everything that depends on the coupling alone is derived once per
+``HamiltonianSpec`` object and kept by it (``hamflow._Generator``): the
+checked matrix, the eigenpair of its flow, its Cartan coefficients and
+conjugating gate k, the two middle locals and the recurrence period.  Per
+target there remain the target's KAK, the 3x3 time solve, the two outer
+locals and the residual check.  An explicit matrix passed in place of a
+spec is derived afresh on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, lcm
+from math import ceil
 
 import numpy as np
 
-from .cartan import WEYL_REFLECTIONS, _conjugate
+from .cartan import WEYL_REFLECTIONS
 from .errors import (
     DegenerateHamiltonianError,
     VerificationError,
 )
-from .hamflow import HamiltonianSpec, realize
-from .kak import _kak, _m_scalar
-from .linalg import _as_triple, _dist_up_to_phase, _flow, check_unitary
+from .hamflow import _L3, _TOL_PERIOD, HamiltonianSpec, _generator, _period
+from .kak import _kak
+from .linalg import _as_triple, _dist_up_to_phase, check_unitary
 
 TOL_TIME = 1e-10
-_COMMENSURABLE_DENOM = 10**6
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,7 @@ class CircuitPlan:
 
 def plan_unitary(plan: CircuitPlan) -> np.ndarray:
     """Multiply the plan out into an explicit 4x4 unitary."""
-    return _plan_unitary(plan, _flow(realize(plan.hamiltonian)))
+    return _plan_unitary(plan, _generator(plan.hamiltonian).flow)
 
 
 def _plan_unitary(plan: CircuitPlan, flow) -> np.ndarray:
@@ -111,16 +119,6 @@ def solve_times(coeffs, target_coords, tol_det: float = 1e-12) -> np.ndarray:
     return np.linalg.solve(m, _as_triple(target_coords))
 
 
-def _conjugation_frames() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fixed locals l1, l2, l3 whose conjugation realizes the columns of
-    the solve_times matrix."""
-    r = {k: v.gate for k, v in WEYL_REFLECTIONS.items()}
-    l1 = np.eye(4, dtype=complex)
-    l2 = r["c3-c2"] @ r["c1+c3"]
-    l3 = r["c2-c1"] @ r["c3-c2"] @ r["c1+c2"]
-    return l1, l2, l3
-
-
 def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8) -> CircuitPlan:
     """Build a ≤3-pulse circuit for ``target`` from a fixed coupling.
 
@@ -138,29 +136,23 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
         If the assembled plan misses the target beyond ``tol_residual``.
     """
     target = check_unitary(target)
-    h = realize(hamiltonian)
-    ct = _conjugate(h)  # drops the identity part; raises NotNonlocalError on local terms
-    k = ct.k
+    g = _generator(hamiltonian)
+    kd, k1, k2 = g.pulse_locals  # raises NotNonlocalError on local terms
 
     d = _kak(target)
-    t = solve_times(ct.coeffs, d.coords)
-
-    l1, l2, l3 = _conjugation_frames()
-    kd = k.conj().T
+    t = solve_times(g.cartan.coeffs, d.coords)
     k0 = kd @ d.k2
-    k1 = kd @ l2.conj().T @ l1 @ k
-    k2 = kd @ l3.conj().T @ l2 @ k
-    k3 = d.k1 @ l3 @ k
+    k3 = d.k1 @ _L3 @ g.cartan.k
 
     # Durations at rounding-noise level are exact zeros: a time of -1e-16
     # would otherwise cost a full recurrence period in with_nonnegative_times.
     t = np.where(np.abs(t) <= TOL_TIME, 0.0, t)
     plan = CircuitPlan(
-        locals=(k0, k1, k2, k3),
+        locals=(k0, k1.copy(), k2.copy(), k3),  # the plan owns its arrays
         times=(float(t[0]), float(t[1]), float(t[2])),
         hamiltonian=hamiltonian,
     )
-    resid = _dist_up_to_phase(_plan_unitary(plan, _flow(h)), target)
+    resid = _dist_up_to_phase(_plan_unitary(plan, g.flow), target)
     if resid > tol_residual:
         raise VerificationError(
             f"synthesized plan misses target: residual {resid:.3e} > {tol_residual:.1e}"
@@ -186,29 +178,19 @@ def cnot_from_isotropic() -> CircuitPlan:
     )
 
 
-def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = 1e-9) -> float | None:
+def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = _TOL_PERIOD) -> float | None:
     """Smallest T with exp(iHT) local up to phase, when the Cartan
-    coefficients are commensurate (rational ratios with denominators below
-    10⁶); None otherwise."""
-    return _period(realize(hamiltonian), tol)
+    coefficients are commensurate; None otherwise.
 
-
-def _period(h, tol: float = 1e-9) -> float | None:
-    c = _conjugate(h).coeffs
-    nonzero = [abs(x) for x in c if abs(x) > 1e-12]
-    if not nonzero:
-        return None
-    ref = nonzero[0]
-    q = 1
-    for x in nonzero[1:]:
-        frac = Fraction(x / ref).limit_denominator(_COMMENSURABLE_DENOM)
-        if abs(x / ref - frac) > tol:
-            return None
-        q = lcm(q, frac.denominator)
-    period = np.pi * q / ref
-    if _m_scalar(_flow(h)(period), tol=1e-8) is None:
-        return None
-    return float(period)
+    With ref the first nonzero |c_j| and p/q_j the closest fraction to
+    |c_j|/ref with denominator below 10⁶, the candidate is T = π·q/ref,
+    q = lcm(q_j).  It is rejected when some |c_j|·T misses its multiple of
+    π by more than ``tol``, that is when π·q·|(|c_j|/ref) − p/q_j| > tol, and
+    otherwise kept only if exp(iHT) passes the locality test.  The period
+    at the default ``tol`` is derived once per spec object.
+    """
+    g = _generator(hamiltonian)
+    return g.period if tol == _TOL_PERIOD else _period(g, tol)
 
 
 def with_nonnegative_times(plan: CircuitPlan, tol_residual: float = 1e-8) -> CircuitPlan | None:
@@ -221,11 +203,11 @@ def with_nonnegative_times(plan: CircuitPlan, tol_residual: float = 1e-8) -> Cir
     """
     if all(t >= 0.0 for t in plan.times):
         return plan
-    h = realize(plan.hamiltonian)
-    period = _period(h)
+    g = _generator(plan.hamiltonian)
+    period = g.period
     if period is None:
         return None
-    flow = _flow(h)
+    flow = g.flow
     new_locals = list(plan.locals)
     new_times = list(plan.times)
     for j, t in enumerate(plan.times):

@@ -1,5 +1,9 @@
 """Three-pulse circuit synthesis and time bookkeeping."""
 
+import pickle
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +13,7 @@ from weylgate import (
     CircuitPlan,
     DegenerateHamiltonianError,
     HamiltonianSpec,
+    WeylgateError,
     cnot_from_isotropic,
     expm_i_hermitian,
     fundamental_period,
@@ -217,3 +222,149 @@ def test_nonnegative_rewrite_without_period():
             assert with_nonnegative_times(plan) is None
             return
     pytest.skip("no negative-time plan drawn")
+
+
+# ---------------------------------------------------------------------------
+# The generator record: derived once per spec object
+
+
+def _count_calls(monkeypatch, names):
+    """Counts of weylgate private functions, wrapped in every weylgate
+    namespace that holds them."""
+    import weylgate.hamflow as hamflow
+    import weylgate.linalg as linalg
+
+    counts = Counter()
+    for name in names:
+        fn = getattr(hamflow, name, None) or getattr(linalg, name)
+
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "weylgate" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
+    return counts
+
+
+# isotropic and xy: test_fundamental_period_isotropic and _xy above.
+@pytest.mark.parametrize(
+    "spec, period",
+    [(HamiltonianSpec.ising(), 2 * PI), (HamiltonianSpec.exchange(1.0, 1.0 / 3.0), 3 * PI)],
+    ids=["ising", "exchange(1, 1/3)"],
+)
+def test_fundamental_period_commensurate(spec, period):
+    assert_allclose(fundamental_period(spec), period, rtol=1e-12)
+
+
+def _random_two_body_specs(n, seed=80):
+    from weylgate import assemble_nonlocal
+
+    rng = np.random.default_rng(seed)
+    return [HamiltonianSpec.custom(assemble_nonlocal(rng.uniform(-1.0, 1.0, 9))) for _ in range(n)]
+
+
+def test_incommensurate_period_rejected_before_the_flow(monkeypatch):
+    # limit_denominator finds a fraction within ~1e-12 of any ratio; the
+    # miss π·q·|ratio − p/q| at the candidate period is what rejects it.
+    specs = [
+        HamiltonianSpec.exchange(1.0, np.sqrt(2.0)),
+        HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
+        *_random_two_body_specs(20),
+    ]
+    counts = _count_calls(monkeypatch, ["_m_scalar"])
+    for spec in specs:
+        assert fundamental_period(spec) is None
+    assert counts["_m_scalar"] == 0
+
+
+def test_generator_derived_once_per_spec(monkeypatch):
+    specs = [HamiltonianSpec.isotropic(), *_random_two_body_specs(1, seed=81)]
+    counts = _count_calls(monkeypatch, ["_conjugate", "_flow", "_period"])
+    rng = np.random.default_rng(82)
+    for spec in specs:
+        counts.clear()
+        for _ in range(5):
+            plan = synthesize(rand_u4(rng), spec)
+            with_nonnegative_times(CircuitPlan(plan.locals, (-1.0, 0.5, 0.25), spec))
+        assert dict(counts) == {"_conjugate": 1, "_flow": 1, "_period": 1}
+
+
+def _differential_specs():
+    rng = np.random.default_rng(83)
+    return [
+        HamiltonianSpec.isotropic,
+        HamiltonianSpec.xy,
+        HamiltonianSpec.ising,
+        lambda: HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
+        lambda: HamiltonianSpec.exchange(1.0, 1.0 / 3.0),
+        *(
+            (lambda h=rand_nonlocal_hamiltonian(rng): HamiltonianSpec.custom(h))
+            for _ in range(4)
+        ),
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WeylgateError as exc:  # the same failure must come back either way
+        return type(exc)
+
+
+def _assert_same_plan(a, b):
+    if not isinstance(a, CircuitPlan):
+        assert a is b
+        return
+    assert a.times == b.times
+    for ka, kb in zip(a.locals, b.locals):
+        np.testing.assert_array_equal(ka, kb)
+
+
+@pytest.mark.parametrize("make_spec", _differential_specs())
+def test_shared_spec_plans_equal_fresh_spec_plans(make_spec):
+    shared = make_spec()
+    rng = np.random.default_rng(84)
+    for _ in range(20):
+        target = rand_u4(rng)
+        plan = _outcome(synthesize, target, shared)
+        fresh = _outcome(synthesize, target, make_spec())
+        _assert_same_plan(plan, fresh)
+        if isinstance(plan, CircuitPlan):
+            _assert_same_plan(
+                _outcome(with_nonnegative_times, plan),
+                _outcome(with_nonnegative_times, CircuitPlan(fresh.locals, fresh.times, make_spec())),
+            )
+
+
+def test_josephson_spec_keeps_its_flow_and_rejects_synthesis():
+    from weylgate import NotNonlocalError, trajectory
+
+    spec = HamiltonianSpec.josephson(1.2)
+    assert len(trajectory(spec, np.linspace(0.0, 2.0, 5))) == 5
+    for _ in range(2):
+        with pytest.raises(NotNonlocalError):
+            synthesize(named_gate("cnot"), spec)
+    assert len(trajectory(spec, [0.5])) == 1
+
+
+def test_plans_and_realize_own_their_arrays():
+    spec = HamiltonianSpec.isotropic()
+    plan = synthesize(named_gate("cnot"), spec)
+    other = synthesize(named_gate("swap"), spec)
+    expected = plan_unitary(plan)
+    realize(spec)[:] = 7.0
+    other.locals[1][:] = 0.0
+    other.locals[2][:] = 0.0
+    np.testing.assert_array_equal(plan_unitary(plan), expected)
+    assert verify_plan(synthesize(named_gate("cnot"), spec), named_gate("cnot")) < 1e-8
+
+
+def test_used_spec_pickles():
+    spec = HamiltonianSpec.isotropic()
+    plan = synthesize(named_gate("cnot"), spec)
+    loaded = pickle.loads(pickle.dumps(spec))
+    assert loaded == spec
+    replayed = CircuitPlan(plan.locals, plan.times, loaded)
+    np.testing.assert_array_equal(plan_unitary(replayed), plan_unitary(plan))

@@ -185,6 +185,14 @@ def test_malformed_input_raises_typed_error(fn, bad, error):
     assert not isinstance(info.value, np.linalg.LinAlgError), info.value
 
 
+@pytest.mark.parametrize("fn, bad, error", _table(SPEC_FNS, BAD_SPECS))
+def test_malformed_spec_raises_on_every_call(fn, bad, error):
+    # A spec keeps what it derives, but not a failure.
+    for _ in range(2):
+        with pytest.raises(error):
+            fn(bad)
+
+
 def test_trajectory_of_no_times_is_empty():
     assert wg.trajectory(_ISO, []) == []
     assert wg.trajectory(_ISO, np.zeros(0)) == []
@@ -223,12 +231,30 @@ def checks(monkeypatch):
     return counts
 
 
-# Built before any counting starts: HamiltonianSpec.custom checks its matrix.
-_CUSTOM = HamiltonianSpec.custom(wg.assemble_nonlocal([0.9, 0.1, -0.2, 0.3, 0.6, 0.0, 0.1, -0.4, 0.3]))
+_CUSTOM_H = wg.assemble_nonlocal([0.9, 0.1, -0.2, 0.3, 0.6, 0.0, 0.1, -0.4, 0.3])
 _RNG = np.random.default_rng(7)
 _U = rand_u4(_RNG)
 _LOCAL = rand_local(_RNG)
-_NEGATIVE_PLAN = CircuitPlan(_PLAN.locals, (-1.0, 0.5, 0.0), _ISO)
+
+
+# A spec keeps what it derives, so each counted call gets a spec no call has
+# used yet.  The plain constructor builds a custom spec without checking it,
+# so realizing it is its one Hermitian check.
+def _iso():
+    return HamiltonianSpec.isotropic()
+
+
+def _custom():
+    return HamiltonianSpec("custom", _custom_params(_CUSTOM_H))
+
+
+def _plan():
+    return CircuitPlan(_PLAN.locals, _PLAN.times, _iso())
+
+
+def _negative_plan():
+    return CircuitPlan(_PLAN.locals, (-1.0, 0.5, 0.0), _iso())
+
 
 # name -> (call, expected counts); a spec is realized once, and realizing a
 # custom spec is its one Hermitian check.
@@ -249,30 +275,61 @@ COUNT_CASES = {
     "split_hamiltonian": (lambda: wg.split_hamiltonian(ISO_H), {"check_hermitian": 1}),
     "cartan_conjugate": (lambda: wg.cartan_conjugate(ISO_H), {"check_hermitian": 1}),
     "HamiltonianSpec.custom": (lambda: HamiltonianSpec.custom(ISO_H), {"check_hermitian": 1}),
-    "realize(named)": (lambda: wg.realize(_ISO), {"realize": 1}),
-    "realize(custom)": (lambda: wg.realize(_CUSTOM), {"realize": 1, "check_hermitian": 1}),
-    "trajectory(named)": (lambda: wg.trajectory(_ISO, np.linspace(0, 3, 7)), {"realize": 1}),
+    "realize(named)": (lambda: wg.realize(_iso()), {"realize": 1}),
+    "realize(custom)": (lambda: wg.realize(_custom()), {"realize": 1, "check_hermitian": 1}),
+    "trajectory(named)": (lambda: wg.trajectory(_iso(), np.linspace(0, 3, 7)), {"realize": 1}),
     "trajectory(custom)": (
-        lambda: wg.trajectory(_CUSTOM, np.linspace(0, 3, 7)),
+        lambda: wg.trajectory(_custom(), np.linspace(0, 3, 7)),
         {"realize": 1, "check_hermitian": 1},
     ),
-    "synthesize(named)": (lambda: wg.synthesize(_U, _ISO), {"check_unitary": 1, "realize": 1}),
+    "synthesize(named)": (lambda: wg.synthesize(_U, _iso()), {"check_unitary": 1, "realize": 1}),
     "synthesize(custom)": (
-        lambda: wg.synthesize(_U, _CUSTOM),
+        lambda: wg.synthesize(_U, _custom()),
         {"check_unitary": 1, "realize": 1, "check_hermitian": 1},
     ),
-    "plan_unitary": (lambda: wg.plan_unitary(_PLAN), {"realize": 1}),
+    "plan_unitary": (lambda: wg.plan_unitary(_plan()), {"realize": 1}),
     # verify_plan checks its target and multiplies the plan out through the
     # public plan_unitary, which realizes the spec.
-    "verify_plan": (lambda: wg.verify_plan(_PLAN, CNOT), {"check_unitary": 1, "realize": 1}),
-    "fundamental_period": (lambda: wg.fundamental_period(_ISO), {"realize": 1}),
-    "with_nonnegative_times": (lambda: wg.with_nonnegative_times(_NEGATIVE_PLAN), {"realize": 1}),
+    "verify_plan": (lambda: wg.verify_plan(_plan(), CNOT), {"check_unitary": 1, "realize": 1}),
+    "fundamental_period": (lambda: wg.fundamental_period(_iso()), {"realize": 1}),
+    "with_nonnegative_times": (lambda: wg.with_nonnegative_times(_negative_plan()), {"realize": 1}),
+}
+
+# name -> (spec factory, call on that spec, expected counts of a second call
+# on the same spec object): the spec is checked by its first call only.
+SECOND_CALL_CASES = {
+    "trajectory": (_custom, lambda s: wg.trajectory(s, np.linspace(0, 3, 7)), {}),
+    "synthesize(named)": (_iso, lambda s: wg.synthesize(_U, s), {"check_unitary": 1}),
+    "synthesize(custom)": (_custom, lambda s: wg.synthesize(_U, s), {"check_unitary": 1}),
+    "plan_unitary": (_custom, lambda s: wg.plan_unitary(CircuitPlan(_PLAN.locals, _PLAN.times, s)), {}),
+    "verify_plan": (
+        _custom,
+        lambda s: wg.verify_plan(CircuitPlan(_PLAN.locals, _PLAN.times, s), CNOT),
+        {"check_unitary": 1},
+    ),
+    "fundamental_period": (_custom, wg.fundamental_period, {}),
+    "with_nonnegative_times": (
+        _iso,
+        lambda s: wg.with_nonnegative_times(CircuitPlan(_PLAN.locals, (-1.0, 0.5, 0.0), s)),
+        {},
+    ),
 }
 
 
 @pytest.mark.parametrize("call, expected", COUNT_CASES.values(), ids=COUNT_CASES.keys())
 def test_one_check_per_matrix_argument(checks, call, expected):
     call()
+    assert dict(+checks) == expected
+
+
+@pytest.mark.parametrize(
+    "make_spec, call, expected", SECOND_CALL_CASES.values(), ids=SECOND_CALL_CASES.keys()
+)
+def test_spec_checked_once_per_object(checks, make_spec, call, expected):
+    spec = make_spec()
+    call(spec)
+    checks.clear()
+    call(spec)
     assert dict(+checks) == expected
 
 
