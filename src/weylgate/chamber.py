@@ -34,7 +34,7 @@ import numpy as np
 
 from .cartan import _WEYL_ACTIONS, MAGIC, PAULIS, WEYL_REFLECTIONS
 from .errors import VerificationError
-from .invariants import _g, _g_from_coords, _spectrum
+from .invariants import _g_from_coords, _g_of, _m_det, _spectrum_of
 from .linalg import TOL_UNITARY, _as_triple, check_unitary
 
 TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule
@@ -211,12 +211,14 @@ def _gate_coords(u, verify_tol: float = 1e-8):
     """gate_coords' core over a stack (..., 4, 4) of checked gates.
 
     Returns the coordinates (..., 3) and the gates' own (g1, complex g2),
-    which they were checked against.
+    which they were checked against.  m(U) and det U are formed once, for
+    both the spectrum and the invariants.
     """
-    t = np.sort(_spectrum(u).theta_balanced, axis=-1)[..., ::-1]
+    m, det_u = _m_det(u)
+    t = np.sort(_spectrum_of(m, det_u).theta_balanced, axis=-1)[..., ::-1]
     raw = t[..., _PAIRS].sum(-1) / 2.0
     c = _canonical(raw)
-    g1, g2c = _g(u)
+    g1, g2c = _g_of(m, det_u)
     cg1, cg2 = _g_from_coords(c)
     dist = np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)
     if (dist > verify_tol).any():

@@ -48,6 +48,7 @@ from .invariants import MSpectrum, _spectrum
 from .linalg import check_unitary
 
 TOL_HULL = 1e-9
+_MC_CHUNK = 1 << 16  # rows pe_fraction_mc draws at once
 
 # Ent(ψ) = ψᵀ P ψ; P = -(1/2) σy⊗σy.
 P_ENT = np.array(
@@ -256,12 +257,13 @@ def pe_fraction_mc(n: int, seed: int) -> float:
     accepted = 0
     hits = 0
     while accepted < n:
-        block = rng.uniform(0.0, np.pi, size=(max(4 * (n - accepted), 1024), 3))
+        # The estimate reads the first n accepted rows of the stream, however
+        # many rows each draw takes, so capping the draw keeps memory flat in n.
+        rows = min(max(4 * (n - accepted), 1024), _MC_CHUNK)
+        block = rng.uniform(0.0, np.pi, size=(rows, 3))
         block.sort(axis=1)
         block = block[:, ::-1]  # descending per row
-        block = block[block[:, 0] + block[:, 1] <= np.pi]
-        if block.shape[0] > n - accepted:
-            block = block[: n - accepted]
+        block = block[block[:, 0] + block[:, 1] <= np.pi][: n - accepted]
         accepted += block.shape[0]
         hits += int(np.count_nonzero(_in_pe(block, 0.0)))
     return hits / n

@@ -30,7 +30,7 @@ from .cartan import _WORDS, WEYL_REFLECTIONS, CartanTarget, _conjugate, cartan_e
 from .chamber import _gate_coords
 from .entangler import _in_pe
 from .errors import ConvergenceError
-from .invariants import LocalInvariants, _as_invariants, _invariants
+from .invariants import LocalInvariants, _invariants
 from .kak import _m_scalar
 from .linalg import _flow, check_hermitian
 
@@ -230,10 +230,16 @@ def trajectory(spec, times) -> list[TrajectorySample]:
     if times.ndim != 1 or not np.isfinite(times).all():
         raise ValueError("times must be a 1-D sequence of finite numbers")
     coords, (g1, g2c) = _gate_coords(flow(times[:, None, None]))
-    is_pe = _in_pe(coords)
+    rows = zip(
+        times.tolist(),
+        coords,
+        g1.tolist(),
+        g2c.real.tolist(),
+        np.abs(g2c.imag).tolist(),
+        _in_pe(coords).tolist(),
+    )
     return [
-        TrajectorySample(float(t), coords[i], _as_invariants(g1[i], g2c[i]), bool(is_pe[i]))
-        for i, t in enumerate(times)
+        TrajectorySample(t, c, LocalInvariants(a, b, r), pe) for t, c, a, b, r, pe in rows
     ]
 
 

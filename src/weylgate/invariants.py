@@ -62,19 +62,25 @@ def local_invariants(u, tol: float = TOL_UNITARY) -> LocalInvariants:
 
 
 def _invariants(u) -> LocalInvariants:
-    return _as_invariants(*_g(u))
-
-
-def _as_invariants(g1, g2c) -> LocalInvariants:
+    g1, g2c = _g(u)
     return LocalInvariants(
         g1=complex(g1), g2=float(g2c.real), g2_imag_residual=float(abs(g2c.imag))
     )
 
 
+def _m_det(u) -> tuple[np.ndarray, np.ndarray]:
+    """m(U) and det U of a stack (..., 4, 4) of checked gates: the pair that
+    both the invariants (``_g_of``) and the spectrum (``_spectrum_of``) read."""
+    return _m(u), np.linalg.det(u)
+
+
 def _g(u) -> tuple[np.ndarray, np.ndarray]:
     """g1 and the complex g2 of a stack (..., 4, 4) of checked gates."""
-    m = _m(u)
-    det_u = np.linalg.det(u)
+    return _g_of(*_m_det(u))
+
+
+def _g_of(m, det_u) -> tuple[np.ndarray, np.ndarray]:
+    """_g's core over a stack of m(U) and det U."""
     tr = m.trace(0, -2, -1)
     g1 = tr * tr / (16.0 * det_u)
     g2c = (tr * tr - (m @ m).trace(0, -2, -1)) / (4.0 * det_u)
@@ -120,6 +126,9 @@ def locally_equivalent(u, v, tol: float = 1e-8) -> bool:
 class MSpectrum:
     """Eigenphases of m(U) with U normalized to det = 1.
 
+    The normalization acts on m: with α = arg(det U)/4, the spectrum is that
+    of e^{-2iα}·m(U), which is m(e^{-iα}·U) exactly.
+
     ``theta`` holds the principal-branch phases in (-π, π], ordered to match
     the rows of ``frame``; ``theta_balanced`` is the same list with 2π
     subtracted/added from the largest/smallest entries so that the sum is 0
@@ -135,8 +144,10 @@ class MSpectrum:
 def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
     """Joint eigenphases and eigenframe of the symmetric unitary m(U).
 
-    The gate is first scaled to determinant one (principal quarter root of
-    det U), making det m = 1 so the balanced phases sum to zero exactly.
+    The gate is scaled to determinant one (principal quarter root of
+    det U), making det m = 1 so the balanced phases sum to zero exactly; the
+    factor e^{-2iα}, α = arg(det U)/4, is applied to m(U) itself, which
+    equals m of the scaled gate.
     Re(m) and Im(m) are commuting real symmetric matrices; they are
     diagonalized simultaneously and the phases recovered per joint
     eigenvalue pair.
@@ -146,8 +157,17 @@ def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
 
 def _spectrum(u) -> MSpectrum:
     """m_spectrum's core over a stack (..., 4, 4) of checked gates."""
-    alpha = np.angle(np.linalg.det(u)) / 4.0
-    return _spectrum_of_m(_m(np.exp(-1j * alpha)[..., None, None] * u))
+    return _spectrum_of(*_m_det(u))
+
+
+def _spectrum_of(m, det_u) -> MSpectrum:
+    """_spectrum's core over a stack of m(U) and det U.
+
+    With α = arg(det U)/4, the det-one gate is e^{-iα}·U, and its m is
+    exactly e^{-2iα}·m(U): the scaling is applied to m, not to U.
+    """
+    alpha = np.angle(det_u) / 4.0
+    return _spectrum_of_m(np.exp(-2j * alpha)[..., None, None] * m)
 
 
 def _spectrum_of_m(m) -> MSpectrum:

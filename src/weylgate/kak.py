@@ -167,7 +167,7 @@ def _kak(u) -> KakDecomposition:
     alpha = float(np.angle(np.linalg.det(u)) / 4.0)
     ub = _magic(np.exp(-1j * alpha) * u)
 
-    spec = _spectrum_of_m(ub.T @ ub)  # _spectrum(u), scaling and transforming u once
+    spec = _spectrum_of_m(ub.T @ ub)  # m of the det-one gate, from the ub the frame needs
     theta = spec.theta_balanced
     o2 = spec.frame
 

@@ -1,5 +1,7 @@
 """Entanglement functional, perfect-entangler tests, witnesses, volumes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -139,6 +141,30 @@ def test_exact_volumes():
 def test_mc_fraction_frozen():
     # Deterministic counter-based stream: exact value is reproducible.
     assert pe_fraction_mc(200_000, 7) == pytest.approx(0.498855, abs=1e-12)
+
+
+def test_mc_fraction_independent_of_chunk_size(monkeypatch):
+    # The estimate reads the first n accepted rows of the stream, whatever
+    # the size of each draw; the cases need one, two and many draws.
+    from weylgate import entangler
+
+    cases = [(1, 3), (1000, 5), (123_457, 11), (1_000_000, 20260814)]
+    reference = [pe_fraction_mc(n, seed) for n, seed in cases]
+    monkeypatch.setattr(entangler, "_MC_CHUNK", 1000)
+    assert pe_fraction_mc(200_000, 7) == pytest.approx(0.498855, abs=1e-12)
+    assert [pe_fraction_mc(n, seed) for n, seed in cases] == reference
+
+
+def test_mc_fraction_memory_flat_in_n():
+    # The first block of n = 10⁶ has 4·10⁶ rows, about 100 MB drawn at once.
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        pe_fraction_mc(1_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_mc_fraction_converges():

@@ -12,9 +12,9 @@ from numpy.testing import assert_array_equal
 
 import weylgate as wg
 from conftest import gate_at, rand_u4
-from weylgate import HamiltonianSpec
+from weylgate import HamiltonianSpec, chamber
 from weylgate.chamber import VERTEX_A3, VERTEX_L, VERTEX_O, VERTEX_P, _gate_coords
-from weylgate.invariants import _spectrum
+from weylgate.invariants import _m, _spectrum, _spectrum_of_m
 from weylgate.linalg import _SIMDIAG_WEIGHTS, TOL_EIG, _eigh, _simdiag
 
 PI = np.pi
@@ -59,6 +59,10 @@ def test_trajectory_matches_per_point_loop(spec, times):
         assert s.t == t
         assert_array_equal(s.coords, coords)
         assert s.is_pe == is_pe
+        # Built-in types: the CLI's json.dump rejects np.bool_.
+        assert type(s.t) is float and type(s.is_pe) is bool
+        assert type(s.invariants.g1) is complex
+        assert type(s.invariants.g2) is float and type(s.invariants.g2_imag_residual) is float
         assert abs(s.invariants.g1 - inv.g1) <= 1e-14
         assert abs(s.invariants.g2 - inv.g2) <= 1e-14
         assert abs(s.invariants.g2_imag_residual - inv.g2_imag_residual) <= 1e-14
@@ -84,6 +88,42 @@ def test_stacked_spectrum_equals_row_by_row():
         assert_array_equal(spec.theta[i], row.theta)
         assert_array_equal(spec.theta_balanced[i], row.theta_balanced)
         assert_array_equal(spec.frame[i], row.frame)
+
+
+VERTICES = [getattr(chamber, f"VERTEX_{v}") for v in "O A1 A2 A3 L M N P Q".split()]
+# A Haar gate (None) or a chamber vertex perturbed by eps, both dressed with a phase.
+gate_recipes = st.tuples(
+    st.one_of(st.none(), st.sampled_from(VERTICES)),
+    st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _recipe_gate(recipe):
+    vertex, eps, seed = recipe
+    rng = np.random.default_rng(seed)
+    if vertex is None:
+        return rand_u4(rng) * np.exp(1j * rng.uniform(-PI, PI))
+    return gate_at(vertex + eps * rng.uniform(-1.0, 1.0, 3), rng, rng.uniform(-PI, PI))
+
+
+def _scaled_u_spectrum(u):
+    """Reference: the spectrum of m(e^{-iα}·U), the gate itself scaled to det 1."""
+    alpha = np.angle(np.linalg.det(u)) / 4.0
+    return _spectrum_of_m(_m(np.exp(-1j * alpha)[..., None, None] * u))
+
+
+@PROPERTY
+@given(st.lists(gate_recipes, min_size=1, max_size=6))
+def test_spectrum_of_scaled_m_matches_scaled_u(recipes):
+    stack = np.array([_recipe_gate(r) for r in recipes])
+    spec, ref = _spectrum(stack), _scaled_u_spectrum(stack)
+    # A phase at ±π may land on either end of the principal branch, and the
+    # 2π of the balancing may go to either of two tied phases.
+    wrapped = np.angle(np.exp(1j * (spec.theta - ref.theta)))
+    assert np.abs(wrapped).max() <= 1e-14
+    balanced = np.sort(spec.theta_balanced, -1) - np.sort(ref.theta_balanced, -1)
+    assert np.abs(balanced).max() <= 1e-14
 
 
 def test_stacked_gate_coords_equal_row_by_row():

@@ -351,17 +351,33 @@ def folds(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: wg.trajectory(_ISO, np.linspace(0, 3, 7)),
-        lambda: _gate_coords(np.array([rand_u4(np.random.default_rng(k)) for k in range(5)])),
-    ],
-    ids=["trajectory", "stacked _gate_coords"],
-)
+STACK_CALLS = [
+    lambda: wg.trajectory(_ISO, np.linspace(0, 3, 7)),
+    lambda: _gate_coords(np.array([rand_u4(np.random.default_rng(k)) for k in range(5)])),
+]
+
+
+@pytest.mark.parametrize("call", STACK_CALLS, ids=["trajectory", "stacked _gate_coords"])
 def test_one_fold_per_stack(folds, call):
     call()
     assert dict(+folds) == {"_fold": 1}
+
+
+@pytest.mark.parametrize("call", STACK_CALLS, ids=["trajectory", "stacked _gate_coords"])
+def test_one_m_per_stack(monkeypatch, call):
+    # The spectrum and the invariant check read one m(U) of the whole stack.
+    from weylgate import invariants
+
+    calls = Counter()
+    m = invariants._m
+
+    def counted(u):
+        calls["_m"] += 1
+        return m(u)
+
+    monkeypatch.setattr(invariants, "_m", counted)
+    call()
+    assert dict(calls) == {"_m": 1}
 
 
 def test_library_built_matrices_are_not_rechecked(checks):
