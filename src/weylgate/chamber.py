@@ -28,8 +28,6 @@ Named reference points in the chamber (useful constants)::
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
 from .cartan import _WEYL_ACTIONS, MAGIC, PAULIS, WEYL_REFLECTIONS
@@ -52,16 +50,6 @@ VERTEX_M = np.array([3 * PI / 4, PI / 4, 0.0])
 VERTEX_N = np.array([3 * PI / 4, PI / 4, PI / 4])
 VERTEX_P = np.array([PI / 4, PI / 4, PI / 4])
 VERTEX_Q = np.array([PI / 4, PI / 4, 0.0])
-
-# The 4 sign patterns with an even number of flips, and all 6 permutations:
-# together (mod π on each axis) they generate the full identification group.
-_EVEN_SIGNS = np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-)
-_PERMS = tuple(permutations(range(3)))
-# The phase pairs (θ0, θ1), (θ0, θ2), (θ1, θ2) that gate_coords sums.
-_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])
-
 
 # A fold state x has shape (3, N, 3): the coordinates x[0], the codes
 # x[1] = P·(1, 2, 3), which name the element P, and the translations x[2] = n.
@@ -91,13 +79,7 @@ def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
 def weyl_orbit(c, dedupe_tol: float = _TOL_DEDUPE) -> list[np.ndarray]:
     """All images of a coordinate triple under the identification group,
     reduced mod π to [0, π)³ and deduplicated.  Sorted lexicographically."""
-    c = _as_triple(c)
-    pts = []
-    for s in _EVEN_SIGNS:
-        base = np.mod(s * c, PI)
-        for p in _PERMS:
-            pts.append(base[list(p)])
-    pts.sort(key=tuple)
+    pts = sorted(np.mod(_WEYL_ACTIONS @ _as_triple(c), PI), key=tuple)
     out: list[np.ndarray] = []
     for p in pts:
         if not out or np.max(np.abs(p - out[-1])) > dedupe_tol:
@@ -191,12 +173,12 @@ def gate_coords(u, tol: float = TOL_UNITARY, verify_tol: float = 1e-8) -> np.nda
     """Canonical coordinates of an arbitrary two-qubit gate.
 
     In the magic basis m(A(c)) is diagonal with phases
-    (c1-c2+c3, c1+c2-c3, -(c1+c2+c3), -c1+c2+c3).  With the balanced
-    eigenphases of m(U) sorted as θ0 ≥ θ1 ≥ θ2 ≥ θ3 (they sum to zero),
-    c = ((θ0+θ1)/2, (θ0+θ2)/2, (θ1+θ2)/2) reproduces them, and the fold
-    (see canonicalize) takes c to the chamber.  Any other ordering of the
-    phases, or any other 2π branch, gives a symmetry image of the same
-    point, which the fold identifies.
+    (c1-c2+c3, c1+c2-c3, -(c1+c2+c3), -c1+c2+c3).  The balanced
+    eigenphases θ of m(U), which sum to zero, are read as that pattern in
+    the order the spectrum returns them: c = ((θ0+θ1)/2, (θ1+θ3)/2,
+    (θ0+θ3)/2) reproduces them, and the fold (see canonicalize) takes c to
+    the chamber.  Any other ordering of the phases, or any other 2π branch,
+    gives a symmetry image of the same point, which the fold identifies.
 
     Raises
     ------
@@ -215,9 +197,7 @@ def _gate_coords(u, verify_tol: float = 1e-8):
     both the spectrum and the invariants.
     """
     m, det_u = _m_det(u)
-    t = np.sort(_spectrum_of(m, det_u).theta_balanced, axis=-1)[..., ::-1]
-    raw = t[..., _PAIRS].sum(-1) / 2.0
-    c = _canonical(raw)
+    c = _canonical(_raw_coords(_spectrum_of(m, det_u).theta_balanced))
     g1, g2c = _g_of(m, det_u)
     cg1, cg2 = _g_from_coords(c)
     dist = np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)
@@ -243,6 +223,17 @@ def coordinate_phase_pattern(c) -> np.ndarray:
     """The four magic-basis phase sums (twice the diagonal phases of A(c))."""
     c1, c2, c3 = (float(x) for x in np.asarray(c, dtype=float))
     return np.array([c1 - c2 + c3, c1 + c2 - c3, -(c1 + c2 + c3), -c1 + c2 + c3])
+
+
+# Column j sums half of each of the two phases that give c_j; halving is
+# exact, so each entry rounds as (θa + θb)/2 does.
+_RAW = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0], [0, 1, 1]]) / 2.0
+
+
+def _raw_coords(theta) -> np.ndarray:
+    """The inverse of coordinate_phase_pattern over a stack (..., 4) of
+    phases that sum to zero: ((θ0+θ1)/2, (θ1+θ3)/2, (θ0+θ3)/2)."""
+    return theta @ _RAW
 
 
 # ---------------------------------------------------------------------------

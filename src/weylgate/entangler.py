@@ -12,7 +12,9 @@ purpose (they cross-check each other):
   (a polyhedron spanned by L, M, N, P, Q, A2).
 
 The same spectrum gives the witness: m's real eigenframe and the hull's
-convex weights build a product state that U maximally entangles.
+convex weights build a product state that U maximally entangles.  The
+weights come from the gaps that the verdict reads: the widest-gap pair, or
+one barycentric solve on the three phases a drop rule leaves (``PeVerdict``).
 
 The entanglement measure on states is Ent(ψ) = ψᵀ·P·ψ with
 P = -(1/2)·σy⊗σy; |Ent| = 0 on product states and 1/2 on maximally
@@ -22,7 +24,6 @@ entangled ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -82,52 +83,18 @@ class PeVerdict:
     since the chord across that arc is the hull edge nearest 0 (and, when 0
     is outside, the chord's midpoint is the hull point nearest 0).
     ``weights``, present when the test passes, are convex weights
-    w on the squared eigenphases z with |Σ w·z| < 1e-9, ordered like
-    ``phases``.
+    w ≥ 0 on the squared eigenphases z with |Σ w·z| ≤ tol, ordered like
+    ``phases``: ½ and ½ on the ends of the widest gap when the margin is
+    at most tol, else the barycentric weights of the three points left
+    after dropping the one whose two neighboring gaps have the least sum
+    (that merged arc is at most π, so they still surround 0), and 0 on the
+    dropped one.
     """
 
     is_pe: bool
     margin: float
     phases: np.ndarray
     weights: np.ndarray | None
-
-
-def _hull_weights(z: np.ndarray, tol: float = TOL_HULL) -> np.ndarray | None:
-    """Convex weights w ≥ 0, Σw = 1, with |Σ w·z| ≤ tol, or None.
-
-    Tries an antipodal pair first, then each triangle (Carathéodory: if 0 is
-    in the hull of four points it is in the hull of some three).
-    """
-    best_pair = None
-    best_val = np.inf
-    for i, j in combinations(range(4), 2):
-        v = abs(z[i] + z[j]) / 2.0
-        if v < best_val:
-            best_val = v
-            best_pair = (i, j)
-    if best_val <= tol:
-        w = np.zeros(4)
-        w[list(best_pair)] = 0.5
-        return w
-    for tri in combinations(range(4), 3):
-        a = np.array(
-            [
-                [z[k].real for k in tri],
-                [z[k].imag for k in tri],
-                [1.0, 1.0, 1.0],
-            ]
-        )
-        try:
-            sol = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(sol >= -1e-12):
-            w = np.zeros(4)
-            w[list(tri)] = np.clip(sol, 0.0, None)
-            w /= w.sum()
-            if abs(np.dot(w, z)) <= tol:
-                return w
-    return None
 
 
 def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
@@ -142,16 +109,36 @@ def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
 
 
 def _verdict(spec: MSpectrum, tol: float) -> PeVerdict:
-    theta = np.sort(spec.theta)
-    gaps = np.diff(np.concatenate([theta, [theta[0] + 2 * np.pi]]))
+    order = np.argsort(spec.theta)
+    theta = spec.theta[order]
+    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)  # gaps[k]: sorted point k to k+1
     max_gap = float(np.max(gaps))
     is_pe = max_gap <= np.pi + tol
     z = np.exp(1j * spec.theta)
     margin = float(np.cos(max_gap / 2))
-    weights = _hull_weights(z, tol=tol) if is_pe else None
-    if is_pe and weights is None:
-        raise VerificationError("hull test passed but no convex witness found")
-    return PeVerdict(is_pe=is_pe, margin=margin, phases=z, weights=weights)
+    if not is_pe:
+        return PeVerdict(is_pe=False, margin=margin, phases=z, weights=None)
+    w = np.zeros(4)
+    if margin <= tol:
+        # Half on each end of the widest gap: |Σ w·z| = |cos(g/2)| = |margin|.
+        g = int(np.argmax(gaps))
+        w[order[[g, (g + 1) % 4]]] = 0.5
+    else:
+        # Dropping the point between the two gaps of least sum leaves an arc
+        # of at most π (the two disjoint pair sums add to 2π), so 0 stays in
+        # the hull of the other three: one barycentric solve.
+        drop = min(range(4), key=lambda k: gaps[k - 1] + gaps[k])
+        keep = order[np.arange(4) != drop]
+        a = np.array([z[keep].real, z[keep].imag, np.ones(3)])
+        try:
+            w[keep] = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
+        except np.linalg.LinAlgError as exc:  # a flat triangle; needs tol ≤ 0
+            raise VerificationError("hull witness: the three phases left are collinear") from exc
+    low, residual = float(np.min(w)), abs(w @ z)
+    if low < -1e-12 or not residual <= tol:
+        raise VerificationError(f"hull witness fails: min weight {low:.3e}, |Σ w·z| {residual:.3e}")
+    # Clipped after the check: a weight of -1e-16 would make sqrt(w) NaN.
+    return PeVerdict(is_pe=True, margin=margin, phases=z, weights=np.maximum(w, 0.0))
 
 
 def pe_from_coords(coords, tol: float = TOL_HULL) -> bool:

@@ -112,10 +112,9 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
     raise ValueError(f"UnsupportedKind: {kind!r}")
 
 
-# The fixed locals l1, l2, l3 whose conjugation realizes the columns of the
-# pulse-time matrix of synth.solve_times.
+# The fixed locals l1 = I, l2, l3 whose conjugation realizes the columns of
+# the pulse-time matrix of synth.solve_times.
 _R = {label: r.gate for label, r in WEYL_REFLECTIONS.items()}
-_L1 = np.eye(4, dtype=complex)
 _L2 = _R["c3-c2"] @ _R["c1+c3"]
 _L3 = _R["c2-c1"] @ _R["c3-c2"] @ _R["c1+c2"]
 
@@ -145,12 +144,12 @@ class _Generator:
 
     @cached_property
     def pulse_locals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """k†, k1 = k†·l2†·l1·k and k2 = k†·l3†·l2·k, with k the conjugating
-        local gate: a plan's locals are k†·(KAK k2), k1, k2 and
+        """k†, k1 = k†·l2†·l1·k = k†·l2†·k and k2 = k†·l3†·l2·k, with k the
+        conjugating local gate: a plan's locals are k†·(KAK k2), k1, k2 and
         (KAK k1)·l3·k."""
         k = self.cartan.k
         kd = k.conj().T
-        return kd, kd @ _L2.conj().T @ _L1 @ k, kd @ _L3.conj().T @ _L2 @ k
+        return kd, kd @ _L2.conj().T @ k, kd @ _L3.conj().T @ _L2 @ k
 
     @cached_property
     def period(self) -> float | None:

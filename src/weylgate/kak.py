@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import _WEYL_GATES, MAGIC, PAULIS
-from .chamber import _fold, canonical_gate, coordinate_phase_pattern
+from .cartan import _WEYL_GATES, _WORDS, MAGIC
+from .chamber import _fold, _raw_coords, canonical_gate, coordinate_phase_pattern
 from .errors import BranchSearchError, NotLocalError, VerificationError
 from .invariants import _m, _magic, _spectrum_of_m
 from .linalg import TOL_UNITARY, check_unitary, kron2
@@ -27,11 +27,7 @@ from .linalg import TOL_UNITARY, check_unitary, kron2
 # σa⊗σa words: conjugating A(c) by nothing, they implement the π translations
 # A(c + π·e_j) = A(c)·(i·W_j); the i goes into the global phase, W_j into a
 # neighboring local factor.
-_TRANSLATION_WORDS = (
-    kron2(PAULIS["x"], PAULIS["x"]),
-    kron2(PAULIS["y"], PAULIS["y"]),
-    kron2(PAULIS["z"], PAULIS["z"]),
-)
+_TRANSLATION_WORDS = _WORDS[[6, 10, 14]]  # xx, yy, zz
 
 
 def _parity_words() -> np.ndarray:
@@ -171,13 +167,7 @@ def _kak(u) -> KakDecomposition:
     theta = spec.theta_balanced
     o2 = spec.frame
 
-    c_raw = np.array(
-        [
-            (theta[0] + theta[1]) / 2.0,
-            (theta[1] + theta[3]) / 2.0,
-            (theta[0] + theta[3]) / 2.0,
-        ]
-    )
+    c_raw = _raw_coords(theta)
     f = np.exp(0.5j * coordinate_phase_pattern(c_raw))
     o1 = ub @ (o2.T * f.conj())
     if np.max(np.abs(o1.imag)) >= 1e-8:

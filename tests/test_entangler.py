@@ -1,6 +1,7 @@
 """Entanglement functional, perfect-entangler tests, witnesses, volumes."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from weylgate import (
     NotNormalizedError,
     NotPerfectEntanglerError,
     P_ENT,
+    VerificationError,
     canonical_gate,
     canonicalize,
     ent,
@@ -23,6 +25,8 @@ from weylgate import (
     pe_from_coords,
     pe_volume_exact,
 )
+from weylgate.chamber import VERTEX_A2, VERTEX_L, VERTEX_M, VERTEX_N, VERTEX_P, VERTEX_Q
+from weylgate.entangler import TOL_HULL
 
 PI = np.pi
 
@@ -117,6 +121,55 @@ def test_witness_states():
         assert abs(ent(psi_in)) < 1e-9
         assert abs(abs(ent(psi_out)) - 0.5) < 1e-9
         assert_allclose(psi_out, u @ psi_in, atol=1e-12)
+
+
+# Vertices of the perfect-entangler polyhedron nudged by ε, where the hull's
+# triangles are nearly flat, and gates whose eigenphases form two antipodal
+# pairs: on the boundary (the widest-gap pair) or inside it at B (a weight
+# that is exactly 0 and rounds to about -1e-16 for some dressings).
+_WITNESS_CASES = [
+    pytest.param(vertex, eps, id=f"{name}-{eps:g}")
+    for name, vertex in (
+        ("L", VERTEX_L), ("A2", VERTEX_A2), ("P", VERTEX_P),
+        ("M", VERTEX_M), ("Q", VERTEX_Q), ("N", VERTEX_N),
+    )
+    for eps in (1e-9, 3e-9, 1e-8, 3e-8, 1e-7)
+] + [pytest.param(name, 0.0, id=name) for name in ("cnot", "cz", "iswap", "sqrtswap")] + [
+    pytest.param(np.array([PI / 2, PI / 4, 0.0]), 0.0, id="B")
+]
+
+
+@pytest.mark.parametrize("point, eps", _WITNESS_CASES)
+def test_witness_weights_near_the_boundary(point, eps):
+    # The bare gate, then seven dressed with random locals and a phase; the
+    # nudge direction is random, so some of them leave the polyhedron.
+    checked = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        core = named_gate(point) if isinstance(point, str) else canonical_gate(point + eps * rng.uniform(-1, 1, 3))
+        u = core if seed == 0 else np.exp(1j * rng.uniform(0, 2 * PI)) * rand_local(rng) @ core @ rand_local(rng)
+        verdict = is_perfect_entangler(u)
+        if not verdict.is_pe:
+            continue
+        w = verdict.weights
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert abs(w @ verdict.phases) <= TOL_HULL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi_in, psi_out = entangling_input(u)
+        assert abs(ent(psi_in)) <= 1e-9
+        assert abs(abs(ent(psi_out)) - 0.5) <= 1e-9
+        assert_allclose(psi_out, u @ psi_in, atol=1e-12)
+        checked += 1
+    assert checked >= 3
+
+
+def test_zero_hull_tol_on_antipodal_pairs_raises_typed_error():
+    # At tol = 0 the widest-gap pair misses by rounding and every triangle
+    # of two coincident antipodal pairs is flat: no witness, a typed error.
+    with pytest.raises(VerificationError):
+        is_perfect_entangler(named_gate("cnot"), tol=0.0)
 
 
 def test_witness_requires_perfect_entangler():

@@ -367,8 +367,12 @@ def test_pe_margin_matches_polygon_reference(u):
 @PROPERTY
 @given(pe_gates())
 def test_pe_witness_contract(u):
-    if not is_perfect_entangler(u).is_pe:
+    v = is_perfect_entangler(u)
+    if not v.is_pe:
         return
+    assert np.all(v.weights >= 0.0)
+    assert abs(v.weights.sum() - 1.0) <= 1e-12
+    assert abs(v.weights @ v.phases) <= TOL_HULL
     psi_in, psi_out = entangling_input(u)
     assert abs(np.linalg.norm(psi_in) - 1.0) <= 1e-12
     assert abs(ent(psi_in)) <= 1e-9
