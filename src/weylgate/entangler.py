@@ -13,8 +13,9 @@ purpose (they cross-check each other):
 
 The same spectrum gives the witness: m's real eigenframe and the hull's
 convex weights build a product state that U maximally entangles.  The
-weights come from the gaps that the verdict reads: the widest-gap pair, or
-one barycentric solve on the three phases a drop rule leaves (``PeVerdict``).
+weights come from the gaps that the verdict reads: the widest-gap pair, the
+ends of the arc a drop rule merges, or one barycentric solve on the three
+phases that rule leaves (``PeVerdict``).
 
 The entanglement measure on states is Ent(ψ) = ψᵀ·P·ψ with
 P = -(1/2)·σy⊗σy; |Ent| = 0 on product states and 1/2 on maximally
@@ -85,9 +86,10 @@ class PeVerdict:
     ``weights``, present when the test passes, are convex weights
     w ≥ 0 on the squared eigenphases z with |Σ w·z| ≤ tol, ordered like
     ``phases``: ½ and ½ on the ends of the widest gap when the margin is
-    at most tol, else the barycentric weights of the three points left
-    after dropping the one whose two neighboring gaps have the least sum
-    (that merged arc is at most π, so they still surround 0), and 0 on the
+    at most tol.  Otherwise the point whose two neighboring gaps have the
+    least sum is dropped (that merged arc is at most π, so the other three
+    still surround 0): ½ and ½ on the arc's ends when it is π within tol,
+    else the barycentric weights of the three points left, and 0 on the
     dropped one.
     """
 
@@ -119,15 +121,21 @@ def _verdict(spec: MSpectrum, tol: float) -> PeVerdict:
     if not is_pe:
         return PeVerdict(is_pe=False, margin=margin, phases=z, weights=None)
     w = np.zeros(4)
+    # Dropping the point between the two gaps of least sum leaves a merged
+    # arc of at most π (the two disjoint pair sums add to 2π), so 0 stays in
+    # the hull of the other three.
+    drop = min(range(4), key=lambda k: gaps[k - 1] + gaps[k])
     if margin <= tol:
         # Half on each end of the widest gap: |Σ w·z| = |cos(g/2)| = |margin|.
         g = int(np.argmax(gaps))
         w[order[[g, (g + 1) % 4]]] = 0.5
+    elif np.cos((gaps[drop - 1] + gaps[drop]) / 2) <= tol:
+        # The merged arc is π within tol: its ends are the antipodal pair, and
+        # the third point's true weight is 0, which a solve on that near-flat
+        # triangle can round below -1e-12.  Half on each end instead.
+        w[order[[drop - 1, (drop + 1) % 4]]] = 0.5
     else:
-        # Dropping the point between the two gaps of least sum leaves an arc
-        # of at most π (the two disjoint pair sums add to 2π), so 0 stays in
-        # the hull of the other three: one barycentric solve.
-        drop = min(range(4), key=lambda k: gaps[k - 1] + gaps[k])
+        # Every kept arc is short of π by more than tol: one barycentric solve.
         keep = order[np.arange(4) != drop]
         a = np.array([z[keep].real, z[keep].imag, np.ones(3)])
         try:

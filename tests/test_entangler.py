@@ -126,7 +126,10 @@ def test_witness_states():
 # Vertices of the perfect-entangler polyhedron nudged by ε, where the hull's
 # triangles are nearly flat, and gates whose eigenphases form two antipodal
 # pairs: on the boundary (the widest-gap pair) or inside it at B (a weight
-# that is exactly 0 and rounds to about -1e-16 for some dressings).
+# that is exactly 0 and rounds to about -1e-16 for some dressings).  On the
+# L-A2 edge near cnot, (π/2, t, 0), one antipodal pair and a third phase 2t
+# from one of its ends leave a triangle of area about 2t whose exact-0 weight
+# a solve rounds to about ±1e-16/t.
 _WITNESS_CASES = [
     pytest.param(vertex, eps, id=f"{name}-{eps:g}")
     for name, vertex in (
@@ -136,7 +139,7 @@ _WITNESS_CASES = [
     for eps in (1e-9, 3e-9, 1e-8, 3e-8, 1e-7)
 ] + [pytest.param(name, 0.0, id=name) for name in ("cnot", "cz", "iswap", "sqrtswap")] + [
     pytest.param(np.array([PI / 2, PI / 4, 0.0]), 0.0, id="B")
-]
+] + [pytest.param(np.array([PI / 2, t, 0.0]), 0.0, id=f"L-A2-{t:g}") for t in (1e-8, 1e-6, 1e-4)]
 
 
 @pytest.mark.parametrize("point, eps", _WITNESS_CASES)
