@@ -1,5 +1,6 @@
-"""Lie-algebra layer: su(4) product-operator basis, Cartan splitting, and the
-reflection gates that generate the Weyl-group action on canonical coordinates.
+"""Lie-algebra layer: su(4) product-operator basis, Cartan splitting, the
+reflection gates that generate the Weyl-group action on canonical
+coordinates, and the fold that reduces coordinates to the chamber by it.
 
 Conventions
 -----------
@@ -309,3 +310,75 @@ def weyl_reflection_gate(label: str) -> np.ndarray:
             f"unknown root label {label!r}; expected one of {sorted(WEYL_REFLECTIONS)}"
         )
     return WEYL_REFLECTIONS[key].gate
+
+
+# ---------------------------------------------------------------------------
+# The fold: the Weyl group's reduction of coordinates to the chamber
+
+TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule
+_TOL_CHAMBER = 1e-12  # slack for the closed chamber inequalities
+
+# A fold state x has shape (3, N, 3): the coordinates x[0], the codes
+# x[1] = P·(1, 2, 3), which name the element P, and the translations x[2] = n.
+# Every move acts on the three alike, so x[0] = P·c + π·n throughout.
+_CODE = np.array([1.0, 2.0, 3.0])
+_CODE_KEY = np.array([1.0, 7.0, 49.0])  # codes -> key in -171..171
+# Element index by key; a negative key wraps, on lookup as on filling.
+_ELEMENT = np.zeros(343, dtype=np.intp)
+_ELEMENT[(_WEYL_ACTIONS @ _CODE @ _CODE_KEY).astype(np.intp)] = np.arange(len(_WEYL_ACTIONS))
+# x @ M applies a move to every triple of a fold state x.
+_REFLECT_SUM = WEYL_REFLECTIONS["c1+c2"].action.T
+_BASE_MIRROR = (WEYL_REFLECTIONS["c1-c3"].action @ WEYL_REFLECTIONS["c1+c3"].action).T
+
+
+def _fold(c):
+    """Reduce a stack (..., 3) of coordinate triples to the chamber by exact
+    symmetry moves.
+
+    Returns, per row, the image, the index p of a Weyl-group element P into
+    ``_WEYL_ACTIONS`` and ``_WEYL_GATES``, and an integer
+    vector n, with image = P·c + π·n: the moves' composite is one signed
+    permutation and one translation.  The moves, in order: each coordinate
+    mod π; a stable descending sort; one reflection across c1 + c2 = π if
+    needed, then mod π on the two reflected axes and sort again; the base
+    mirror [c1, c2, c3] -> [π-c1, c2, -c3] when c3 ≤ TOL_BASE and
+    c1 > π/2, then sort again.  Each row takes a branch only if its own
+    test holds, so the image is the one each row would get alone.
+    """
+    lead = c.shape[:-1]
+    c = c.reshape(-1, 3)
+    offsets = np.arange(0, c.size, 3)[:, None]
+    n = np.floor(c / np.pi)
+    x = np.empty((3,) + c.shape)
+    np.subtract(c, n * np.pi, out=x[0])  # _translate on all axes, built in place
+    x[1] = _CODE
+    np.negative(n, out=x[2])
+    x = _sort(x, offsets)
+    m = x[0, :, 0] + x[0, :, 1] > np.pi
+    if m.any():
+        y = x @ _REFLECT_SUM  # -> (-c2, -c1, c3)
+        _translate(y, slice(0, 2))
+        x = np.where(m[:, None], _sort(y, offsets), x)
+    m = (x[0, :, 2] <= TOL_BASE) & (x[0, :, 0] > np.pi / 2 + _TOL_CHAMBER)
+    if m.any():
+        y = x @ _BASE_MIRROR  # -> (-c1, c2, -c3)
+        _translate(y, slice(0, 1))  # -> (π-c1, c2, -c3)
+        x = np.where(m[:, None], _sort(y, offsets), x)
+    p = _ELEMENT[(x[1] @ _CODE_KEY).astype(np.intp)]
+    image = x[0] + 0.0  # + 0.0 turns -0.0 into 0.0
+    shape = lead + (3,)
+    return image.reshape(shape), p.reshape(lead), x[2].astype(np.intp).reshape(shape)
+
+
+def _translate(x, axes) -> None:
+    """Take the coordinates on ``axes`` of a fold state mod π, in place."""
+    n = np.floor(x[0, :, axes] / np.pi)
+    x[0, :, axes] -= n * np.pi
+    x[2, :, axes] -= n
+
+
+def _sort(x, offsets):
+    """A fold state with each triple sorted descending; equal coordinates
+    keep their order.  ``offsets`` are the rows' starts in x.reshape(3, -1)."""
+    order = (-x[0]).argsort(axis=-1, kind="stable")
+    return x.reshape(3, -1).take(order + offsets, axis=1)

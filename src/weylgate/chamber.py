@@ -12,10 +12,11 @@ and the coordinate triple c is unique once reduced to the chamber
 The symmetry group identifying equivalent triples is generated by
 permutations, paired sign flips, and translations by π on each axis; on the
 c3 = 0 face this identifies [c1, c2, 0] with [π-c1, c2, 0].  The fold
-(``_fold``) reaches the chamber from a whole stack of triples at once, by
-one fixed sequence of these moves per triple, and reports their composite
-as one Weyl-group element P (a signed permutation with an even number of
-sign flips) and one integer translation n: image = P·c + π·n.
+(``cartan._fold``, beside the group it names) reaches the chamber from a
+whole stack of triples at once, by one fixed sequence of these moves per
+triple, and reports their composite as one Weyl-group element P (a signed
+permutation with an even number of sign flips) and one integer
+translation n: image = P·c + π·n.
 
 Named reference points in the chamber (useful constants)::
 
@@ -30,13 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cartan import _WEYL_ACTIONS, MAGIC, PAULIS, WEYL_REFLECTIONS
+from .cartan import _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, TOL_BASE, _fold
 from .errors import VerificationError
-from .invariants import _g_from_coords, _g_of, _m_det, _spectrum_of
+from .invariants import Q_DAG, _g_from_coords, _g_of, _gate, _m_det, _raw_coords, _spectrum_of
 from .linalg import TOL_UNITARY, _as_triple, check_unitary
 
-TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule
-_TOL_CHAMBER = 1e-12  # slack for the closed chamber inequalities
 _TOL_DEDUPE = 1e-12
 
 PI = np.pi
@@ -50,18 +49,6 @@ VERTEX_M = np.array([3 * PI / 4, PI / 4, 0.0])
 VERTEX_N = np.array([3 * PI / 4, PI / 4, PI / 4])
 VERTEX_P = np.array([PI / 4, PI / 4, PI / 4])
 VERTEX_Q = np.array([PI / 4, PI / 4, 0.0])
-
-# A fold state x has shape (3, N, 3): the coordinates x[0], the codes
-# x[1] = P·(1, 2, 3), which name the element P, and the translations x[2] = n.
-# Every move acts on the three alike, so x[0] = P·c + π·n throughout.
-_CODE = np.array([1.0, 2.0, 3.0])
-_CODE_KEY = np.array([1.0, 7.0, 49.0])  # codes -> key in -171..171
-# Element index by key; a negative key wraps, on lookup as on filling.
-_ELEMENT = np.zeros(343, dtype=np.intp)
-_ELEMENT[(_WEYL_ACTIONS @ _CODE @ _CODE_KEY).astype(np.intp)] = np.arange(len(_WEYL_ACTIONS))
-# x @ M applies a move to every triple of a fold state x.
-_REFLECT_SUM = WEYL_REFLECTIONS["c1+c2"].action.T
-_BASE_MIRROR = (WEYL_REFLECTIONS["c1-c3"].action @ WEYL_REFLECTIONS["c1+c3"].action).T
 
 
 def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
@@ -101,65 +88,13 @@ def canonicalize(c) -> np.ndarray:
     may fall on either side of it, and either the point or its exact base
     mirror [π-c1, c2, c3] (sorted) may come back.
     """
-    return _canonical(_as_triple(c))
+    return _chamber_point(_fold(_as_triple(c))[0])
 
 
-def _canonical(c) -> np.ndarray:
-    """canonicalize's core over a stack (..., 3) of triples."""
-    return np.sort(np.abs(_fold(c)[0]), axis=-1)[..., ::-1]
-
-
-def _fold(c):
-    """Reduce a stack (..., 3) of coordinate triples to the chamber by exact
-    symmetry moves.
-
-    Returns, per row, the image, the index p of a Weyl-group element P into
-    ``cartan._WEYL_ACTIONS`` and ``cartan._WEYL_GATES``, and an integer
-    vector n, with image = P·c + π·n: the moves' composite is one signed
-    permutation and one translation.  The moves, in order: each coordinate
-    mod π; a stable descending sort; one reflection across c1 + c2 = π if
-    needed, then mod π on the two reflected axes and sort again; the base
-    mirror [c1, c2, c3] -> [π-c1, c2, -c3] when c3 ≤ TOL_BASE and
-    c1 > π/2, then sort again.  Each row takes a branch only if its own
-    test holds, so the image is the one each row would get alone.
-    """
-    lead = c.shape[:-1]
-    c = c.reshape(-1, 3)
-    offsets = np.arange(0, c.size, 3)[:, None]
-    n = np.floor(c / PI)
-    x = np.empty((3,) + c.shape)
-    np.subtract(c, n * PI, out=x[0])  # _translate on all axes, built in place
-    x[1] = _CODE
-    np.negative(n, out=x[2])
-    x = _sort(x, offsets)
-    m = x[0, :, 0] + x[0, :, 1] > PI
-    if m.any():
-        y = x @ _REFLECT_SUM  # -> (-c2, -c1, c3)
-        _translate(y, slice(0, 2))
-        x = np.where(m[:, None], _sort(y, offsets), x)
-    m = (x[0, :, 2] <= TOL_BASE) & (x[0, :, 0] > PI / 2 + _TOL_CHAMBER)
-    if m.any():
-        y = x @ _BASE_MIRROR  # -> (-c1, c2, -c3)
-        _translate(y, slice(0, 1))  # -> (π-c1, c2, -c3)
-        x = np.where(m[:, None], _sort(y, offsets), x)
-    p = _ELEMENT[(x[1] @ _CODE_KEY).astype(np.intp)]
-    image = x[0] + 0.0  # + 0.0 turns -0.0 into 0.0
-    shape = lead + (3,)
-    return image.reshape(shape), p.reshape(lead), x[2].astype(np.intp).reshape(shape)
-
-
-def _translate(x, axes) -> None:
-    """Take the coordinates on ``axes`` of a fold state mod π, in place."""
-    n = np.floor(x[0, :, axes] / PI)
-    x[0, :, axes] -= n * PI
-    x[2, :, axes] -= n
-
-
-def _sort(x, offsets):
-    """A fold state with each triple sorted descending; equal coordinates
-    keep their order.  ``offsets`` are the rows' starts in x.reshape(3, -1)."""
-    order = (-x[0]).argsort(axis=-1, kind="stable")
-    return x.reshape(3, -1).take(order + offsets, axis=1)
+def _chamber_point(image) -> np.ndarray:
+    """A stack (..., 3) of fold images as chamber points: the magnitudes,
+    sorted descending (a base mirror's image has -TOL_BASE ≤ c3 ≤ 0)."""
+    return np.sort(np.abs(image), axis=-1)[..., ::-1]
 
 
 def coords_of_inverse(c) -> np.ndarray:
@@ -186,7 +121,8 @@ def gate_coords(u, tol: float = TOL_UNITARY, verify_tol: float = 1e-8) -> np.nda
         If the closed-form invariants of the result are farther than
         ``verify_tol`` from the gate's own invariants.
     """
-    return _gate_coords(check_unitary(u, tol=tol), verify_tol)[0]
+    g = _gate(check_unitary(u, tol=tol))
+    return _verified(g.fold[0], g.m, g.det, verify_tol)[0]
 
 
 def _gate_coords(u, verify_tol: float = 1e-8):
@@ -197,7 +133,15 @@ def _gate_coords(u, verify_tol: float = 1e-8):
     both the spectrum and the invariants.
     """
     m, det_u = _m_det(u)
-    c = _canonical(_raw_coords(_spectrum_of(m, det_u).theta_balanced))
+    image = _fold(_raw_coords(_spectrum_of(m, det_u).theta_balanced))[0]
+    return _verified(image, m, det_u, verify_tol)
+
+
+def _verified(image, m, det_u, verify_tol: float):
+    """The chamber points of a stack of fold images and the gates' own
+    (g1, complex g2), from their m(U) and det U; raises VerificationError
+    when a point's closed-form invariants miss the gate's by > verify_tol."""
+    c = _chamber_point(image)
     g1, g2c = _g_of(m, det_u)
     cg1, cg2 = _g_from_coords(c)
     dist = np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)
@@ -214,26 +158,19 @@ def canonical_gate(c) -> np.ndarray:
     In the magic basis A(c) is diagonal with phases
     (c1-c2+c3, c1+c2-c3, -(c1+c2+c3), -c1+c2+c3)/2.
     """
-    c = _as_triple(c)
+    return _canonical_gate(_as_triple(c))
+
+
+def _canonical_gate(c) -> np.ndarray:
+    """canonical_gate's core on a checked triple."""
     ph = coordinate_phase_pattern(c) / 2.0
-    return (MAGIC * np.exp(1j * ph)) @ MAGIC.conj().T
+    return (MAGIC * np.exp(1j * ph)) @ Q_DAG
 
 
 def coordinate_phase_pattern(c) -> np.ndarray:
     """The four magic-basis phase sums (twice the diagonal phases of A(c))."""
     c1, c2, c3 = (float(x) for x in np.asarray(c, dtype=float))
     return np.array([c1 - c2 + c3, c1 + c2 - c3, -(c1 + c2 + c3), -c1 + c2 + c3])
-
-
-# Column j sums half of each of the two phases that give c_j; halving is
-# exact, so each entry rounds as (θa + θb)/2 does.
-_RAW = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0], [0, 1, 1]]) / 2.0
-
-
-def _raw_coords(theta) -> np.ndarray:
-    """The inverse of coordinate_phase_pattern over a stack (..., 4) of
-    phases that sum to zero: ((θ0+θ1)/2, (θ1+θ3)/2, (θ0+θ3)/2)."""
-    return theta @ _RAW
 
 
 # ---------------------------------------------------------------------------

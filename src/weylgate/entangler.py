@@ -46,7 +46,7 @@ from .errors import (
     NotPerfectEntanglerError,
     VerificationError,
 )
-from .invariants import MSpectrum, _spectrum
+from .invariants import MSpectrum, _gate
 from .linalg import check_unitary
 
 TOL_HULL = 1e-9
@@ -83,14 +83,17 @@ class PeVerdict:
     inside): cos(g/2) with g the widest gap between neighboring eigenphases,
     since the chord across that arc is the hull edge nearest 0 (and, when 0
     is outside, the chord's midpoint is the hull point nearest 0).
-    ``weights``, present when the test passes, are convex weights
-    w ≥ 0 on the squared eigenphases z with |Σ w·z| ≤ tol, ordered like
-    ``phases``: ½ and ½ on the ends of the widest gap when the margin is
-    at most tol.  Otherwise the point whose two neighboring gaps have the
-    least sum is dropped (that merged arc is at most π, so the other three
-    still surround 0): ½ and ½ on the arc's ends when it is π within tol,
-    else the barycentric weights of the three points left, and 0 on the
-    dropped one.
+    ``weights``, present when the test passes and the witness passes its
+    self-check, are convex weights w ≥ 0 on the squared eigenphases z with
+    |Σ w·z| ≤ tol, ordered like ``phases``: ½ and ½ on the ends of the
+    widest gap when the margin is at most tol.  Otherwise the point whose
+    two neighboring gaps have the least sum is dropped (that merged arc is
+    at most π, so the other three still surround 0): ½ and ½ on the arc's
+    ends when it is π within tol, else the barycentric weights of the three
+    points left, and 0 on the dropped one.  A perfect entangler gets
+    ``weights`` None when no weights meet the check, as at tol = 0 where
+    rounding leaves |Σ w·z| of about 1e-16; ``is_pe`` and ``margin`` do not
+    depend on them.
     """
 
     is_pe: bool
@@ -105,12 +108,15 @@ def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
     U is a perfect entangler iff no arc of length > π is free of
     eigenphases, i.e. iff 0 lies in the convex hull of the four points
     e^{iθ_k}.  The verdict carries the hull margin and, when the test
-    passes, the convex weights that witness it.  ``tol`` is the hull's.
+    passes, the convex weights that witness it (None when none pass their
+    self-check, see ``PeVerdict``).  ``tol`` is the hull's.
     """
-    return _verdict(_spectrum(check_unitary(u)), tol)
+    return _verdict(_gate(check_unitary(u)).spectrum, tol)[0]
 
 
-def _verdict(spec: MSpectrum, tol: float) -> PeVerdict:
+def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
+    """The verdict and, when a perfect entangler's witness fails its
+    self-check (its weights are then None), why."""
     order = np.argsort(spec.theta)
     theta = spec.theta[order]
     gaps = np.diff(theta, append=theta[0] + 2 * np.pi)  # gaps[k]: sorted point k to k+1
@@ -119,7 +125,7 @@ def _verdict(spec: MSpectrum, tol: float) -> PeVerdict:
     z = np.exp(1j * spec.theta)
     margin = float(np.cos(max_gap / 2))
     if not is_pe:
-        return PeVerdict(is_pe=False, margin=margin, phases=z, weights=None)
+        return PeVerdict(is_pe=False, margin=margin, phases=z, weights=None), None
     w = np.zeros(4)
     # Dropping the point between the two gaps of least sum leaves a merged
     # arc of at most π (the two disjoint pair sums add to 2π), so 0 stays in
@@ -140,13 +146,15 @@ def _verdict(spec: MSpectrum, tol: float) -> PeVerdict:
         a = np.array([z[keep].real, z[keep].imag, np.ones(3)])
         try:
             w[keep] = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-        except np.linalg.LinAlgError as exc:  # a flat triangle; needs tol ≤ 0
-            raise VerificationError("hull witness: the three phases left are collinear") from exc
+        except np.linalg.LinAlgError:  # a flat triangle; needs tol ≤ 0
+            failure = "hull witness: the three phases left are collinear"
+            return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure
     low, residual = float(np.min(w)), abs(w @ z)
     if low < -1e-12 or not residual <= tol:
-        raise VerificationError(f"hull witness fails: min weight {low:.3e}, |Σ w·z| {residual:.3e}")
+        failure = f"hull witness fails: min weight {low:.3e}, |Σ w·z| {residual:.3e}"
+        return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure
     # Clipped after the check: a weight of -1e-16 would make sqrt(w) NaN.
-    return PeVerdict(is_pe=True, margin=margin, phases=z, weights=np.maximum(w, 0.0))
+    return PeVerdict(is_pe=True, margin=margin, phases=z, weights=np.maximum(w, 0.0)), None
 
 
 def pe_from_coords(coords, tol: float = TOL_HULL) -> bool:
@@ -178,14 +186,19 @@ def entangling_input(u, tol: float = TOL_HULL):
     ------
     NotPerfectEntanglerError
         If the hull test fails.
+    VerificationError
+        If the hull weights fail their self-check (see ``PeVerdict``), or the
+        states fail theirs.
     """
     u = check_unitary(u)
-    spec = _spectrum(u)
-    verdict = _verdict(spec, tol)
+    spec = _gate(u).spectrum
+    verdict, failure = _verdict(spec, tol)
     if not verdict.is_pe:
         raise NotPerfectEntanglerError(
             f"gate is not a perfect entangler (hull margin {verdict.margin:.3e})"
         )
+    if failure is not None:
+        raise VerificationError(failure)
     phi = np.sqrt(verdict.weights) * np.exp(-0.5j * spec.theta)
     psi_in = MAGIC @ spec.frame.T @ phi
     psi_out = u @ psi_in

@@ -178,7 +178,7 @@ def _period(g: _Generator, tol: float) -> float | None:
     if any(np.pi * q * abs(r - f) > tol for r, f in zip(ratios, fracs)):
         return None
     period = np.pi * q / ref
-    if _m_scalar(g.flow(period), tol=1e-8) is None:
+    if np.isnan(_m_scalar(g.flow(period), tol=1e-8)):
         return None
     return float(period)
 

@@ -10,18 +10,26 @@ m = (Q†UQ)ᵀ(Q†UQ) formed in the magic basis:
 G1 is complex, G2 is real for unitary input (the imaginary residue is
 reported as a diagnostic).  Division by det U makes both insensitive to
 global phase, so any U(4) representative may be passed.
+
+The single-gate analyses here and in chamber, kak and entangler read one
+derivation record per checked gate (``_Gate``): U_B, m(U) and det U, and on
+first use the spectrum and the chamber fold.  A memo keeps the records of
+the last ``_RECORDS`` gates, keyed by the gate's bytes, so the analyses of
+one gate form each of these once.  The stacked cores never use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cartan import MAGIC
+from .cartan import MAGIC, _fold
 from .linalg import TOL_UNITARY, _as_triple, _simdiag, check_unitary
 
 Q_DAG = MAGIC.conj().T
+_RECORDS = 8  # gates whose derivation record the single-gate memo keeps
 
 
 def magic_transform(u) -> np.ndarray:
@@ -35,8 +43,9 @@ def _magic(u) -> np.ndarray:
 
 
 def m_matrix(u, tol: float = TOL_UNITARY) -> np.ndarray:
-    """The complex symmetric matrix m = u_Bᵀ u_B, u_B the magic transform."""
-    return _m(check_unitary(u, tol=tol))
+    """The complex symmetric matrix m = u_Bᵀ u_B, u_B the magic transform
+    (a copy: the gate's record keeps its own)."""
+    return _gate(check_unitary(u, tol=tol)).m.copy()
 
 
 def _m(u) -> np.ndarray:
@@ -58,11 +67,17 @@ class LocalInvariants:
 
 def local_invariants(u, tol: float = TOL_UNITARY) -> LocalInvariants:
     """Local-equivalence invariants of a two-qubit gate (phase insensitive)."""
-    return _invariants(check_unitary(u, tol=tol))
+    g = _gate(check_unitary(u, tol=tol))
+    return _invariants_of(g.m, g.det)
 
 
 def _invariants(u) -> LocalInvariants:
-    g1, g2c = _g(u)
+    """local_invariants' core on a checked gate."""
+    return _invariants_of(*_m_det(u))
+
+
+def _invariants_of(m, det_u) -> LocalInvariants:
+    g1, g2c = _g_of(m, det_u)
     return LocalInvariants(
         g1=complex(g1), g2=float(g2c.real), g2_imag_residual=float(abs(g2c.imag))
     )
@@ -74,13 +89,8 @@ def _m_det(u) -> tuple[np.ndarray, np.ndarray]:
     return _m(u), np.linalg.det(u)
 
 
-def _g(u) -> tuple[np.ndarray, np.ndarray]:
-    """g1 and the complex g2 of a stack (..., 4, 4) of checked gates."""
-    return _g_of(*_m_det(u))
-
-
 def _g_of(m, det_u) -> tuple[np.ndarray, np.ndarray]:
-    """_g's core over a stack of m(U) and det U."""
+    """g1 and the complex g2 of a stack of m(U) and det U."""
     tr = m.trace(0, -2, -1)
     g1 = tr * tr / (16.0 * det_u)
     g2c = (tr * tr - (m @ m).trace(0, -2, -1)) / (4.0 * det_u)
@@ -150,18 +160,14 @@ def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
     equals m of the scaled gate.
     Re(m) and Im(m) are commuting real symmetric matrices; they are
     diagonalized simultaneously and the phases recovered per joint
-    eigenvalue pair.
+    eigenvalue pair.  The arrays are copies: the gate's record keeps its own.
     """
-    return _spectrum(check_unitary(u, tol=tol))
-
-
-def _spectrum(u) -> MSpectrum:
-    """m_spectrum's core over a stack (..., 4, 4) of checked gates."""
-    return _spectrum_of(*_m_det(u))
+    s = _gate(check_unitary(u, tol=tol)).spectrum
+    return MSpectrum(s.theta.copy(), s.theta_balanced.copy(), s.frame.copy())
 
 
 def _spectrum_of(m, det_u) -> MSpectrum:
-    """_spectrum's core over a stack of m(U) and det U.
+    """m_spectrum's core over a stack of m(U) and det U.
 
     With α = arg(det U)/4, the det-one gate is e^{-iα}·U, and its m is
     exactly e^{-2iα}·m(U): the scaling is applied to m, not to U.
@@ -171,7 +177,7 @@ def _spectrum_of(m, det_u) -> MSpectrum:
 
 
 def _spectrum_of_m(m) -> MSpectrum:
-    """_spectrum's core over a stack of m(U), U scaled to det 1."""
+    """_spectrum_of's core over a stack of m(U), U scaled to det 1."""
     dre, dim, vecs = _simdiag(m.real, m.imag)
     theta = np.arctan2(dim, dre)
     balanced = theta.copy()
@@ -183,3 +189,61 @@ def _spectrum_of_m(m) -> MSpectrum:
         balanced = np.where((k > 0) & (rank >= 4 - k), theta - 2 * np.pi, theta)
         balanced = np.where((k < 0) & (rank < -k), theta + 2 * np.pi, balanced)
     return MSpectrum(theta=theta, theta_balanced=balanced, frame=vecs.swapaxes(-1, -2))
+
+
+# Column j sums half of each of the two phases that give c_j; halving is
+# exact, so each entry rounds as (θa + θb)/2 does.
+_RAW = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0], [0, 1, 1]]) / 2.0
+
+
+def _raw_coords(theta) -> np.ndarray:
+    """The inverse of chamber.coordinate_phase_pattern over a stack (..., 4)
+    of phases that sum to zero: ((θ0+θ1)/2, (θ1+θ3)/2, (θ0+θ3)/2)."""
+    return theta @ _RAW
+
+
+# ---------------------------------------------------------------------------
+# One gate's derivation record
+
+
+class _Gate:
+    """What the single-gate analyses read of one checked gate U, derived once:
+    U_B = Q†·U·Q, m(U) = U_Bᵀ·U_B and det U, and, on first use, the spectrum
+    of m(U) and the fold of its raw coordinates into the chamber, as
+    (image, p, n) (see ``cartan._fold``).
+
+    Every array is read-only, so readers hand out copies.  A lazy part that
+    raises is not kept: it is derived again on the next use.
+    """
+
+    def __init__(self, u):
+        ub = _magic(u)
+        self.u, self.ub, self.m = _read_only(u, ub, ub.T @ ub)
+        self.det = np.linalg.det(u)
+
+    @cached_property
+    def spectrum(self) -> MSpectrum:
+        s = _spectrum_of(self.m, self.det)
+        _read_only(s.theta, s.theta_balanced, s.frame)
+        return s
+
+    @cached_property
+    def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _read_only(*_fold(_raw_coords(self.spectrum.theta_balanced)))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _gate(u) -> _Gate:
+    """The record of a checked gate, from a memo of the last ``_RECORDS``
+    gates keyed by the gate's bytes; the record holds its own copy."""
+    return _gate_of_bytes(u.tobytes())
+
+
+@lru_cache(maxsize=_RECORDS)
+def _gate_of_bytes(key: bytes) -> _Gate:
+    return _Gate(np.frombuffer(key, dtype=complex).reshape(4, 4))

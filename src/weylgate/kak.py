@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import _WEYL_GATES, _WORDS, MAGIC
-from .chamber import _fold, _raw_coords, canonical_gate, coordinate_phase_pattern
+from .chamber import _canonical_gate
 from .errors import BranchSearchError, NotLocalError, VerificationError
-from .invariants import _m, _magic, _spectrum_of_m
+from .invariants import Q_DAG, _Gate, _gate, _m
 from .linalg import TOL_UNITARY, check_unitary, kron2
 
 # σa⊗σa words: conjugating A(c) by nothing, they implement the π translations
@@ -44,6 +44,8 @@ def _parity_words() -> np.ndarray:
 
 _PARITY_WORDS = _parity_words()
 _PARITY_KEY = np.array([1, 2, 4])
+_WEYL_GATES_Q = _WEYL_GATES @ MAGIC  # g_P·Q: k1 and k2 absorb g_P with the basis change
+_EYE = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,18 @@ def kak_reconstruct(d: KakDecomposition) -> np.ndarray:
     return np.exp(1j * d.alpha) * (d.k1 @ d.a_factor @ d.k2)
 
 
-def _m_scalar(u, tol: float) -> complex | None:
-    """λ when m(u) = λ·I within ``tol`` and det u = λ², else None (u checked).
+def _m_scalar(u, tol: float) -> np.ndarray:
+    """Per gate of a stack (..., 4, 4) of checked gates: λ where m(u) = λ·I
+    within ``tol`` and det u = λ², NaN elsewhere.
 
     That is exactly u = e^{iφ}·(a⊗b), with λ = e^{2iφ}; SWAP has det u = -λ².
     """
     m = _m(u)
-    lam = m[0, 0]
-    if abs(abs(lam) - 1.0) > tol or np.max(np.abs(m - lam * np.eye(4))) > tol:
-        return None
-    return complex(lam) if abs(np.linalg.det(u) - lam * lam) < 1.0 else None
+    lam = m[..., 0, 0]
+    off = np.abs(m - lam[..., None, None] * _EYE).max((-2, -1))
+    ok = (np.abs(np.abs(lam) - 1.0) <= tol) & (off <= tol)
+    ok &= np.abs(np.linalg.det(u) - lam * lam) < 1.0
+    return np.where(ok, lam, np.nan)
 
 
 def is_local_gate(u, tol: float = 1e-8) -> bool:
@@ -90,7 +94,7 @@ def is_local_gate(u, tol: float = 1e-8) -> bool:
     global phase other than ±1 does NOT pass (its m is e^{2iφ}·I).
     """
     lam = _m_scalar(check_unitary(u, tol=max(tol, TOL_UNITARY)), tol)
-    return lam is not None and abs(lam - 1.0) <= tol
+    return bool(abs(lam - 1.0) <= tol)  # False for NaN
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def factor_local(k, tol: float = 1e-8) -> LocalFactors:
         rank-one factorization leaves a residual above ``tol``.
     """
     k = check_unitary(k)
-    if _m_scalar(k, tol) is None:
+    if np.isnan(_m_scalar(k, tol)):
         raise NotLocalError("gate is not a tensor product of single-qubit gates")
 
     # Reshuffle k[(i,k),(j,l)] -> M[(i,j),(k,l)]; a tensor product becomes
@@ -139,14 +143,17 @@ def factor_local(k, tol: float = 1e-8) -> LocalFactors:
 def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     """Factor a two-qubit gate as e^{iα}·k1·A(c)·k2 with c in the chamber.
 
-    Algorithm: scale to SU(4); in the magic basis, jointly diagonalize the
-    real and imaginary parts of m = u_Bᵀu_B to get the eigenframe and
-    balanced eigenphases; solve the phase pattern for raw coordinates; with
-    F the square root of the diagonal factor, the left frame u_B·o2ᵀ·F̄ is
-    real (complex orthogonal and unitary); finally fold the raw coordinates
-    into the chamber (the moves canonicalize makes) and absorb their
-    composite c -> P·c + π·n exactly: P as its local gate g_P in k1 and k2,
-    n as a σa⊗σa word per odd n_j in k2 and a phase -(π/2)·Σn in α.
+    Algorithm: with α = arg(det U)/4, the det-one gate e^{-iα}·U has
+    m = e^{-2iα}·u_Bᵀu_B in the magic basis; jointly diagonalize its real
+    and imaginary parts to get the eigenframe o2 and balanced eigenphases θ;
+    with F = diag(e^{iθ/2}) the left frame e^{-iα}·u_B·o2ᵀ·F̄ is real
+    (complex orthogonal and unitary); finally fold the raw coordinates the
+    phases give into the chamber (the moves canonicalize makes) and absorb
+    their composite c -> P·c + π·n exactly: P as its local gate g_P in k1
+    and k2, n as a σa⊗σa word per odd n_j in k2 and a phase -(π/2)·Σn in α.
+    The gate's record (``invariants._Gate``) holds u_B, m, det U, the
+    spectrum and the fold, so the other single-gate analyses of the same
+    gate share them.
 
     Raises
     ------
@@ -155,50 +162,44 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     VerificationError
         If the reconstruction residual exceeds 1e-9.
     """
-    return _kak(check_unitary(u, tol=tol))
+    return _kak(_gate(check_unitary(u, tol=tol)))
 
 
-def _kak(u) -> KakDecomposition:
-    """kak_decompose's core."""
-    alpha = float(np.angle(np.linalg.det(u)) / 4.0)
-    ub = _magic(np.exp(-1j * alpha) * u)
-
-    spec = _spectrum_of_m(ub.T @ ub)  # m of the det-one gate, from the ub the frame needs
-    theta = spec.theta_balanced
-    o2 = spec.frame
-
-    c_raw = _raw_coords(theta)
-    f = np.exp(0.5j * coordinate_phase_pattern(c_raw))
-    o1 = ub @ (o2.T * f.conj())
+def _kak(g: _Gate) -> KakDecomposition:
+    """kak_decompose's core on a gate's record.  It forms no m or det of
+    its own: α comes from the record's det U, the frames from its U_B and
+    spectrum, and the coordinates, P and n from its fold.  Only the outer
+    factors k1 and k2 get an m, in one stacked locality check."""
+    alpha = float(np.angle(g.det) / 4.0)
+    theta, o2 = g.spectrum.theta_balanced, g.spectrum.frame
+    # The det-one gate's U_B is e^{-iα}·U_B, and F = diag(e^{iθ/2}).
+    o1 = g.ub @ (o2.T * np.exp(-1j * (alpha + 0.5 * theta)))
     if np.max(np.abs(o1.imag)) >= 1e-8:
         raise BranchSearchError("the square-root branch did not produce a real frame")
 
-    k1 = MAGIC @ o1.real @ MAGIC.conj().T
-    k2 = MAGIC @ o2 @ MAGIC.conj().T
-
-    # With coords = P·c_raw + π·n: A(c) = g_P†·A(P·c)·g_P, and
+    # Before the fold, k1 = Q·o1·Q† and k2 = Q·o2·Q†.  With
+    # coords = P·c_raw + π·n: A(c) = g_P†·A(P·c)·g_P, and
     # A(y) = A(y + π·n)·Π_j (-i·W_j)^(n_j), the W_j commuting and squaring to I.
-    coords, p, n = _fold(c_raw)
-    g = _WEYL_GATES[p]
-    k1 = k1 @ g.conj().T
-    k2 = _PARITY_WORDS[(n % 2) @ _PARITY_KEY] @ g @ k2
+    coords, p, n = g.fold
+    gq = _WEYL_GATES_Q[p]
+    k1 = MAGIC @ o1.real @ gq.conj().T
+    k2 = _PARITY_WORDS[(n % 2) @ _PARITY_KEY] @ gq @ o2 @ Q_DAG
     alpha -= np.pi / 2.0 * n.sum(-1)
     alpha_out = float(np.angle(np.exp(1j * alpha)))  # wrap to (-π, π]
-    a_factor = canonical_gate(coords)
+    a_factor = _canonical_gate(coords)
 
     rec = np.exp(1j * alpha_out) * (k1 @ a_factor @ k2)
-    residual = float(np.linalg.norm(u - rec))
+    residual = float(np.linalg.norm(g.u - rec))
     if residual > 1e-9:
         raise VerificationError(f"reconstruction residual {residual:.3e} > 1e-9")
-    lams = (_m_scalar(k1, 1e-8), _m_scalar(k2, 1e-8))
-    if any(lam is None or abs(lam - 1.0) > 1e-8 for lam in lams):
+    if not (np.abs(_m_scalar(np.array([k1, k2]), 1e-8) - 1.0) <= 1e-8).all():  # NaN fails
         raise VerificationError("a reduced outer factor failed local recognition")
 
     return KakDecomposition(
         alpha=alpha_out,
         k1=k1,
         k2=k2,
-        coords=coords,
+        coords=coords.copy(),
         a_factor=a_factor,
         residual=residual,
     )

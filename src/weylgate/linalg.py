@@ -11,7 +11,8 @@ per spec object), and ``_``-prefixed cores take checked arrays and never
 check again.  The cores here and above them (spectrum, invariants,
 coordinates) take a stack ``(..., n, n)``, so ``trajectory`` runs all its
 times in one NumPy pass; public functions take one matrix and run the same
-cores on it.
+cores on it, reading what they share through the gate's derivation record
+(``invariants._Gate``).
 """
 
 from __future__ import annotations

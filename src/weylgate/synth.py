@@ -35,6 +35,7 @@ from .errors import (
     VerificationError,
 )
 from .hamflow import _L3, _TOL_PERIOD, HamiltonianSpec, _generator, _period
+from .invariants import _Gate
 from .kak import _kak
 from .linalg import _as_triple, _dist_up_to_phase, check_unitary
 
@@ -139,7 +140,7 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
     g = _generator(hamiltonian)
     kd, k1, k2 = g.pulse_locals  # raises NotNonlocalError on local terms
 
-    d = _kak(target)
+    d = _kak(_Gate(target))  # a fresh target: no use for the single-gate memo
     t = solve_times(g.cartan.coeffs, d.coords)
     k0 = kd @ d.k2
     k3 = d.k1 @ _L3 @ g.cartan.k

@@ -168,11 +168,18 @@ def test_witness_weights_near_the_boundary(point, eps):
     assert checked >= 3
 
 
-def test_zero_hull_tol_on_antipodal_pairs_raises_typed_error():
+@pytest.mark.parametrize("name", ["cnot", "cz", "iswap", "sqrtswap", "sqrtswap_inv"])
+def test_zero_hull_tol_keeps_verdict_without_weights(name):
     # At tol = 0 the widest-gap pair misses by rounding and every triangle
-    # of two coincident antipodal pairs is flat: no witness, a typed error.
-    with pytest.raises(VerificationError):
-        is_perfect_entangler(named_gate("cnot"), tol=0.0)
+    # of two coincident antipodal pairs is flat: no weights pass the check.
+    # The verdict and margin do not need them; the witness states do.
+    u = named_gate(name)
+    verdict = is_perfect_entangler(u, tol=0.0)
+    assert verdict.is_pe
+    assert verdict.margin == is_perfect_entangler(u).margin
+    assert verdict.weights is None
+    with pytest.raises(VerificationError, match="hull witness"):
+        entangling_input(u, tol=0.0)
 
 
 def test_witness_requires_perfect_entangler():

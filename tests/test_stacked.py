@@ -14,7 +14,7 @@ import weylgate as wg
 from conftest import gate_at, rand_u4
 from weylgate import HamiltonianSpec, chamber
 from weylgate.chamber import VERTEX_A3, VERTEX_L, VERTEX_O, VERTEX_P, _gate_coords
-from weylgate.invariants import _m, _spectrum, _spectrum_of_m
+from weylgate.invariants import _m, _m_det, _spectrum_of, _spectrum_of_m
 from weylgate.linalg import _SIMDIAG_WEIGHTS, TOL_EIG, _eigh, _simdiag
 
 PI = np.pi
@@ -76,6 +76,11 @@ def _gate_stack():
         for eps in (0.0, 1e-9):
             gates.append(gate_at(v + eps * rng.standard_normal(3), rng, rng.uniform(-PI, PI)))
     return np.array(gates)
+
+
+def _spectrum(u):
+    """The spectrum of a stack (..., 4, 4) of checked gates, by the stacked cores."""
+    return _spectrum_of(*_m_det(u))
 
 
 def test_stacked_spectrum_equals_row_by_row():
