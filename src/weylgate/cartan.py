@@ -47,6 +47,13 @@ MAGIC = np.array(
     ],
     dtype=complex,
 ) / np.sqrt(2)
+Q_DAG = MAGIC.conj().T
+
+
+def _magic(u) -> np.ndarray:
+    """Q†·u·Q over a stack (..., 4, 4): the operators in the magic basis."""
+    return Q_DAG @ u @ MAGIC
+
 
 _AXES = ("x", "y", "z")
 
@@ -190,7 +197,7 @@ def _conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
         )
     h0 = h - split.identity_coeff * np.eye(4)
 
-    s = MAGIC.conj().T @ h0 @ MAGIC
+    s = _magic(h0)
     if np.linalg.norm(s.imag) > 1e-9:
         # A Hermitian two-body operator is always real in the magic basis;
         # failure here means the input was not actually two-body.
@@ -208,7 +215,7 @@ def _conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
     perm = (1, 0, 3, 2)
     w = v[:, perm]
     o = w.T
-    k = MAGIC @ o @ MAGIC.conj().T
+    k = MAGIC @ o @ Q_DAG
 
     c = np.array([mu[0] + mu[1], mu[0] + mu[2], mu[1] + mu[2]])
     return CartanTarget(coeffs=c, k=k)

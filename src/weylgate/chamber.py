@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cartan import _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, TOL_BASE, _fold
+from .cartan import _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold
 from .errors import VerificationError
-from .invariants import Q_DAG, _g_from_coords, _g_of, _gate, _m_det, _raw_coords, _spectrum_of
+from .invariants import _g_from_coords, _Gate, _gate
 from .linalg import TOL_UNITARY, _as_triple, check_unitary
 
 _TOL_DEDUPE = 1e-12
@@ -121,28 +121,20 @@ def gate_coords(u, tol: float = TOL_UNITARY, verify_tol: float = 1e-8) -> np.nda
         If the closed-form invariants of the result are farther than
         ``verify_tol`` from the gate's own invariants.
     """
-    g = _gate(check_unitary(u, tol=tol))
-    return _verified(g.fold[0], g.m, g.det, verify_tol)[0]
+    return _verified(_gate(check_unitary(u, tol=tol)), verify_tol)[0]
 
 
 def _gate_coords(u, verify_tol: float = 1e-8):
-    """gate_coords' core over a stack (..., 4, 4) of checked gates.
-
-    Returns the coordinates (..., 3) and the gates' own (g1, complex g2),
-    which they were checked against.  m(U) and det U are formed once, for
-    both the spectrum and the invariants.
-    """
-    m, det_u = _m_det(u)
-    image = _fold(_raw_coords(_spectrum_of(m, det_u).theta_balanced))[0]
-    return _verified(image, m, det_u, verify_tol)
+    """gate_coords' core over a stack (..., 4, 4) of checked gates, on a fresh
+    record: the coordinates (..., 3) and the (g1, complex g2) they were checked against."""
+    return _verified(_Gate(u), verify_tol)
 
 
-def _verified(image, m, det_u, verify_tol: float):
-    """The chamber points of a stack of fold images and the gates' own
-    (g1, complex g2), from their m(U) and det U; raises VerificationError
+def _verified(g: _Gate, verify_tol: float):
+    """A record's chamber points and its (g1, complex g2); raises VerificationError
     when a point's closed-form invariants miss the gate's by > verify_tol."""
-    c = _chamber_point(image)
-    g1, g2c = _g_of(m, det_u)
+    c = _chamber_point(g.fold[0])
+    g1, g2c = g.invariant_pair
     cg1, cg2 = _g_from_coords(c)
     dist = np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)
     if (dist > verify_tol).any():

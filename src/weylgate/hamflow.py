@@ -30,7 +30,7 @@ from .cartan import _WORDS, WEYL_REFLECTIONS, CartanTarget, _conjugate, cartan_e
 from .chamber import _gate_coords
 from .entangler import _in_pe
 from .errors import ConvergenceError
-from .invariants import LocalInvariants, _invariants
+from .invariants import LocalInvariants, _Gate, _invariants_of
 from .kak import _m_scalar
 from .linalg import _flow, check_hermitian
 
@@ -339,7 +339,7 @@ def josephson_cnot_min_time(
                     lo = mid
             alpha = 0.5 * (lo + hi)
             t = q / (alpha**2 * e_l)
-            inv = _invariants(HamiltonianSpec.josephson(alpha, e_l)._generator.flow(t))
+            inv = _invariants_of(_Gate(HamiltonianSpec.josephson(alpha, e_l)._generator.flow(t)))
             if abs(inv.g1) > 1e-6 or abs(inv.g2 - 1.0) > 1e-6:
                 continue
             if best is None or t < best.t:

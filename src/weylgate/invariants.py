@@ -11,24 +11,26 @@ G1 is complex, G2 is real for unitary input (the imaginary residue is
 reported as a diagnostic).  Division by det U makes both insensitive to
 global phase, so any U(4) representative may be passed.
 
-The single-gate analyses here and in chamber, kak and entangler read one
-derivation record per checked gate (``_Gate``): U_B, m(U) and det U, and on
-first use the spectrum and the chamber fold.  A memo keeps the records of
-the last ``_RECORDS`` gates, keyed by the gate's bytes, so the analyses of
-one gate form each of these once.  The stacked cores never use it.
+Every analysis of a gate, or of a stack (..., 4, 4) of gates, reads one
+derivation record (``_Gate``): U_B, m(U) and det U, and on first use the
+invariant pair, the spectrum and the chamber fold.  It is the one place
+where m(U) and det U are formed.  The single-gate analyses here and in
+chamber, kak and entangler take their record from a memo of the last
+``_RECORDS`` gates, keyed by the gate's bytes, so the analyses of one gate
+form each part once.  Stacks, and gates the library built itself, read a
+fresh record and never use the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .cartan import MAGIC, _fold
+from .cartan import _fold, _magic
 from .linalg import TOL_UNITARY, _as_triple, _simdiag, check_unitary
 
-Q_DAG = MAGIC.conj().T
 _RECORDS = 8  # gates whose derivation record the single-gate memo keeps
 
 
@@ -37,20 +39,10 @@ def magic_transform(u) -> np.ndarray:
     return _magic(check_unitary(u))
 
 
-def _magic(u) -> np.ndarray:
-    """magic_transform's core over a stack (..., 4, 4)."""
-    return Q_DAG @ u @ MAGIC
-
-
 def m_matrix(u, tol: float = TOL_UNITARY) -> np.ndarray:
     """The complex symmetric matrix m = u_Bᵀ u_B, u_B the magic transform
     (a copy: the gate's record keeps its own)."""
     return _gate(check_unitary(u, tol=tol)).m.copy()
-
-
-def _m(u) -> np.ndarray:
-    ub = _magic(u)
-    return ub.swapaxes(-1, -2) @ ub
 
 
 @dataclass(frozen=True)
@@ -67,34 +59,15 @@ class LocalInvariants:
 
 def local_invariants(u, tol: float = TOL_UNITARY) -> LocalInvariants:
     """Local-equivalence invariants of a two-qubit gate (phase insensitive)."""
-    g = _gate(check_unitary(u, tol=tol))
-    return _invariants_of(g.m, g.det)
+    return _invariants_of(_gate(check_unitary(u, tol=tol)))
 
 
-def _invariants(u) -> LocalInvariants:
-    """local_invariants' core on a checked gate."""
-    return _invariants_of(*_m_det(u))
-
-
-def _invariants_of(m, det_u) -> LocalInvariants:
-    g1, g2c = _g_of(m, det_u)
+def _invariants_of(g: _Gate) -> LocalInvariants:
+    """local_invariants' core on the record of one gate."""
+    g1, g2c = g.invariant_pair
     return LocalInvariants(
         g1=complex(g1), g2=float(g2c.real), g2_imag_residual=float(abs(g2c.imag))
     )
-
-
-def _m_det(u) -> tuple[np.ndarray, np.ndarray]:
-    """m(U) and det U of a stack (..., 4, 4) of checked gates: the pair that
-    both the invariants (``_g_of``) and the spectrum (``_spectrum_of``) read."""
-    return _m(u), np.linalg.det(u)
-
-
-def _g_of(m, det_u) -> tuple[np.ndarray, np.ndarray]:
-    """g1 and the complex g2 of a stack of m(U) and det U."""
-    tr = m.trace(0, -2, -1)
-    g1 = tr * tr / (16.0 * det_u)
-    g2c = (tr * tr - (m @ m).trace(0, -2, -1)) / (4.0 * det_u)
-    return g1, g2c
 
 
 def invariants_from_coords(coords) -> LocalInvariants:
@@ -166,18 +139,8 @@ def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
     return MSpectrum(s.theta.copy(), s.theta_balanced.copy(), s.frame.copy())
 
 
-def _spectrum_of(m, det_u) -> MSpectrum:
-    """m_spectrum's core over a stack of m(U) and det U.
-
-    With α = arg(det U)/4, the det-one gate is e^{-iα}·U, and its m is
-    exactly e^{-2iα}·m(U): the scaling is applied to m, not to U.
-    """
-    alpha = np.angle(det_u) / 4.0
-    return _spectrum_of_m(np.exp(-2j * alpha)[..., None, None] * m)
-
-
 def _spectrum_of_m(m) -> MSpectrum:
-    """_spectrum_of's core over a stack of m(U), U scaled to det 1."""
+    """m_spectrum's core over a stack of m(U), U scaled to det 1."""
     dre, dim, vecs = _simdiag(m.real, m.imag)
     theta = np.arctan2(dim, dre)
     balanced = theta.copy()
@@ -203,14 +166,29 @@ def _raw_coords(theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# One gate's derivation record
+# The derivation record of a gate or a stack of gates
+
+
+class _lazy:
+    """A field derived on first read and kept, as functools.cached_property
+    keeps it but without the lock it takes before Python 3.12.  A raise is not kept."""
+
+    def __init__(self, derive):
+        self.derive, self.name = derive, derive.__name__
+
+    def __get__(self, obj, cls):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.derive(obj)
+        return value
 
 
 class _Gate:
-    """What the single-gate analyses read of one checked gate U, derived once:
-    U_B = Q†·U·Q, m(U) = U_Bᵀ·U_B and det U, and, on first use, the spectrum
-    of m(U) and the fold of its raw coordinates into the chamber, as
-    (image, p, n) (see ``cartan._fold``).
+    """What the analyses read of a checked gate U, or of a stack (..., 4, 4)
+    of them, derived once: U_B = Q†·U·Q, m(U) = U_Bᵀ·U_B and det U, and, on
+    first use, the invariant pair (g1, complex g2), the spectrum of m(U) and
+    the fold of its raw coordinates into the chamber, as (image, p, n) (see
+    ``cartan._fold``).
 
     Every array is read-only, so readers hand out copies.  A lazy part that
     raises is not kept: it is derived again on the next use.
@@ -218,16 +196,25 @@ class _Gate:
 
     def __init__(self, u):
         ub = _magic(u)
-        self.u, self.ub, self.m = _read_only(u, ub, ub.T @ ub)
-        self.det = np.linalg.det(u)
+        self.u, self.ub, self.m, self.det = _read_only(
+            u, ub, ub.swapaxes(-1, -2) @ ub, np.linalg.det(u)
+        )
 
-    @cached_property
+    @_lazy
+    def invariant_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        tr = self.m.trace(0, -2, -1)
+        g2c = (tr * tr - (self.m @ self.m).trace(0, -2, -1)) / (4.0 * self.det)
+        return _read_only(tr * tr / (16.0 * self.det), g2c)
+
+    @_lazy
     def spectrum(self) -> MSpectrum:
-        s = _spectrum_of(self.m, self.det)
+        # With α = arg(det U)/4, e^{-2iα}·m(U) is exactly m of the det-one gate e^{-iα}·U.
+        alpha = np.angle(self.det) / 4.0
+        s = _spectrum_of_m(np.exp(-2j * alpha)[..., None, None] * self.m)
         _read_only(s.theta, s.theta_balanced, s.frame)
         return s
 
-    @cached_property
+    @_lazy
     def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _read_only(*_fold(_raw_coords(self.spectrum.theta_balanced)))
 

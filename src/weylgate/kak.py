@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import _WEYL_GATES, _WORDS, MAGIC
+from .cartan import _WEYL_GATES, _WORDS, MAGIC, Q_DAG
 from .chamber import _canonical_gate
 from .errors import BranchSearchError, NotLocalError, VerificationError
-from .invariants import Q_DAG, _Gate, _gate, _m
+from .invariants import _Gate, _gate
 from .linalg import TOL_UNITARY, check_unitary, kron2
 
 # σa⊗σa words: conjugating A(c) by nothing, they implement the π translations
@@ -78,11 +78,11 @@ def _m_scalar(u, tol: float) -> np.ndarray:
 
     That is exactly u = e^{iφ}·(a⊗b), with λ = e^{2iφ}; SWAP has det u = -λ².
     """
-    m = _m(u)
-    lam = m[..., 0, 0]
-    off = np.abs(m - lam[..., None, None] * _EYE).max((-2, -1))
+    g = _Gate(u)
+    lam = g.m[..., 0, 0]
+    off = np.abs(g.m - lam[..., None, None] * _EYE).max((-2, -1))
     ok = (np.abs(np.abs(lam) - 1.0) <= tol) & (off <= tol)
-    ok &= np.abs(np.linalg.det(u) - lam * lam) < 1.0
+    ok &= np.abs(g.det - lam * lam) < 1.0
     return np.where(ok, lam, np.nan)
 
 

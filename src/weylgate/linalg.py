@@ -10,9 +10,10 @@ check their gate or Hamiltonian arguments once (a spec by one ``realize``
 per spec object), and ``_``-prefixed cores take checked arrays and never
 check again.  The cores here and above them (spectrum, invariants,
 coordinates) take a stack ``(..., n, n)``, so ``trajectory`` runs all its
-times in one NumPy pass; public functions take one matrix and run the same
-cores on it, reading what they share through the gate's derivation record
-(``invariants._Gate``).
+times in one NumPy pass.  Both a single gate and a stack are read through
+one derivation record (``invariants._Gate``): public single-gate functions
+take theirs from a small memo, and stacks read a fresh record and never
+use the memo.
 """
 
 from __future__ import annotations
@@ -54,26 +55,42 @@ def _as_triple(c, name: str = "coords") -> np.ndarray:
     return c
 
 
+def _as_complex(a, n: int, error: type[Exception]) -> np.ndarray:
+    """``a`` as a complex n x n array; entries that are not numbers raise ``error``."""
+    a = _as_square(a, n)
+    if a.dtype.kind in "SU":  # NumPy would parse "1" as 1
+        raise error(f"matrix has non-numeric entries of dtype {a.dtype}")
+    try:
+        return a.astype(complex)
+    except (TypeError, ValueError) as exc:
+        raise error(f"matrix has non-numeric entries: {exc}") from None
+
+
 def check_unitary(u, tol: float = TOL_UNITARY, n: int = 4) -> np.ndarray:
     """Return ``u`` as a complex array after checking u†u = I within ``tol``
-    (non-finite entries fail the check)."""
-    u = _as_square(u, n).astype(complex)
-    if not np.isfinite(u).all():
-        raise NotUnitaryError("matrix has non-finite entries")
+    (non-numeric and non-finite entries fail the check)."""
+    u = _as_complex(u, n, NotUnitaryError)
+    # No entry of a unitary exceeds 1, and one above 1 + tol puts the defect
+    # above tol: this keeps u†u from overflowing, and catches NaN and ±inf.
+    big = np.abs(u).max()
+    if not big <= 1.0 + tol:
+        if not np.isfinite(u).all():
+            raise NotUnitaryError("matrix has non-finite entries")
+        raise NotUnitaryError(f"matrix is not unitary: max |u_ij| = {big:.3e} > 1 + {tol:.1e}")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(n))
-    if defect > tol:
+    if not defect <= tol:
         raise NotUnitaryError(f"matrix is not unitary: ||u†u - I|| = {defect:.3e} > {tol:.1e}")
     return u
 
 
 def check_hermitian(h, tol: float = TOL_HERMITIAN, n: int = 4) -> np.ndarray:
     """Return ``h`` as a complex array after checking h = h† within ``tol``
-    (non-finite entries fail the check)."""
-    h = _as_square(h, n).astype(complex)
+    (non-numeric and non-finite entries fail the check)."""
+    h = _as_complex(h, n, NotHermitianError)
     if not np.isfinite(h).all():
         raise NotHermitianError("matrix has non-finite entries")
     defect = np.linalg.norm(h - h.conj().T)
-    if defect > tol:
+    if not defect <= tol:
         raise NotHermitianError(f"matrix is not Hermitian: ||h - h†|| = {defect:.3e} > {tol:.1e}")
     return h
 
@@ -83,10 +100,6 @@ def kron2(a, b) -> np.ndarray:
     a = _as_square(a, 2, "first factor")
     b = _as_square(b, 2, "second factor")
     return np.kron(a, b)
-
-
-def dagger(a) -> np.ndarray:
-    return np.asarray(a).conj().T
 
 
 def eig_real_symmetric(s, tol: float = TOL_SYMMETRIC):

@@ -19,6 +19,7 @@ from weylgate import (
     WEYL_REFLECTIONS,
     canonical_gate,
     canonicalize,
+    chamber,
     coords_of_inverse,
     ent,
     entangling_input,
@@ -32,9 +33,10 @@ from weylgate import (
     pe_from_coords,
     weyl_orbit,
 )
-from weylgate.cartan import _WEYL_ACTIONS, _WEYL_GATES
+from weylgate.cartan import _WEYL_ACTIONS, _WEYL_GATES, MAGIC
 from weylgate.chamber import _TOL_CHAMBER, TOL_BASE, _fold
 from weylgate.entangler import TOL_HULL
+from weylgate.invariants import _raw_coords
 
 PI = np.pi
 
@@ -265,6 +267,41 @@ def test_coords_of_inverse_matches_adjoint(seed, structured):
     rng = np.random.default_rng(seed)
     u = gate_at(rng.uniform(-PI, PI, 3), rng) if structured else rand_u4(rng)
     assert_allclose(coords_of_inverse(gate_coords(u)), gate_coords(u.conj().T), atol=1e-7)
+
+
+def _eigvals_coords(u):
+    """The chamber point of u from LAPACK's general eigensolver, sharing no
+    code with the record or _simdiag: the phases of e^{-2iα}·m(U),
+    α = arg(det U)/4, balanced to sum 0, read as raw coordinates in the
+    order eigvals returns them, and folded by the scalar reference fold."""
+    ub = MAGIC.conj().T @ u @ MAGIC
+    alpha = np.angle(np.linalg.det(u)) / 4.0
+    theta = np.sort(np.angle(np.linalg.eigvals(np.exp(-2j * alpha) * (ub.T @ ub))))
+    k = int(np.rint(theta.sum() / (2 * PI)))
+    if k > 0:
+        theta[4 - k :] -= 2 * PI
+    elif k < 0:
+        theta[:-k] += 2 * PI
+    image, _ = _reference_fold(_raw_coords(theta))
+    return np.sort(np.abs(image))[::-1]
+
+
+def _oracle_gates():
+    """Haar gates with a random phase, and the chamber vertices perturbed by
+    0 to 1e-7, each dressed ten times with random locals and a phase."""
+    rng = np.random.default_rng(12)
+    gates = [np.exp(2j * PI * rng.random()) * rand_u4(rng) for _ in range(300)]
+    for v in (getattr(chamber, f"VERTEX_{name}") for name in "O A1 A2 A3 L M N P Q".split()):
+        for eps in (0.0, 1e-12, 1e-9, 1e-7):
+            for _ in range(10):
+                c = v + eps * rng.uniform(-1.0, 1.0, 3)
+                gates.append(gate_at(c, rng, phase=rng.uniform(0.0, 2 * PI)))
+    return gates
+
+
+def test_gate_coords_match_eigvals_oracle():
+    for u in _oracle_gates():
+        _assert_same_chamber_point(gate_coords(u), _eigvals_coords(u), atol=1e-12)
 
 
 @PROPERTY

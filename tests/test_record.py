@@ -174,13 +174,12 @@ def _spy(monkeypatch, names):
 
 @pytest.mark.parametrize("gate", ["haar4", "cnot", "sqrtswap", "iswap"])
 def test_readme_sequence_derives_once_per_gate(cold, monkeypatch, gate):
-    shapes = _spy(monkeypatch, ["_magic", "_m", "_simdiag", "_fold"])
+    shapes = _spy(monkeypatch, ["_magic", "_simdiag", "_fold"])
     readme_sequence(GATES[gate])
     assert dict(shapes) == {
-        # One magic transform of the gate, for U_B and m(U); the other, inside
-        # the one _m, is the locality check of the stacked KAK factors k1, k2.
+        # One magic transform of the gate, for U_B and m(U); the other is the
+        # record of the stacked KAK factors k1, k2 for their locality check.
         "_magic": [(4, 4), (2, 4, 4)],
-        "_m": [(2, 4, 4)],
         "_simdiag": [(4, 4)],
         "_fold": [(3,)],
     }

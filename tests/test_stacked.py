@@ -14,7 +14,7 @@ import weylgate as wg
 from conftest import gate_at, rand_u4
 from weylgate import HamiltonianSpec, chamber
 from weylgate.chamber import VERTEX_A3, VERTEX_L, VERTEX_O, VERTEX_P, _gate_coords
-from weylgate.invariants import _m, _m_det, _spectrum_of, _spectrum_of_m
+from weylgate.invariants import _Gate, _spectrum_of_m
 from weylgate.linalg import _SIMDIAG_WEIGHTS, TOL_EIG, _eigh, _simdiag
 
 PI = np.pi
@@ -80,7 +80,7 @@ def _gate_stack():
 
 def _spectrum(u):
     """The spectrum of a stack (..., 4, 4) of checked gates, by the stacked cores."""
-    return _spectrum_of(*_m_det(u))
+    return _Gate(u).spectrum
 
 
 def test_stacked_spectrum_equals_row_by_row():
@@ -115,7 +115,7 @@ def _recipe_gate(recipe):
 def _scaled_u_spectrum(u):
     """Reference: the spectrum of m(e^{-iα}·U), the gate itself scaled to det 1."""
     alpha = np.angle(np.linalg.det(u)) / 4.0
-    return _spectrum_of_m(_m(np.exp(-1j * alpha)[..., None, None] * u))
+    return _spectrum_of_m(_Gate(np.exp(-1j * alpha)[..., None, None] * u).m)
 
 
 @PROPERTY

@@ -39,6 +39,13 @@ def _with(m, idx, val):
     return m
 
 
+def _with_object(m, idx, val):
+    """m as an object array with one entry replaced by ``val``."""
+    m = np.array(m, dtype=object)
+    m[idx] = val
+    return m
+
+
 def _custom_params(m):
     """The (re, im) parameter tuple of a custom spec, without its check."""
     return tuple(float(x) for x in np.column_stack([m.real.ravel(), m.imag.ravel()]).ravel())
@@ -54,12 +61,19 @@ BAD_GATES = {
     "3x3": (np.eye(3), ValueError),
     "vector": (np.ones(4), ValueError),
     "non-unitary": (1.01 * np.eye(4), NotUnitaryError),
+    # u†u overflows to inf + NaN·i: its defect is NaN, which `defect > tol` let pass.
+    "1e155": (1e155 * np.eye(4), NotUnitaryError),
+    "1e308": (1e308 * np.eye(4), NotUnitaryError),
+    "str": (np.eye(4, dtype=int).astype(str), NotUnitaryError),
+    "object": (_with_object(CNOT, (0, 0), [1, 0]), NotUnitaryError),
 }
 BAD_HAMILTONIANS = {
     "nan": (_with(ISO_H, (0, 0), NAN), NotHermitianError),
     "4x3": (np.ones((4, 3)), ValueError),  # expm_i_hermitian takes any n x n, so not 3x3
     "vector": (np.ones(4), ValueError),
     "non-hermitian": (ISO_H + 1e-6j * np.eye(4), NotHermitianError),
+    "str": (np.eye(4, dtype=int).astype(str), NotHermitianError),
+    "object": (_with_object(ISO_H, (0, 0), [1, 0]), NotHermitianError),
 }
 BAD_SPECS = {
     "string": ("isotropic", ValueError),
@@ -137,9 +151,9 @@ BAD_SYMMETRIC = {
     "4x3": (np.ones((4, 3)), ValueError),
     "asymmetric": (np.triu(np.ones((4, 4))), NotSymmetricError),
 }
-# Not in the tables: kron2, dagger, commutator, killing_form,
-# kak_reconstruct and steps are plain matrix arithmetic on arrays their
-# caller already holds, and check nothing.
+# Not in the tables: kron2, commutator, killing_form, kak_reconstruct and
+# steps are plain matrix arithmetic on arrays their caller already holds, and
+# check nothing.
 COORD_FNS = {
     "canonicalize": wg.canonicalize,
     "canonical_gate": wg.canonical_gate,
@@ -335,19 +349,19 @@ def test_spec_checked_once_per_object(checks, make_spec, call, expected):
 
 @pytest.fixture
 def folds(monkeypatch):
-    """Counts of chamber._fold and canonicalize calls, wrapped where the
-    library looks them up."""
-    from weylgate import chamber
+    """Counts of _fold and canonicalize calls, wrapped where the library
+    looks them up: the record folds, and canonicalize folds one triple."""
+    from weylgate import chamber, invariants
 
     counts = Counter()
-    for name in ("_fold", "canonicalize"):
-        fn = getattr(chamber, name)
+    for mod, name in ((invariants, "_fold"), (chamber, "_fold"), (chamber, "canonicalize")):
+        fn = getattr(mod, name)
 
         def wrapper(*args, _name=name, _fn=fn, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(chamber, name, wrapper)
+        monkeypatch.setattr(mod, name, wrapper)
     return counts
 
 
@@ -365,19 +379,21 @@ def test_one_fold_per_stack(folds, call):
 
 @pytest.mark.parametrize("call", STACK_CALLS, ids=["trajectory", "stacked _gate_coords"])
 def test_one_m_per_stack(monkeypatch, call):
-    # The spectrum and the invariant check read one m(U) of the whole stack.
+    # The spectrum and the invariant check read one record of the whole
+    # stack: one magic transform for its m(U), one joint diagonalization.
     from weylgate import invariants
 
     calls = Counter()
-    m = invariants._m
+    for name in ("_magic", "_simdiag"):
+        fn = getattr(invariants, name)
 
-    def counted(u):
-        calls["_m"] += 1
-        return m(u)
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "_m", counted)
+        monkeypatch.setattr(invariants, name, counted)
     call()
-    assert dict(calls) == {"_m": 1}
+    assert dict(calls) == {"_magic": 1, "_simdiag": 1}
 
 
 def test_library_built_matrices_are_not_rechecked(checks):
