@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNonlocalError
-from .linalg import _as_triple, _eigh, check_hermitian, kron2
+from .errors import InvalidInputError, NotNonlocalError
+from .linalg import _as_array, _as_triple, _eigh, _finite_math, check_hermitian, kron2
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,21 +64,6 @@ BASIS_LABELS = tuple(f"{a}1" for a in _AXES) + tuple(f"{a}2" for a in _AXES) + t
 
 # Indices (into the 9 nonlocal coefficients) of the Cartan words xx, yy, zz.
 CARTAN_WORD_INDICES = (0, 4, 8)
-
-
-def _build_basis() -> tuple[np.ndarray, ...]:
-    mats = []
-    for a in _AXES:
-        mats.append(0.5j * kron2(PAULIS[a], I2))
-    for a in _AXES:
-        mats.append(0.5j * kron2(I2, PAULIS[a]))
-    for a in _AXES:
-        for b in _AXES:
-            mats.append(0.5j * kron2(PAULIS[a], PAULIS[b]))
-    return tuple(mats)
-
-
-_BASIS = _build_basis()
 
 
 def generator_basis() -> tuple[np.ndarray, ...]:
@@ -126,8 +111,10 @@ def _word(label: str) -> np.ndarray:
 
 
 _WORDS = np.array([_word(lbl) for lbl in BASIS_LABELS])
+_BASIS = tuple(0.5j * _WORDS)
 
 
+@_finite_math
 def split_hamiltonian(h, tol: float = 1e-9) -> HamiltonianSplit:
     """Project a Hermitian H onto identity, single-qubit, and two-body words.
 
@@ -150,9 +137,7 @@ def _split(h) -> HamiltonianSplit:
 
 def assemble_nonlocal(coeffs) -> np.ndarray:
     """Inverse of split_hamiltonian for the two-body part: (1/2)Σ J_ab σaσb."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (9,) or not np.isfinite(coeffs).all():
-        raise ValueError("expected 9 finite two-body coefficients (xx, xy, ..., zz)")
+    coeffs = _as_array(coeffs, (9,), "two-body coefficients", InvalidInputError, float)
     out = np.zeros((4, 4), dtype=complex)
     for j, w in enumerate(_WORDS[6:]):
         out += 0.5 * coeffs[j] * w
@@ -172,6 +157,7 @@ class CartanTarget:
     k: np.ndarray
 
 
+@_finite_math
 def cartan_conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
     """Rotate a purely two-body Hamiltonian into span{σxσx, σyσy, σzσz}.
 
@@ -221,6 +207,7 @@ def _conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
     return CartanTarget(coeffs=c, k=k)
 
 
+@_finite_math
 def cartan_element(coeffs) -> np.ndarray:
     """(c1·σxσx + c2·σyσy + c3·σzσz)/2 as an explicit Hermitian matrix."""
     c = _as_triple(coeffs)

@@ -34,7 +34,7 @@ import numpy as np
 from .cartan import _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold
 from .errors import VerificationError
 from .invariants import _g_from_coords, _Gate, _gate
-from .linalg import TOL_UNITARY, _as_triple, check_unitary
+from .linalg import TOL_UNITARY, _as_triple, _finite_math, check_unitary
 
 _TOL_DEDUPE = 1e-12
 
@@ -53,14 +53,9 @@ VERTEX_Q = np.array([PI / 4, PI / 4, 0.0])
 
 def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
     """Closed chamber membership test (base-mirror rule included)."""
-    c1, c2, c3 = _as_triple(c)
-    if not (c1 >= c2 - tol and c2 >= c3 - tol and c3 >= -tol):
-        return False
-    if c1 + c2 > PI + tol:
-        return False
-    if c3 <= TOL_BASE and c1 > PI / 2 + tol:
-        return False
-    return True
+    c1, c2, c3 = _as_triple(c).tolist()  # floats: c1 + c2 may overflow to inf
+    ordered = c1 >= c2 - tol and c2 >= c3 - tol and c3 >= -tol
+    return ordered and c1 + c2 <= PI + tol and not (c3 <= TOL_BASE and c1 > PI / 2 + tol)
 
 
 def weyl_orbit(c, dedupe_tol: float = _TOL_DEDUPE) -> list[np.ndarray]:
@@ -74,6 +69,7 @@ def weyl_orbit(c, dedupe_tol: float = _TOL_DEDUPE) -> list[np.ndarray]:
     return out
 
 
+@_finite_math
 def canonicalize(c) -> np.ndarray:
     """The chamber representative of a coordinate triple.
 
@@ -144,6 +140,7 @@ def _verified(g: _Gate, verify_tol: float):
     return c, (g1, g2c)
 
 
+@_finite_math
 def canonical_gate(c) -> np.ndarray:
     """The canonical gate A(c) itself (exact, via its magic-basis diagonal).
 
@@ -195,6 +192,7 @@ def _sqrt_swap_inv() -> np.ndarray:
     return _sqrt_swap().conj().T
 
 
+@_finite_math
 def controlled_gate(phases) -> np.ndarray:
     """Controlled one-qubit gate, parameterized by the rotation's canonical
     angles: control qubit 1, target action exp((i/2)(γ1σx+γ2σy+γ3σz))-like.

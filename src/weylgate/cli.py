@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -46,29 +47,19 @@ DIGITS = 12
 FILE_DIGITS = 17
 
 
-def _f(x: float, digits: int = DIGITS) -> float:
+def _json(x, digits: int = DIGITS):
+    """``x`` for JSON: reals at ``digits`` significant digits, a complex
+    number as [re, im], an array or a sequence as nested lists."""
+    if np.ndim(x):
+        return [_json(v, digits) for v in x]
+    if np.iscomplexobj(x):
+        return [_json(x.real, digits), _json(x.imag, digits)]
     return float(f"{float(x):.{digits}g}")
 
 
-def _cplx(z: complex, digits: int = DIGITS) -> list[float]:
-    z = complex(z)
-    return [_f(z.real, digits), _f(z.imag, digits)]
-
-
-def _vec(v, digits: int = DIGITS) -> list:
-    return [_cplx(z, digits) for z in np.asarray(v, dtype=complex)]
-
-
-def _mat(m, digits: int = DIGITS) -> list:
-    return [_vec(row, digits) for row in np.asarray(m, dtype=complex)]
-
-
-def _reals(v, digits: int = DIGITS) -> list[float]:
-    return [_f(x, digits) for x in np.asarray(v, dtype=float)]
-
-
-def load_gate(text: str) -> np.ndarray:
-    """A gate from a name or a JSON gate-file path, parsed; the library checks it."""
+def load_gate(text: str):
+    """A gate from a name or a JSON gate-file path, as an array or nested
+    lists: the library parses and checks it."""
     try:
         return named_gate(text)
     except ValueError:
@@ -82,135 +73,113 @@ def load_gate(text: str) -> np.ndarray:
         raise ValueError(f"InvalidSpec: {text!r} is not valid JSON") from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ValueError("InvalidSpec: gate file needs a 'matrix' field")
-    rows = doc["matrix"]
     try:
-        m = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex
-        )
+        return [[complex(e[0], e[1]) for e in row] for row in doc["matrix"]]
     except (TypeError, IndexError) as exc:
         raise ValueError("InvalidSpec: matrix entries must be [re, im] pairs") from exc
-    return m
 
 
 def gate_doc(name: str, matrix) -> dict:
-    return {"name": name, "matrix": _mat(matrix, FILE_DIGITS)}
+    return {"name": name, "matrix": _json(np.asarray(matrix, dtype=complex), FILE_DIGITS)}
 
 
 def _local_factor_doc(k) -> dict:
     f = factor_local(k)
-    return {
-        "a": _mat(f.a),
-        "b": _mat(f.b),
-        "phase": _f(f.phase),
-    }
+    return {"a": _json(f.a), "b": _json(f.b), "phase": _json(f.phase)}
 
 
 def _plan_doc(plan, residual: float) -> dict:
     schedule = []
     for kind, val in steps(plan):
         if kind == "pulse":
-            schedule.append({"pulse": _f(val)})
+            schedule.append({"pulse": _json(val)})
         else:
-            schedule.append({"local": _mat(val), "factors": _local_factor_doc(val)})
+            schedule.append({"local": _json(val), "factors": _local_factor_doc(val)})
     return {
-        "hamiltonian": {"kind": plan.hamiltonian.kind, "params": _reals(plan.hamiltonian.params)},
-        "times": _reals(plan.times),
-        "residual": _f(residual),
+        "hamiltonian": {"kind": plan.hamiltonian.kind, "params": _json(plan.hamiltonian.params)},
+        "times": _json(plan.times),
+        "residual": _json(residual),
         "steps": schedule,
     }
 
 
 def _cmd_invariants(args) -> dict:
-    u = load_gate(args.gate)
-    inv = local_invariants(u)
-    return {
-        "g1": _cplx(inv.g1),
-        "g2": _f(inv.g2),
-        "g2_imag_residual": _f(inv.g2_imag_residual),
-    }
+    inv = local_invariants(load_gate(args.gate))
+    return {k: _json(x) for k, x in asdict(inv).items()}  # g1, g2, g2_imag_residual
 
 
 def _cmd_coords(args) -> dict:
-    u = load_gate(args.gate)
-    return {"c": _reals(gate_coords(u))}
+    return {"c": _json(gate_coords(load_gate(args.gate)))}
 
 
 def _cmd_equiv(args) -> dict:
-    a = load_gate(args.gate_a)
-    b = load_gate(args.gate_b)
-    ia, ib = local_invariants(a), local_invariants(b)
+    ia, ib = local_invariants(load_gate(args.gate_a)), local_invariants(load_gate(args.gate_b))
     dist = invariant_distance(ia, ib)
     return {
         "locally_equivalent": bool(dist <= args.equiv_tol),
-        "invariant_distance": _f(dist),
-        "tol": _f(args.equiv_tol),
-        "g1_a": _cplx(ia.g1),
-        "g2_a": _f(ia.g2),
-        "g1_b": _cplx(ib.g1),
-        "g2_b": _f(ib.g2),
+        "invariant_distance": _json(dist),
+        "tol": _json(args.equiv_tol),
+        "g1_a": _json(ia.g1),
+        "g2_a": _json(ia.g2),
+        "g1_b": _json(ib.g1),
+        "g2_b": _json(ib.g2),
     }
 
 
 def _cmd_pe(args) -> dict:
-    u = load_gate(args.gate)
-    v = is_perfect_entangler(u)
+    v = is_perfect_entangler(load_gate(args.gate))
     return {
         "is_pe": bool(v.is_pe),
-        "hull_margin": _f(v.margin),
-        "weights": _reals(v.weights) if v.weights is not None else None,
+        "hull_margin": _json(v.margin),
+        "weights": _json(v.weights) if v.weights is not None else None,
     }
 
 
 def _cmd_kak(args) -> dict:
-    u = load_gate(args.gate)
-    d = kak_decompose(u)
+    d = kak_decompose(load_gate(args.gate))
     return {
-        "alpha": _f(d.alpha),
-        "coords": _reals(d.coords),
-        "k1": _mat(d.k1),
-        "k2": _mat(d.k2),
-        "a_factor": _mat(d.a_factor),
+        "alpha": _json(d.alpha),
+        "coords": _json(d.coords),
+        "k1": _json(d.k1),
+        "k2": _json(d.k2),
+        "a_factor": _json(d.a_factor),
         "k1_factors": _local_factor_doc(d.k1),
         "k2_factors": _local_factor_doc(d.k2),
-        "residual": _f(d.residual),
+        "residual": _json(d.residual),
     }
 
 
 def _cmd_entangle_input(args) -> dict:
-    u = load_gate(args.gate)
-    psi_in, psi_out = entangling_input(u)
+    psi_in, psi_out = entangling_input(load_gate(args.gate))
     return {
-        "psi_in": _vec(psi_in),
-        "psi_out": _vec(psi_out),
-        "ent_in_abs": _f(abs(ent(psi_in))),
-        "ent_out_abs": _f(abs(ent(psi_out))),
+        "psi_in": _json(psi_in),
+        "psi_out": _json(psi_out),
+        "ent_in_abs": _json(abs(ent(psi_in))),
+        "ent_out_abs": _json(abs(ent(psi_out))),
     }
 
 
-def _cmd_trajectory(args, out) -> dict | None:
+def _cmd_trajectory(args) -> dict | str:
     spec = parse_hamiltonian(args.hamiltonian)
     if not np.isfinite(args.t_max):  # linspace would warn on an infinite end
         raise ValueError(f"InvalidSpec: --t-max must be finite, got {args.t_max}")
     times = np.linspace(0.0, args.t_max, args.steps)
     samples = trajectory(spec, times)
     if args.format == "csv":
-        out.write("t,c1,c2,c3,g1_re,g1_im,g2,is_pe\n")
+        lines = ["t,c1,c2,c3,g1_re,g1_im,g2,is_pe\n"]
         for s in samples:
-            c = s.coords
-            out.write(
-                f"{_f(s.t)},{_f(c[0])},{_f(c[1])},{_f(c[2])},"
-                f"{_f(s.invariants.g1.real)},{_f(s.invariants.g1.imag)},"
-                f"{_f(s.invariants.g2)},{int(s.is_pe)}\n"
-            )
-        return None
+            g1 = s.invariants.g1
+            reals = _json([s.t, *s.coords, g1.real, g1.imag, s.invariants.g2])
+            lines.append(",".join(map(str, reals)) + f",{int(s.is_pe)}\n")
+        return "".join(lines)
     return {
-        "hamiltonian": {"kind": spec.kind, "params": _reals(spec.params)},
+        "hamiltonian": {"kind": spec.kind, "params": _json(spec.params)},
         "samples": [
             {
-                "t": _f(s.t),
-                "c": _reals(s.coords),
-                "g1": _cplx(s.invariants.g1),
-                "g2": _f(s.invariants.g2),
+                "t": _json(s.t),
+                "c": _json(s.coords),
+                "g1": _json(s.invariants.g1),
+                "g2": _json(s.invariants.g2),
                 "is_pe": bool(s.is_pe),
             }
             for s in samples
@@ -220,19 +189,12 @@ def _cmd_trajectory(args, out) -> dict | None:
 
 def _cmd_volumes(_args) -> dict:
     v = pe_volume_exact()
-    return {
-        "chamber": _f(v.chamber),
-        "corner_l_q_p_o": _f(v.corner_l_q_p_o),
-        "corner_n_p_a2_a3": _f(v.corner_n_p_a2_a3),
-        "corner_l_m_n_a1": _f(v.corner_l_m_n_a1),
-        "perfect_entanglers": _f(v.perfect_entanglers),
-        "fraction": _f(v.fraction),
-    }
+    return {k: _json(x) for k, x in {**asdict(v), "fraction": v.fraction}.items()}
 
 
 def _cmd_pe_fraction(args) -> dict:
     frac = pe_fraction_mc(args.samples, args.seed)
-    return {"samples": args.samples, "seed": args.seed, "fraction": _f(frac)}
+    return {"samples": args.samples, "seed": args.seed, "fraction": _json(frac)}
 
 
 def _cmd_synth(args) -> dict:
@@ -242,18 +204,18 @@ def _cmd_synth(args) -> dict:
     doc = _plan_doc(plan, verify_plan(plan, u))
     if args.nonnegative:
         nn = with_nonnegative_times(plan)
-        doc["nonnegative_times"] = _reals(nn.times) if nn is not None else None
+        doc["nonnegative_times"] = _json(nn.times) if nn is not None else None
     return doc
 
 
 def _cmd_josephson(args) -> dict:
     r = josephson_cnot_min_time(e_l=args.e_l)
     return {
-        "alpha_ratio": _f(r.alpha_ratio),
-        "t": _f(r.t),
+        "alpha_ratio": _json(r.alpha_ratio),
+        "t": _json(r.t),
         "pulse_index": r.pulse_index,
-        "g1": _cplx(r.invariants.g1),
-        "g2": _f(r.invariants.g2),
+        "g1": _json(r.invariants.g1),
+        "g2": _json(r.invariants.g2),
     }
 
 
@@ -300,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=float(2 * np.pi))
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_trajectory, wants_stream=True)
+    p.set_defaults(func=_cmd_trajectory)
 
     p = sub.add_parser("volumes", help="exact chamber and perfect-entangler volumes")
     p.set_defaults(func=_cmd_volumes)
@@ -331,10 +293,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "wants_stream", False):
-            doc = args.func(args, sys.stdout)
-        else:
-            doc = args.func(args)
+        doc = args.func(args)
     except (VerificationError, BranchSearchError, ConvergenceError) as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
@@ -343,7 +302,9 @@ def main(argv=None) -> int:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    if doc is not None:
+    if isinstance(doc, str):
+        sys.stdout.write(doc)
+    else:
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
     return 0

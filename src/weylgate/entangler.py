@@ -42,12 +42,13 @@ from .chamber import (
     canonicalize,
 )
 from .errors import (
+    InvalidInputError,
     NotNormalizedError,
     NotPerfectEntanglerError,
     VerificationError,
 )
 from .invariants import MSpectrum, _gate
-from .linalg import check_unitary
+from .linalg import _as_array, check_unitary
 
 TOL_HULL = 1e-9
 _MC_CHUNK = 1 << 16  # rows pe_fraction_mc draws at once
@@ -66,11 +67,9 @@ P_ENT = np.array(
 
 def ent(psi, tol: float = 1e-9) -> complex:
     """The quadratic entanglement form ψᵀ·P·ψ of a normalized state."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise ValueError("state must have 4 amplitudes")
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= tol:  # also rejects a NaN norm
+    psi = _as_array(psi, (4,), "state", NotNormalizedError, complex)
+    norm = np.sqrt(np.vdot(psi, psi).real)  # vdot overflows to inf, which fails, without a warning
+    if not abs(norm - 1.0) <= tol:
         raise NotNormalizedError(f"state norm {norm} is not 1 within {tol:.1e}")
     return complex(psi @ P_ENT @ psi)
 
@@ -259,8 +258,8 @@ def pe_fraction_mc(n: int, seed: int) -> float:
     three closed inequalities, applied directly (samples are already
     canonical with probability 1).
     """
-    if n <= 0:
-        raise ValueError("sample count must be positive")
+    if not isinstance(n, (int, np.integer)) or n <= 0:
+        raise InvalidInputError(f"sample count must be a positive integer, got {n!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     accepted = 0
     hits = 0

@@ -4,11 +4,20 @@ Input-domain problems (a matrix that is not unitary, a state that is not
 normalized, ...) and numerical failures (a verification residual that did
 not meet its bound, a branch search that found nothing) get distinct
 classes so callers can tell them apart.
+
+An argument is parsed once, where it enters (``linalg._as_array``): a wrong
+shape raises ``InvalidInputError``, and entries that are not finite numbers
+(or complex where reals are due) raise the argument's own error class.
 """
 
 
 class WeylgateError(Exception):
     """Base class for all package-specific errors."""
+
+
+class InvalidInputError(WeylgateError, ValueError):
+    """A wrong shape; coordinates, coefficients or times that are not finite
+    reals; or arguments too large to compute with.  A ``ValueError`` too."""
 
 
 class NotUnitaryError(WeylgateError):

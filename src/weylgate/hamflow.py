@@ -18,10 +18,8 @@ Supported kinds
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -29,10 +27,10 @@ import numpy as np
 from .cartan import _WORDS, WEYL_REFLECTIONS, CartanTarget, _conjugate, cartan_element
 from .chamber import _gate_coords
 from .entangler import _in_pe
-from .errors import ConvergenceError
-from .invariants import LocalInvariants, _Gate, _invariants_of
+from .errors import ConvergenceError, InvalidInputError
+from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
 from .kak import _m_scalar
-from .linalg import _flow, check_hermitian
+from .linalg import _as_array, _finite_math, _flow, check_hermitian
 
 _TOL_PERIOD = 1e-9
 _COMMENSURABLE_DENOM = 10**6
@@ -69,30 +67,30 @@ class HamiltonianSpec:
 
     @staticmethod
     def custom(matrix) -> "HamiltonianSpec":
-        h = check_hermitian(matrix)
-        flat = []
-        for v in h.reshape(-1):
-            flat.extend((float(v.real), float(v.imag)))
-        return HamiltonianSpec("custom", tuple(flat))
+        h = check_hermitian(matrix)  # each entry as (re, im): complex viewed as float pairs
+        return HamiltonianSpec("custom", tuple(h.view(float).ravel().tolist()))
 
-    @cached_property
+    @_lazy
     def _generator(self) -> "_Generator":
         """This spec's generator record, derived on first use and kept by
         the spec (a failed derivation is not kept, and raises again)."""
-        return _Generator.of(realize(self))
+        return _Generator(realize(self))
 
+
+# Parameters per kind; isotropic, xy and ising take any and ignore them.
+_ARITY = {"exchange": 4, "josephson": 2, "custom": 32}
 
 # The Pauli words x1, x2, xx, xy, yx, yy (rows of _WORDS, see BASIS_LABELS).
 _X1, _X2, _XX, _XY, _YX, _YY = _WORDS[[0, 3, 6, 7, 9, 10]]
 
 
+@_finite_math
 def realize(spec: HamiltonianSpec) -> np.ndarray:
     """The explicit Hermitian matrix of a HamiltonianSpec, which it checks."""
     if not isinstance(spec, HamiltonianSpec):  # an explicit matrix
-        return check_hermitian(np.asarray(spec))
-    if not np.isfinite(spec.params).all():
-        raise ValueError(f"InvalidParams: non-finite parameter in {spec!r}")
+        return check_hermitian(spec)
     kind = spec.kind
+    params = _as_array(spec.params, (_ARITY.get(kind),), f"{kind} params", InvalidInputError, float)
     if kind == "isotropic":
         return cartan_element([0.5, 0.5, 0.5])
     if kind == "xy":
@@ -100,15 +98,14 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
     if kind == "ising":
         return cartan_element([0.0, 0.0, 0.5])
     if kind == "exchange":
-        jxx, jyy, jxy, jyx = spec.params
+        jxx, jyy, jxy, jyx = params
         return 0.5 * (jxx * _XX + jyy * _YY + jxy * _XY + jyx * _YX)
     if kind == "josephson":
-        alpha, e_l = spec.params
+        alpha, e_l = params
         e_j = alpha * e_l
         return -0.5 * e_j * (_X1 + _X2) + (e_j**2 / e_l) * _YY
     if kind == "custom":
-        vals = np.asarray(spec.params, dtype=float).reshape(16, 2)
-        return check_hermitian((vals[:, 0] + 1j * vals[:, 1]).reshape(4, 4))
+        return check_hermitian((params[0::2] + 1j * params[1::2]).reshape(4, 4))
     raise ValueError(f"UnsupportedKind: {kind!r}")
 
 
@@ -119,7 +116,6 @@ _L2 = _R["c3-c2"] @ _R["c1+c3"]
 _L3 = _R["c2-c1"] @ _R["c3-c2"] @ _R["c1+c2"]
 
 
-@dataclass(frozen=True, eq=False)
 class _Generator:
     """What flows and synthesis need of one checked Hamiltonian h, which
     depends on the coupling alone and not on any target: the flow
@@ -130,19 +126,15 @@ class _Generator:
     kept, so it raises again on the next use.
     """
 
-    h: np.ndarray
-    flow: Callable[[float], np.ndarray]
+    def __init__(self, h):
+        self.h, self.flow = h, _flow(h)
 
-    @classmethod
-    def of(cls, h) -> "_Generator":
-        return cls(h, _flow(h))
-
-    @cached_property
+    @_lazy
     def cartan(self) -> CartanTarget:
         # drops the identity part; raises NotNonlocalError on local terms
         return _conjugate(self.h)
 
-    @cached_property
+    @_lazy
     def pulse_locals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """k†, k1 = k†·l2†·l1·k = k†·l2†·k and k2 = k†·l3†·l2·k, with k the
         conjugating local gate: a plan's locals are k†·(KAK k2), k1, k2 and
@@ -151,7 +143,7 @@ class _Generator:
         kd = k.conj().T
         return kd, kd @ _L2.conj().T @ k, kd @ _L3.conj().T @ _L2 @ k
 
-    @cached_property
+    @_lazy
     def period(self) -> float | None:
         return _period(self, _TOL_PERIOD)
 
@@ -161,7 +153,7 @@ def _generator(hamiltonian) -> _Generator:
     matrix gets a fresh one."""
     if isinstance(hamiltonian, HamiltonianSpec):
         return hamiltonian._generator
-    return _Generator.of(realize(hamiltonian))
+    return _Generator(realize(hamiltonian))
 
 
 def _period(g: _Generator, tol: float) -> float | None:
@@ -220,14 +212,13 @@ class TrajectorySample:
     is_pe: bool
 
 
+@_finite_math
 def trajectory(spec, times) -> list[TrajectorySample]:
     """Coordinates, invariants, and PE status of exp(iHt) along a time grid
-    (a 1-D sequence of finite numbers, else ValueError), all times in one
-    stacked pass."""
+    (a 1-D sequence of finite reals, else InvalidInputError), all times in
+    one stacked pass."""
     flow = _generator(spec).flow
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.isfinite(times).all():
-        raise ValueError("times must be a 1-D sequence of finite numbers")
+    times = _as_array(times, (None,), "times", InvalidInputError, float)
     coords, (g1, g2c) = _gate_coords(flow(times[:, None, None]))
     rows = zip(
         times.tolist(),
@@ -257,6 +248,7 @@ def exchange_coords(jxx: float, jyy: float, jxy: float = 0.0, jyx: float = 0.0) 
     return np.array([(r1 + r2) / 2.0, abs(r1 - r2) / 2.0, 0.0])
 
 
+@_finite_math
 def closed_form_invariants(kind: str, t: float) -> LocalInvariants:
     """Exact invariant curves for the three named exchange flows.
 
@@ -275,6 +267,7 @@ def closed_form_invariants(kind: str, t: float) -> LocalInvariants:
     raise ValueError(f"UnsupportedKind: no closed form for {kind!r}")
 
 
+@_finite_math
 def josephson_invariants(alpha_ratio: float, e_l: float, t: float) -> LocalInvariants:
     """Closed-form invariants of the Josephson-junction flow.
 

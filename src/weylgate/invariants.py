@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import _fold, _magic
-from .linalg import TOL_UNITARY, _as_triple, _simdiag, check_unitary
+from .linalg import TOL_UNITARY, _as_triple, _finite_math, _simdiag, check_unitary
 
 _RECORDS = 8  # gates whose derivation record the single-gate memo keeps
 
@@ -70,6 +70,7 @@ def _invariants_of(g: _Gate) -> LocalInvariants:
     )
 
 
+@_finite_math
 def invariants_from_coords(coords) -> LocalInvariants:
     """Closed-form invariants of the canonical gate at coordinates (c1,c2,c3).
 

@@ -5,25 +5,30 @@ problems are delegated to LAPACK via numpy; the wrappers fix conventions
 (descending eigenvalue order, right-handed eigenvector frames) and enforce
 the pre/postconditions the higher layers rely on.
 
-A matrix is validated once, where it enters the library: public functions
-check their gate or Hamiltonian arguments once (a spec by one ``realize``
-per spec object), and ``_``-prefixed cores take checked arrays and never
-check again.  The cores here and above them (spectrum, invariants,
-coordinates) take a stack ``(..., n, n)``, so ``trajectory`` runs all its
-times in one NumPy pass.  Both a single gate and a stack are read through
-one derivation record (``invariants._Gate``): public single-gate functions
-take theirs from a small memo, and stacks read a fresh record and never
-use the memo.
+An argument is validated once, where it enters the library.  ``_as_array`` is
+the one parser: a ragged nesting or a wrong shape raises
+``InvalidInputError``, and text, objects that are not numbers, complex
+entries where reals are due, NaN and ±inf raise the caller's typed error.
+Public functions check their gate or Hamiltonian arguments once (a spec by
+one ``realize`` per spec object), and ``_``-prefixed cores take checked
+arrays and never check again.  The cores here and above them (spectrum,
+invariants, coordinates) take a stack ``(..., n, n)``, so ``trajectory``
+runs all its times in one NumPy pass.  Both a single gate and a stack are
+read through one derivation record (``invariants._Gate``): public
+single-gate functions take theirs from a small memo, and stacks read a fresh
+record and never use the memo.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, wraps
+from numbers import Number
 
 import numpy as np
 
 from .errors import (
     ConvergenceError,
+    InvalidInputError,
     NotHermitianError,
     NotSymmetricError,
     NotUnitaryError,
@@ -41,41 +46,75 @@ TOL_EIG = 1e-10
 _SIMDIAG_WEIGHTS = (0.42671, 0.9650714257, 1.6180339887, 0.2231435513, 2.7182818284)
 
 
-def _as_square(a, n: int, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a)
-    if a.shape != (n, n):
-        raise ValueError(f"{name} must be {n}x{n}, got shape {a.shape}")
+def _as_array(x, shape: tuple, name: str, error: type[Exception], dtype) -> np.ndarray:
+    """``x`` as a fresh array of ``shape`` and ``dtype`` (float, complex, or
+    None for a numeric dtype as given).  A None axis takes the length of the
+    first, so (None, None) is any square matrix.  A ragged nesting or a wrong
+    shape raises ``InvalidInputError``; text, objects that are not numbers,
+    complex entries where dtype is float, NaN and ±inf raise ``error``."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # NumPy refuses a ragged nesting
+        raise InvalidInputError(f"{name} must be {_shape_text(shape)}, got a ragged list") from None
+    if a.shape != shape:
+        n = a.shape[0] if a.ndim else -1
+        if a.shape != tuple(n if k is None else k for k in shape):
+            raise InvalidInputError(f"{name} must be {_shape_text(shape)}, got shape {a.shape}")
+    if dtype is None and a.dtype.kind in "biufc":
+        dtype = a.dtype
+    if a.dtype == dtype:
+        a = a.copy()
+    else:
+        kind, numbers = a.dtype.kind, "real numbers" if dtype is float else "numbers"
+        if not (
+            kind in "biuf"
+            or kind == "c" and dtype is not float
+            or kind == "O" and all(isinstance(v, Number) for v in a.flat)
+        ):
+            raise error(f"{name} must hold {numbers}, got dtype {a.dtype}")
+        try:
+            with np.errstate(over="ignore"):  # a long double past the range is inf
+                a = a.astype(dtype or complex)
+        except (TypeError, ValueError, OverflowError):  # e.g. a complex object for a float
+            raise error(f"{name} must hold {numbers}, got dtype {a.dtype}") from None
+    if not np.isfinite(a).all():
+        raise error(f"{name} must hold finite numbers")
     return a
 
 
+def _shape_text(shape: tuple) -> str:
+    if len(shape) == 1:
+        return "a 1-D sequence" if shape[0] is None else f"a length-{shape[0]} vector"
+    return "a square matrix" if None in shape else "x".join(map(str, shape))
+
+
+def _finite_math(fn):
+    """``fn`` with a NumPy overflow or invalid operation in its math, from
+    finite arguments too large to compute with, raised as InvalidInputError."""
+
+    @wraps(fn)
+    def entry(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise InvalidInputError(f"{fn.__name__}: argument too large ({exc})") from None
+
+    return entry
+
+
 def _as_triple(c, name: str = "coords") -> np.ndarray:
-    c = np.array(c, dtype=float)
-    if c.shape != (3,) or not np.isfinite(c).all():
-        raise ValueError(f"{name} must be a length-3 vector of finite numbers, got {c!r}")
-    return c
-
-
-def _as_complex(a, n: int, error: type[Exception]) -> np.ndarray:
-    """``a`` as a complex n x n array; entries that are not numbers raise ``error``."""
-    a = _as_square(a, n)
-    if a.dtype.kind in "SU":  # NumPy would parse "1" as 1
-        raise error(f"matrix has non-numeric entries of dtype {a.dtype}")
-    try:
-        return a.astype(complex)
-    except (TypeError, ValueError) as exc:
-        raise error(f"matrix has non-numeric entries: {exc}") from None
+    return _as_array(c, (3,), name, InvalidInputError, float)
 
 
 def check_unitary(u, tol: float = TOL_UNITARY, n: int = 4) -> np.ndarray:
-    """Return ``u`` as a complex array after checking u†u = I within ``tol``
-    (non-numeric and non-finite entries fail the check)."""
-    u = _as_complex(u, n, NotUnitaryError)
+    """Return ``u`` as a fresh complex array after checking u†u = I within
+    ``tol`` (non-numeric and non-finite entries fail the check)."""
+    u = _as_array(u, (n, n), "matrix", NotUnitaryError, complex)
     # No entry of a unitary exceeds 1, and one above 1 + tol puts the defect
-    # above tol: this keeps u†u from overflowing, and catches NaN and ±inf.
+    # above tol: this keeps u†u from overflowing.
     big = np.abs(u).max()
     if not big <= 1.0 + tol:
-        if not np.isfinite(u).all():
-            raise NotUnitaryError("matrix has non-finite entries")
         raise NotUnitaryError(f"matrix is not unitary: max |u_ij| = {big:.3e} > 1 + {tol:.1e}")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(n))
     if not defect <= tol:
@@ -86,22 +125,24 @@ def check_unitary(u, tol: float = TOL_UNITARY, n: int = 4) -> np.ndarray:
 def check_hermitian(h, tol: float = TOL_HERMITIAN, n: int = 4) -> np.ndarray:
     """Return ``h`` as a complex array after checking h = h† within ``tol``
     (non-numeric and non-finite entries fail the check)."""
-    h = _as_complex(h, n, NotHermitianError)
-    if not np.isfinite(h).all():
-        raise NotHermitianError("matrix has non-finite entries")
-    defect = np.linalg.norm(h - h.conj().T)
+    h = _as_array(h, (n, n), "matrix", NotHermitianError, complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf norm
+        defect, size = np.linalg.norm(h - h.conj().T), np.linalg.norm(h)
     if not defect <= tol:
         raise NotHermitianError(f"matrix is not Hermitian: ||h - h†|| = {defect:.3e} > {tol:.1e}")
+    if not size < np.inf:  # eigh returns NaN, and no warning, when ||h|| overflows
+        raise InvalidInputError("matrix is too large to compute with: ||h|| overflows")
     return h
 
 
+@_finite_math
 def kron2(a, b) -> np.ndarray:
     """Tensor product of two single-qubit operators (first factor = qubit 1)."""
-    a = _as_square(a, 2, "first factor")
-    b = _as_square(b, 2, "second factor")
-    return np.kron(a, b)
+    a = _as_array(a, (2, 2), "first factor", InvalidInputError, None)
+    return np.kron(a, _as_array(b, (2, 2), "second factor", InvalidInputError, None))
 
 
+@_finite_math
 def eig_real_symmetric(s, tol: float = TOL_SYMMETRIC):
     """Eigendecomposition of a real symmetric matrix with fixed conventions.
 
@@ -114,15 +155,15 @@ def eig_real_symmetric(s, tol: float = TOL_SYMMETRIC):
     NotSymmetricError
         If ``s`` has an imaginary part or s != s.T beyond ``tol``.
     """
-    return _eigh(_as_symmetric(s, np.shape(s)[0], tol))
+    return _eigh(_as_symmetric(s, None, tol))
 
 
-def _as_symmetric(s, n: int, tol: float) -> np.ndarray:
-    s = _as_square(s, n)
-    if not np.linalg.norm(np.imag(s)) <= tol:
+def _as_symmetric(s, n: int | None, tol: float) -> np.ndarray:
+    s = _as_array(s, (n, n), "matrix", NotSymmetricError, complex)
+    if not np.linalg.norm(s.imag) <= tol:
         raise NotSymmetricError("matrix has a nonreal part")
-    s = np.real(s).astype(float)
-    if not np.isfinite(s).all() or not np.linalg.norm(s - s.T) <= tol:
+    s = s.real.copy()
+    if not np.linalg.norm(s - s.T) <= tol:
         raise NotSymmetricError(f"matrix is not symmetric within {tol:.1e}")
     return s
 
@@ -146,9 +187,11 @@ def _frobenius(a) -> np.ndarray:
     return np.sqrt((a * a).sum((-2, -1)))
 
 
+@_finite_math
 def expm_i_hermitian(h, t: float = 1.0, tol: float = TOL_HERMITIAN) -> np.ndarray:
     """exp(i·h·t) for Hermitian ``h`` via its spectral decomposition."""
-    return _flow(check_hermitian(h, tol=tol, n=len(np.atleast_1d(h))))(t)
+    h = _as_array(h, (None, None), "matrix", NotHermitianError, complex)  # any n x n
+    return _flow(check_hermitian(h, tol=tol, n=len(h)))(t)
 
 
 def _flow(h):
@@ -162,6 +205,7 @@ def _evolve(w, v, vh, t):
     return (v * np.exp(1j * t * w)) @ vh
 
 
+@_finite_math
 def simdiag_commuting_symmetric(a, b, tol: float = TOL_EIG):
     """Jointly diagonalize two commuting real symmetric matrices.
 
@@ -175,8 +219,8 @@ def simdiag_commuting_symmetric(a, b, tol: float = TOL_EIG):
     ``b = vecs @ diag(db) @ vecs.T``; ``vecs`` is orthogonal with det +1.
     Each input is checked as eig_real_symmetric checks its matrix.
     """
-    n = np.shape(a)[0]
-    return _simdiag(_as_symmetric(a, n, TOL_SYMMETRIC), _as_symmetric(b, n, TOL_SYMMETRIC), tol)
+    a = _as_symmetric(a, None, TOL_SYMMETRIC)
+    return _simdiag(a, _as_symmetric(b, len(a), TOL_SYMMETRIC), tol)
 
 
 def _simdiag(a, b, tol: float = TOL_EIG):

@@ -37,7 +37,7 @@ from .errors import (
 from .hamflow import _L3, _TOL_PERIOD, HamiltonianSpec, _generator, _period
 from .invariants import _Gate
 from .kak import _kak
-from .linalg import _as_triple, _dist_up_to_phase, check_unitary
+from .linalg import _as_triple, _dist_up_to_phase, _finite_math, check_unitary
 
 TOL_TIME = 1e-10
 
@@ -56,6 +56,7 @@ class CircuitPlan:
     hamiltonian: HamiltonianSpec
 
 
+@_finite_math
 def plan_unitary(plan: CircuitPlan) -> np.ndarray:
     """Multiply the plan out into an explicit 4x4 unitary."""
     return _plan_unitary(plan, _generator(plan.hamiltonian).flow)
@@ -93,6 +94,7 @@ def steps(plan: CircuitPlan, tol_time: float = TOL_TIME):
     return out
 
 
+@_finite_math
 def solve_times(coeffs, target_coords, tol_det: float = 1e-12) -> np.ndarray:
     """Durations (t1, t2, t3) from Cartan coefficients and target coordinates.
 
@@ -120,6 +122,7 @@ def solve_times(coeffs, target_coords, tol_det: float = 1e-12) -> np.ndarray:
     return np.linalg.solve(m, _as_triple(target_coords))
 
 
+@_finite_math
 def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8) -> CircuitPlan:
     """Build a ≤3-pulse circuit for ``target`` from a fixed coupling.
 
@@ -179,6 +182,7 @@ def cnot_from_isotropic() -> CircuitPlan:
     )
 
 
+@_finite_math
 def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = _TOL_PERIOD) -> float | None:
     """Smallest T with exp(iHT) local up to phase, when the Cartan
     coefficients are commensurate; None otherwise.
@@ -194,6 +198,7 @@ def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = _TOL_PERIOD) -
     return g.period if tol == _TOL_PERIOD else _period(g, tol)
 
 
+@_finite_math
 def with_nonnegative_times(plan: CircuitPlan, tol_residual: float = 1e-8) -> CircuitPlan | None:
     """An equivalent plan with all durations ≥ 0, or None.
 

@@ -23,9 +23,12 @@ from weylgate import (
     CircuitPlan,
     DegenerateHamiltonianError,
     HamiltonianSpec,
+    InvalidInputError,
     NotHermitianError,
+    NotNormalizedError,
     NotSymmetricError,
     NotUnitaryError,
+    WeylgateError,
 )
 from weylgate.chamber import _gate_coords
 from weylgate.cli import main
@@ -66,6 +69,8 @@ BAD_GATES = {
     "1e308": (1e308 * np.eye(4), NotUnitaryError),
     "str": (np.eye(4, dtype=int).astype(str), NotUnitaryError),
     "object": (_with_object(CNOT, (0, 0), [1, 0]), NotUnitaryError),
+    "ragged": ([[1, 0], [0]], InvalidInputError),
+    "0-d": (1.0, InvalidInputError),
 }
 BAD_HAMILTONIANS = {
     "nan": (_with(ISO_H, (0, 0), NAN), NotHermitianError),
@@ -74,6 +79,12 @@ BAD_HAMILTONIANS = {
     "non-hermitian": (ISO_H + 1e-6j * np.eye(4), NotHermitianError),
     "str": (np.eye(4, dtype=int).astype(str), NotHermitianError),
     "object": (_with_object(ISO_H, (0, 0), [1, 0]), NotHermitianError),
+    "ragged": ([[1, 2], [3]], InvalidInputError),
+    # h - h† overflows: the defect reads inf, not a RuntimeWarning.
+    "1e200 triu": (1e200 * np.triu(np.ones((4, 4))), NotHermitianError),
+    "1e308 pair": (_with(_with(np.zeros((4, 4)), (0, 1), 1e308), (1, 0), -1e308), NotHermitianError),
+    # Hermitian, but ||h|| overflows: eigh would return NaN without a warning.
+    "huge hermitian": (np.full((4, 4), 1e308), InvalidInputError),
 }
 BAD_SPECS = {
     "string": ("isotropic", ValueError),
@@ -93,12 +104,26 @@ BAD_TIMES = {
     "inf": ([np.inf], ValueError),
     "2d": ([[0.1, 0.2]], ValueError),
     "scalar": (0.5, ValueError),
+    "text": (["0.1"], InvalidInputError),
+    "complex": (np.array([0.1j]), InvalidInputError),
 }
 BAD_COORDS = {
     "nan": ([NAN, 0.0, 0.0], ValueError),
     "inf": ([np.inf, 0.0, 0.0], ValueError),
     "short": ([1.0, 2.0], ValueError),
     "2d": ([[1.0, 2.0, 3.0]], ValueError),
+    "text": (["1", "0", "0"], InvalidInputError),
+    "complex": ([1j, 0, 0], InvalidInputError),
+    "complex array": (np.array([1 + 1j, 0, 0]), InvalidInputError),
+    "object": (_with_object([1.0, 0.0, 0.0], 0, [1, 0]), InvalidInputError),
+    "ragged": ([[1.0, 2.0], 3.0], InvalidInputError),
+}
+BAD_STATES = {
+    "nan": ([NAN, 1.0, 0.0, 0.0], NotNormalizedError),
+    "short": ([1.0, 0.0, 0.0], ValueError),
+    "text": (["1", "0", "0", "0"], NotNormalizedError),
+    "object": (_with_object([1, 0, 0, 0], 1, [1, 0]), NotNormalizedError),
+    "huge": ([1e308] * 4, NotNormalizedError),  # the norm overflows to inf
 }
 
 _ISO = HamiltonianSpec.isotropic()
@@ -150,10 +175,12 @@ BAD_SYMMETRIC = {
     "inf": (_with(np.eye(4), (2, 2), np.inf).real, NotSymmetricError),
     "4x3": (np.ones((4, 3)), ValueError),
     "asymmetric": (np.triu(np.ones((4, 4))), NotSymmetricError),
+    "0-d": (1.0, InvalidInputError),
+    "str": (np.eye(4).astype(str), NotSymmetricError),
 }
-# Not in the tables: kron2, commutator, killing_form, kak_reconstruct and
-# steps are plain matrix arithmetic on arrays their caller already holds, and
-# check nothing.
+# Not in the tables: commutator, killing_form, kak_reconstruct and steps are
+# plain matrix arithmetic on arrays their caller already holds, and check
+# nothing; kron2 parses each factor as a finite 2x2.
 COORD_FNS = {
     "canonicalize": wg.canonicalize,
     "canonical_gate": wg.canonical_gate,
@@ -177,8 +204,7 @@ def _table(fns, inputs):
     ]
 
 
-@pytest.mark.parametrize(
-    "fn, bad, error",
+MALFORMED = (
     _table(GATE_FNS, BAD_GATES)
     + _table(HAMILTONIAN_FNS, BAD_HAMILTONIANS)
     + _table(SPEC_FNS, BAD_SPECS)
@@ -187,9 +213,18 @@ def _table(fns, inputs):
     + _table({"trajectory times": lambda times: wg.trajectory(_ISO, times)}, BAD_TIMES)
     + _table(
         {"assemble_nonlocal": wg.assemble_nonlocal},
-        {"nan": ([NAN] * 9, ValueError), "short": ([1.0] * 8, ValueError)},
-    ),
+        {
+            "nan": ([NAN] * 9, ValueError),
+            "short": ([1.0] * 8, ValueError),
+            "text": (["1"] * 9, InvalidInputError),
+            "complex": (1j * np.ones(9), InvalidInputError),
+        },
+    )
+    + _table({"ent": wg.ent}, BAD_STATES)
 )
+
+
+@pytest.mark.parametrize("fn, bad, error", MALFORMED)
 def test_malformed_input_raises_typed_error(fn, bad, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -205,6 +240,20 @@ def test_malformed_spec_raises_on_every_call(fn, bad, error):
     for _ in range(2):
         with pytest.raises(error):
             fn(bad)
+
+
+@pytest.mark.parametrize("fn, bad, error", [p for p in MALFORMED if p.values[2] is ValueError])
+def test_value_error_rows_are_invalid_input(fn, bad, error):
+    # Shape faults, and coordinates, coefficients or times that are not
+    # finite reals, raise the one typed class; it is a ValueError too.
+    with pytest.raises(InvalidInputError):
+        fn(bad)
+
+
+@pytest.mark.parametrize("n", [0, -3, 10.5, "10", None])
+def test_pe_fraction_mc_needs_a_positive_integer(n):
+    with pytest.raises(InvalidInputError):
+        wg.pe_fraction_mc(n, 1)
 
 
 def test_trajectory_of_no_times_is_empty():
@@ -425,6 +474,111 @@ def test_synthesis_meets_residual_or_reports_degenerate(coeffs, seed):
 
 
 # ---------------------------------------------------------------------------
+# Bad input of any shape, dtype and size: only WeylgateError escapes
+
+_EXCHANGE = HamiltonianSpec.exchange(3.0, 1.0, 0.5, 0.2)
+# name -> (entry, the shape it takes (None: any length), what it takes:
+# "complex", "real", or a "hermitian" or "symmetric" matrix)
+ENTRIES = {
+    **{f"gate {k}": (fn, (4, 4), "complex") for k, fn in GATE_FNS.items()},
+    **{
+        f"hamiltonian {k}": (fn, (4, 4), "hermitian")
+        for k, fn in {**HAMILTONIAN_FNS, **SPEC_FNS}.items()
+    },
+    **{f"symmetric {k}": (fn, (4, 4), "symmetric") for k, fn in SYMMETRIC_FNS.items()},
+    **{f"coords {k}": (fn, (3,), "real") for k, fn in COORD_FNS.items()},
+    "coefficients assemble_nonlocal": (wg.assemble_nonlocal, (9,), "real"),
+    "coefficients exchange": (lambda p: wg.realize(HamiltonianSpec("exchange", p)), (4,), "real"),
+    "coefficients josephson": (lambda p: wg.realize(HamiltonianSpec("josephson", p)), (2,), "real"),
+    "times": (lambda t: wg.trajectory(_EXCHANGE, t), (None,), "real"),
+    "state": (wg.ent, (4,), "complex"),
+}
+# list: an object array with one entry that is not a number.
+_DTYPES = (bool, int, np.float32, float, np.complex64, complex, object, list, str)
+_SHAPE_FAULTS = ("0-d", "ragged", "extra axis", "stack", "wrong length")
+# (what differs from a well-formed argument, how): half the draws differ in
+# their values alone, so that huge and tiny values reach the math behind
+# the parse; the others in dtype or in shape.
+_FAULTS = (
+    (("values", None),) * 13
+    + tuple(("dtype", d) for d in _DTYPES)
+    + tuple(("shape", m) for m in _SHAPE_FAULTS)
+)
+# NaN, ±inf, and magnitudes from 1e-300 to 1e308.
+_VALUES = (NAN, np.inf, -np.inf, 0.0, 1e-300, -1e-150, 1e-9, 0.5, -1.0, 1.7, 1e10)
+_VALUES += (-1e100, 1e154, -1e200, 1e300, 1.7e308, -1e308)
+
+
+@st.composite
+def _argument(draw, shape, takes):
+    """An argument for an entry that takes ``shape`` and ``takes``, whether
+    its shape is one the entry takes, and whether the parse must reject it."""
+    fault, how = draw(st.sampled_from(_FAULTS))
+    taken = tuple(draw(st.integers(1, 4)) if k is None else k for k in shape)
+    dims = {
+        "0-d": (),
+        "extra axis": taken + (1,),
+        "stack": (2,) + taken,
+        "wrong length": taken[:-1] + (taken[-1] + 1,),
+    }.get(how, taken)
+    # Entries from a few drawn values, placed by a seeded generator.
+    pool = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=4))
+    re, im = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, (2, *dims))
+    dtype = how if fault == "dtype" else float if takes in ("real", "symmetric") else complex
+    with np.errstate(all="ignore"):  # casting NaN to int, for one
+        if takes in ("hermitian", "symmetric") and fault != "shape":
+            re = np.triu(re) + np.triu(re, 1).T
+            im = np.triu(im, 1) - np.triu(im, 1).T if takes == "hermitian" else 0 * im
+        x = np.asarray(re).astype(object if dtype is list else dtype)
+        if x.dtype.kind == "c":
+            x.imag = im
+        # Text, a list entry, complex for reals, and NaN or ±inf: never well-formed.
+        malformed = dtype in (str, list) or x.dtype.kind == "c" and takes == "real"
+        malformed |= x.dtype.kind in "fcO" and not np.isfinite(x.astype(complex)).all()
+    if dtype is list:
+        x[(0,) * x.ndim] = [1, 0]
+    if how == "ragged":
+        flat = x.ravel().tolist()
+        x = [flat[:1], flat[:1] * 2]
+    fits = how != "ragged" and len(dims) == len(shape) and all(k in (None, d) for k, d in zip(shape, dims))
+    return x, fits, malformed
+
+
+@pytest.mark.parametrize("entry, shape, takes", ENTRIES.values(), ids=ENTRIES.keys())
+@pytest.mark.parametrize("size", [1e308, -1e308, 1e-300])
+def test_extreme_finite_arguments_raise_only_typed_errors(entry, shape, takes, size):
+    # Finite and well-formed but for their size: the math behind the parse
+    # overflows (or underflows) and must say so with a typed error.
+    x = np.full(tuple(3 if k is None else k for k in shape), size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            entry(x)
+        except WeylgateError:
+            pass
+
+
+@pytest.mark.parametrize("entry, shape, takes", ENTRIES.values(), ids=ENTRIES.keys())
+def test_bad_input_raises_only_typed_errors(entry, shape, takes):
+    # Warnings are errors; a malformed argument raises, and one of a shape
+    # the entry does not take raises InvalidInputError.
+    @settings(derandomize=True, max_examples=10, deadline=None, database=None)
+    @given(_argument(shape, takes))
+    def check(arg):
+        x, fits, malformed = arg
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                entry(x)
+            except WeylgateError as exc:
+                assert fits or isinstance(exc, InvalidInputError), repr(exc)
+            else:
+                assert fits and not malformed, x
+
+    check()
+
+
+# ---------------------------------------------------------------------------
 # The CLI parses gate files and leaves the one check to the library call
 
 
@@ -438,7 +592,7 @@ def _gate_file(tmp_path, m):
 @pytest.mark.parametrize(
     "matrix, error",
     [
-        (np.eye(3), "ValueError"),
+        (np.eye(3), "InvalidInputError"),
         (_with(CNOT, (0, 0), NAN), "NotUnitaryError"),
         (CNOT + 5e-9 * np.eye(4), "NotUnitaryError"),
     ],
