@@ -62,10 +62,6 @@ BASIS_LABELS = tuple(f"{a}1" for a in _AXES) + tuple(f"{a}2" for a in _AXES) + t
     a + b for a in _AXES for b in _AXES
 )
 
-# Indices (into the 9 nonlocal coefficients) of the Cartan words xx, yy, zz.
-CARTAN_WORD_INDICES = (0, 4, 8)
-
-
 def generator_basis() -> tuple[np.ndarray, ...]:
     """The 15 anti-Hermitian su(4) generators in the order of BASIS_LABELS."""
     return _BASIS
@@ -115,14 +111,14 @@ _BASIS = tuple(0.5j * _WORDS)
 
 
 @_finite_math
-def split_hamiltonian(h, tol: float = 1e-9) -> HamiltonianSplit:
+def split_hamiltonian(h) -> HamiltonianSplit:
     """Project a Hermitian H onto identity, single-qubit, and two-body words.
 
     The expansion is H = e0·I + (1/2)·Σ h_j W_j; a Hamiltonian of the common
     form H = (1/2)(Σ J_ab σa⊗σb + ...) therefore reports the J coefficients
     directly.
     """
-    return _split(check_hermitian(h, tol=tol))
+    return _split(check_hermitian(h))
 
 
 def _split(h) -> HamiltonianSplit:
@@ -158,7 +154,7 @@ class CartanTarget:
 
 
 @_finite_math
-def cartan_conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
+def cartan_conjugate(h) -> CartanTarget:
     """Rotate a purely two-body Hamiltonian into span{σxσx, σyσy, σzσz}.
 
     In the magic basis a two-body H becomes a real symmetric matrix S; an
@@ -170,14 +166,14 @@ def cartan_conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
     Raises
     ------
     NotNonlocalError
-        If the single-qubit part of ``h`` exceeds ``tol_local``.
+        If the norm of the single-qubit part of ``h`` exceeds 1e-9.
     """
-    return _conjugate(check_hermitian(h), tol_local)
+    return _conjugate(check_hermitian(h))
 
 
-def _conjugate(h, tol_local: float = 1e-9) -> CartanTarget:
+def _conjugate(h) -> CartanTarget:
     split = _split(h)
-    if split.local_norm > tol_local:
+    if split.local_norm > 1e-9:
         raise NotNonlocalError(
             f"Hamiltonian has single-qubit terms (norm {split.local_norm:.3e})"
         )
@@ -300,7 +296,7 @@ def weyl_reflection_gate(label: str) -> np.ndarray:
     if key.startswith("i(") and key.endswith(")"):
         key = key[2:-1]
     if key not in WEYL_REFLECTIONS:
-        raise ValueError(
+        raise InvalidInputError(
             f"unknown root label {label!r}; expected one of {sorted(WEYL_REFLECTIONS)}"
         )
     return WEYL_REFLECTIONS[key].gate

@@ -32,11 +32,11 @@ from __future__ import annotations
 import numpy as np
 
 from .cartan import _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold
-from .errors import VerificationError
+from .errors import InvalidInputError, VerificationError
 from .invariants import _g_from_coords, _Gate, _gate
-from .linalg import TOL_UNITARY, _as_triple, _finite_math, check_unitary
+from .linalg import _as_triple, _finite_math, check_unitary
 
-_TOL_DEDUPE = 1e-12
+_TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invariants
 
 PI = np.pi
 
@@ -58,13 +58,13 @@ def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
     return ordered and c1 + c2 <= PI + tol and not (c3 <= TOL_BASE and c1 > PI / 2 + tol)
 
 
-def weyl_orbit(c, dedupe_tol: float = _TOL_DEDUPE) -> list[np.ndarray]:
+def weyl_orbit(c) -> list[np.ndarray]:
     """All images of a coordinate triple under the identification group,
-    reduced mod π to [0, π)³ and deduplicated.  Sorted lexicographically."""
+    reduced mod π to [0, π)³ and deduplicated at 1e-12.  Sorted lexicographically."""
     pts = sorted(np.mod(_WEYL_ACTIONS @ _as_triple(c), PI), key=tuple)
     out: list[np.ndarray] = []
     for p in pts:
-        if not out or np.max(np.abs(p - out[-1])) > dedupe_tol:
+        if not out or np.max(np.abs(p - out[-1])) > 1e-12:
             out.append(p)
     return out
 
@@ -100,7 +100,7 @@ def coords_of_inverse(c) -> np.ndarray:
     return canonicalize(np.array([PI - c[0], c[1], c[2]]))
 
 
-def gate_coords(u, tol: float = TOL_UNITARY, verify_tol: float = 1e-8) -> np.ndarray:
+def gate_coords(u) -> np.ndarray:
     """Canonical coordinates of an arbitrary two-qubit gate.
 
     In the magic basis m(A(c)) is diagonal with phases
@@ -115,27 +115,27 @@ def gate_coords(u, tol: float = TOL_UNITARY, verify_tol: float = 1e-8) -> np.nda
     ------
     VerificationError
         If the closed-form invariants of the result are farther than
-        ``verify_tol`` from the gate's own invariants.
+        1e-8 from the gate's own invariants.
     """
-    return _verified(_gate(check_unitary(u, tol=tol)), verify_tol)[0]
+    return _verified(_gate(check_unitary(u)))[0]
 
 
-def _gate_coords(u, verify_tol: float = 1e-8):
+def _gate_coords(u):
     """gate_coords' core over a stack (..., 4, 4) of checked gates, on a fresh
     record: the coordinates (..., 3) and the (g1, complex g2) they were checked against."""
-    return _verified(_Gate(u), verify_tol)
+    return _verified(_Gate(u))
 
 
-def _verified(g: _Gate, verify_tol: float):
+def _verified(g: _Gate):
     """A record's chamber points and its (g1, complex g2); raises VerificationError
-    when a point's closed-form invariants miss the gate's by > verify_tol."""
+    when a point's closed-form invariants miss the gate's by > _TOL_VERIFY."""
     c = _chamber_point(g.fold[0])
     g1, g2c = g.invariant_pair
     cg1, cg2 = _g_from_coords(c)
     dist = np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)
-    if (dist > verify_tol).any():
+    if (dist > _TOL_VERIFY).any():
         raise VerificationError(
-            f"coordinates miss the gate's invariants by {np.max(dist):.3e} > {verify_tol:.1e}"
+            f"coordinates miss the gate's invariants by {np.max(dist):.3e} > {_TOL_VERIFY:.1e}"
         )
     return c, (g1, g2c)
 
@@ -166,32 +166,6 @@ def coordinate_phase_pattern(c) -> np.ndarray:
 # Named gates
 
 
-def _cnot() -> np.ndarray:
-    return np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-
-
-def _cz() -> np.ndarray:
-    return np.diag([1, 1, 1, -1]).astype(complex)
-
-
-def _swap() -> np.ndarray:
-    return np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-
-
-def _sqrt_swap() -> np.ndarray:
-    s = _swap()
-    # principal square root: (I + iS)·(1-i)/2 has square S
-    return (1 - 1j) / 2 * (np.eye(4) + 1j * s)
-
-
-def _sqrt_swap_inv() -> np.ndarray:
-    return _sqrt_swap().conj().T
-
-
 @_finite_math
 def controlled_gate(phases) -> np.ndarray:
     """Controlled one-qubit gate, parameterized by the rotation's canonical
@@ -215,16 +189,16 @@ def controlled_gate(phases) -> np.ndarray:
     return out
 
 
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+_SQRT_SWAP = (1 - 1j) / 2 * (np.eye(4) + 1j * _SWAP)  # the principal root: (I + iS)·(1-i)/2
 _NAMED = {
-    "identity": lambda: np.eye(4, dtype=complex),
-    "cnot": _cnot,
-    "cz": _cz,
-    "swap": _swap,
-    "sqrtswap": _sqrt_swap,
-    "sqrtswap_inv": _sqrt_swap_inv,
-    "iswap": lambda: np.array(
-        [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
+    "identity": np.eye(4, dtype=complex),
+    "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "cz": np.diag([1, 1, 1, -1]).astype(complex),
+    "swap": _SWAP,
+    "sqrtswap": _SQRT_SWAP,
+    "sqrtswap_inv": _SQRT_SWAP.conj().T,
+    "iswap": np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]]),
 }
 
 
@@ -236,12 +210,14 @@ def named_gate(name: str) -> np.ndarray:
     """
     key = name.strip().lower().replace("-", "_")
     if key in _NAMED:
-        return _NAMED[key]()
+        return _NAMED[key].copy()
     if key.startswith("cu(") and key.endswith(")"):
         parts = key[3:-1].split(",")
         if len(parts) != 3:
-            raise ValueError("UnknownGate: cu(...) takes exactly 3 numbers")
-        return controlled_gate([float(p) for p in parts])
-    raise ValueError(
-        f"UnknownGate: {name!r}; known: {sorted(_NAMED)} or cu(a,b,c)"
-    )
+            raise InvalidInputError("UnknownGate: cu(...) takes exactly 3 numbers")
+        try:
+            phases = [float(p) for p in parts]
+        except ValueError as exc:
+            raise InvalidInputError(str(exc)) from None
+        return controlled_gate(phases)
+    raise InvalidInputError(f"UnknownGate: {name!r}; known: {sorted(_NAMED)} or cu(a,b,c)")

@@ -31,6 +31,7 @@ from .entangler import (
 from .errors import (
     BranchSearchError,
     ConvergenceError,
+    InvalidInputError,
     VerificationError,
     WeylgateError,
 )
@@ -41,6 +42,7 @@ from .hamflow import (
 )
 from .invariants import invariant_distance, local_invariants
 from .kak import factor_local, kak_decompose
+from .linalg import _as_real
 from .synth import steps, synthesize, verify_plan, with_nonnegative_times
 
 DIGITS = 12
@@ -62,21 +64,23 @@ def load_gate(text: str):
     lists: the library parses and checks it."""
     try:
         return named_gate(text)
-    except ValueError:
+    except InvalidInputError:
         pass
     try:
         with open(text) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ValueError(f"UnknownGate: {text!r} is neither a known name nor a readable file") from exc
+        raise InvalidInputError(
+            f"UnknownGate: {text!r} is neither a known name nor a readable file"
+        ) from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"InvalidSpec: {text!r} is not valid JSON") from exc
+        raise InvalidInputError(f"InvalidSpec: {text!r} is not valid JSON") from exc
     if not isinstance(doc, dict) or "matrix" not in doc:
-        raise ValueError("InvalidSpec: gate file needs a 'matrix' field")
+        raise InvalidInputError("InvalidSpec: gate file needs a 'matrix' field")
     try:
         return [[complex(e[0], e[1]) for e in row] for row in doc["matrix"]]
     except (TypeError, IndexError) as exc:
-        raise ValueError("InvalidSpec: matrix entries must be [re, im] pairs") from exc
+        raise InvalidInputError("InvalidSpec: matrix entries must be [re, im] pairs") from exc
 
 
 def gate_doc(name: str, matrix) -> dict:
@@ -113,12 +117,13 @@ def _cmd_coords(args) -> dict:
 
 
 def _cmd_equiv(args) -> dict:
+    tol = _as_real(args.equiv_tol, "--equiv-tol")
     ia, ib = local_invariants(load_gate(args.gate_a)), local_invariants(load_gate(args.gate_b))
     dist = invariant_distance(ia, ib)
     return {
-        "locally_equivalent": bool(dist <= args.equiv_tol),
+        "locally_equivalent": bool(dist <= tol),
         "invariant_distance": _json(dist),
-        "tol": _json(args.equiv_tol),
+        "tol": _json(tol),
         "g1_a": _json(ia.g1),
         "g2_a": _json(ia.g2),
         "g1_b": _json(ib.g1),
@@ -161,9 +166,10 @@ def _cmd_entangle_input(args) -> dict:
 
 def _cmd_trajectory(args) -> dict | str:
     spec = parse_hamiltonian(args.hamiltonian)
-    if not np.isfinite(args.t_max):  # linspace would warn on an infinite end
-        raise ValueError(f"InvalidSpec: --t-max must be finite, got {args.t_max}")
-    times = np.linspace(0.0, args.t_max, args.steps)
+    t_max = _as_real(args.t_max, "--t-max")  # linspace would warn on an infinite end
+    if args.steps < 0:
+        raise InvalidInputError(f"--steps must be non-negative, got {args.steps}")
+    times = np.linspace(0.0, t_max, args.steps)
     samples = trajectory(spec, times)
     if args.format == "csv":
         lines = ["t,c1,c2,c3,g1_re,g1_im,g2,is_pe\n"]
@@ -298,7 +304,7 @@ def main(argv=None) -> int:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (WeylgateError, ValueError) as exc:
+    except WeylgateError as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -51,6 +51,7 @@ from .invariants import MSpectrum, _gate
 from .linalg import _as_array, check_unitary
 
 TOL_HULL = 1e-9
+_TOL_NORM = 1e-9  # how far ent lets a state's norm miss 1
 _MC_CHUNK = 1 << 16  # rows pe_fraction_mc draws at once
 
 # Ent(ψ) = ψᵀ P ψ; P = -(1/2) σy⊗σy.
@@ -65,12 +66,12 @@ P_ENT = np.array(
 )
 
 
-def ent(psi, tol: float = 1e-9) -> complex:
-    """The quadratic entanglement form ψᵀ·P·ψ of a normalized state."""
+def ent(psi) -> complex:
+    """The quadratic entanglement form ψᵀ·P·ψ of a state normalized within 1e-9."""
     psi = _as_array(psi, (4,), "state", NotNormalizedError, complex)
     norm = np.sqrt(np.vdot(psi, psi).real)  # vdot overflows to inf, which fails, without a warning
-    if not abs(norm - 1.0) <= tol:
-        raise NotNormalizedError(f"state norm {norm} is not 1 within {tol:.1e}")
+    if not abs(norm - 1.0) <= _TOL_NORM:
+        raise NotNormalizedError(f"state norm {norm} is not 1 within {_TOL_NORM:.1e}")
     return complex(psi @ P_ENT @ psi)
 
 
@@ -156,10 +157,10 @@ def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
     return PeVerdict(is_pe=True, margin=margin, phases=z, weights=np.maximum(w, 0.0)), None
 
 
-def pe_from_coords(coords, tol: float = TOL_HULL) -> bool:
+def pe_from_coords(coords) -> bool:
     """Polyhedron membership in canonical coordinates (canonicalizes first):
-    c1+c2 ≥ π/2, c2+c3 ≤ π/2, c1-c2 ≤ π/2."""
-    return bool(_in_pe(canonicalize(coords), tol))
+    c1+c2 ≥ π/2, c2+c3 ≤ π/2, c1-c2 ≤ π/2, each within TOL_HULL."""
+    return bool(_in_pe(canonicalize(coords)))
 
 
 def _in_pe(c, tol: float = TOL_HULL) -> np.ndarray:
@@ -260,6 +261,8 @@ def pe_fraction_mc(n: int, seed: int) -> float:
     """
     if not isinstance(n, (int, np.integer)) or n <= 0:
         raise InvalidInputError(f"sample count must be a positive integer, got {n!r}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:  # Philox's key
+        raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     accepted = 0
     hits = 0

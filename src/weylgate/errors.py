@@ -16,8 +16,9 @@ class WeylgateError(Exception):
 
 
 class InvalidInputError(WeylgateError, ValueError):
-    """A wrong shape; coordinates, coefficients or times that are not finite
-    reals; or arguments too large to compute with.  A ``ValueError`` too."""
+    """A wrong shape; coordinates, coefficients, times or other scalars that
+    are not finite reals; an unknown gate name, Hamiltonian or option; or
+    arguments too large to compute with.  A ``ValueError`` too."""
 
 
 class NotUnitaryError(WeylgateError):

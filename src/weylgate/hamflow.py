@@ -30,15 +30,16 @@ from .entangler import _in_pe
 from .errors import ConvergenceError, InvalidInputError
 from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
 from .kak import _m_scalar
-from .linalg import _as_array, _finite_math, _flow, check_hermitian
+from .linalg import _as_array, _as_real, _finite_math, _flow, check_hermitian
 
-_TOL_PERIOD = 1e-9
+_TOL_PERIOD = 1e-9  # how far |c_j|·T may miss a multiple of π in _period
 _COMMENSURABLE_DENOM = 10**6
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """A named Hamiltonian family plus its parameters (hashable, exact)."""
+    """A named Hamiltonian family plus its parameters, kept as given (hashable,
+    exact); ``realize`` parses them on the spec's first use."""
 
     kind: str
     params: tuple[float, ...] = ()
@@ -57,13 +58,11 @@ class HamiltonianSpec:
 
     @staticmethod
     def exchange(jxx: float, jyy: float, jxy: float = 0.0, jyx: float = 0.0) -> "HamiltonianSpec":
-        return HamiltonianSpec("exchange", (float(jxx), float(jyy), float(jxy), float(jyx)))
+        return HamiltonianSpec("exchange", (jxx, jyy, jxy, jyx))
 
     @staticmethod
     def josephson(alpha_ratio: float, e_l: float = 1.0) -> "HamiltonianSpec":
-        if alpha_ratio <= 0 or e_l <= 0:
-            raise ValueError("InvalidParams: josephson needs alpha_ratio > 0, e_l > 0")
-        return HamiltonianSpec("josephson", (float(alpha_ratio), float(e_l)))
+        return HamiltonianSpec("josephson", (alpha_ratio, e_l))
 
     @staticmethod
     def custom(matrix) -> "HamiltonianSpec":
@@ -102,11 +101,13 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
         return 0.5 * (jxx * _XX + jyy * _YY + jxy * _XY + jyx * _YX)
     if kind == "josephson":
         alpha, e_l = params
+        if alpha <= 0 or e_l <= 0:
+            raise InvalidInputError("InvalidParams: josephson needs alpha_ratio > 0, e_l > 0")
         e_j = alpha * e_l
         return -0.5 * e_j * (_X1 + _X2) + (e_j**2 / e_l) * _YY
     if kind == "custom":
         return check_hermitian((params[0::2] + 1j * params[1::2]).reshape(4, 4))
-    raise ValueError(f"UnsupportedKind: {kind!r}")
+    raise InvalidInputError(f"UnsupportedKind: {kind!r}")
 
 
 # The fixed locals l1 = I, l2, l3 whose conjugation realizes the columns of
@@ -145,7 +146,7 @@ class _Generator:
 
     @_lazy
     def period(self) -> float | None:
-        return _period(self, _TOL_PERIOD)
+        return _period(self)
 
 
 def _generator(hamiltonian) -> _Generator:
@@ -156,7 +157,7 @@ def _generator(hamiltonian) -> _Generator:
     return _Generator(realize(hamiltonian))
 
 
-def _period(g: _Generator, tol: float) -> float | None:
+def _period(g: _Generator) -> float | None:
     """fundamental_period's core on a generator record."""
     nonzero = [abs(x) for x in g.cartan.coeffs if abs(x) > 1e-12]
     if not nonzero:
@@ -167,10 +168,10 @@ def _period(g: _Generator, tol: float) -> float | None:
     q = lcm(*(f.denominator for f in fracs))
     # At T = π·q/ref each c_j·T misses its multiple of π by π·q·|x/ref − p/q_x|;
     # limit_denominator alone always lands within about 1e-12 of the ratio.
-    if any(np.pi * q * abs(r - f) > tol for r, f in zip(ratios, fracs)):
+    if any(np.pi * q * abs(r - f) > _TOL_PERIOD for r, f in zip(ratios, fracs)):
         return None
     period = np.pi * q / ref
-    if np.isnan(_m_scalar(g.flow(period), tol=1e-8)):
+    if np.isnan(_m_scalar(g.flow(period))):
         return None
     return float(period)
 
@@ -193,15 +194,15 @@ def parse_hamiltonian(text: str) -> HamiltonianSpec:
             try:
                 args = [float(p) for p in s[len(name) + 1 : -1].split(",") if p.strip()]
             except ValueError as exc:
-                raise ValueError(f"InvalidSpec: bad number in {text!r}") from exc
+                raise InvalidInputError(f"InvalidSpec: bad number in {text!r}") from exc
             if name == "exchange":
                 if len(args) not in (2, 4):
-                    raise ValueError("InvalidSpec: exchange(jxx,jyy[,jxy,jyx])")
+                    raise InvalidInputError("InvalidSpec: exchange(jxx,jyy[,jxy,jyx])")
                 return HamiltonianSpec.exchange(*args)
             if len(args) not in (1, 2):
-                raise ValueError("InvalidSpec: josephson(alpha[,e_l])")
+                raise InvalidInputError("InvalidSpec: josephson(alpha[,e_l])")
             return HamiltonianSpec.josephson(*args)
-    raise ValueError(f"UnsupportedKind: {text!r}")
+    raise InvalidInputError(f"UnsupportedKind: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,7 @@ def trajectory(spec, times) -> list[TrajectorySample]:
     ]
 
 
+@_finite_math
 def exchange_coords(jxx: float, jyy: float, jxy: float = 0.0, jyx: float = 0.0) -> np.ndarray:
     """Cartan coefficients of the generalized exchange Hamiltonian, closed form.
 
@@ -243,6 +245,7 @@ def exchange_coords(jxx: float, jyy: float, jxy: float = 0.0, jyx: float = 0.0) 
     giving coefficients ((r1+r2)/2, |r1-r2|/2, 0): the flow stays on the
     chamber base, so this family never reaches the SWAP corner.
     """
+    jxx, jyy, jxy, jyx = _as_array([jxx, jyy, jxy, jyx], (4,), "couplings", InvalidInputError, float)
     r1 = float(np.hypot(jxx + jyy, jxy - jyx))
     r2 = float(np.hypot(jxx - jyy, jxy + jyx))
     return np.array([(r1 + r2) / 2.0, abs(r1 - r2) / 2.0, 0.0])
@@ -256,7 +259,7 @@ def closed_form_invariants(kind: str, t: float) -> LocalInvariants:
     xy:         G1 = cos⁴(t/2),               G2 = 1 + 2·cos t
     ising:      G1 = cos²(t/2),               G2 = 2 + cos t
     """
-    t = float(t)
+    t = _as_real(t, "t")
     if kind == "isotropic":
         g1 = np.exp(1j * t) * (3.0 + np.exp(-2j * t)) ** 2 / 16.0
         return LocalInvariants(complex(g1), float(3.0 * np.cos(t)), 0.0)
@@ -264,7 +267,7 @@ def closed_form_invariants(kind: str, t: float) -> LocalInvariants:
         return LocalInvariants(complex(np.cos(t / 2.0) ** 4), float(1.0 + 2.0 * np.cos(t)), 0.0)
     if kind == "ising":
         return LocalInvariants(complex(np.cos(t / 2.0) ** 2), float(2.0 + np.cos(t)), 0.0)
-    raise ValueError(f"UnsupportedKind: no closed form for {kind!r}")
+    raise InvalidInputError(f"UnsupportedKind: no closed form for {kind!r}")
 
 
 @_finite_math
@@ -276,6 +279,8 @@ def josephson_invariants(alpha_ratio: float, e_l: float, t: float) -> LocalInvar
         G1 = (α²(x²+y²-1) + x²)² / (1+α²)²
         G2 = (3α² - 1 - 4y²α² + 8α²x²y² + 4x² - 4x²α²) / (1+α²)
     """
+    args = _as_array([alpha_ratio, e_l, t], (3,), "alpha_ratio, e_l and t", InvalidInputError, float)
+    alpha_ratio, e_l, t = args
     a2 = float(alpha_ratio) ** 2
     x = np.cos(a2 * e_l * t)
     y = np.cos(np.sqrt(a2 + 1.0) * alpha_ratio * e_l * t)
@@ -297,20 +302,19 @@ class JosephsonCnot:
     invariants: LocalInvariants
 
 
-def josephson_cnot_min_time(
-    e_l: float = 1.0, k_max: int = 8, alpha_max: float = 12.0
-) -> JosephsonCnot:
+def josephson_cnot_min_time(e_l: float = 1.0, k_max: int = 8) -> JosephsonCnot:
     """Search the CNOT-class times of the Josephson flow and return the fastest.
 
     A CNOT-class gate requires cos²(α²E_L·t) = 1/2, i.e. α²E_L·t = (2k+1)π/4,
-    together with 2α²·cos²(sqrt(1+α⁻²)(2k+1)π/4) = α² - 1.  For each k the
-    second condition is solved for α by bisection on a sign-change scan; each
-    root is verified by computing the actual invariants of exp(iHt), and the
-    root with the smallest t wins.  The optimum sits at k = 2:
-    α ≈ 1.1992, t ≈ 2.7309/E_L.
+    together with 2α²·cos²(sqrt(1+α⁻²)(2k+1)π/4) = α² - 1.  For each
+    k ≤ k_max the second condition is solved for α by bisection on a
+    sign-change scan of 1 < α ≤ 12; each root is verified by computing the
+    actual invariants of exp(iHt), and the root with the smallest t wins.
+    The optimum sits at k = 2: α ≈ 1.1992, t ≈ 2.7309/E_L.
     """
+    e_l = _as_real(e_l, "e_l")
     if e_l <= 0:
-        raise ValueError("InvalidParams: e_l must be positive")
+        raise InvalidInputError("InvalidParams: e_l must be positive")
     best: JosephsonCnot | None = None
     for k in range(k_max + 1):
         q = (2 * k + 1) * np.pi / 4.0
@@ -320,7 +324,7 @@ def josephson_cnot_min_time(
                 alpha**2 - 1.0
             )
 
-        grid = np.linspace(1.0 + 1e-9, alpha_max, 4001)
+        grid = np.linspace(1.0 + 1e-9, 12.0, 4001)
         vals = f(grid)
         for i in np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]:
             lo, hi = grid[i], grid[i + 1]

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import _fold, _magic
-from .linalg import TOL_UNITARY, _as_triple, _finite_math, _simdiag, check_unitary
+from .linalg import _as_triple, _finite_math, _simdiag, check_unitary
 
 _RECORDS = 8  # gates whose derivation record the single-gate memo keeps
 
@@ -39,10 +39,10 @@ def magic_transform(u) -> np.ndarray:
     return _magic(check_unitary(u))
 
 
-def m_matrix(u, tol: float = TOL_UNITARY) -> np.ndarray:
+def m_matrix(u) -> np.ndarray:
     """The complex symmetric matrix m = u_Bᵀ u_B, u_B the magic transform
     (a copy: the gate's record keeps its own)."""
-    return _gate(check_unitary(u, tol=tol)).m.copy()
+    return _gate(check_unitary(u)).m.copy()
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ class LocalInvariants:
         return (self.g1, self.g2)
 
 
-def local_invariants(u, tol: float = TOL_UNITARY) -> LocalInvariants:
+def local_invariants(u) -> LocalInvariants:
     """Local-equivalence invariants of a two-qubit gate (phase insensitive)."""
-    return _invariants_of(_gate(check_unitary(u, tol=tol)))
+    return _invariants_of(_gate(check_unitary(u)))
 
 
 def _invariants_of(g: _Gate) -> LocalInvariants:
@@ -125,7 +125,7 @@ class MSpectrum:
     frame: np.ndarray
 
 
-def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
+def m_spectrum(u) -> MSpectrum:
     """Joint eigenphases and eigenframe of the symmetric unitary m(U).
 
     The gate is scaled to determinant one (principal quarter root of
@@ -136,7 +136,7 @@ def m_spectrum(u, tol: float = TOL_UNITARY) -> MSpectrum:
     diagonalized simultaneously and the phases recovered per joint
     eigenvalue pair.  The arrays are copies: the gate's record keeps its own.
     """
-    s = _gate(check_unitary(u, tol=tol)).spectrum
+    s = _gate(check_unitary(u)).spectrum
     return MSpectrum(s.theta.copy(), s.theta_balanced.copy(), s.frame.copy())
 
 

@@ -22,7 +22,7 @@ from .cartan import _WEYL_GATES, _WORDS, MAGIC, Q_DAG
 from .chamber import _canonical_gate
 from .errors import BranchSearchError, NotLocalError, VerificationError
 from .invariants import _Gate, _gate
-from .linalg import TOL_UNITARY, check_unitary, kron2
+from .linalg import check_unitary, kron2
 
 # σa⊗σa words: conjugating A(c) by nothing, they implement the π translations
 # A(c + π·e_j) = A(c)·(i·W_j); the i goes into the global phase, W_j into a
@@ -46,6 +46,7 @@ _PARITY_WORDS = _parity_words()
 _PARITY_KEY = np.array([1, 2, 4])
 _WEYL_GATES_Q = _WEYL_GATES @ MAGIC  # g_P·Q: k1 and k2 absorb g_P with the basis change
 _EYE = np.eye(4)
+_TOL_LOCAL = 1e-8  # the locality test's bound on m = λ·I and on a tensor factorization
 
 
 @dataclass(frozen=True)
@@ -72,29 +73,29 @@ def kak_reconstruct(d: KakDecomposition) -> np.ndarray:
     return np.exp(1j * d.alpha) * (d.k1 @ d.a_factor @ d.k2)
 
 
-def _m_scalar(u, tol: float) -> np.ndarray:
+def _m_scalar(u) -> np.ndarray:
     """Per gate of a stack (..., 4, 4) of checked gates: λ where m(u) = λ·I
-    within ``tol`` and det u = λ², NaN elsewhere.
+    within _TOL_LOCAL and det u = λ², NaN elsewhere.
 
     That is exactly u = e^{iφ}·(a⊗b), with λ = e^{2iφ}; SWAP has det u = -λ².
     """
     g = _Gate(u)
     lam = g.m[..., 0, 0]
     off = np.abs(g.m - lam[..., None, None] * _EYE).max((-2, -1))
-    ok = (np.abs(np.abs(lam) - 1.0) <= tol) & (off <= tol)
+    ok = (np.abs(np.abs(lam) - 1.0) <= _TOL_LOCAL) & (off <= _TOL_LOCAL)
     ok &= np.abs(g.det - lam * lam) < 1.0
     return np.where(ok, lam, np.nan)
 
 
-def is_local_gate(u, tol: float = 1e-8) -> bool:
-    """True iff m(u) = I and det u = 1, i.e. the magic-basis conjugate of
-    ``u`` is a rotation (real orthogonal with det +1).
+def is_local_gate(u) -> bool:
+    """True iff m(u) = I and det u = 1 within 1e-8 (u unitary within 1e-8), i.e.
+    the magic-basis conjugate of ``u`` is a rotation (real orthogonal, det +1).
 
     This recognizes exactly SU(2)⊗SU(2): a tensor product dressed with a
     global phase other than ±1 does NOT pass (its m is e^{2iφ}·I).
     """
-    lam = _m_scalar(check_unitary(u, tol=max(tol, TOL_UNITARY)), tol)
-    return bool(abs(lam - 1.0) <= tol)  # False for NaN
+    lam = _m_scalar(check_unitary(u, tol=_TOL_LOCAL))
+    return bool(abs(lam - 1.0) <= _TOL_LOCAL)  # False for NaN
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class LocalFactors:
     phase: float
 
 
-def factor_local(k, tol: float = 1e-8) -> LocalFactors:
+def factor_local(k) -> LocalFactors:
     """Split a local gate into its single-qubit factors and a global phase.
 
     Accepts any e^{iφ}·(a⊗b); the test, m(k) = λ·I with det k = λ², is
@@ -115,11 +116,11 @@ def factor_local(k, tol: float = 1e-8) -> LocalFactors:
     Raises
     ------
     NotLocalError
-        If m(k) is not λ·I with det k = λ² within ``tol``, or the
-        rank-one factorization leaves a residual above ``tol``.
+        If m(k) is not λ·I with det k = λ² within 1e-8, or the
+        rank-one factorization leaves a residual above 1e-8.
     """
     k = check_unitary(k)
-    if np.isnan(_m_scalar(k, tol)):
+    if np.isnan(_m_scalar(k)):
         raise NotLocalError("gate is not a tensor product of single-qubit gates")
 
     # Reshuffle k[(i,k),(j,l)] -> M[(i,j),(k,l)]; a tensor product becomes
@@ -135,12 +136,12 @@ def factor_local(k, tol: float = 1e-8) -> LocalFactors:
     ab = kron2(a, b)
     phase = float(np.angle(np.trace(ab.conj().T @ k) / 4.0))
     resid = np.linalg.norm(k - np.exp(1j * phase) * ab)
-    if resid > tol:
-        raise NotLocalError(f"tensor factorization residual {resid:.3e} > {tol:.1e}")
+    if resid > _TOL_LOCAL:
+        raise NotLocalError(f"tensor factorization residual {resid:.3e} > {_TOL_LOCAL:.1e}")
     return LocalFactors(a=a, b=b, phase=phase)
 
 
-def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
+def kak_decompose(u) -> KakDecomposition:
     """Factor a two-qubit gate as e^{iα}·k1·A(c)·k2 with c in the chamber.
 
     Algorithm: with α = arg(det U)/4, the det-one gate e^{-iα}·U has
@@ -162,7 +163,7 @@ def kak_decompose(u, tol: float = TOL_UNITARY) -> KakDecomposition:
     VerificationError
         If the reconstruction residual exceeds 1e-9.
     """
-    return _kak(_gate(check_unitary(u, tol=tol)))
+    return _kak(_gate(check_unitary(u)))
 
 
 def _kak(g: _Gate) -> KakDecomposition:
@@ -192,7 +193,7 @@ def _kak(g: _Gate) -> KakDecomposition:
     residual = float(np.linalg.norm(g.u - rec))
     if residual > 1e-9:
         raise VerificationError(f"reconstruction residual {residual:.3e} > 1e-9")
-    if not (np.abs(_m_scalar(np.array([k1, k2]), 1e-8) - 1.0) <= 1e-8).all():  # NaN fails
+    if not (np.abs(_m_scalar(np.array([k1, k2])) - 1.0) <= _TOL_LOCAL).all():  # NaN fails
         raise VerificationError("a reduced outer factor failed local recognition")
 
     return KakDecomposition(

@@ -85,7 +85,7 @@ def _as_array(x, shape: tuple, name: str, error: type[Exception], dtype) -> np.n
 def _shape_text(shape: tuple) -> str:
     if len(shape) == 1:
         return "a 1-D sequence" if shape[0] is None else f"a length-{shape[0]} vector"
-    return "a square matrix" if None in shape else "x".join(map(str, shape))
+    return "a square matrix" if None in shape else "x".join(map(str, shape)) or "a number"
 
 
 def _finite_math(fn):
@@ -107,29 +107,36 @@ def _as_triple(c, name: str = "coords") -> np.ndarray:
     return _as_array(c, (3,), name, InvalidInputError, float)
 
 
-def check_unitary(u, tol: float = TOL_UNITARY, n: int = 4) -> np.ndarray:
-    """Return ``u`` as a fresh complex array after checking u†u = I within
+def _as_real(x, name: str) -> float:
+    """``x`` as a finite real number, else InvalidInputError."""
+    return float(_as_array(x, (), name, InvalidInputError, float))
+
+
+def check_unitary(u, tol: float = TOL_UNITARY) -> np.ndarray:
+    """Return ``u`` as a fresh complex 4x4 array after checking u†u = I within
     ``tol`` (non-numeric and non-finite entries fail the check)."""
-    u = _as_array(u, (n, n), "matrix", NotUnitaryError, complex)
+    u = _as_array(u, (4, 4), "matrix", NotUnitaryError, complex)
     # No entry of a unitary exceeds 1, and one above 1 + tol puts the defect
     # above tol: this keeps u†u from overflowing.
     big = np.abs(u).max()
     if not big <= 1.0 + tol:
         raise NotUnitaryError(f"matrix is not unitary: max |u_ij| = {big:.3e} > 1 + {tol:.1e}")
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(n))
+    defect = np.linalg.norm(u.conj().T @ u - np.eye(4))
     if not defect <= tol:
         raise NotUnitaryError(f"matrix is not unitary: ||u†u - I|| = {defect:.3e} > {tol:.1e}")
     return u
 
 
-def check_hermitian(h, tol: float = TOL_HERMITIAN, n: int = 4) -> np.ndarray:
-    """Return ``h`` as a complex array after checking h = h† within ``tol``
-    (non-numeric and non-finite entries fail the check)."""
+def check_hermitian(h, n: int = 4) -> np.ndarray:
+    """Return ``h`` as a complex n x n array after checking h = h† within
+    TOL_HERMITIAN (non-numeric and non-finite entries fail the check)."""
     h = _as_array(h, (n, n), "matrix", NotHermitianError, complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf norm
         defect, size = np.linalg.norm(h - h.conj().T), np.linalg.norm(h)
-    if not defect <= tol:
-        raise NotHermitianError(f"matrix is not Hermitian: ||h - h†|| = {defect:.3e} > {tol:.1e}")
+    if not defect <= TOL_HERMITIAN:
+        raise NotHermitianError(
+            f"matrix is not Hermitian: ||h - h†|| = {defect:.3e} > {TOL_HERMITIAN:.1e}"
+        )
     if not size < np.inf:  # eigh returns NaN, and no warning, when ||h|| overflows
         raise InvalidInputError("matrix is too large to compute with: ||h|| overflows")
     return h
@@ -143,7 +150,7 @@ def kron2(a, b) -> np.ndarray:
 
 
 @_finite_math
-def eig_real_symmetric(s, tol: float = TOL_SYMMETRIC):
+def eig_real_symmetric(s):
     """Eigendecomposition of a real symmetric matrix with fixed conventions.
 
     Returns ``(evals, vecs)`` with eigenvalues sorted in descending order and
@@ -153,18 +160,18 @@ def eig_real_symmetric(s, tol: float = TOL_SYMMETRIC):
     Raises
     ------
     NotSymmetricError
-        If ``s`` has an imaginary part or s != s.T beyond ``tol``.
+        If ``s`` has an imaginary part or s != s.T beyond TOL_SYMMETRIC.
     """
-    return _eigh(_as_symmetric(s, None, tol))
+    return _eigh(_as_symmetric(s, None))
 
 
-def _as_symmetric(s, n: int | None, tol: float) -> np.ndarray:
+def _as_symmetric(s, n: int | None) -> np.ndarray:
     s = _as_array(s, (n, n), "matrix", NotSymmetricError, complex)
-    if not np.linalg.norm(s.imag) <= tol:
+    if not np.linalg.norm(s.imag) <= TOL_SYMMETRIC:
         raise NotSymmetricError("matrix has a nonreal part")
     s = s.real.copy()
-    if not np.linalg.norm(s - s.T) <= tol:
-        raise NotSymmetricError(f"matrix is not symmetric within {tol:.1e}")
+    if not np.linalg.norm(s - s.T) <= TOL_SYMMETRIC:
+        raise NotSymmetricError(f"matrix is not symmetric within {TOL_SYMMETRIC:.1e}")
     return s
 
 
@@ -188,10 +195,10 @@ def _frobenius(a) -> np.ndarray:
 
 
 @_finite_math
-def expm_i_hermitian(h, t: float = 1.0, tol: float = TOL_HERMITIAN) -> np.ndarray:
-    """exp(i·h·t) for Hermitian ``h`` via its spectral decomposition."""
+def expm_i_hermitian(h, t: float = 1.0) -> np.ndarray:
+    """exp(i·h·t) for Hermitian ``h``, at a real ``t``, via its spectral decomposition."""
     h = _as_array(h, (None, None), "matrix", NotHermitianError, complex)  # any n x n
-    return _flow(check_hermitian(h, tol=tol, n=len(h)))(t)
+    return _flow(check_hermitian(h, n=len(h)))(_as_real(t, "t"))
 
 
 def _flow(h):
@@ -206,7 +213,7 @@ def _evolve(w, v, vh, t):
 
 
 @_finite_math
-def simdiag_commuting_symmetric(a, b, tol: float = TOL_EIG):
+def simdiag_commuting_symmetric(a, b):
     """Jointly diagonalize two commuting real symmetric matrices.
 
     Diagonalizes ``a + w·b`` for a fixed blend weight ``w`` and checks that
@@ -219,11 +226,11 @@ def simdiag_commuting_symmetric(a, b, tol: float = TOL_EIG):
     ``b = vecs @ diag(db) @ vecs.T``; ``vecs`` is orthogonal with det +1.
     Each input is checked as eig_real_symmetric checks its matrix.
     """
-    a = _as_symmetric(a, None, TOL_SYMMETRIC)
-    return _simdiag(a, _as_symmetric(b, len(a), TOL_SYMMETRIC), tol)
+    a = _as_symmetric(a, None)
+    return _simdiag(a, _as_symmetric(b, len(a)))
 
 
-def _simdiag(a, b, tol: float = TOL_EIG):
+def _simdiag(a, b):
     """simdiag_commuting_symmetric's core over stacks (..., n, n) of checked
     commuting pairs.  Only the rows whose frame fails the off-diagonal test
     retry with the next blend weight."""
@@ -240,7 +247,7 @@ def _simdiag(a, b, tol: float = TOL_EIG):
         vt = v.swapaxes(-1, -2)
         fa, fb = vt @ ra @ v, vt @ rb @ v
         off = np.maximum(_frobenius(fa * off_diagonal), _frobenius(fb * off_diagonal))
-        ok = off <= tol * scale[todo]
+        ok = off <= TOL_EIG * scale[todo]
         dfa, dfb = fa.diagonal(0, -2, -1), fb.diagonal(0, -2, -1)
         if i == 0:  # every row; those that failed are overwritten below
             da, db, vecs = dfa.copy(), dfb.copy(), v

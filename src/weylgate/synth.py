@@ -30,16 +30,14 @@ from math import ceil
 import numpy as np
 
 from .cartan import WEYL_REFLECTIONS
-from .errors import (
-    DegenerateHamiltonianError,
-    VerificationError,
-)
-from .hamflow import _L3, _TOL_PERIOD, HamiltonianSpec, _generator, _period
+from .errors import DegenerateHamiltonianError, InvalidInputError, VerificationError
+from .hamflow import _L3, HamiltonianSpec, _generator
 from .invariants import _Gate
 from .kak import _kak
-from .linalg import _as_triple, _dist_up_to_phase, _finite_math, check_unitary
+from .linalg import _as_array, _as_triple, _dist_up_to_phase, _finite_math, check_unitary
 
-TOL_TIME = 1e-10
+TOL_TIME = 1e-10  # a duration at most this is no pulse
+_TOL_RESIDUAL = 1e-8  # how far a returned plan may miss its target, up to phase
 
 
 @dataclass(frozen=True)
@@ -48,12 +46,16 @@ class CircuitPlan:
 
     The implemented unitary is
     locals[3] · U(times[2]) · locals[2] · U(times[1]) · locals[1] ·
-    U(times[0]) · locals[0], up to a global phase.
+    U(times[0]) · locals[0], up to a global phase.  ``times`` must be three
+    finite reals, else InvalidInputError.
     """
 
     locals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     times: tuple[float, float, float]
     hamiltonian: HamiltonianSpec
+
+    def __post_init__(self):
+        _as_array(self.times, (3,), "plan times", InvalidInputError, float)
 
 
 @_finite_math
@@ -74,17 +76,17 @@ def verify_plan(plan: CircuitPlan, target) -> float:
     return _dist_up_to_phase(plan_unitary(plan), check_unitary(target))
 
 
-def steps(plan: CircuitPlan, tol_time: float = TOL_TIME):
+def steps(plan: CircuitPlan):
     """The plan as an explicit schedule, shortest form.
 
     Returns a list of ("local", matrix) and ("pulse", duration) entries,
-    alternating, with pulses of duration ≤ tol_time elided (their
+    alternating, with pulses of duration ≤ TOL_TIME elided (their
     neighboring locals merged).
     """
     out: list[tuple[str, object]] = []
     acc = plan.locals[0]
     for t, k in zip(plan.times, plan.locals[1:]):
-        if abs(t) <= tol_time:
+        if abs(t) <= TOL_TIME:
             acc = k @ acc
         else:
             out.append(("local", acc))
@@ -95,7 +97,7 @@ def steps(plan: CircuitPlan, tol_time: float = TOL_TIME):
 
 
 @_finite_math
-def solve_times(coeffs, target_coords, tol_det: float = 1e-12) -> np.ndarray:
+def solve_times(coeffs, target_coords) -> np.ndarray:
     """Durations (t1, t2, t3) from Cartan coefficients and target coordinates.
 
     Solves M·t = γ where the columns of M are the images of the coefficient
@@ -110,12 +112,12 @@ def solve_times(coeffs, target_coords, tol_det: float = 1e-12) -> np.ndarray:
     Raises
     ------
     DegenerateHamiltonianError
-        If |det M| ≤ tol_det (coefficients too degenerate to steer).
+        If |det M| ≤ 1e-12 (coefficients too degenerate to steer).
     """
     c1, c2, c3 = _as_triple(coeffs, "coeffs")
     m = np.array([[c1, -c3, c3], [c2, -c1, -c2], [c3, c2, -c1]])
     det = float(np.linalg.det(m))
-    if abs(det) <= tol_det:
+    if abs(det) <= 1e-12:
         raise DegenerateHamiltonianError(
             f"pulse-time system is singular (det {det:.3e}) for coefficients {coeffs}"
         )
@@ -123,7 +125,7 @@ def solve_times(coeffs, target_coords, tol_det: float = 1e-12) -> np.ndarray:
 
 
 @_finite_math
-def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8) -> CircuitPlan:
+def synthesize(target, hamiltonian: HamiltonianSpec) -> CircuitPlan:
     """Build a ≤3-pulse circuit for ``target`` from a fixed coupling.
 
     The Hamiltonian must be purely two-body (no single-qubit terms; an
@@ -137,7 +139,8 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
     DegenerateHamiltonianError
         If its Cartan coefficients cannot reach the target (singular system).
     VerificationError
-        If the assembled plan misses the target beyond ``tol_residual``.
+        If the assembled plan misses the target, up to phase, by more
+        than 1e-8.
     """
     target = check_unitary(target)
     g = _generator(hamiltonian)
@@ -157,9 +160,9 @@ def synthesize(target, hamiltonian: HamiltonianSpec, tol_residual: float = 1e-8)
         hamiltonian=hamiltonian,
     )
     resid = _dist_up_to_phase(_plan_unitary(plan, g.flow), target)
-    if resid > tol_residual:
+    if resid > _TOL_RESIDUAL:
         raise VerificationError(
-            f"synthesized plan misses target: residual {resid:.3e} > {tol_residual:.1e}"
+            f"synthesized plan misses target: residual {resid:.3e} > {_TOL_RESIDUAL:.1e}"
         )
     return plan
 
@@ -183,29 +186,29 @@ def cnot_from_isotropic() -> CircuitPlan:
 
 
 @_finite_math
-def fundamental_period(hamiltonian: HamiltonianSpec, tol: float = _TOL_PERIOD) -> float | None:
+def fundamental_period(hamiltonian: HamiltonianSpec) -> float | None:
     """Smallest T with exp(iHT) local up to phase, when the Cartan
     coefficients are commensurate; None otherwise.
 
     With ref the first nonzero |c_j| and p/q_j the closest fraction to
     |c_j|/ref with denominator below 10⁶, the candidate is T = π·q/ref,
     q = lcm(q_j).  It is rejected when some |c_j|·T misses its multiple of
-    π by more than ``tol``, that is when π·q·|(|c_j|/ref) − p/q_j| > tol, and
+    π by more than 1e-9, that is when π·q·|(|c_j|/ref) − p/q_j| > 1e-9, and
     otherwise kept only if exp(iHT) passes the locality test.  The period
-    at the default ``tol`` is derived once per spec object.
+    is derived once per spec object.
     """
-    g = _generator(hamiltonian)
-    return g.period if tol == _TOL_PERIOD else _period(g, tol)
+    return _generator(hamiltonian).period
 
 
 @_finite_math
-def with_nonnegative_times(plan: CircuitPlan, tol_residual: float = 1e-8) -> CircuitPlan | None:
+def with_nonnegative_times(plan: CircuitPlan) -> CircuitPlan | None:
     """An equivalent plan with all durations ≥ 0, or None.
 
     Negative durations are shifted up by multiples of the fundamental
     period T (exp(iHT) is local up to phase, and gets folded into the
     neighboring local factor).  Only possible when the coupling's Cartan
-    coefficients are commensurate.
+    coefficients are commensurate, and only returned when the new plan
+    matches the old one, up to phase, within 1e-8.
     """
     if all(t >= 0.0 for t in plan.times):
         return plan
@@ -227,6 +230,6 @@ def with_nonnegative_times(plan: CircuitPlan, tol_residual: float = 1e-8) -> Cir
     )
     # the compensators are only local up to phase, which verify ignores
     ref = _plan_unitary(plan, flow)
-    if _dist_up_to_phase(_plan_unitary(out, flow), ref) > tol_residual:
+    if _dist_up_to_phase(_plan_unitary(out, flow), ref) > _TOL_RESIDUAL:
         return None
     return out

@@ -1,16 +1,14 @@
 """Arguments are parsed in one place.
 
 ``linalg._as_array`` decides what a well-formed argument is, finiteness
-included, so no other code in ``src/weylgate/`` calls ``np.isfinite``.  The
-one exception is the CLI's ``--t-max`` check, which guards ``np.linspace``
-on a command-line float before any library call.
+included, so no other code in ``src/weylgate/`` calls ``np.isfinite``.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylgate"
-ALLOWED = {("linalg.py", "_as_array"), ("cli.py", "_cmd_trajectory")}
+ALLOWED = {("linalg.py", "_as_array")}
 
 
 def _isfinite_callers(sources: dict[str, str]) -> list[tuple[str, str]]:

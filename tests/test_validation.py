@@ -616,4 +616,4 @@ def test_cli_trajectory_rejects_non_finite_t_max(capsys, t_max):
         warnings.simplefilter("error")
         code = main(["trajectory", "isotropic", "--t-max", t_max])
     assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidInputError"
