@@ -18,16 +18,20 @@ The Cartan (maximal abelian) subalgebra of the nonlocal part is spanned by
 the three "diagonal" words σx⊗σx, σy⊗σy, σz⊗σz (X7, X11, X15).  A purely
 nonlocal Hamiltonian H can always be rotated into it by a local gate k:
 ``k H k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2`` — see :func:`cartan_conjugate`.
+Their magic-basis diagonals form ``_PATTERN``, the one table from which the
+canonical gate's phases, the raw coordinates of a spectrum (``_raw_coords``)
+and the coefficients of a conjugation are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import InvalidInputError, NotNonlocalError
-from .linalg import _as_array, _as_triple, _eigh, _finite_math, check_hermitian, kron2
+from .linalg import _as_array, _as_text, _as_triple, _eigh, _finite_math, check_hermitian, kron2
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,10 +53,23 @@ MAGIC = np.array(
 ) / np.sqrt(2)
 Q_DAG = MAGIC.conj().T
 
+# Column j is the diagonal of Q†·(σj⊗σj)·Q for j = x, y, z (_CARTAN_WORDS), so
+# A(c) has the magic-basis phases θ/2, θ = _PATTERN·c.  When θ sums to zero,
+# the two phases where column j is +1 sum to 2·c_j, which _RAW reads back.
+_PATTERN = np.array([[1, -1, 1], [1, 1, -1], [-1, -1, -1], [-1, 1, 1]], dtype=float)
+_RAW = (_PATTERN > 0) / 2.0
+
 
 def _magic(u) -> np.ndarray:
     """Q†·u·Q over a stack (..., 4, 4): the operators in the magic basis."""
     return Q_DAG @ u @ MAGIC
+
+
+def _raw_coords(theta) -> np.ndarray:
+    """The inverse of _PATTERN over a stack (..., 4) of phases that sum to zero:
+    ((θ0+θ1)/2, (θ1+θ3)/2, (θ0+θ3)/2), each rounded as written (the two 0·θ
+    terms can turn a -0.0 into 0.0)."""
+    return theta @ _RAW
 
 
 _AXES = ("x", "y", "z")
@@ -67,14 +84,24 @@ def generator_basis() -> tuple[np.ndarray, ...]:
     return _BASIS
 
 
+@_finite_math
 def commutator(a, b) -> np.ndarray:
-    return np.asarray(a) @ np.asarray(b) - np.asarray(b) @ np.asarray(a)
+    """[a, b] = a·b - b·a of two square matrices of one shape."""
+    a, b = _square_pair(a, b)
+    return a @ b - b @ a
 
 
+@_finite_math
 def killing_form(a, b) -> float:
     """Killing form B(a, b) = 8·tr(a·b) of two su(4) elements (real)."""
-    val = 8.0 * np.trace(np.asarray(a) @ np.asarray(b))
-    return float(val.real)
+    a, b = _square_pair(a, b)
+    return float((8.0 * np.trace(a @ b)).real)
+
+
+def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two finite numeric square matrices of one shape, else InvalidInputError."""
+    a = _as_array(a, (None, None), "a", InvalidInputError, None)
+    return a, _as_array(b, a.shape, "b", InvalidInputError, None)
 
 
 @dataclass(frozen=True)
@@ -108,6 +135,7 @@ def _word(label: str) -> np.ndarray:
 
 _WORDS = np.array([_word(lbl) for lbl in BASIS_LABELS])
 _BASIS = tuple(0.5j * _WORDS)
+_CARTAN_WORDS = _WORDS[[6, 10, 14]]  # σj⊗σj, j = x, y, z: diagonal in the magic basis
 
 
 @_finite_math
@@ -174,42 +202,28 @@ def cartan_conjugate(h) -> CartanTarget:
 def _conjugate(h) -> CartanTarget:
     split = _split(h)
     if split.local_norm > 1e-9:
-        raise NotNonlocalError(
-            f"Hamiltonian has single-qubit terms (norm {split.local_norm:.3e})"
-        )
-    h0 = h - split.identity_coeff * np.eye(4)
-
-    s = _magic(h0)
+        raise NotNonlocalError(f"Hamiltonian has single-qubit terms (norm {split.local_norm:.3e})")
+    s = _magic(h - split.identity_coeff * np.eye(4))
     if np.linalg.norm(s.imag) > 1e-9:
         # A Hermitian two-body operator is always real in the magic basis;
         # failure here means the input was not actually two-body.
         raise NotNonlocalError("Hamiltonian is not purely two-body")
     mu, v = _eigh(s.real)
 
-    # In the magic basis a Cartan element (c1·σxσx + c2·σyσy + c3·σzσz)/2 is
-    # diagonal with entries, in basis order,
-    #   ((c1-c2+c3), (c1+c2-c3), -(c1+c2+c3), (-c1+c2+c3)) / 2.
-    # Writing the eigenvalues of S sorted descending as μ1 ≥ μ2 ≥ μ3 ≥ μ4
-    # (μ4 = -(μ1+μ2+μ3), tracelessness) and choosing
-    #   c1 = μ1+μ2, c2 = μ1+μ3, c3 = μ2+μ3   (then c1 ≥ c2 ≥ c3),
-    # that diagonal pattern reads (μ2, μ1, μ4, μ3): so reorder the eigenvector
-    # columns accordingly.  The reorder is an even permutation, so det stays +1.
-    perm = (1, 0, 3, 2)
-    w = v[:, perm]
-    o = w.T
-    k = MAGIC @ o @ Q_DAG
-
-    c = np.array([mu[0] + mu[1], mu[0] + mu[2], mu[1] + mu[2]])
-    return CartanTarget(coeffs=c, k=k)
+    # A Cartan element has the magic-basis diagonal _PATTERN·c/2.  Reading the
+    # descending eigenvalues μ0..μ3 (sum zero) in the order (μ1, μ0, μ3, μ2) as
+    # that diagonal gives c1 = μ0+μ1 ≥ c2 = μ0+μ2 ≥ c3 = μ1+μ2.  The eigenvector
+    # columns take the same even permutation, so det stays +1.
+    perm = [1, 0, 3, 2]
+    k = MAGIC @ v[:, perm].T @ Q_DAG
+    return CartanTarget(coeffs=_raw_coords(2 * mu[perm]), k=k)
 
 
 @_finite_math
 def cartan_element(coeffs) -> np.ndarray:
     """(c1·σxσx + c2·σyσy + c3·σzσz)/2 as an explicit Hermitian matrix."""
-    c = _as_triple(coeffs)
-    return 0.5 * (
-        c[0] * _WORDS[6] + c[1] * _WORDS[10] + c[2] * _WORDS[14]
-    )
+    c, w = _as_triple(coeffs), _CARTAN_WORDS
+    return 0.5 * (c[0] * w[0] + c[1] * w[1] + c[2] * w[2])
 
 
 def _local_rotation(axis: str, sign: int) -> np.ndarray:
@@ -236,26 +250,28 @@ class WeylReflection:
 
 
 def _reflection_table() -> dict[str, WeylReflection]:
-    def mat(rows):
-        return np.array(rows, dtype=float)
-
-    specs = {
-        # difference roots: same-sign rotations, coordinate swaps
-        "c3-c2": ("x", +1, mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])),
-        "c2-c1": ("z", +1, mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])),
-        "c1-c3": ("y", +1, mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])),
-        # sum roots: opposite-sign rotations, swaps with two sign flips
-        "c2+c3": ("x", -1, mat([[1, 0, 0], [0, 0, -1], [0, -1, 0]])),
-        "c1+c2": ("z", -1, mat([[0, -1, 0], [-1, 0, 0], [0, 0, 1]])),
-        "c1+c3": ("y", -1, mat([[0, 0, -1], [0, 1, 0], [-1, 0, 0]])),
-    }
-    return {
-        label: WeylReflection(label, _local_rotation(axis, sign), action)
-        for label, (axis, sign, action) in specs.items()
-    }
+    # Difference roots: same-sign rotations, coordinate swaps.  Sum roots:
+    # opposite-sign rotations, swaps with two sign flips.
+    specs = {"c3-c2": ("x", 1), "c2-c1": ("z", 1), "c1-c3": ("y", 1)}
+    specs |= {"c2+c3": ("x", -1), "c1+c2": ("z", -1), "c1+c3": ("y", -1)}
+    table = {}
+    for label, (axis, sign) in specs.items():
+        # A real signed permutation O in the magic basis permutes the phases
+        # _PATTERN·c by O∘O, which maps c to _PATTERNᵀ·(O∘O)·_PATTERN·c/4.
+        gate = _local_rotation(axis, sign)
+        o = _magic(gate).real
+        action = np.rint(_PATTERN.T @ (o * o) @ _PATTERN / 4.0) + 0.0  # exact ±1 and +0.0
+        table[label] = WeylReflection(label, gate, action)
+    return table
 
 
 WEYL_REFLECTIONS = _reflection_table()
+
+
+def _frame(*labels: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (gate, action) of the product of the reflections named by ``labels``."""
+    rs = [WEYL_REFLECTIONS[label] for label in labels]
+    return reduce(np.matmul, [r.gate for r in rs]), reduce(np.matmul, [r.action for r in rs])
 
 
 def _weyl_group() -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +308,7 @@ def weyl_reflection_gate(label: str) -> np.ndarray:
     ``c2+c3``, ``c1+c2``, ``c1+c3`` (swaps with two sign flips).  An
     ``i(...)`` wrapper and whitespace are tolerated.
     """
-    key = label.replace(" ", "")
+    key = _as_text(label, "root label").replace(" ", "")
     if key.startswith("i(") and key.endswith(")"):
         key = key[2:-1]
     if key not in WEYL_REFLECTIONS:
@@ -318,7 +334,7 @@ _ELEMENT = np.zeros(343, dtype=np.intp)
 _ELEMENT[(_WEYL_ACTIONS @ _CODE @ _CODE_KEY).astype(np.intp)] = np.arange(len(_WEYL_ACTIONS))
 # x @ M applies a move to every triple of a fold state x.
 _REFLECT_SUM = WEYL_REFLECTIONS["c1+c2"].action.T
-_BASE_MIRROR = (WEYL_REFLECTIONS["c1-c3"].action @ WEYL_REFLECTIONS["c1+c3"].action).T
+_BASE_MIRROR = _frame("c1-c3", "c1+c3")[1].T
 
 
 def _fold(c):

@@ -5,7 +5,8 @@ canonical gate
 
     A(c) = exp((i/2)(c1 σx⊗σx + c2 σy⊗σy + c3 σz⊗σz)),
 
-and the coordinate triple c is unique once reduced to the chamber
+diagonal in the magic basis with the phases ``cartan._PATTERN``·c/2, and
+the coordinate triple c is unique once reduced to the chamber
 
     c1 ≥ c2 ≥ c3 ≥ 0,   c1 + c2 ≤ π,   and  c1 ≤ π/2 whenever c3 = 0.
 
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cartan import _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold
+from .cartan import _PATTERN, _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold
 from .errors import InvalidInputError, VerificationError
 from .invariants import _g_from_coords, _Gate, _gate
-from .linalg import _as_triple, _finite_math, check_unitary
+from .linalg import _as_text, _as_tol, _as_triple, _finite_math, check_unitary
 
 _TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invariants
 
@@ -52,7 +53,9 @@ VERTEX_Q = np.array([PI / 4, PI / 4, 0.0])
 
 
 def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
-    """Closed chamber membership test (base-mirror rule included)."""
+    """Closed chamber membership test (base-mirror rule included); ``tol``
+    must be a finite real ≥ 0."""
+    tol = _as_tol(tol, _TOL_CHAMBER)
     c1, c2, c3 = _as_triple(c).tolist()  # floats: c1 + c2 may overflow to inf
     ordered = c1 >= c2 - tol and c2 >= c3 - tol and c3 >= -tol
     return ordered and c1 + c2 <= PI + tol and not (c3 <= TOL_BASE and c1 > PI / 2 + tol)
@@ -103,13 +106,12 @@ def coords_of_inverse(c) -> np.ndarray:
 def gate_coords(u) -> np.ndarray:
     """Canonical coordinates of an arbitrary two-qubit gate.
 
-    In the magic basis m(A(c)) is diagonal with phases
-    (c1-c2+c3, c1+c2-c3, -(c1+c2+c3), -c1+c2+c3).  The balanced
-    eigenphases θ of m(U), which sum to zero, are read as that pattern in
-    the order the spectrum returns them: c = ((θ0+θ1)/2, (θ1+θ3)/2,
-    (θ0+θ3)/2) reproduces them, and the fold (see canonicalize) takes c to
-    the chamber.  Any other ordering of the phases, or any other 2π branch,
-    gives a symmetry image of the same point, which the fold identifies.
+    In the magic basis m(A(c)) is diagonal with phases ``cartan._PATTERN``·c.
+    The balanced eigenphases θ of m(U), which sum to zero, are read as that
+    pattern in the order the spectrum returns them (``cartan._raw_coords``),
+    and the fold (see canonicalize) takes c to the chamber.  Any other
+    ordering of the phases, or any other 2π branch, gives a symmetry image
+    of the same point, which the fold identifies.
 
     Raises
     ------
@@ -142,24 +144,14 @@ def _verified(g: _Gate):
 
 @_finite_math
 def canonical_gate(c) -> np.ndarray:
-    """The canonical gate A(c) itself (exact, via its magic-basis diagonal).
-
-    In the magic basis A(c) is diagonal with phases
-    (c1-c2+c3, c1+c2-c3, -(c1+c2+c3), -c1+c2+c3)/2.
-    """
+    """The canonical gate A(c) itself (exact, via its magic-basis diagonal,
+    the phases ``cartan._PATTERN``·c/2)."""
     return _canonical_gate(_as_triple(c))
 
 
 def _canonical_gate(c) -> np.ndarray:
     """canonical_gate's core on a checked triple."""
-    ph = coordinate_phase_pattern(c) / 2.0
-    return (MAGIC * np.exp(1j * ph)) @ Q_DAG
-
-
-def coordinate_phase_pattern(c) -> np.ndarray:
-    """The four magic-basis phase sums (twice the diagonal phases of A(c))."""
-    c1, c2, c3 = (float(x) for x in np.asarray(c, dtype=float))
-    return np.array([c1 - c2 + c3, c1 + c2 - c3, -(c1 + c2 + c3), -c1 + c2 + c3])
+    return (MAGIC * np.exp(0.5j * (_PATTERN @ c))) @ Q_DAG
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +200,10 @@ def named_gate(name: str) -> np.ndarray:
     Known names: identity, cnot, cz, swap, sqrtswap, sqrtswap_inv, iswap,
     and ``cu(γ1,γ2,γ3)`` for the controlled rotation family.
     """
-    key = name.strip().lower().replace("-", "_")
-    if key in _NAMED:
-        return _NAMED[key].copy()
+    key = _as_text(name, "gate name").strip().lower()
+    table_key = key.replace("-", "_")  # sqrtswap-inv; a cu(...) angle keeps its "-"
+    if table_key in _NAMED:
+        return _NAMED[table_key].copy()
     if key.startswith("cu(") and key.endswith(")"):
         parts = key[3:-1].split(",")
         if len(parts) != 3:

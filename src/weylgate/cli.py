@@ -42,7 +42,7 @@ from .hamflow import (
 )
 from .invariants import invariant_distance, local_invariants
 from .kak import factor_local, kak_decompose
-from .linalg import _as_real
+from .linalg import _as_count, _as_real
 from .synth import steps, synthesize, verify_plan, with_nonnegative_times
 
 DIGITS = 12
@@ -167,9 +167,7 @@ def _cmd_entangle_input(args) -> dict:
 def _cmd_trajectory(args) -> dict | str:
     spec = parse_hamiltonian(args.hamiltonian)
     t_max = _as_real(args.t_max, "--t-max")  # linspace would warn on an infinite end
-    if args.steps < 0:
-        raise InvalidInputError(f"--steps must be non-negative, got {args.steps}")
-    times = np.linspace(0.0, t_max, args.steps)
+    times = np.linspace(0.0, t_max, _as_count(args.steps, "--steps", 0))
     samples = trajectory(spec, times)
     if args.format == "csv":
         lines = ["t,c1,c2,c3,g1_re,g1_im,g2,is_pe\n"]
@@ -300,14 +298,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         doc = args.func(args)
-    except (VerificationError, BranchSearchError, ConvergenceError) as exc:
-        json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except WeylgateError as exc:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
-        return 1
+        # 2: a verified numerical contract failed inside; 1: bad input
+        return 2 if isinstance(exc, (VerificationError, BranchSearchError, ConvergenceError)) else 1
     if isinstance(doc, str):
         sys.stdout.write(doc)
     else:

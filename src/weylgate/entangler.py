@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import MAGIC
+from .cartan import _CARTAN_WORDS, MAGIC
 from .chamber import (
     VERTEX_A1,
     VERTEX_A2,
@@ -48,22 +48,14 @@ from .errors import (
     VerificationError,
 )
 from .invariants import MSpectrum, _gate
-from .linalg import _as_array, check_unitary
+from .linalg import _as_array, _as_count, _as_tol, check_unitary
 
 TOL_HULL = 1e-9
 _TOL_NORM = 1e-9  # how far ent lets a state's norm miss 1
 _MC_CHUNK = 1 << 16  # rows pe_fraction_mc draws at once
 
-# Ent(ψ) = ψᵀ P ψ; P = -(1/2) σy⊗σy.
-P_ENT = np.array(
-    [
-        [0, 0, 0, 0.5],
-        [0, 0, -0.5, 0],
-        [0, -0.5, 0, 0],
-        [0.5, 0, 0, 0],
-    ],
-    dtype=complex,
-)
+# Ent(ψ) = ψᵀ P ψ; P = -(1/2) σy⊗σy (+ 0.0 turns each -0.0 into 0.0).
+P_ENT = -0.5 * _CARTAN_WORDS[1] + 0.0
 
 
 def ent(psi) -> complex:
@@ -109,9 +101,9 @@ def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
     eigenphases, i.e. iff 0 lies in the convex hull of the four points
     e^{iθ_k}.  The verdict carries the hull margin and, when the test
     passes, the convex weights that witness it (None when none pass their
-    self-check, see ``PeVerdict``).  ``tol`` is the hull's.
+    self-check, see ``PeVerdict``).  ``tol`` is the hull's, a finite real ≥ 0.
     """
-    return _verdict(_gate(check_unitary(u)).spectrum, tol)[0]
+    return _verdict(_gate(check_unitary(u)).spectrum, _as_tol(tol, TOL_HULL))[0]
 
 
 def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
@@ -192,7 +184,7 @@ def entangling_input(u, tol: float = TOL_HULL):
     """
     u = check_unitary(u)
     spec = _gate(u).spectrum
-    verdict, failure = _verdict(spec, tol)
+    verdict, failure = _verdict(spec, _as_tol(tol, TOL_HULL))
     if not verdict.is_pe:
         raise NotPerfectEntanglerError(
             f"gate is not a perfect entangler (hull margin {verdict.margin:.3e})"
@@ -259,8 +251,7 @@ def pe_fraction_mc(n: int, seed: int) -> float:
     three closed inequalities, applied directly (samples are already
     canonical with probability 1).
     """
-    if not isinstance(n, (int, np.integer)) or n <= 0:
-        raise InvalidInputError(f"sample count must be a positive integer, got {n!r}")
+    _as_count(n, "sample count", 1)
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:  # Philox's key
         raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))

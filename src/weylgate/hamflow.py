@@ -24,13 +24,13 @@ from math import lcm
 
 import numpy as np
 
-from .cartan import _WORDS, WEYL_REFLECTIONS, CartanTarget, _conjugate, cartan_element
+from .cartan import _WORDS, CartanTarget, _conjugate, _frame, cartan_element
 from .chamber import _gate_coords
 from .entangler import _in_pe
 from .errors import ConvergenceError, InvalidInputError
 from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
 from .kak import _m_scalar
-from .linalg import _as_array, _as_real, _finite_math, _flow, check_hermitian
+from .linalg import _as_array, _as_count, _as_real, _as_text, _finite_math, _flow, check_hermitian
 
 _TOL_PERIOD = 1e-9  # how far |c_j|·T may miss a multiple of π in _period
 _COMMENSURABLE_DENOM = 10**6
@@ -88,7 +88,7 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
     """The explicit Hermitian matrix of a HamiltonianSpec, which it checks."""
     if not isinstance(spec, HamiltonianSpec):  # an explicit matrix
         return check_hermitian(spec)
-    kind = spec.kind
+    kind = _as_text(spec.kind, "Hamiltonian kind")
     params = _as_array(spec.params, (_ARITY.get(kind),), f"{kind} params", InvalidInputError, float)
     if kind == "isotropic":
         return cartan_element([0.5, 0.5, 0.5])
@@ -110,11 +110,11 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
     raise InvalidInputError(f"UnsupportedKind: {kind!r}")
 
 
-# The fixed locals l1 = I, l2, l3 whose conjugation realizes the columns of
-# the pulse-time matrix of synth.solve_times.
-_R = {label: r.gate for label, r in WEYL_REFLECTIONS.items()}
-_L2 = _R["c3-c2"] @ _R["c1+c3"]
-_L3 = _R["c2-c1"] @ _R["c3-c2"] @ _R["c1+c2"]
+# The fixed frames l2 and l3 (l1 = I), each a (gate, action) pair:
+# conjugating the coupling by l_i moves its Cartan coefficients c to
+# action·c, column i of synth.solve_times' pulse-time matrix.
+_L2, _A2 = _frame("c3-c2", "c1+c3")
+_L3, _A3 = _frame("c2-c1", "c3-c2", "c1+c2")
 
 
 class _Generator:
@@ -182,13 +182,9 @@ def parse_hamiltonian(text: str) -> HamiltonianSpec:
     Accepts ``isotropic``, ``xy``, ``ising``, ``exchange(jxx,jyy[,jxy,jyx])``,
     ``josephson(alpha[,e_l])``.
     """
-    s = text.strip().lower()
-    if s in ("isotropic", "heisenberg"):
-        return HamiltonianSpec.isotropic()
-    if s == "xy":
-        return HamiltonianSpec.xy()
-    if s == "ising":
-        return HamiltonianSpec.ising()
+    s = _as_text(text, "Hamiltonian").strip().lower()
+    if s in ("isotropic", "heisenberg", "xy", "ising"):
+        return HamiltonianSpec("isotropic" if s == "heisenberg" else s)
     for name in ("exchange", "josephson"):
         if s.startswith(name + "(") and s.endswith(")"):
             try:
@@ -310,8 +306,10 @@ def josephson_cnot_min_time(e_l: float = 1.0, k_max: int = 8) -> JosephsonCnot:
     k ≤ k_max the second condition is solved for α by bisection on a
     sign-change scan of 1 < α ≤ 12; each root is verified by computing the
     actual invariants of exp(iHt), and the root with the smallest t wins.
-    The optimum sits at k = 2: α ≈ 1.1992, t ≈ 2.7309/E_L.
+    The optimum sits at k = 2: α ≈ 1.1992, t ≈ 2.7309/E_L.  ``k_max`` must
+    be an integer ≥ 0.
     """
+    k_max = _as_count(k_max, "k_max", 0)
     e_l = _as_real(e_l, "e_l")
     if e_l <= 0:
         raise InvalidInputError("InvalidParams: e_l must be positive")
@@ -320,9 +318,7 @@ def josephson_cnot_min_time(e_l: float = 1.0, k_max: int = 8) -> JosephsonCnot:
         q = (2 * k + 1) * np.pi / 4.0
 
         def f(alpha: float | np.ndarray) -> float | np.ndarray:
-            return 2.0 * alpha**2 * np.cos(np.sqrt(1.0 + alpha**-2) * q) ** 2 - (
-                alpha**2 - 1.0
-            )
+            return 2.0 * alpha**2 * np.cos(np.sqrt(1.0 + alpha**-2) * q) ** 2 - (alpha**2 - 1.0)
 
         grid = np.linspace(1.0 + 1e-9, 12.0, 4001)
         vals = f(grid)
@@ -344,7 +340,5 @@ def josephson_cnot_min_time(e_l: float = 1.0, k_max: int = 8) -> JosephsonCnot:
                     alpha_ratio=float(alpha), t=float(t), pulse_index=2 * k + 1, invariants=inv
                 )
     if best is None:
-        raise ConvergenceError(
-            "NoSolutionInRange: no verified CNOT-class root for any pulse index"
-        )
+        raise ConvergenceError("NoSolutionInRange: no verified CNOT-class root for any pulse index")
     return best

@@ -28,10 +28,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import _fold, _magic
-from .linalg import _as_triple, _finite_math, _simdiag, check_unitary
+from .cartan import _fold, _magic, _raw_coords
+from .linalg import _as_tol, _as_triple, _finite_math, _simdiag, check_unitary
 
 _RECORDS = 8  # gates whose derivation record the single-gate memo keeps
+_TOL_EQUIVALENT = 1e-8  # locally_equivalent's default bound on the invariant distance
 
 
 def magic_transform(u) -> np.ndarray:
@@ -101,8 +102,10 @@ def invariant_distance(a: LocalInvariants, b: LocalInvariants) -> float:
     )
 
 
-def locally_equivalent(u, v, tol: float = 1e-8) -> bool:
-    """True iff u and v differ only by single-qubit gates and a phase."""
+def locally_equivalent(u, v, tol: float = _TOL_EQUIVALENT) -> bool:
+    """True iff u and v differ only by single-qubit gates and a phase: their
+    invariants lie within ``tol``, a finite real ≥ 0."""
+    tol = _as_tol(tol, _TOL_EQUIVALENT)
     return invariant_distance(local_invariants(u), local_invariants(v)) <= tol
 
 
@@ -153,17 +156,6 @@ def _spectrum_of_m(m) -> MSpectrum:
         balanced = np.where((k > 0) & (rank >= 4 - k), theta - 2 * np.pi, theta)
         balanced = np.where((k < 0) & (rank < -k), theta + 2 * np.pi, balanced)
     return MSpectrum(theta=theta, theta_balanced=balanced, frame=vecs.swapaxes(-1, -2))
-
-
-# Column j sums half of each of the two phases that give c_j; halving is
-# exact, so each entry rounds as (θa + θb)/2 does.
-_RAW = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0], [0, 1, 1]]) / 2.0
-
-
-def _raw_coords(theta) -> np.ndarray:
-    """The inverse of chamber.coordinate_phase_pattern over a stack (..., 4)
-    of phases that sum to zero: ((θ0+θ1)/2, (θ1+θ3)/2, (θ0+θ3)/2)."""
-    return theta @ _RAW
 
 
 # ---------------------------------------------------------------------------

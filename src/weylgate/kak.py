@@ -15,34 +15,24 @@ numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .cartan import _WEYL_GATES, _WORDS, MAGIC, Q_DAG
+from .cartan import _CARTAN_WORDS, _WEYL_GATES, MAGIC, Q_DAG
 from .chamber import _canonical_gate
 from .errors import BranchSearchError, NotLocalError, VerificationError
 from .invariants import _Gate, _gate
 from .linalg import check_unitary, kron2
 
-# σa⊗σa words: conjugating A(c) by nothing, they implement the π translations
-# A(c + π·e_j) = A(c)·(i·W_j); the i goes into the global phase, W_j into a
-# neighboring local factor.
-_TRANSLATION_WORDS = _WORDS[[6, 10, 14]]  # xx, yy, zz
-
-
-def _parity_words() -> np.ndarray:
-    """Π_j W_j^(b_j) for each parity vector b, indexed by b·(1, 2, 4)."""
-    out = np.empty((8, 4, 4), dtype=complex)
-    for key in range(8):
-        w = np.eye(4, dtype=complex)
-        for j, word in enumerate(_TRANSLATION_WORDS):
-            if key >> j & 1:
-                w = word @ w
-        out[key] = w
-    return out
-
-
-_PARITY_WORDS = _parity_words()
+# The σj⊗σj words W_j implement the π translations A(c + π·e_j) = A(c)·(i·W_j);
+# the i goes into the global phase, W_j into a neighboring local factor.
+# _PARITY_WORDS holds Π_j W_j^(b_j) for each parity vector b, indexed by
+# b·(1, 2, 4): each word doubles the table, multiplying the words before it
+# from the left.
+_PARITY_WORDS = reduce(
+    lambda ws, w: np.concatenate([ws, w @ ws]), _CARTAN_WORDS, np.eye(4, dtype=complex)[None]
+)
 _PARITY_KEY = np.array([1, 2, 4])
 _WEYL_GATES_Q = _WEYL_GATES @ MAGIC  # g_P·Q: k1 and k2 absorb g_P with the basis change
 _EYE = np.eye(4)

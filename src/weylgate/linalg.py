@@ -112,9 +112,35 @@ def _as_real(x, name: str) -> float:
     return float(_as_array(x, (), name, InvalidInputError, float))
 
 
+def _as_tol(tol, default: float) -> float:
+    """A tolerance as a finite real ≥ 0, else InvalidInputError.  The
+    default itself is returned as it is: a call that keeps it parses nothing."""
+    if tol is default:
+        return tol
+    tol = _as_real(tol, "tol")
+    if tol < 0.0:
+        raise InvalidInputError(f"tol must be ≥ 0, got {tol!r}")
+    return tol
+
+
+def _as_count(n, name: str, least: int) -> int:
+    """``n`` as an integer ≥ ``least``, else InvalidInputError."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        raise InvalidInputError(f"{name} must be an integer ≥ {least}, got {n!r}")
+    return n
+
+
+def _as_text(x, name: str) -> str:
+    """``x`` if it is a string, else InvalidInputError."""
+    if not isinstance(x, str):
+        raise InvalidInputError(f"{name} must be a string, got {type(x).__name__}")
+    return x
+
+
 def check_unitary(u, tol: float = TOL_UNITARY) -> np.ndarray:
     """Return ``u`` as a fresh complex 4x4 array after checking u†u = I within
-    ``tol`` (non-numeric and non-finite entries fail the check)."""
+    ``tol``, a finite real ≥ 0 (non-numeric and non-finite entries fail the check)."""
+    tol = _as_tol(tol, TOL_UNITARY)
     u = _as_array(u, (4, 4), "matrix", NotUnitaryError, complex)
     # No entry of a unitary exceeds 1, and one above 1 + tol puts the defect
     # above tol: this keeps u†u from overflowing.
@@ -128,9 +154,10 @@ def check_unitary(u, tol: float = TOL_UNITARY) -> np.ndarray:
 
 
 def check_hermitian(h, n: int = 4) -> np.ndarray:
-    """Return ``h`` as a complex n x n array after checking h = h† within
-    TOL_HERMITIAN (non-numeric and non-finite entries fail the check)."""
-    h = _as_array(h, (n, n), "matrix", NotHermitianError, complex)
+    """Return ``h`` as a complex n x n array, n a positive integer, after
+    checking h = h† within TOL_HERMITIAN (non-numeric and non-finite entries
+    fail the check)."""
+    h = _as_array(h, (_as_count(n, "n", 1),) * 2, "matrix", NotHermitianError, complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf norm
         defect, size = np.linalg.norm(h - h.conj().T), np.linalg.norm(h)
     if not defect <= TOL_HERMITIAN:

@@ -29,15 +29,21 @@ from math import ceil
 
 import numpy as np
 
-from .cartan import WEYL_REFLECTIONS
+from .cartan import _frame
 from .errors import DegenerateHamiltonianError, InvalidInputError, VerificationError
-from .hamflow import _L3, HamiltonianSpec, _generator
+from .hamflow import _A2, _A3, _L3, HamiltonianSpec, _generator
 from .invariants import _Gate
 from .kak import _kak
 from .linalg import _as_array, _as_triple, _dist_up_to_phase, _finite_math, check_unitary
 
 TOL_TIME = 1e-10  # a duration at most this is no pulse
 _TOL_RESIDUAL = 1e-8  # how far a returned plan may miss its target, up to phase
+
+# Column i of the pulse-time matrix is _STEER[i]·c, the coefficients seen through
+# frame l_i (l1 = I); each action, a signed permutation, is applied as a gather
+# and a sign flip, exact to the sign of a zero.
+_STEER = np.array([np.eye(3), _A2, _A3])
+_STEER_INDEX, _STEER_SIGN = np.abs(_STEER).argmax(-1), _STEER.sum(-1)
 
 
 @dataclass(frozen=True)
@@ -100,22 +106,18 @@ def steps(plan: CircuitPlan):
 def solve_times(coeffs, target_coords) -> np.ndarray:
     """Durations (t1, t2, t3) from Cartan coefficients and target coordinates.
 
-    Solves M·t = γ where the columns of M are the images of the coefficient
-    vector under the three fixed conjugation frames::
-
-        M = [[c1, -c3,  c3],
-             [c2, -c1, -c2],
-             [c3,  c2, -c1]]
-
-    Durations may be negative; see with_nonnegative_times.
+    Solves M·t = γ where column i of M is the coefficient vector c seen
+    through the fixed frame l_i: c itself and its images under the Weyl
+    actions of ``hamflow._L2`` and ``_L3``.  Durations may be negative; see
+    with_nonnegative_times.
 
     Raises
     ------
     DegenerateHamiltonianError
         If |det M| ≤ 1e-12 (coefficients too degenerate to steer).
     """
-    c1, c2, c3 = _as_triple(coeffs, "coeffs")
-    m = np.array([[c1, -c3, c3], [c2, -c1, -c2], [c3, c2, -c1]])
+    c = _as_triple(coeffs, "coeffs")
+    m = (_STEER_SIGN * c[_STEER_INDEX]).T
     det = float(np.linalg.det(m))
     if abs(det) <= 1e-12:
         raise DegenerateHamiltonianError(
@@ -175,8 +177,7 @@ def cnot_from_isotropic() -> CircuitPlan:
     pulse; after the first pulse the trajectory sits exactly at the
     sqrt-SWAP point [π/4, π/4, π/4].
     """
-    r = WEYL_REFLECTIONS
-    k_x = r["c3-c2"].gate @ r["c2+c3"].gate  # = exp(iπ/2 σx⊗I)
+    k_x = _frame("c3-c2", "c2+c3")[0]  # = exp(iπ/2 σx⊗I)
     eye = np.eye(4, dtype=complex)
     return CircuitPlan(
         locals=(eye, k_x.conj().T, k_x, eye),

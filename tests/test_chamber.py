@@ -173,3 +173,10 @@ def test_canonical_gate_determinant_one():
         u = canonical_gate(c)
         assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
+
+
+def test_named_gate_keeps_a_negative_cu_angle():
+    u = named_gate("cu(0.3,0,-0.2)")
+    assert np.array_equal(u, controlled_gate([0.3, 0.0, -0.2]))
+    assert np.array_equal(named_gate(" CU(-0.3, 0, 0) "), controlled_gate([-0.3, 0.0, 0.0]))
+    assert np.array_equal(named_gate("sqrtswap-inv"), named_gate("sqrtswap_inv"))

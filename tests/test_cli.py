@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weylgate import named_gate
+from weylgate import controlled_gate, errors, gate_coords, named_gate
+from weylgate import cli
 from weylgate.cli import main
 
 PI = np.pi
@@ -163,3 +164,30 @@ def test_unknown_gate_name(capsys):
     assert code == 1
     payload = json.loads(err)["error"]
     assert "UnknownGate" in payload["message"]
+
+
+def test_coords_of_a_negative_cu_angle(capsys):
+    doc = run_json(capsys, "coords", "cu(0.3,0,-0.2)")
+    expected = gate_coords(controlled_gate([0.3, 0.0, -0.2]))
+    assert_allclose(doc["c"], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.VerificationError, 2),
+        (errors.BranchSearchError, 2),
+        (errors.ConvergenceError, 2),
+        (errors.InvalidInputError, 1),
+        (errors.NotUnitaryError, 1),
+        (errors.DegenerateHamiltonianError, 1),
+    ],
+)
+def test_exit_code_by_error_class(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_coords", fail)
+    got, out, err = run(capsys, "coords", "cnot")
+    assert got == code and out == ""
+    assert json.loads(err) == {"error": {"type": error.__name__, "message": "boom"}}

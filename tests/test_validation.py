@@ -8,6 +8,7 @@ check per matrix argument and none on matrices the library built itself.
 """
 
 import json
+import re
 import sys
 import warnings
 from collections import Counter
@@ -93,6 +94,7 @@ BAD_SPECS = {
     "nan josephson": (HamiltonianSpec.josephson(NAN), ValueError),
     "nan custom": (HamiltonianSpec("custom", (NAN,) * 32), ValueError),
     "short custom": (HamiltonianSpec("custom", (0.0,) * 10), ValueError),
+    "list kind": (HamiltonianSpec(["xy"]), ValueError),
     "non-hermitian custom": (
         HamiltonianSpec("custom", _custom_params(ISO_H + 1e-6j * np.eye(4))),
         NotHermitianError,
@@ -178,9 +180,6 @@ BAD_SYMMETRIC = {
     "0-d": (1.0, InvalidInputError),
     "str": (np.eye(4).astype(str), NotSymmetricError),
 }
-# Not in the tables: commutator, killing_form, kak_reconstruct and steps are
-# plain matrix arithmetic on arrays their caller already holds, and check
-# nothing; kron2 parses each factor as a finite 2x2.
 COORD_FNS = {
     "canonicalize": wg.canonicalize,
     "canonical_gate": wg.canonical_gate,
@@ -193,10 +192,90 @@ COORD_FNS = {
     "controlled_gate": wg.controlled_gate,
     "solve_times(coeffs, .)": lambda c: wg.solve_times(c, [1.0, 0.5, 0.2]),
     "solve_times(., target)": lambda c: wg.solve_times([1.0, 0.5, 0.2], c),
+    "CircuitPlan times": lambda t: CircuitPlan(_PLAN.locals, t, _ISO),
 }
+# Two square matrices of one shape.
+PAIR_FNS = {
+    "commutator(a, .)": lambda a: wg.commutator(a, ISO_H),
+    "commutator(., b)": lambda b: wg.commutator(ISO_H, b),
+    "killing_form(a, .)": lambda a: wg.killing_form(a, ISO_H),
+    "killing_form(., b)": lambda b: wg.killing_form(ISO_H, b),
+}
+BAD_SQUARE = {
+    "nan": (_with(ISO_H, (0, 0), NAN), InvalidInputError),
+    "inf": (_with(ISO_H, (1, 2), np.inf), InvalidInputError),
+    "3x3": (np.eye(3), InvalidInputError),  # square, but not the other's shape
+    "4x3": (np.ones((4, 3)), InvalidInputError),
+    "vector": (np.ones(4), InvalidInputError),
+    "str": (np.eye(4).astype(str), InvalidInputError),
+    "object": (_with_object(ISO_H, (0, 0), [1, 0]), InvalidInputError),
+    "ragged": ([[1, 2], [3]], InvalidInputError),
+}
+KRON_FNS = {
+    "kron2(a, .)": lambda a: wg.kron2(a, np.eye(2)),
+    "kron2(., b)": lambda b: wg.kron2(np.eye(2), b),
+}
+BAD_FACTORS = {
+    "nan": (_with(np.eye(2), (0, 1), NAN), InvalidInputError),
+    "3x3": (np.eye(3), InvalidInputError),
+    "str": (np.eye(2).astype(str), InvalidInputError),
+    "ragged": ([[1, 0], [0]], InvalidInputError),
+}
+# A scalar that is not a finite real number.
+BAD_SCALARS = {
+    "nan": (NAN, InvalidInputError),
+    "inf": (-np.inf, InvalidInputError),
+    "text": ("0.1", InvalidInputError),
+    "complex": (0.1j, InvalidInputError),
+    "vector": ([0.1, 0.2], InvalidInputError),
+    "none": (None, InvalidInputError),
+}
+SCALAR_FNS = {
+    "expm_i_hermitian t": lambda t: wg.expm_i_hermitian(ISO_H, t),
+    "closed_form_invariants t": lambda t: wg.closed_form_invariants("xy", t),
+    "josephson_invariants alpha_ratio": lambda a: wg.josephson_invariants(a, 1.0, 0.5),
+    "exchange_coords jxx": lambda j: wg.exchange_coords(j, 1.0),
+    "josephson_cnot_min_time e_l": lambda e: wg.josephson_cnot_min_time(e_l=e, k_max=0),
+}
+# A tolerance a caller passes: a finite real ≥ 0.
+TOL_FNS = {
+    "check_unitary tol": lambda tol: wg.check_unitary(CNOT, tol=tol),
+    "in_chamber tol": lambda tol: wg.in_chamber([1.0, 0.5, 0.2], tol=tol),
+    "locally_equivalent tol": lambda tol: wg.locally_equivalent(CNOT, CNOT, tol=tol),
+    "is_perfect_entangler tol": lambda tol: wg.is_perfect_entangler(CNOT, tol=tol),
+    "entangling_input tol": lambda tol: wg.entangling_input(CNOT, tol=tol),
+}
+BAD_TOLS = {**BAD_SCALARS, "negative": (-1e-9, InvalidInputError)}
+# A count: an integer, ≥ 1 for n (pe_fraction_mc's has its own test below).
+COUNT_FNS = {
+    "josephson_cnot_min_time k_max": lambda k: wg.josephson_cnot_min_time(k_max=k),
+    "check_hermitian n": lambda n: wg.check_hermitian(ISO_H, n=n),
+}
+BAD_COUNTS = {
+    "negative": (-1, InvalidInputError),
+    "float": (1.5, InvalidInputError),
+    "text": ("4", InvalidInputError),
+    "none": (None, InvalidInputError),
+}
+TEXT_FNS = {
+    "named_gate": wg.named_gate,
+    "weyl_reflection_gate": wg.weyl_reflection_gate,
+    "parse_hamiltonian": wg.parse_hamiltonian,
+}
+BAD_TEXT = {
+    "none": (None, InvalidInputError),
+    "int": (3, InvalidInputError),
+    "bytes": (b"cnot", InvalidInputError),
+    "list": (["cnot"], InvalidInputError),
+    "unknown": ("nonsense", InvalidInputError),
+}
+
+# Every public entry the tables below take, by table key (see _table).
+TABLED: dict = {}
 
 
 def _table(fns, inputs):
+    TABLED.update(fns)
     return [
         pytest.param(fn, bad, error, id=f"{name}-{kind}")
         for name, fn in fns.items()
@@ -221,7 +300,45 @@ MALFORMED = (
         },
     )
     + _table({"ent": wg.ent}, BAD_STATES)
+    + _table(PAIR_FNS, BAD_SQUARE)
+    + _table(KRON_FNS, BAD_FACTORS)
+    + _table(SCALAR_FNS, BAD_SCALARS)
+    + _table(TOL_FNS, BAD_TOLS)
+    + _table(COUNT_FNS, BAD_COUNTS)
+    + _table({"check_hermitian n": COUNT_FNS["check_hermitian n"]}, {"zero": (0, InvalidInputError)})
+    + _table(TEXT_FNS, BAD_TEXT)
 )
+
+# Public callables that no bad-input table takes, each with the reason.
+EXEMPT = {
+    "cnot_from_isotropic": "takes no argument",
+    "generator_basis": "takes no argument",
+    "pe_volume_exact": "takes no argument",
+    "invariant_distance": "takes two LocalInvariants that the library built",
+    "kak_reconstruct": "takes a KakDecomposition that the library built",
+    "steps": "takes a CircuitPlan, whose times are parsed when it is built",
+    "pe_fraction_mc": "test_pe_fraction_mc_needs_a_positive_integer holds its bad sample counts",
+    **dict.fromkeys(
+        (
+            "CartanTarget",
+            "HamiltonianSplit",
+            "JosephsonCnot",
+            "KakDecomposition",
+            "LocalFactors",
+            "LocalInvariants",
+            "MSpectrum",
+            "PeVerdict",
+            "TrajectorySample",
+            "VolumeReport",
+        ),
+        "a result record that the library builds",
+    ),
+    **{
+        name: "an error class: raised, never called with input"
+        for name in wg.__all__
+        if isinstance(getattr(wg, name), type) and issubclass(getattr(wg, name), WeylgateError)
+    },
+}
 
 
 @pytest.mark.parametrize("fn, bad, error", MALFORMED)
@@ -248,6 +365,68 @@ def test_value_error_rows_are_invalid_input(fn, bad, error):
     # finite reals, raise the one typed class; it is a ValueError too.
     with pytest.raises(InvalidInputError):
         fn(bad)
+
+
+def _untabled(names, tabled, exempt) -> list[str]:
+    """The callables among ``names`` (name -> object) that no table row calls
+    and that ``exempt`` does not list.  A row calls the entry its key names by
+    the key's leading identifier: the row is the entry, a function of the
+    entry's class, or a lambda that reads the entry's name."""
+    called = set()
+    for key, fn in tabled.items():
+        name = re.match(r"\w+", key).group()
+        qual = getattr(fn, "__qualname__", "")
+        if fn is names.get(name) or qual.split(".")[0] == name or name in fn.__code__.co_names:
+            called.add(name)
+    return sorted(n for n, obj in names.items() if callable(obj) and n not in called | set(exempt))
+
+
+def test_untabled_finds_public_callables_without_a_row():
+    def listed(x):
+        return x
+
+    def unlisted(x):
+        return x
+
+    names = {"listed": listed, "unlisted": unlisted, "by_lambda": abs, "mislabeled": len, "CONST": 1.0}
+    tabled = {
+        "listed": listed,
+        "by_lambda x": lambda x: by_lambda(x),  # noqa: F821 - only its code is read
+        "mislabeled": lambda x: listed(x),  # the key names an entry the row never calls
+    }
+    assert _untabled(names, tabled, {}) == ["mislabeled", "unlisted"]
+    assert _untabled(names, tabled, {"unlisted": "why", "mislabeled": "why"}) == []
+
+
+def test_every_public_callable_has_a_bad_input_row():
+    names = {name: getattr(wg, name) for name in wg.__all__}
+    assert set(EXEMPT) <= set(names)
+    assert _untabled(names, TABLED, EXEMPT) == []
+
+
+# The TOL_FNS calls with the default tolerance.
+DEFAULT_TOL_CALLS = {
+    "check_unitary tol": lambda: wg.check_unitary(CNOT),
+    "in_chamber tol": lambda: wg.in_chamber([1.0, 0.5, 0.2]),
+    "locally_equivalent tol": lambda: wg.locally_equivalent(CNOT, CNOT),
+    "is_perfect_entangler tol": lambda: wg.is_perfect_entangler(CNOT),
+    "entangling_input tol": lambda: wg.entangling_input(CNOT),
+}
+
+
+@pytest.mark.parametrize("name", TOL_FNS)
+def test_only_a_tolerance_the_caller_passes_is_parsed(monkeypatch, name):
+    # The default is a constant the library trusts; parsing costs a few
+    # microseconds, and check_unitary runs several times per gate analysis.
+    from weylgate import linalg
+
+    calls = []
+    parse = linalg._as_real
+    monkeypatch.setattr(linalg, "_as_real", lambda x, what: calls.append(what) or parse(x, what))
+    DEFAULT_TOL_CALLS[name]()
+    assert calls == []
+    TOL_FNS[name](0.5)
+    assert calls == ["tol"]
 
 
 @pytest.mark.parametrize("n", [0, -3, 10.5, "10", None])
@@ -492,6 +671,9 @@ ENTRIES = {
     "coefficients josephson": (lambda p: wg.realize(HamiltonianSpec("josephson", p)), (2,), "real"),
     "times": (lambda t: wg.trajectory(_EXCHANGE, t), (None,), "real"),
     "state": (wg.ent, (4,), "complex"),
+    "matrix commutator": (lambda a: wg.commutator(a, a), (4, 4), "complex"),
+    "matrix killing_form": (lambda a: wg.killing_form(a, a), (4, 4), "complex"),
+    "factor kron2": (lambda a: wg.kron2(a, a), (2, 2), "complex"),
 }
 # list: an object array with one entry that is not a number.
 _DTYPES = (bool, int, np.float32, float, np.complex64, complex, object, list, str)
