@@ -35,7 +35,7 @@ import numpy as np
 from .cartan import _PATTERN, _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold
 from .errors import InvalidInputError, VerificationError
 from .invariants import _g_from_coords, _Gate, _gate
-from .linalg import _as_text, _as_tol, _as_triple, _finite_math, check_unitary
+from .linalg import _as_text, _as_tol, _as_triple, _finite_math
 
 _TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invariants
 
@@ -119,7 +119,7 @@ def gate_coords(u) -> np.ndarray:
         If the closed-form invariants of the result are farther than
         1e-8 from the gate's own invariants.
     """
-    return _verified(_gate(check_unitary(u)))[0]
+    return _verified(_gate(u))[0]
 
 
 def _gate_coords(u):

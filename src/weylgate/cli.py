@@ -42,7 +42,7 @@ from .hamflow import (
 )
 from .invariants import invariant_distance, local_invariants
 from .kak import factor_local, kak_decompose
-from .linalg import _as_count, _as_real
+from .linalg import _as_count, _as_real, _as_tol
 from .synth import steps, synthesize, verify_plan, with_nonnegative_times
 
 DIGITS = 12
@@ -117,7 +117,7 @@ def _cmd_coords(args) -> dict:
 
 
 def _cmd_equiv(args) -> dict:
-    tol = _as_real(args.equiv_tol, "--equiv-tol")
+    tol = _as_tol(args.equiv_tol, None, "--equiv-tol")
     ia, ib = local_invariants(load_gate(args.gate_a)), local_invariants(load_gate(args.gate_b))
     dist = invariant_distance(ia, ib)
     return {

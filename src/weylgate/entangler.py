@@ -47,8 +47,8 @@ from .errors import (
     NotPerfectEntanglerError,
     VerificationError,
 )
-from .invariants import MSpectrum, _gate
-from .linalg import _as_array, _as_count, _as_tol, check_unitary
+from .invariants import MSpectrum, _Gate, _gate, _read_only
+from .linalg import _as_array, _as_count, _as_tol
 
 TOL_HULL = 1e-9
 _TOL_NORM = 1e-9  # how far ent lets a state's norm miss 1
@@ -60,7 +60,11 @@ P_ENT = -0.5 * _CARTAN_WORDS[1] + 0.0
 
 def ent(psi) -> complex:
     """The quadratic entanglement form ψᵀ·P·ψ of a state normalized within 1e-9."""
-    psi = _as_array(psi, (4,), "state", NotNormalizedError, complex)
+    return _ent(_as_array(psi, (4,), "state", NotNormalizedError, complex))
+
+
+def _ent(psi) -> complex:
+    """ent's core on a parsed state: its norm is checked, then the form taken."""
     norm = np.sqrt(np.vdot(psi, psi).real)  # vdot overflows to inf, which fails, without a warning
     if not abs(norm - 1.0) <= _TOL_NORM:
         raise NotNormalizedError(f"state norm {norm} is not 1 within {_TOL_NORM:.1e}")
@@ -103,16 +107,35 @@ def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
     passes, the convex weights that witness it (None when none pass their
     self-check, see ``PeVerdict``).  ``tol`` is the hull's, a finite real ≥ 0.
     """
-    return _verdict(_gate(check_unitary(u)).spectrum, _as_tol(tol, TOL_HULL))[0]
+    v = _verdict_of(_gate(u), tol)[0]
+    weights = None if v.weights is None else v.weights.copy()
+    return PeVerdict(is_pe=v.is_pe, margin=v.margin, phases=v.phases.copy(), weights=weights)
+
+
+def _verdict_of(g: _Gate, tol) -> tuple[PeVerdict, str | None]:
+    """``_verdict`` on a gate's record: at the default tol the one the record
+    keeps, whose arrays are read-only; at a tol a caller passes, a fresh one."""
+    if tol is TOL_HULL:
+        return g.keep(_default_verdict)
+    return _verdict(g.spectrum, _as_tol(tol, TOL_HULL))
+
+
+def _default_verdict(g: _Gate) -> tuple[PeVerdict, str | None]:
+    verdict, failure = _verdict(g.spectrum, TOL_HULL)
+    _read_only(verdict.phases)
+    if verdict.weights is not None:
+        _read_only(verdict.weights)
+    return verdict, failure
 
 
 def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
     """The verdict and, when a perfect entangler's witness fails its
     self-check (its weights are then None), why."""
-    order = np.argsort(spec.theta)
+    order = spec.theta.argsort()
     theta = spec.theta[order]
-    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)  # gaps[k]: sorted point k to k+1
-    max_gap = float(np.max(gaps))
+    # gaps[k]: sorted point k to k+1 (np.diff's arithmetic, without its overhead)
+    gaps = np.concatenate((theta[1:], theta[:1] + 2 * np.pi)) - theta
+    max_gap = float(gaps.max())
     is_pe = max_gap <= np.pi + tol
     z = np.exp(1j * spec.theta)
     margin = float(np.cos(max_gap / 2))
@@ -125,7 +148,7 @@ def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
     drop = min(range(4), key=lambda k: gaps[k - 1] + gaps[k])
     if margin <= tol:
         # Half on each end of the widest gap: |Σ w·z| = |cos(g/2)| = |margin|.
-        g = int(np.argmax(gaps))
+        g = int(gaps.argmax())
         w[order[[g, (g + 1) % 4]]] = 0.5
     elif np.cos((gaps[drop - 1] + gaps[drop]) / 2) <= tol:
         # The merged arc is π within tol: its ends are the antipodal pair, and
@@ -141,7 +164,7 @@ def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
         except np.linalg.LinAlgError:  # a flat triangle; needs tol ≤ 0
             failure = "hull witness: the three phases left are collinear"
             return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure
-    low, residual = float(np.min(w)), abs(w @ z)
+    low, residual = float(w.min()), abs(w @ z)
     if low < -1e-12 or not residual <= tol:
         failure = f"hull witness fails: min weight {low:.3e}, |Σ w·z| {residual:.3e}"
         return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure
@@ -182,19 +205,18 @@ def entangling_input(u, tol: float = TOL_HULL):
         If the hull weights fail their self-check (see ``PeVerdict``), or the
         states fail theirs.
     """
-    u = check_unitary(u)
-    spec = _gate(u).spectrum
-    verdict, failure = _verdict(spec, _as_tol(tol, TOL_HULL))
+    g = _gate(u)
+    verdict, failure = _verdict_of(g, tol)
     if not verdict.is_pe:
         raise NotPerfectEntanglerError(
             f"gate is not a perfect entangler (hull margin {verdict.margin:.3e})"
         )
     if failure is not None:
         raise VerificationError(failure)
-    phi = np.sqrt(verdict.weights) * np.exp(-0.5j * spec.theta)
-    psi_in = MAGIC @ spec.frame.T @ phi
-    psi_out = u @ psi_in
-    if abs(ent(psi_in)) > 1e-9 or abs(abs(ent(psi_out)) - 0.5) > 1e-9:
+    phi = np.sqrt(verdict.weights) * np.exp(-0.5j * g.spectrum.theta)
+    psi_in = MAGIC @ g.spectrum.frame.T @ phi
+    psi_out = g.u @ psi_in
+    if abs(_ent(psi_in)) > 1e-9 or abs(abs(_ent(psi_out)) - 0.5) > 1e-9:
         raise VerificationError("entangling input failed its self-check")
     return psi_in, psi_out
 

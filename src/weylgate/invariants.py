@@ -15,10 +15,12 @@ Every analysis of a gate, or of a stack (..., 4, 4) of gates, reads one
 derivation record (``_Gate``): U_B, m(U) and det U, and on first use the
 invariant pair, the spectrum and the chamber fold.  It is the one place
 where m(U) and det U are formed.  The single-gate analyses here and in
-chamber, kak and entangler take their record from a memo of the last
-``_RECORDS`` gates, keyed by the gate's bytes, so the analyses of one gate
-form each part once.  Stacks, and gates the library built itself, read a
-fresh record and never use the memo.
+chamber, kak and entangler parse their gate and take its record from a
+memo of the last ``_RECORDS`` gates, keyed by the parsed gate's bytes, so
+the analyses of one gate form each part once, and the gate is checked as
+unitary once per distinct gate, on a memo miss: an entry exists only for
+bytes that passed the check.  Stacks, and gates the library built itself,
+read a fresh record and never use the memo.
 """
 
 from __future__ import annotations
@@ -29,7 +31,16 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import _fold, _magic, _raw_coords
-from .linalg import _as_tol, _as_triple, _finite_math, _simdiag, check_unitary
+from .linalg import (
+    TOL_UNITARY,
+    _as_gate,
+    _as_tol,
+    _as_triple,
+    _check_unitary,
+    _finite_math,
+    _simdiag,
+    check_unitary,
+)
 
 _RECORDS = 8  # gates whose derivation record the single-gate memo keeps
 _TOL_EQUIVALENT = 1e-8  # locally_equivalent's default bound on the invariant distance
@@ -43,7 +54,7 @@ def magic_transform(u) -> np.ndarray:
 def m_matrix(u) -> np.ndarray:
     """The complex symmetric matrix m = u_Bᵀ u_B, u_B the magic transform
     (a copy: the gate's record keeps its own)."""
-    return _gate(check_unitary(u)).m.copy()
+    return _gate(u).m.copy()
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,7 @@ class LocalInvariants:
 
 def local_invariants(u) -> LocalInvariants:
     """Local-equivalence invariants of a two-qubit gate (phase insensitive)."""
-    return _invariants_of(_gate(check_unitary(u)))
+    return _invariants_of(_gate(u))
 
 
 def _invariants_of(g: _Gate) -> LocalInvariants:
@@ -139,7 +150,7 @@ def m_spectrum(u) -> MSpectrum:
     diagonalized simultaneously and the phases recovered per joint
     eigenvalue pair.  The arrays are copies: the gate's record keeps its own.
     """
-    s = _gate(check_unitary(u)).spectrum
+    s = _gate(u).spectrum
     return MSpectrum(s.theta.copy(), s.theta_balanced.copy(), s.frame.copy())
 
 
@@ -211,6 +222,16 @@ class _Gate:
     def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _read_only(*_fold(_raw_coords(self.spectrum.theta_balanced)))
 
+    def keep(self, derive):
+        """derive(self), derived on first use and kept under derive's name as a
+        lazy field is: what a layer above derives from the record alone (the
+        entangler's verdict at its default tol).  A raise is not kept."""
+        try:
+            return self.__dict__[derive.__name__]
+        except KeyError:
+            value = self.__dict__[derive.__name__] = derive(self)
+            return value
+
 
 def _read_only(*arrays):
     for a in arrays:
@@ -219,11 +240,14 @@ def _read_only(*arrays):
 
 
 def _gate(u) -> _Gate:
-    """The record of a checked gate, from a memo of the last ``_RECORDS``
-    gates keyed by the gate's bytes; the record holds its own copy."""
-    return _gate_of_bytes(u.tobytes())
+    """The record of gate ``u``, which it parses, from a memo of the last
+    ``_RECORDS`` gates keyed by the parsed gate's bytes; the record holds its
+    own copy."""
+    return _gate_of_bytes(_as_gate(u).tobytes())
 
 
 @lru_cache(maxsize=_RECORDS)
 def _gate_of_bytes(key: bytes) -> _Gate:
-    return _Gate(np.frombuffer(key, dtype=complex).reshape(4, 4))
+    # Only a miss checks the gate, and lru_cache keeps no raise: the check
+    # is a function of the bytes alone, so every entry has passed it.
+    return _Gate(_check_unitary(np.frombuffer(key, dtype=complex).reshape(4, 4), TOL_UNITARY))

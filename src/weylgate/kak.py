@@ -23,7 +23,7 @@ from .cartan import _CARTAN_WORDS, _WEYL_GATES, MAGIC, Q_DAG
 from .chamber import _canonical_gate
 from .errors import BranchSearchError, NotLocalError, VerificationError
 from .invariants import _Gate, _gate
-from .linalg import check_unitary, kron2
+from .linalg import _as_gate, _check_unitary, check_unitary, kron2
 
 # The σj⊗σj words W_j implement the π translations A(c + π·e_j) = A(c)·(i·W_j);
 # the i goes into the global phase, W_j into a neighboring local factor.
@@ -84,7 +84,7 @@ def is_local_gate(u) -> bool:
     This recognizes exactly SU(2)⊗SU(2): a tensor product dressed with a
     global phase other than ±1 does NOT pass (its m is e^{2iφ}·I).
     """
-    lam = _m_scalar(check_unitary(u, tol=_TOL_LOCAL))
+    lam = _m_scalar(_check_unitary(_as_gate(u), _TOL_LOCAL))
     return bool(abs(lam - 1.0) <= _TOL_LOCAL)  # False for NaN
 
 
@@ -153,7 +153,7 @@ def kak_decompose(u) -> KakDecomposition:
     VerificationError
         If the reconstruction residual exceeds 1e-9.
     """
-    return _kak(_gate(check_unitary(u)))
+    return _kak(_gate(u))
 
 
 def _kak(g: _Gate) -> KakDecomposition:

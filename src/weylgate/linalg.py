@@ -15,7 +15,9 @@ arrays and never check again.  The cores here and above them (spectrum,
 invariants, coordinates) take a stack ``(..., n, n)``, so ``trajectory``
 runs all its times in one NumPy pass.  Both a single gate and a stack are
 read through one derivation record (``invariants._Gate``): public
-single-gate functions take theirs from a small memo, and stacks read a fresh
+single-gate functions parse their gate and take its record from a small memo,
+so a gate is checked once per distinct gate, on a memo miss
+(``_check_unitary``, the core of ``check_unitary``); stacks read a fresh
 record and never use the memo.
 """
 
@@ -112,14 +114,14 @@ def _as_real(x, name: str) -> float:
     return float(_as_array(x, (), name, InvalidInputError, float))
 
 
-def _as_tol(tol, default: float) -> float:
+def _as_tol(tol, default: float | None, name: str = "tol") -> float:
     """A tolerance as a finite real ≥ 0, else InvalidInputError.  The
     default itself is returned as it is: a call that keeps it parses nothing."""
     if tol is default:
         return tol
-    tol = _as_real(tol, "tol")
+    tol = _as_real(tol, name)
     if tol < 0.0:
-        raise InvalidInputError(f"tol must be ≥ 0, got {tol!r}")
+        raise InvalidInputError(f"{name} must be ≥ 0, got {tol!r}")
     return tol
 
 
@@ -141,7 +143,16 @@ def check_unitary(u, tol: float = TOL_UNITARY) -> np.ndarray:
     """Return ``u`` as a fresh complex 4x4 array after checking u†u = I within
     ``tol``, a finite real ≥ 0 (non-numeric and non-finite entries fail the check)."""
     tol = _as_tol(tol, TOL_UNITARY)
-    u = _as_array(u, (4, 4), "matrix", NotUnitaryError, complex)
+    return _check_unitary(_as_gate(u), tol)
+
+
+def _as_gate(u) -> np.ndarray:
+    """``u`` parsed as a fresh complex 4x4 array, not yet checked as unitary."""
+    return _as_array(u, (4, 4), "matrix", NotUnitaryError, complex)
+
+
+def _check_unitary(u, tol: float) -> np.ndarray:
+    """check_unitary's core on a parsed gate and a tol the library trusts; returns ``u``."""
     # No entry of a unitary exceeds 1, and one above 1 + tol puts the defect
     # above tol: this keeps u†u from overflowing.
     big = np.abs(u).max()

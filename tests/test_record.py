@@ -1,10 +1,12 @@
 """One derivation record per gate.
 
 The single-gate analyses read one record per checked gate, kept in a small
-memo: U_B, m(U) and det U, and on first use the spectrum and the fold.  A
-warm call must give exactly what a cold one gives, nothing a caller does to
-its arrays may reach the record, the README sequence derives each part
-once, and the stacked paths never touch the memo.
+memo: U_B, m(U) and det U, and on first use the spectrum, the fold and the
+perfect-entangler verdict at its default tol.  A warm call must give exactly
+what a cold one gives, nothing a caller does to its arrays may reach the
+record, the README sequence checks the gate and derives each part once, a
+gate the check rejects is rejected on every call, and the stacked paths
+never touch the memo.
 """
 
 import sys
@@ -16,7 +18,7 @@ import pytest
 
 import weylgate as wg
 from conftest import rand_u4
-from weylgate import invariants
+from weylgate import entangler, invariants
 from weylgate.chamber import (
     VERTEX_A1,
     VERTEX_A2,
@@ -29,7 +31,7 @@ from weylgate.chamber import (
     VERTEX_Q,
     _gate_coords,
 )
-from weylgate.errors import ConvergenceError
+from weylgate.errors import ConvergenceError, NotUnitaryError
 
 NAMED = ["identity", "cnot", "cz", "swap", "sqrtswap", "sqrtswap_inv", "iswap"]
 VERTICES = {
@@ -125,7 +127,9 @@ def test_memo_is_bounded(cold):
 
 def test_record_arrays_are_read_only(cold):
     g = invariants._gate(wg.check_unitary(GATES["haar0"]))
+    verdict = g.keep(entangler._default_verdict)[0]
     arrays = [g.u, g.ub, g.m, g.spectrum.theta, g.spectrum.theta_balanced, g.spectrum.frame, *g.fold]
+    arrays += [verdict.phases, verdict.weights]
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -145,7 +149,10 @@ def test_writing_to_returned_arrays_changes_no_later_result(cold, gate):
     s = wg.m_spectrum(u)
     c = wg.gate_coords(u)
     d = wg.kak_decompose(u)
-    for a in (m, s.theta, s.theta_balanced, s.frame, c, d.coords, d.k1, d.k2, d.a_factor):
+    v = wg.is_perfect_entangler(u)
+    psi_in, psi_out = wg.entangling_input(u)
+    arrays = (m, s.theta, s.theta_balanced, s.frame, c, d.coords, d.k1, d.k2, d.a_factor)
+    for a in arrays + (v.phases, v.weights, psi_in, psi_out):
         assert a.flags.writeable  # a fresh array, the caller's own
         a[...] = 7.0
     assert_identical(readme_sequence(u) + [wg.m_matrix(u), wg.m_spectrum(u)], before)
@@ -174,15 +181,54 @@ def _spy(monkeypatch, names):
 
 @pytest.mark.parametrize("gate", ["haar4", "cnot", "sqrtswap", "iswap"])
 def test_readme_sequence_derives_once_per_gate(cold, monkeypatch, gate):
-    shapes = _spy(monkeypatch, ["_magic", "_simdiag", "_fold"])
+    shapes = _spy(monkeypatch, ["_check_unitary", "_magic", "_simdiag", "_fold", "_verdict"])
     readme_sequence(GATES[gate])
     assert dict(shapes) == {
+        "_check_unitary": [(4, 4)],
         # One magic transform of the gate, for U_B and m(U); the other is the
         # record of the stacked KAK factors k1, k2 for their locality check.
         "_magic": [(4, 4), (2, 4, 4)],
         "_simdiag": [(4, 4)],
         "_fold": [(3,)],
+        "_verdict": [()],  # its argument is the spectrum, a dataclass
     }
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_a_non_unitary_gate_is_rejected_on_every_call(cold, name):
+    u = 1.001 * GATES["haar0"]
+    for _ in range(3):
+        with pytest.raises(NotUnitaryError):
+            READERS[name](u)
+    assert invariants._gate_of_bytes.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_a_gate_near_a_memoized_one_is_checked(cold, name):
+    u = GATES["cnot"]
+    readme_sequence(u)
+    near = u.copy()
+    near[0, 1] += 1e-6  # other bytes: a memo miss, and the check fails it
+    with pytest.raises(NotUnitaryError):
+        READERS[name](near)
+    assert invariants._gate_of_bytes.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("gate", ["haar0", "cnot", "L"])
+def test_a_passed_tol_gets_its_own_verdict(cold, gate):
+    u = GATES[gate]
+    default = wg.is_perfect_entangler(u)
+    strict = wg.is_perfect_entangler(u, tol=0.0)
+    # At tol 0 rounding fails the witness, so its weights are None (PeVerdict).
+    assert default.weights is not None and strict.weights is None
+    with pytest.raises(wg.VerificationError):
+        wg.entangling_input(u, tol=0.0)
+    states = wg.entangling_input(u)
+    assert_identical(wg.is_perfect_entangler(u), default)
+    invariants._gate_of_bytes.cache_clear()  # now the passed tol comes first
+    assert_identical(wg.is_perfect_entangler(u, tol=0.0), strict)
+    assert_identical(wg.entangling_input(u), states)
+    assert_identical(wg.is_perfect_entangler(u), default)
 
 
 STACK_CALLS = {

@@ -31,6 +31,7 @@ from weylgate import (
     NotUnitaryError,
     WeylgateError,
 )
+from weylgate import chamber, invariants, linalg
 from weylgate.chamber import _gate_coords
 from weylgate.cli import main
 
@@ -416,10 +417,8 @@ DEFAULT_TOL_CALLS = {
 
 @pytest.mark.parametrize("name", TOL_FNS)
 def test_only_a_tolerance_the_caller_passes_is_parsed(monkeypatch, name):
-    # The default is a constant the library trusts; parsing costs a few
-    # microseconds, and check_unitary runs several times per gate analysis.
-    from weylgate import linalg
-
+    # The default is a constant the library trusts; parsing it would cost a
+    # few microseconds on every call that keeps it.
     calls = []
     parse = linalg._as_real
     monkeypatch.setattr(linalg, "_as_real", lambda x, what: calls.append(what) or parse(x, what))
@@ -449,12 +448,19 @@ def test_short_coords_message():
 # ---------------------------------------------------------------------------
 # One check per public matrix argument
 
-_COUNTED = ("check_unitary", "check_hermitian", "realize")
+# The name a check is counted under -> the function counted.  A gate's check
+# is its core, which check_unitary and a memo miss of the gate record both run.
+_COUNTED = {
+    "check_unitary": linalg._check_unitary,
+    "check_hermitian": wg.check_hermitian,
+    "realize": wg.realize,
+}
 
 
 @pytest.fixture
 def checks(monkeypatch):
-    """Counts of the three checks, wrapped in every weylgate namespace."""
+    """Counts of the three checks, wrapped in every weylgate namespace, with
+    the gate record memo cleared so that each gate argument is a miss."""
     counts = Counter()
 
     def counting(name, fn):
@@ -464,13 +470,14 @@ def checks(monkeypatch):
 
         return wrapper
 
-    for name in _COUNTED:
-        fn = getattr(wg, name)
+    for name, fn in _COUNTED.items():
         wrapper = counting(name, fn)
         for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "weylgate" and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, wrapper)
-    return counts
+            if mod_name.split(".")[0] == "weylgate" and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    invariants._gate_of_bytes.cache_clear()
+    yield counts
+    invariants._gate_of_bytes.cache_clear()
 
 
 _CUSTOM_H = wg.assemble_nonlocal([0.9, 0.1, -0.2, 0.3, 0.6, 0.0, 0.1, -0.4, 0.3])
@@ -579,8 +586,6 @@ def test_spec_checked_once_per_object(checks, make_spec, call, expected):
 def folds(monkeypatch):
     """Counts of _fold and canonicalize calls, wrapped where the library
     looks them up: the record folds, and canonicalize folds one triple."""
-    from weylgate import chamber, invariants
-
     counts = Counter()
     for mod, name in ((invariants, "_fold"), (chamber, "_fold"), (chamber, "canonicalize")):
         fn = getattr(mod, name)
@@ -609,8 +614,6 @@ def test_one_fold_per_stack(folds, call):
 def test_one_m_per_stack(monkeypatch, call):
     # The spectrum and the invariant check read one record of the whole
     # stack: one magic transform for its m(U), one joint diagonalization.
-    from weylgate import invariants
-
     calls = Counter()
     for name in ("_magic", "_simdiag"):
         fn = getattr(invariants, name)
@@ -792,10 +795,20 @@ def test_cli_bad_gate_file(capsys, tmp_path, matrix, error, argv):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == error
 
 
-@pytest.mark.parametrize("t_max", ["nan", "inf"])
-def test_cli_trajectory_rejects_non_finite_t_max(capsys, t_max):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "isotropic", "--t-max", "nan"],
+        ["trajectory", "isotropic", "--t-max", "inf"],
+        # A negative bound reported a gate as not equivalent to itself.
+        ["equiv", "cnot", "cnot", "--equiv-tol", "-1"],
+        ["equiv", "cnot", "cnot", "--equiv-tol", "nan"],
+    ],
+    ids=lambda argv: f"{argv[-2][2:]}={argv[-1]}",
+)
+def test_cli_rejects_a_bad_option(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["trajectory", "isotropic", "--t-max", t_max])
+        code = main(argv)
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidInputError"
