@@ -38,6 +38,11 @@ from .invariants import _g_from_coords, _Gate, _gate
 from .linalg import _as_text, _as_tol, _as_triple, _finite_math
 
 _TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invariants
+# The largest |raw coordinate| _gate_coords folds.  The closed-form triple and
+# the gate's spectrum each round by about |c|·ε, so their points drift apart as
+# |c| grows (7e-11 at 1e5, measured on the two-body flows); past this the
+# spectrum decides, as it does for every gate whose raw coordinates are not known.
+_FOLD_REACH = 1e5
 
 PI = np.pi
 
@@ -122,10 +127,27 @@ def gate_coords(u) -> np.ndarray:
     return _verified(_gate(u))[0]
 
 
-def _gate_coords(u):
+def _gate_coords(u, raw=None):
     """gate_coords' core over a stack (..., 4, 4) of checked gates, on a fresh
-    record: the coordinates (..., 3) and the (g1, complex g2) they were checked against."""
-    return _verified(_Gate(u))
+    record: the coordinates (..., 3) and the (g1, complex g2) they were checked against.
+
+    ``raw``, given for a stack (N, 4, 4), holds the gates' raw coordinates
+    (N, 3) where they are known in closed form: a row is then folded from
+    raw, with no spectrum, and checked against its gate's invariants as
+    _verified checks it.  A row beyond _FOLD_REACH, or whose point misses
+    the check, is read from its gate's spectrum instead, on those rows alone.
+    """
+    if raw is None:
+        return _verified(_Gate(u))
+    near = np.abs(raw).max(-1) <= _FOLD_REACH  # an inf is beyond it
+    if not near.all():
+        raw = np.where(near[:, None], raw, 0.0)
+    c = _chamber_point(_fold(raw)[0])
+    g1, g2c = _Gate(u).invariant_pair
+    redo = ~near | (_miss(c, g1, g2c) > _TOL_VERIFY)
+    if redo.any():
+        c[redo] = _gate_coords(u[redo])[0]
+    return c, (g1, g2c)
 
 
 def _verified(g: _Gate):
@@ -133,13 +155,19 @@ def _verified(g: _Gate):
     when a point's closed-form invariants miss the gate's by > _TOL_VERIFY."""
     c = _chamber_point(g.fold[0])
     g1, g2c = g.invariant_pair
-    cg1, cg2 = _g_from_coords(c)
-    dist = np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)
+    dist = _miss(c, g1, g2c)
     if (dist > _TOL_VERIFY).any():
         raise VerificationError(
             f"coordinates miss the gate's invariants by {np.max(dist):.3e} > {_TOL_VERIFY:.1e}"
         )
     return c, (g1, g2c)
+
+
+def _miss(c, g1, g2c):
+    """How far the closed-form invariants of a stack of chamber points miss
+    the pairs (g1, complex g2), row by row."""
+    cg1, cg2 = _g_from_coords(c)
+    return np.sqrt(np.abs(cg1 - g1) ** 2 + (cg2 - g2c.real) ** 2)
 
 
 @_finite_math

@@ -6,6 +6,14 @@ coupling models, provides closed-form invariant curves for the exactly
 solvable ones, and solves the minimum-time CNOT problem for the
 Josephson-junction (capacitively coupled charge qubit) model.
 
+``trajectory`` takes a coordinate path per coupling.  A purely two-body H
+(up to identity) has a local k with k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2,
+so U(t) is locally equivalent to A(t·c): its chamber point is the fold of
+the line t·c, read with no spectrum and checked against the invariants of
+U(t).  A time that misses that check, or whose t·c is too large to fold,
+and every time of a coupling with single-qubit terms (josephson), are read
+from the spectrum of m(U(t)).
+
 Supported kinds
 ---------------
 ``isotropic``    (σxσx+σyσy+σzσz)/4 — exchange with equal couplings
@@ -27,7 +35,7 @@ import numpy as np
 from .cartan import _WORDS, CartanTarget, _conjugate, _frame, cartan_element
 from .chamber import _gate_coords
 from .entangler import _in_pe
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, NotNonlocalError
 from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
 from .kak import _m_scalar
 from .linalg import _as_array, _as_count, _as_real, _as_text, _finite_math, _flow, check_hermitian
@@ -123,17 +131,27 @@ class _Generator:
     t ↦ exp(i·h·t), diagonalized once, and, derived on first use, the
     Cartan conjugation, the generator-only plan locals and the period.
 
-    The lazy parts fail for some h (single-qubit terms); a failure is not
-    kept, so it raises again on the next use.
+    An h with single-qubit terms has no Cartan form: ``two_body`` keeps
+    None for it, and ``cartan`` and the parts built on it raise
+    NotNonlocalError on every use.
     """
 
     def __init__(self, h):
         self.h, self.flow = h, _flow(h)
 
     @_lazy
+    def two_body(self) -> CartanTarget | None:
+        """The Cartan conjugation of h (its identity part dropped), or None
+        when h has single-qubit terms."""
+        try:
+            return _conjugate(self.h)
+        except NotNonlocalError:
+            return None
+
+    @property
     def cartan(self) -> CartanTarget:
-        # drops the identity part; raises NotNonlocalError on local terms
-        return _conjugate(self.h)
+        # _conjugate raises NotNonlocalError again, with its message
+        return self.two_body or _conjugate(self.h)
 
     @_lazy
     def pulse_locals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,10 +231,24 @@ class TrajectorySample:
 def trajectory(spec, times) -> list[TrajectorySample]:
     """Coordinates, invariants, and PE status of exp(iHt) along a time grid
     (a 1-D sequence of finite reals, else InvalidInputError), all times in
-    one stacked pass."""
-    flow = _generator(spec).flow
+    one stacked pass.
+
+    U(t) is formed at every time, and its invariants are read from m(U(t)).
+    A two-body coupling, k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2 up to
+    identity, makes U(t) locally equivalent to A(t·c), so its coordinates
+    are the fold of t·c, with no spectrum; each is checked against the
+    invariants of U(t) within 1e-8, and a time whose t·c misses the check
+    or lies beyond the fold's reach (|t·c_j| > 1e5) is read from the
+    spectrum of m(U(t)) instead.  A coupling with single-qubit terms reads
+    every time from the spectrum.
+    """
+    g = _generator(spec)
     times = _as_array(times, (None,), "times", InvalidInputError, float)
-    coords, (g1, g2c) = _gate_coords(flow(times[:, None, None]))
+    raw = None
+    if g.two_body is not None:
+        with np.errstate(over="ignore"):  # an inf is beyond the fold's reach
+            raw = times[:, None] * g.two_body.coeffs
+    coords, (g1, g2c) = _gate_coords(g.flow(times[:, None, None]), raw)
     rows = zip(
         times.tolist(),
         coords,

@@ -13,8 +13,11 @@ Public functions check their gate or Hamiltonian arguments once (a spec by
 one ``realize`` per spec object), and ``_``-prefixed cores take checked
 arrays and never check again.  The cores here and above them (spectrum,
 invariants, coordinates) take a stack ``(..., n, n)``, so ``trajectory``
-runs all its times in one NumPy pass.  Both a single gate and a stack are
-read through one derivation record (``invariants._Gate``): public
+forms U(t) for all its times in one NumPy pass and reads their coordinates
+as a stack: the fold of t·c for a two-body coupling, and the spectrum for
+the other couplings and for the rows the fold cannot answer (see
+``hamflow``).  Both a single gate and a stack are read through one
+derivation record (``invariants._Gate``): public
 single-gate functions parse their gate and take its record from a small memo,
 so a gate is checked once per distinct gate, on a memo miss
 (``_check_unitary``, the core of ``check_unitary``); stacks read a fresh

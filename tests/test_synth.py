@@ -195,6 +195,36 @@ def test_nonnegative_rewrite():
     assert fixed > 0
 
 
+def test_nonnegative_rewrite_is_the_period_shift():
+    # Each negative t becomes t + n·T, n = ceil(-t/T), and its local takes
+    # U(-n·T) in front; the rewrite is returned while the shifted segments
+    # U(t + n·T)·U(-n·T) together miss the U(t) they replace by at most
+    # 1e-8, which bounds the distance between the two plans.
+    spec = HamiltonianSpec.isotropic()
+    period, flow = fundamental_period(spec), spec._generator.flow
+    rng = np.random.default_rng(75)
+    for scale in (None, 10.0, 1e3, 1e6):
+        for _ in range(10):
+            plan = synthesize(rand_u4(rng), spec)
+            if scale is not None:
+                plan = CircuitPlan(plan.locals, tuple(rng.uniform(-scale, scale, 3).tolist()), spec)
+            if min(plan.times) >= 0:
+                continue
+            lifted = with_nonnegative_times(plan)
+            assert verify_plan(lifted, plan_unitary(plan)) <= 1e-8
+            assert lifted.locals[3] is plan.locals[3]
+            for t, new_t, k, new_k in zip(plan.times, lifted.times, plan.locals, lifted.locals):
+                if t >= 0:
+                    assert new_t == t and new_k is k
+                    continue
+                n = int(np.ceil(-t / period))
+                assert new_t == t + n * period
+                np.testing.assert_array_equal(new_k, flow(-n * period) @ k)
+    # Rounding in U(t) at |t| = 1e9 misses by more than 1e-8.
+    plan = cnot_from_isotropic()
+    assert with_nonnegative_times(CircuitPlan(plan.locals, (-1e9, 0.5, 0.0), spec)) is None
+
+
 def test_nonnegative_rewrite_keeps_nonnegative_plans():
     plan = cnot_from_isotropic()
     lifted = with_nonnegative_times(plan)

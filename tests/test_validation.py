@@ -610,10 +610,22 @@ def test_one_fold_per_stack(folds, call):
     assert dict(+folds) == {"_fold": 1}
 
 
-@pytest.mark.parametrize("call", STACK_CALLS, ids=["trajectory", "stacked _gate_coords"])
-def test_one_m_per_stack(monkeypatch, call):
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # A two-body flow folds t·c and reads no spectrum.
+        (STACK_CALLS[0], {"_magic": 1}),
+        (STACK_CALLS[1], {"_magic": 1, "_simdiag": 1}),
+        (
+            lambda: wg.trajectory(HamiltonianSpec.josephson(1.2), np.linspace(0, 3, 7)),
+            {"_magic": 1, "_simdiag": 1},
+        ),
+    ],
+    ids=["trajectory", "stacked _gate_coords", "trajectory josephson"],
+)
+def test_one_m_per_stack(monkeypatch, call, expected):
     # The spectrum and the invariant check read one record of the whole
-    # stack: one magic transform for its m(U), one joint diagonalization.
+    # stack: one magic transform for its m(U), at most one joint diagonalization.
     calls = Counter()
     for name in ("_magic", "_simdiag"):
         fn = getattr(invariants, name)
@@ -624,7 +636,7 @@ def test_one_m_per_stack(monkeypatch, call):
 
         monkeypatch.setattr(invariants, name, counted)
     call()
-    assert dict(calls) == {"_magic": 1, "_simdiag": 1}
+    assert dict(calls) == expected
 
 
 def test_library_built_matrices_are_not_rechecked(checks):
