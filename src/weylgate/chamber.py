@@ -43,6 +43,9 @@ _TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invaria
 # |c| grows (7e-11 at 1e5, measured on the two-body flows); past this the
 # spectrum decides, as it does for every gate whose raw coordinates are not known.
 _FOLD_REACH = 1e5
+# From 2^53 on, neighboring floats are 2 or more apart, so c mod π carries no
+# information: canonicalize refuses a coordinate this large.
+_MOD_PI_REACH = 2.0**53
 
 PI = np.pi
 
@@ -91,8 +94,14 @@ def canonicalize(c) -> np.ndarray:
     within rounding of ``TOL_BASE`` with c1 > π/2, two triples of one orbit
     may fall on either side of it, and either the point or its exact base
     mirror [π-c1, c2, c3] (sorted) may come back.
+
+    A coordinate with |c_j| ≥ 2^53 raises InvalidInputError: from there on
+    neighboring floats are 2 or more apart, and c_j mod π is meaningless.
     """
-    return _chamber_point(_fold(_as_triple(c))[0])
+    c = _as_triple(c)
+    if not np.abs(c).max() < _MOD_PI_REACH:
+        raise InvalidInputError(f"coords must be below 2^53 in magnitude to fold mod π, got {c}")
+    return _chamber_point(_fold(c)[0])
 
 
 def _chamber_point(image) -> np.ndarray:

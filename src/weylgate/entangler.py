@@ -78,7 +78,10 @@ class PeVerdict:
     ``margin`` is the signed distance from 0 to the hull boundary (positive
     inside): cos(g/2) with g the widest gap between neighboring eigenphases,
     since the chord across that arc is the hull edge nearest 0 (and, when 0
-    is outside, the chord's midpoint is the hull point nearest 0).
+    is outside, the chord's midpoint is the hull point nearest 0).  Near
+    the boundary the margin equals minus the chamber point's excess over
+    the nearest perfect-entangler face, to first order, so ``is_pe`` is
+    margin ≥ -tol: the band ``pe_from_coords`` allows the face inequalities.
     ``weights``, present when the test passes and the witness passes its
     self-check, are convex weights w ≥ 0 on the squared eigenphases z with
     |Σ w·z| ≤ tol, ordered like ``phases``: ½ and ½ on the ends of the
@@ -103,9 +106,11 @@ def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
 
     U is a perfect entangler iff no arc of length > π is free of
     eigenphases, i.e. iff 0 lies in the convex hull of the four points
-    e^{iθ_k}.  The verdict carries the hull margin and, when the test
-    passes, the convex weights that witness it (None when none pass their
-    self-check, see ``PeVerdict``).  ``tol`` is the hull's, a finite real ≥ 0.
+    e^{iθ_k}.  The verdict is margin ≥ -tol, with margin the cos of half
+    the widest gap, the same band as ``pe_from_coords``' (see ``PeVerdict``).
+    It carries the hull margin and, when the test passes, the convex weights
+    that witness it (None when none pass their self-check).  ``tol`` is the
+    hull's, a finite real ≥ 0.
     """
     v = _verdict_of(_gate(u), tol)[0]
     weights = None if v.weights is None else v.weights.copy()
@@ -135,10 +140,12 @@ def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
     theta = spec.theta[order]
     # gaps[k]: sorted point k to k+1 (np.diff's arithmetic, without its overhead)
     gaps = np.concatenate((theta[1:], theta[:1] + 2 * np.pi)) - theta
-    max_gap = float(gaps.max())
-    is_pe = max_gap <= np.pi + tol
+    margin = float(np.cos(gaps.max() / 2))
+    # The margin is about minus the point's excess over the nearest PE face,
+    # so this is pe_from_coords' band; a gap's excess over π is twice that
+    # face excess, so a bound of π + tol on the gap would be half as wide.
+    is_pe = margin >= -tol
     z = np.exp(1j * spec.theta)
-    margin = float(np.cos(max_gap / 2))
     if not is_pe:
         return PeVerdict(is_pe=False, margin=margin, phases=z, weights=None), None
     w = np.zeros(4)

@@ -35,7 +35,7 @@ import numpy as np
 from .cartan import _WORDS, CartanTarget, _conjugate, _frame, cartan_element
 from .chamber import _gate_coords
 from .entangler import _in_pe
-from .errors import ConvergenceError, InvalidInputError, NotNonlocalError
+from .errors import ConvergenceError, DegenerateHamiltonianError, InvalidInputError, NotNonlocalError
 from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
 from .kak import _m_scalar
 from .linalg import _as_array, _as_count, _as_real, _as_text, _finite_math, _flow, check_hermitian
@@ -120,24 +120,52 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
 
 # The fixed frames l2 and l3 (l1 = I), each a (gate, action) pair:
 # conjugating the coupling by l_i moves its Cartan coefficients c to
-# action·c, column i of synth.solve_times' pulse-time matrix.
+# action·c, column i of the pulse-time matrix.
 _L2, _A2 = _frame("c3-c2", "c1+c3")
 _L3, _A3 = _frame("c2-c1", "c3-c2", "c1+c2")
+
+# Column i of the pulse-time matrix is _STEER[i]·c, the coefficients seen through
+# frame l_i; each action, a signed permutation, is applied as a gather and a
+# sign flip, exact to the sign of a zero.
+_STEER = np.array([np.eye(3), _A2, _A3])
+_STEER_INDEX, _STEER_SIGN = np.abs(_STEER).argmax(-1), _STEER.sum(-1)
+
+
+def _pulse_time_matrix(c) -> np.ndarray:
+    """The pulse-time matrix M of Cartan coefficients ``c``, whose column i
+    is c seen through frame l_i, so that M·t = γ gives the durations that
+    reach coordinates γ (``synth.solve_times``).
+
+    Raises DegenerateHamiltonianError if |det M| ≤ 1e-12 (coefficients too
+    degenerate to steer).
+    """
+    m = (_STEER_SIGN * c[_STEER_INDEX]).T
+    det = float(np.linalg.det(m))
+    if abs(det) <= 1e-12:
+        raise DegenerateHamiltonianError(
+            f"pulse-time system is singular (det {det:.3e}) for coefficients {c}"
+        )
+    return m
 
 
 class _Generator:
     """What flows and synthesis need of one checked Hamiltonian h, which
     depends on the coupling alone and not on any target: the flow
-    t ↦ exp(i·h·t), diagonalized once, and, derived on first use, the
-    Cartan conjugation, the generator-only plan locals and the period.
+    t ↦ exp(i·h·t), diagonalized once as U(t) = V·e^{i·w·t}·V†, with its
+    eigenpair (w, V, V†), and, derived on first use, the Cartan conjugation,
+    the generator-only plan locals, their images in the flow's eigenbasis
+    (the middle factors of a plan's product), the pulse-time matrix and the
+    period.
 
     An h with single-qubit terms has no Cartan form: ``two_body`` keeps
     None for it, and ``cartan`` and the parts built on it raise
-    NotNonlocalError on every use.
+    NotNonlocalError on every use.  A degenerate coupling's pulse-time
+    matrix raises DegenerateHamiltonianError on every use.
     """
 
     def __init__(self, h):
         self.h, self.flow = h, _flow(h)
+        self.w, self.v, self.vh = self.flow.args
 
     @_lazy
     def two_body(self) -> CartanTarget | None:
@@ -161,6 +189,22 @@ class _Generator:
         k = self.cartan.k
         kd = k.conj().T
         return kd, kd @ _L2.conj().T @ k, kd @ _L3.conj().T @ _L2 @ k
+
+    @_lazy
+    def middle(self) -> tuple[np.ndarray, np.ndarray]:
+        """V†·k1·V and V†·k2·V: the two middle locals of every synthesized
+        plan in the flow's eigenbasis (see ``in_eigenbasis``)."""
+        return tuple(self.in_eigenbasis(k) for k in self.pulse_locals[1:])
+
+    def in_eigenbasis(self, k) -> np.ndarray:
+        """V†·k·V: a plan's middle local k between two pulses, so that
+        U(s)·k·U(t) = V·e^{i·w·s}·(V†·k·V)·e^{i·w·t}·V†."""
+        return self.vh @ k @ self.v
+
+    @_lazy
+    def steer(self) -> np.ndarray:
+        """The pulse-time matrix of the Cartan coefficients."""
+        return _pulse_time_matrix(self.cartan.coeffs)
 
     @_lazy
     def period(self) -> float | None:

@@ -50,6 +50,9 @@ TOL_EIG = 1e-10
 # is broken at the next.
 _SIMDIAG_WEIGHTS = (0.42671, 0.9650714257, 1.6180339887, 0.2231435513, 2.7182818284)
 
+_EYE = np.eye(4)
+_OFF_DIAGONAL = 1.0 - _EYE  # the 4x4 mask of _simdiag's off-diagonal test
+
 
 def _as_array(x, shape: tuple, name: str, error: type[Exception], dtype) -> np.ndarray:
     """``x`` as a fresh array of ``shape`` and ``dtype`` (float, complex, or
@@ -161,7 +164,7 @@ def _check_unitary(u, tol: float) -> np.ndarray:
     big = np.abs(u).max()
     if not big <= 1.0 + tol:
         raise NotUnitaryError(f"matrix is not unitary: max |u_ij| = {big:.3e} > 1 + {tol:.1e}")
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(4))
+    defect = np.linalg.norm(u.conj().T @ u - _EYE)
     if not defect <= tol:
         raise NotUnitaryError(f"matrix is not unitary: ||u†u - I|| = {defect:.3e} > {tol:.1e}")
     return u
@@ -278,7 +281,7 @@ def _simdiag(a, b):
     lead, n = a.shape[:-2], a.shape[-1]
     a, b = a.reshape(-1, n, n), b.reshape(-1, n, n)
     scale = np.maximum(1.0, np.maximum(_frobenius(a), _frobenius(b)))
-    off_diagonal = 1.0 - np.eye(n)
+    off_diagonal = _OFF_DIAGONAL if n == 4 else 1.0 - np.eye(n)
     todo = np.arange(len(a))
     for i, w in enumerate(_SIMDIAG_WEIGHTS):
         # The first weight takes all rows as views, so each matrix product

@@ -15,11 +15,14 @@ Work per generator and per target
 ---------------------------------
 Everything that depends on the coupling alone is derived once per
 ``HamiltonianSpec`` object and kept by it (``hamflow._Generator``): the
-checked matrix, the eigenpair of its flow, its Cartan coefficients and
-conjugating gate k, the two middle locals and the recurrence period.  Per
-target there remain the target's KAK, the 3x3 time solve, the two outer
-locals and the residual check.  An explicit matrix passed in place of a
-spec is derived afresh on each call.
+checked matrix, the eigenpair (w, V) of its flow U(t) = V·e^{i·w·t}·V†, its
+Cartan coefficients and conjugating gate k, the two middle locals, their
+images V†·k_i·V in the eigenbasis, the pulse-time matrix M with its
+determinant check, and the recurrence period.  Per target there remain the
+target's KAK, one 3x3 solve M·t = γ, the two outer locals and the residual
+check, which multiplies the plan out in the eigenbasis: all three pulses
+come from one ``exp``, and the middle factors are the kept ones.  An
+explicit matrix passed in place of a spec is derived afresh on each call.
 """
 
 from __future__ import annotations
@@ -30,20 +33,14 @@ from math import ceil
 import numpy as np
 
 from .cartan import _frame
-from .errors import DegenerateHamiltonianError, InvalidInputError, VerificationError
-from .hamflow import _A2, _A3, _L3, HamiltonianSpec, _generator
+from .errors import InvalidInputError, VerificationError
+from .hamflow import _L3, HamiltonianSpec, _Generator, _generator, _pulse_time_matrix
 from .invariants import _Gate
 from .kak import _kak
 from .linalg import _as_array, _as_triple, _dist_up_to_phase, _finite_math, check_unitary
 
 TOL_TIME = 1e-10  # a duration at most this is no pulse
 _TOL_RESIDUAL = 1e-8  # how far a returned plan may miss its target, up to phase
-
-# Column i of the pulse-time matrix is _STEER[i]·c, the coefficients seen through
-# frame l_i (l1 = I); each action, a signed permutation, is applied as a gather
-# and a sign flip, exact to the sign of a zero.
-_STEER = np.array([np.eye(3), _A2, _A3])
-_STEER_INDEX, _STEER_SIGN = np.abs(_STEER).argmax(-1), _STEER.sum(-1)
 
 
 @dataclass(frozen=True)
@@ -67,14 +64,19 @@ class CircuitPlan:
 @_finite_math
 def plan_unitary(plan: CircuitPlan) -> np.ndarray:
     """Multiply the plan out into an explicit 4x4 unitary."""
-    return _plan_unitary(plan, _generator(plan.hamiltonian).flow)
+    g = _generator(plan.hamiltonian)
+    l0, l1, l2, l3 = plan.locals
+    middle = g.in_eigenbasis(l1), g.in_eigenbasis(l2)
+    return _plan_product(g, l0, middle, l3, plan.times)
 
 
-def _plan_unitary(plan: CircuitPlan, flow) -> np.ndarray:
-    u = plan.locals[0]
-    for t, k in zip(plan.times, plan.locals[1:]):
-        u = k @ flow(t) @ u
-    return u
+def _plan_product(g: _Generator, l0, middle, l3, times) -> np.ndarray:
+    """l3·U(t3)·l2·U(t2)·l1·U(t1)·l0 with U(t) = V·e^{i·w·t}·V†, as
+    (l3·V)·E3·(V†·l2·V)·E2·(V†·l1·V)·E1·(V†·l0), E_i = diag(e^{i·w·t_i});
+    ``middle`` holds V†·l1·V and V†·l2·V."""
+    e = np.exp(1j * np.multiply.outer(times, g.w))  # row i: the diagonal of E_i
+    m1, m2 = middle
+    return ((l3 @ g.v) * e[2]) @ ((m2 * e[1]) @ ((m1 * e[0]) @ (g.vh @ l0)))
 
 
 def verify_plan(plan: CircuitPlan, target) -> float:
@@ -116,13 +118,7 @@ def solve_times(coeffs, target_coords) -> np.ndarray:
     DegenerateHamiltonianError
         If |det M| ≤ 1e-12 (coefficients too degenerate to steer).
     """
-    c = _as_triple(coeffs, "coeffs")
-    m = (_STEER_SIGN * c[_STEER_INDEX]).T
-    det = float(np.linalg.det(m))
-    if abs(det) <= 1e-12:
-        raise DegenerateHamiltonianError(
-            f"pulse-time system is singular (det {det:.3e}) for coefficients {coeffs}"
-        )
+    m = _pulse_time_matrix(_as_triple(coeffs, "coeffs"))
     return np.linalg.solve(m, _as_triple(target_coords))
 
 
@@ -147,21 +143,22 @@ def synthesize(target, hamiltonian: HamiltonianSpec) -> CircuitPlan:
     target = check_unitary(target)
     g = _generator(hamiltonian)
     kd, k1, k2 = g.pulse_locals  # raises NotNonlocalError on local terms
+    m = g.steer  # raises DegenerateHamiltonianError on a degenerate coupling
 
     d = _kak(_Gate(target))  # a fresh target: no use for the single-gate memo
-    t = solve_times(g.cartan.coeffs, d.coords)
     k0 = kd @ d.k2
     k3 = d.k1 @ _L3 @ g.cartan.k
 
     # Durations at rounding-noise level are exact zeros: a time of -1e-16
     # would otherwise cost a full recurrence period in with_nonnegative_times.
-    t = np.where(np.abs(t) <= TOL_TIME, 0.0, t)
+    t = np.linalg.solve(m, d.coords).tolist()
+    times = tuple(0.0 if abs(x) <= TOL_TIME else x for x in t)
     plan = CircuitPlan(
         locals=(k0, k1.copy(), k2.copy(), k3),  # the plan owns its arrays
-        times=(float(t[0]), float(t[1]), float(t[2])),
+        times=times,
         hamiltonian=hamiltonian,
     )
-    resid = _dist_up_to_phase(_plan_unitary(plan, g.flow), target)
+    resid = _dist_up_to_phase(_plan_product(g, k0, g.middle, k3, times), target)
     if resid > _TOL_RESIDUAL:
         raise VerificationError(
             f"synthesized plan misses target: residual {resid:.3e} > {_TOL_RESIDUAL:.1e}"

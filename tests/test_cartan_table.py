@@ -17,8 +17,8 @@ from numpy.testing import assert_allclose
 from weylgate import PAULIS, canonical_gate, cartan_element, kron2
 from weylgate.cartan import MAGIC, Q_DAG, _PATTERN, _raw_coords
 from weylgate.chamber import _canonical_gate
-from weylgate.hamflow import _A2, _A3, _L2, _L3
-from weylgate.synth import _STEER_INDEX, _STEER_SIGN, cnot_from_isotropic
+from weylgate.hamflow import _A2, _A3, _L2, _L3, _STEER_INDEX, _STEER_SIGN
+from weylgate.synth import cnot_from_isotropic
 
 # Seeded generic triples plus every triple of signed zeros, tiny and large values.
 _SPECIAL = (0.0, -0.0, 1e-300, -1e-300, 1e8, -1e8, 0.7)

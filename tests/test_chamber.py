@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import rand_chamber_point, rand_local, rand_u4
 from weylgate import (
+    InvalidInputError,
     canonical_gate,
     canonicalize,
     controlled_gate,
@@ -15,6 +16,7 @@ from weylgate import (
     invariants_from_coords,
     local_invariants,
     named_gate,
+    pe_from_coords,
     weyl_orbit,
 )
 
@@ -78,6 +80,22 @@ def test_canonicalize_lands_in_chamber():
         b = invariants_from_coords(out)
         assert abs(a.g1 - b.g1) < 1e-9
         assert abs(a.g2 - b.g2) < 1e-9
+
+
+@pytest.mark.parametrize("fn", [canonicalize, coords_of_inverse, pe_from_coords])
+def test_fold_refuses_coordinates_from_two_to_the_53(fn):
+    # From 2^53 on, neighboring floats are 2 apart and c mod π is noise:
+    # canonicalize([1e18, 0.3, 0.2]) once returned [2.84, 0.805, 0.2],
+    # outside the chamber.
+    for c in ([1e18, 0.3, 0.2], [0.3, -(2.0**53), 0.2], [0.3, 0.2, 2.0**53]):
+        with pytest.raises(InvalidInputError, match="2\\^53"):
+            fn(c)
+
+
+def test_fold_takes_the_largest_float_below_two_to_the_53():
+    below = np.nextafter(2.0**53, 0.0)
+    for c in ([below, 0.3, 0.2], [0.3, -below, 0.2], [0.3, 0.2, below]):
+        assert in_chamber(canonicalize(c)), c
 
 
 def test_canonicalize_idempotent():

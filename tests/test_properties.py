@@ -269,14 +269,20 @@ def test_coords_of_inverse_matches_adjoint(seed, structured):
     assert_allclose(coords_of_inverse(gate_coords(u)), gate_coords(u.conj().T), atol=1e-7)
 
 
-def _eigvals_coords(u):
-    """The chamber point of u from LAPACK's general eigensolver, sharing no
-    code with the record or _simdiag: the phases of e^{-2iα}·m(U),
-    α = arg(det U)/4, balanced to sum 0, read as raw coordinates in the
-    order eigvals returns them, and folded by the scalar reference fold."""
+def _eigvals_theta(u):
+    """The phases of e^{-2iα}·m(U), α = arg(det U)/4, ascending in (-π, π],
+    from LAPACK's general eigensolver, sharing no code with the record or
+    _simdiag."""
     ub = MAGIC.conj().T @ u @ MAGIC
     alpha = np.angle(np.linalg.det(u)) / 4.0
-    theta = np.sort(np.angle(np.linalg.eigvals(np.exp(-2j * alpha) * (ub.T @ ub))))
+    return np.sort(np.angle(np.linalg.eigvals(np.exp(-2j * alpha) * (ub.T @ ub))))
+
+
+def _eigvals_coords(u):
+    """The chamber point of u from _eigvals_theta: the phases balanced to
+    sum 0, read as raw coordinates in the order eigvals returns them, and
+    folded by the scalar reference fold."""
+    theta = _eigvals_theta(u)
     k = int(np.rint(theta.sum() / (2 * PI)))
     if k > 0:
         theta[4 - k :] -= 2 * PI
@@ -302,6 +308,36 @@ def _oracle_gates():
 def test_gate_coords_match_eigvals_oracle():
     for u in _oracle_gates():
         _assert_same_chamber_point(gate_coords(u), _eigvals_coords(u), atol=1e-12)
+
+
+def _eigvals_margin(u):
+    """cos of half the widest gap between the _eigvals_theta phases."""
+    theta = _eigvals_theta(u)
+    return np.cos(np.diff(theta, append=theta[0] + 2 * PI).max() / 2)
+
+
+def test_pe_verdict_matches_eigvals_margin_and_polyhedron():
+    # One boundary for both verdicts: the hull's margin ≥ -tol is the
+    # polyhedron's face bound, read from an independent eigensolver.
+    for u in _oracle_gates():
+        is_pe = is_perfect_entangler(u).is_pe
+        assert is_pe == (_eigvals_margin(u) >= -TOL_HULL)
+        assert is_pe == pe_from_coords(_eigvals_coords(u))
+
+
+def test_pe_verdict_inside_the_band():
+    # These oracle gates lie 8.0e-10 to 8.6e-10 past a PE face.  A gap
+    # bound of π + tol, which allows half that excess, once called them
+    # non-PE while pe_from_coords called them PE.
+    gates = _oracle_gates()
+    for index in (401, 528, 562, 563):
+        u = gates[index]
+        v = is_perfect_entangler(u)
+        assert -TOL_HULL <= v.margin < np.cos((PI + TOL_HULL) / 2), index
+        assert v.is_pe and pe_from_coords(gate_coords(u)), index
+        psi_in, psi_out = entangling_input(u)
+        assert abs(ent(psi_in)) <= TOL_HULL
+        assert abs(abs(ent(psi_out)) - 0.5) <= 1e-9
 
 
 @PROPERTY
@@ -391,7 +427,7 @@ def test_pe_verdicts_agree_away_from_boundary(u):
 @given(pe_gates())
 def test_pe_verdict_is_margin_threshold(u):
     v = is_perfect_entangler(u)
-    assert v.is_pe == (v.margin >= np.cos((PI + TOL_HULL) / 2))
+    assert v.is_pe == (v.margin >= -TOL_HULL)
 
 
 @PROPERTY

@@ -19,6 +19,7 @@ from weylgate import (
     fundamental_period,
     gate_coords,
     is_local_gate,
+    kak_decompose,
     named_gate,
     plan_unitary,
     realize,
@@ -28,6 +29,8 @@ from weylgate import (
     verify_plan,
     with_nonnegative_times,
 )
+from weylgate.hamflow import _L3, _generator
+from weylgate.synth import TOL_TIME, _plan_product
 
 PI = np.pi
 
@@ -319,6 +322,93 @@ def test_generator_derived_once_per_spec(monkeypatch):
             plan = synthesize(rand_u4(rng), spec)
             with_nonnegative_times(CircuitPlan(plan.locals, (-1.0, 0.5, 0.25), spec))
         assert dict(counts) == {"_conjugate": 1, "_flow": 1, "_period": 1}
+
+
+def test_pulse_time_matrix_derived_once_per_spec(monkeypatch):
+    spec = _random_two_body_specs(1, seed=87)[0]
+    counts = _count_calls(monkeypatch, ["_pulse_time_matrix"])
+    rng = np.random.default_rng(88)
+    for _ in range(50):
+        synthesize(rand_u4(rng), spec)
+    assert counts["_pulse_time_matrix"] == 1
+
+
+def test_degenerate_spec_raises_on_every_call():
+    # A raise is not kept by the spec: each call derives the matrix again.
+    spec = HamiltonianSpec.exchange(1e-5, 0.0)
+    message = "pulse-time system is singular (det 1.000e-15) for coefficients [1.e-05 0.e+00 0.e+00]"
+    for _ in range(3):
+        with pytest.raises(DegenerateHamiltonianError) as info:
+            synthesize(named_gate("cnot"), spec)
+        assert str(info.value) == message
+
+
+def _assembly_couplings():
+    rng = np.random.default_rng(85)
+    return [
+        HamiltonianSpec.isotropic(),
+        HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
+        *_random_two_body_specs(2, seed=86),
+        rand_nonlocal_hamiltonian(rng),  # an explicit matrix, derived afresh per call
+    ]
+
+
+@pytest.mark.parametrize(
+    "hamiltonian",
+    _assembly_couplings(),
+    ids=["isotropic", "exchange(1, 0.5, 0.2, 0)", "custom-1", "custom-2", "matrix"],
+)
+def test_synthesize_is_kak_time_solve_and_frames(hamiltonian):
+    # The plan from public pieces: the target's KAK, the time solve on the
+    # coupling's Cartan coefficients, the snap of noise-level durations, and
+    # the frames around the generator's pulse locals.
+    g = _generator(hamiltonian)
+    kd, k1, k2 = g.pulse_locals
+    rng = np.random.default_rng(87)
+    for _ in range(10):
+        target = rand_u4(rng)
+        d = kak_decompose(target)
+        times = [0.0 if abs(t) <= TOL_TIME else t for t in solve_times(g.cartan.coeffs, d.coords)]
+        plan = synthesize(target, hamiltonian)
+        assert [t.hex() for t in plan.times] == [float(t).hex() for t in times]
+        for got, want in zip(plan.locals, (kd @ d.k2, k1, k2, d.k1 @ _L3 @ g.cartan.k)):
+            np.testing.assert_array_equal(got, want)
+
+
+def _pulse_loop(plan):
+    """The plan multiplied out pulse by pulse, each U(t) formed on its own."""
+    h = realize(plan.hamiltonian)
+    u = plan.locals[0]
+    for t, k in zip(plan.times, plan.locals[1:]):
+        u = k @ expm_i_hermitian(h, t) @ u
+    return u
+
+
+def test_eigenbasis_product_matches_the_pulse_loop():
+    from conftest import rand_local
+
+    rng = np.random.default_rng(89)
+    specs = [
+        HamiltonianSpec.isotropic(),
+        HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
+        HamiltonianSpec.josephson(1.2),
+        *_random_two_body_specs(2, seed=90),
+    ]
+    for spec in specs:
+        for _ in range(10):
+            locs = tuple(rand_local(rng) for _ in range(4))
+            plan = CircuitPlan(locs, tuple(rng.uniform(-3.0, 3.0, 3).tolist()), spec)
+            assert np.max(np.abs(plan_unitary(plan) - _pulse_loop(plan))) <= 1e-13
+    for spec in (specs[0], specs[1], *specs[3:]):
+        g = _generator(spec)
+        for _ in range(10):
+            plan = synthesize(rand_u4(rng), spec)
+            # A synthesized plan's middle factors are the coupling's kept ones.
+            for kept, k in zip(g.middle, plan.locals[1:3]):
+                np.testing.assert_array_equal(kept, g.in_eigenbasis(k))
+            l0, _, _, l3 = plan.locals
+            u = _plan_product(g, l0, g.middle, l3, plan.times)
+            assert np.max(np.abs(u - _pulse_loop(plan))) <= 1e-13
 
 
 def _differential_specs():
