@@ -44,7 +44,7 @@ _TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invaria
 # spectrum decides, as it does for every gate whose raw coordinates are not known.
 _FOLD_REACH = 1e5
 # From 2^53 on, neighboring floats are 2 or more apart, so c mod π carries no
-# information: canonicalize refuses a coordinate this large.
+# information: canonicalize and weyl_orbit refuse a coordinate this large.
 _MOD_PI_REACH = 2.0**53
 
 PI = np.pi
@@ -71,8 +71,11 @@ def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
 
 def weyl_orbit(c) -> list[np.ndarray]:
     """All images of a coordinate triple under the identification group,
-    reduced mod π to [0, π)³ and deduplicated at 1e-12.  Sorted lexicographically."""
-    pts = sorted(np.mod(_WEYL_ACTIONS @ _as_triple(c), PI), key=tuple)
+    reduced mod π to [0, π)³ and deduplicated at 1e-12.  Sorted lexicographically.
+
+    A coordinate with |c_j| ≥ 2^53 raises InvalidInputError, as in canonicalize.
+    """
+    pts = sorted(np.mod(_WEYL_ACTIONS @ _mod_pi_triple(c), PI), key=tuple)
     out: list[np.ndarray] = []
     for p in pts:
         if not out or np.max(np.abs(p - out[-1])) > 1e-12:
@@ -98,10 +101,16 @@ def canonicalize(c) -> np.ndarray:
     A coordinate with |c_j| ≥ 2^53 raises InvalidInputError: from there on
     neighboring floats are 2 or more apart, and c_j mod π is meaningless.
     """
+    return _chamber_point(_fold(_mod_pi_triple(c))[0])
+
+
+def _mod_pi_triple(c) -> np.ndarray:
+    """``c`` parsed as a coordinate triple whose coordinates reduce mod π:
+    each below 2^53 in magnitude, else InvalidInputError."""
     c = _as_triple(c)
     if not np.abs(c).max() < _MOD_PI_REACH:
         raise InvalidInputError(f"coords must be below 2^53 in magnitude to fold mod π, got {c}")
-    return _chamber_point(_fold(c)[0])
+    return c
 
 
 def _chamber_point(image) -> np.ndarray:

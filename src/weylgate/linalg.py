@@ -145,11 +145,10 @@ def _as_text(x, name: str) -> str:
     return x
 
 
-def check_unitary(u, tol: float = TOL_UNITARY) -> np.ndarray:
+def check_unitary(u) -> np.ndarray:
     """Return ``u`` as a fresh complex 4x4 array after checking u†u = I within
-    ``tol``, a finite real ≥ 0 (non-numeric and non-finite entries fail the check)."""
-    tol = _as_tol(tol, TOL_UNITARY)
-    return _check_unitary(_as_gate(u), tol)
+    1e-9 (non-numeric and non-finite entries fail the check)."""
+    return _check_unitary(_as_gate(u), TOL_UNITARY)
 
 
 def _as_gate(u) -> np.ndarray:

@@ -36,7 +36,7 @@ from .cartan import _frame
 from .errors import InvalidInputError, VerificationError
 from .hamflow import _L3, HamiltonianSpec, _Generator, _generator, _pulse_time_matrix
 from .invariants import _Gate
-from .kak import _kak
+from .kak import _kak, _m_scalar
 from .linalg import _as_array, _as_triple, _dist_up_to_phase, _finite_math, check_unitary
 
 TOL_TIME = 1e-10  # a duration at most this is no pulse
@@ -209,6 +209,11 @@ def with_nonnegative_times(plan: CircuitPlan) -> CircuitPlan | None:
     segments U(t + n·T)·U(-n·T) together miss the segments U(t) they
     replace, up to phase, by at most 1e-8; as every factor is unitary, the
     new plan then matches the old one, up to phase, within 1e-8.
+
+    n·T rounds at about |t|·ε, so for |t| ≫ T the compensator U(-n·T) need
+    not be local, and the new time would absorb the difference: each
+    compensator must also pass the locality test the period passed (m(U) a
+    multiple of I within 1e-8), else None.
     """
     if all(t >= 0.0 for t in plan.times):
         return plan
@@ -219,15 +224,17 @@ def with_nonnegative_times(plan: CircuitPlan) -> CircuitPlan | None:
     flow = g.flow
     new_locals = list(plan.locals)
     new_times = list(plan.times)
+    comps = []
     miss = 0.0
     for j, t in enumerate(plan.times):
         if t < 0.0:
             n = ceil(-t / period)
             new_times[j] = t + n * period
-            comp = flow(-n * period)  # local up to phase
+            comp = flow(-n * period)  # local up to phase, checked below
+            comps.append(comp)
             new_locals[j] = comp @ new_locals[j]
             miss += _dist_up_to_phase(flow(new_times[j]) @ comp, flow(t))
-    if miss > _TOL_RESIDUAL:
+    if miss > _TOL_RESIDUAL or np.isnan(_m_scalar(np.array(comps))).any():
         return None
     return CircuitPlan(
         locals=tuple(new_locals), times=tuple(new_times), hamiltonian=plan.hamiltonian

@@ -1,8 +1,31 @@
-"""Shared helpers for the test suite: seeded random gates and states."""
+"""Shared helpers for the test suite: seeded random gates and states, the
+hypothesis setting of the property tests, the chamber-point comparison and
+the call spy."""
+
+import sys
+from collections import defaultdict
 
 import numpy as np
+import pytest
+from hypothesis import settings
+from numpy.testing import assert_allclose
 
-from weylgate import cartan_element, kron2
+from weylgate import HamiltonianSpec, assemble_nonlocal, canonical_gate, cartan_conjugate, kron2
+from weylgate.chamber import TOL_BASE
+
+PI = np.pi
+
+# Derandomized, so every run draws the same examples.
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+# The named two-body couplings, by kind.
+TWO_BODY = {
+    "isotropic": HamiltonianSpec.isotropic,
+    "xy": HamiltonianSpec.xy,
+    "ising": HamiltonianSpec.ising,
+    "exchange": lambda: HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
+    "exchange(0.7,0.3,0.1,0.05)": lambda: HamiltonianSpec.exchange(0.7, 0.3, 0.1, 0.05),
+}
 
 
 def rand_su2(rng):
@@ -35,23 +58,15 @@ def rand_chamber_point(rng):
 
 def gate_at(coords, rng=None, phase=0.0):
     """The canonical gate at ``coords``, optionally dressed with random locals."""
-    u = np.exp(1j * phase) * _canonical(coords)
+    u = np.exp(1j * phase) * canonical_gate(coords)
     if rng is not None:
         u = rand_local(rng) @ u @ rand_local(rng)
     return u
 
 
-def _canonical(coords):
-    from weylgate import canonical_gate
-
-    return canonical_gate(coords)
-
-
 def rand_nonlocal_hamiltonian(rng, min_coeff=0.05):
     """A traceless two-body Hamiltonian whose Cartan coefficients all clear
     ``min_coeff`` in magnitude (rejection sampled)."""
-    from weylgate import assemble_nonlocal, cartan_conjugate
-
     while True:
         coeffs = rng.uniform(-1.0, 1.0, size=9)
         h = assemble_nonlocal(coeffs)
@@ -60,6 +75,53 @@ def rand_nonlocal_hamiltonian(rng, min_coeff=0.05):
             return h
 
 
-def isotropic_hamiltonian():
-    """The swap-symmetric reference Hamiltonian (σxσx+σyσy+σzσz)/4."""
-    return cartan_element([0.5, 0.5, 0.5])
+# canonicalize's contract: where c3 lands within rounding of TOL_BASE with
+# c1 > π/2, a point or its exact base mirror may come back.  The band is how
+# near TOL_BASE both answers must sit for the mirror to be accepted.
+_BASE_BAND = 4 * np.spacing(PI)
+
+
+def assert_same_chamber_point(a, b, atol):
+    """a equals b within ``atol``, or, both with c3 inside the band around
+    TOL_BASE, the one with c1 > π/2 is the other's base mirror [π-c1, c2, c3]."""
+    if np.max(np.abs(a - b)) <= atol:
+        return
+    hi, lo = (a, b) if a[0] > b[0] else (b, a)
+    assert hi[0] > PI / 2, (a, b)
+    assert abs(a[2] - TOL_BASE) <= _BASE_BAND and abs(b[2] - TOL_BASE) <= _BASE_BAND, (a, b)
+    assert_allclose(np.sort([PI - hi[0], hi[1], hi[2]])[::-1], lo, atol=atol)
+
+
+class Calls(defaultdict):
+    """name -> the shape of the first argument of each call, in call order."""
+
+    def counts(self) -> dict[str, int]:
+        """name -> its number of calls, for each name called at least once."""
+        return {name: len(shapes) for name, shapes in self.items() if shapes}
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(*names)`` wraps the named weylgate functions and returns the
+    ``Calls`` they record.  Each is wrapped in every weylgate namespace that
+    holds the same object, the package included, under any name."""
+
+    def wrap(*names) -> Calls:
+        calls = Calls(list)
+        namespaces = [mod for key, mod in sys.modules.items() if key.split(".")[0] == "weylgate"]
+        for name in names:
+            found = {id(f): f for mod in namespaces if (f := getattr(mod, name, None)) is not None}
+            assert len(found) == 1, f"{len(found)} weylgate objects are named {name}"
+            (fn,) = found.values()
+
+            def wrapper(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name].append(np.shape(args[0]) if args else ())
+                return _fn(*args, **kwargs)
+
+            for mod in namespaces:
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+        return calls
+
+    return wrap

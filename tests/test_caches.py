@@ -7,27 +7,15 @@ its bound, as an integer literal or a module constant bound to one.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylgate"
-MODULES = sorted(PACKAGE.glob("*.py"))
+import scan
 
 
-def _name(node) -> str | None:
-    """The name a reference reads: ``x`` or the last part of ``a.x``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _unbounded_caches(source: str) -> list[int]:
+def _unbounded_caches(tree) -> list[int]:
     """Line numbers of each ``cache`` reference and each ``lru_cache`` use
     without a finite maxsize."""
-    tree = ast.parse(source)
     constants = {
         target.id: node.value.value
         for node in tree.body
@@ -42,16 +30,16 @@ def _unbounded_caches(source: str) -> list[int]:
 
     bounded = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _name(node.func) == "lru_cache":
+        if isinstance(node, ast.Call) and scan.ref_name(node.func) == "lru_cache":
             size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
             if size and finite(size[0]):
                 bounded.add(id(node.func))
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-        and (_name(node) == "cache" or (_name(node) == "lru_cache" and id(node) not in bounded))
-        and not isinstance(getattr(node, "ctx", None), ast.Store)
+        if scan.ref_name(node) == "cache"
+        or (scan.ref_name(node) == "lru_cache" and id(node) not in bounded)
+        if not isinstance(getattr(node, "ctx", None), ast.Store)
     )
 
 
@@ -67,9 +55,9 @@ def test_checker_finds_unbounded_caches():
         "@lru_cache(maxsize=None)\ndef e(x): pass\n"
         "f = functools.lru_cache(maxsize=M)(len)\n"
     )
-    assert _unbounded_caches(source) == [8, 10, 12, 14]
+    assert _unbounded_caches(scan.parse({"a.py": source})["a.py"]) == [8, 10, 12, 14]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_cache_is_bounded(path):
-    assert _unbounded_caches(path.read_text(encoding="utf-8")) == []
+@pytest.mark.parametrize("module", scan.package())
+def test_every_cache_is_bounded(module):
+    assert _unbounded_caches(scan.package()[module]) == []

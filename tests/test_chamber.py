@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_chamber_point, rand_local, rand_u4
+from conftest import PI, rand_chamber_point, rand_local, rand_u4
 from weylgate import (
     InvalidInputError,
     canonical_gate,
@@ -19,8 +19,6 @@ from weylgate import (
     pe_from_coords,
     weyl_orbit,
 )
-
-PI = np.pi
 
 # Frozen oracle: canonical coordinates of the named gates.
 NAMED_COORDS = {
@@ -82,11 +80,11 @@ def test_canonicalize_lands_in_chamber():
         assert abs(a.g2 - b.g2) < 1e-9
 
 
-@pytest.mark.parametrize("fn", [canonicalize, coords_of_inverse, pe_from_coords])
+@pytest.mark.parametrize("fn", [canonicalize, coords_of_inverse, pe_from_coords, weyl_orbit])
 def test_fold_refuses_coordinates_from_two_to_the_53(fn):
     # From 2^53 on, neighboring floats are 2 apart and c mod π is noise:
     # canonicalize([1e18, 0.3, 0.2]) once returned [2.84, 0.805, 0.2],
-    # outside the chamber.
+    # outside the chamber, and weyl_orbit 24 images built on 1e18 mod π.
     for c in ([1e18, 0.3, 0.2], [0.3, -(2.0**53), 0.2], [0.3, 0.2, 2.0**53]):
         with pytest.raises(InvalidInputError, match="2\\^53"):
             fn(c)
@@ -96,6 +94,7 @@ def test_fold_takes_the_largest_float_below_two_to_the_53():
     below = np.nextafter(2.0**53, 0.0)
     for c in ([below, 0.3, 0.2], [0.3, -below, 0.2], [0.3, 0.2, below]):
         assert in_chamber(canonicalize(c)), c
+        assert all(((0.0 <= p) & (p <= PI)).all() for p in weyl_orbit(c)), c
 
 
 def test_canonicalize_idempotent():

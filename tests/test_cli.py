@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import PI
 from weylgate import controlled_gate, errors, gate_coords, named_gate
 from weylgate import cli
 from weylgate.cli import main
-
-PI = np.pi
 
 
 def run(capsys, *argv):

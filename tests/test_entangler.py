@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_chamber_point, rand_local, rand_su2, rand_u4
+from conftest import PI, rand_chamber_point, rand_local, rand_su2, rand_u4
 from weylgate import (
     NotNormalizedError,
     NotPerfectEntanglerError,
@@ -27,8 +27,6 @@ from weylgate import (
 )
 from weylgate.chamber import VERTEX_A2, VERTEX_L, VERTEX_M, VERTEX_N, VERTEX_P, VERTEX_Q
 from weylgate.entangler import TOL_HULL
-
-PI = np.pi
 
 
 def test_ent_known_states():

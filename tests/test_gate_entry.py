@@ -7,33 +7,22 @@ call, memo hit or not.
 """
 
 import ast
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylgate"
+import scan
+
 ANALYSES = ("invariants.py", "chamber.py", "kak.py", "entangler.py")
 CHECKS = {"check_unitary", "_check_unitary"}
 
 
-def _called(node) -> set[str]:
-    """The names the calls inside ``node`` read: ``f`` of ``f(...)`` and of ``a.f(...)``."""
-    names = set()
-    for call in ast.walk(node):
-        if isinstance(call, ast.Call):
-            func = call.func
-            names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
-    return names
-
-
-def _checks_beside_the_record(sources: dict[str, str]) -> list[tuple[str, str]]:
+def _checks_beside_the_record(trees) -> list[tuple[str, str]]:
     """(module, function) for each public module-level function that calls
     ``_gate`` and a unitarity check."""
     found = []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                called = _called(node)
-                if "_gate" in called and called & CHECKS:
-                    found.append((module, node.name))
+    for module, tree in trees.items():
+        for node in scan.public_defs(tree):
+            called = {scan.ref_name(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+            if "_gate" in called and called & CHECKS:
+                found.append((module, node.name))
     return sorted(found)
 
 
@@ -56,7 +45,7 @@ def test_checker_finds_a_check_beside_the_record():
         ),
         "b.py": "def other(u):\n    return _Gate(check_unitary(u))\n",
     }
-    assert _checks_beside_the_record(sources) == [
+    assert _checks_beside_the_record(scan.parse(sources)) == [
         ("a.py", "core"),
         ("a.py", "nested"),
         ("a.py", "sequential"),
@@ -64,5 +53,5 @@ def test_checker_finds_a_check_beside_the_record():
 
 
 def test_single_gate_analyses_check_through_the_record():
-    sources = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in ANALYSES}
-    assert _checks_beside_the_record(sources) == []
+    trees = {name: scan.package()[name] for name in ANALYSES}
+    assert _checks_beside_the_record(trees) == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import PI
 from weylgate import (
     HamiltonianSpec,
     PAULIS,
@@ -21,8 +22,6 @@ from weylgate import (
     split_hamiltonian,
     trajectory,
 )
-
-PI = np.pi
 
 
 def test_realize_isotropic():

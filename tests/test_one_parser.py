@@ -5,30 +5,27 @@ included, so no other code in ``src/weylgate/`` calls ``np.isfinite``.
 """
 
 import ast
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylgate"
+import scan
+
 ALLOWED = {("linalg.py", "_as_array")}
 
 
-def _isfinite_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
+def _isfinite_callers(trees) -> list[tuple[str, str]]:
     """(module, enclosing function or "<module>") for each call of
     ``isfinite``, as ``np.isfinite``, ``numpy.isfinite`` or a bare name."""
     found = []
-    for module, source in sources.items():
+    for module, tree in trees.items():
 
         def visit(node, where):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 where = node.name
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "isfinite":
-                    found.append((module, where))
+            if isinstance(node, ast.Call) and scan.ref_name(node.func) == "isfinite":
+                found.append((module, where))
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
-        visit(ast.parse(source), "<module>")
+        visit(tree, "<module>")
     return sorted(found)
 
 
@@ -48,7 +45,7 @@ def test_checker_finds_isfinite_calls():
         ),
         "b.py": "def f(x):\n    return x.isfinite\n",
     }
-    assert _isfinite_callers(sources) == [
+    assert _isfinite_callers(scan.parse(sources)) == [
         ("a.py", "<module>"),
         ("a.py", "inner"),
         ("a.py", "method"),
@@ -57,5 +54,4 @@ def test_checker_finds_isfinite_calls():
 
 
 def test_only_the_parser_checks_finiteness():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert _isfinite_callers(sources) == sorted(ALLOWED)
+    assert _isfinite_callers(scan.package()) == sorted(ALLOWED)

@@ -9,46 +9,19 @@ A public module-level name must be exported by ``weylgate.__all__`` or read
 in the package; otherwise it is the same dead code under a public name.
 """
 
-import ast
-from pathlib import Path
-
+import scan
 import weylgate
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weylgate"
-
-
-def _bound(tree) -> set[str]:
-    """The names, dunders aside, a module binds at module level."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
-    return {n for n in names if not n.startswith("__")}
 
 
 def _defined(tree) -> set[str]:
     """The private names a module binds at module level."""
-    return {n for n in _bound(tree) if n.startswith("_")}
+    return {n for n in scan.bound(tree) if n.startswith("_")}
 
 
-def _loaded(tree) -> set[str]:
-    """Every name the code reads: ``x``, and the ``x`` of ``a.x``."""
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
-
-
-def _dead_names(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) for each private module-level name of ``sources`` that
-    no module of ``sources`` loads."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    loaded = set().union(*map(_loaded, trees.values()))
+def _dead_names(trees) -> list[tuple[str, str]]:
+    """(module, name) for each private module-level name of ``trees`` that
+    no module of ``trees`` loads."""
+    loaded = set().union(*map(scan.loaded, trees.values()))
     return sorted(
         (module, name) for module, tree in trees.items() for name in _defined(tree) - loaded
     )
@@ -73,7 +46,7 @@ def test_checker_finds_dead_names():
         ),
         "b": "def _imported(): pass\ndef _attr_read(): pass\n",
     }
-    assert _dead_names(sources) == [
+    assert _dead_names(scan.parse(sources)) == [
         ("a", "_DEAD"),
         ("a", "_Unused"),
         ("a", "_half_dead"),
@@ -83,19 +56,17 @@ def test_checker_finds_dead_names():
 
 
 def test_no_dead_private_names():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert _dead_names(sources) == []
+    assert _dead_names(scan.package()) == []
 
 
-def _unused_public(sources: dict[str, str], exported) -> list[tuple[str, str]]:
-    """(module, name) for each public module-level name of ``sources`` that
-    is not in ``exported`` and that no module of ``sources`` loads."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    loaded = set().union(*map(_loaded, trees.values())) | set(exported)
+def _unused_public(trees, exported) -> list[tuple[str, str]]:
+    """(module, name) for each public module-level name of ``trees`` that
+    is not in ``exported`` and that no module of ``trees`` loads."""
+    loaded = set().union(*map(scan.loaded, trees.values())) | set(exported)
     return sorted(
         (module, name)
         for module, tree in trees.items()
-        for name in _bound(tree) - _defined(tree) - loaded
+        for name in scan.bound(tree) - _defined(tree) - loaded
     )
 
 
@@ -117,7 +88,7 @@ def test_checker_finds_unused_public_names():
         ),
         "b": "def imported(): pass\nATTR = 8\n",
     }
-    assert _unused_public(sources, {"EXPORTED", "exported"}) == [
+    assert _unused_public(scan.parse(sources), {"EXPORTED", "exported"}) == [
         ("a", "DEAD"),
         ("a", "HALF_DEAD"),
         ("a", "Unused"),
@@ -127,5 +98,4 @@ def test_checker_finds_unused_public_names():
 
 
 def test_public_names_are_exported_or_read():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert _unused_public(sources, weylgate.__all__) == []
+    assert _unused_public(scan.package(), weylgate.__all__) == []

@@ -10,11 +10,19 @@ moves, and a polygon walk over the hull of m's eigenvalues.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import gate_at, rand_chamber_point, rand_local, rand_u4
+from conftest import (
+    PI,
+    PROPERTY,
+    assert_same_chamber_point,
+    gate_at,
+    rand_chamber_point,
+    rand_local,
+    rand_u4,
+)
 from weylgate import (
     WEYL_REFLECTIONS,
     canonical_gate,
@@ -37,10 +45,6 @@ from weylgate.cartan import _WEYL_ACTIONS, _WEYL_GATES, MAGIC
 from weylgate.chamber import _TOL_CHAMBER, TOL_BASE, _fold
 from weylgate.entangler import TOL_HULL
 from weylgate.invariants import _raw_coords
-
-PI = np.pi
-
-PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 
 coord = st.floats(-7.0, 7.0, allow_nan=False, allow_infinity=False)
 triples = st.tuples(coord, coord, coord).map(np.array)
@@ -121,22 +125,6 @@ def _composed(moves):
     return m, t
 
 
-# canonicalize's contract: where c3 lands within rounding of TOL_BASE with
-# c1 > π/2, a point or its exact base mirror may come back.  The band is how
-# near TOL_BASE both answers must sit for the mirror to be accepted.
-_BASE_BAND = 4 * np.spacing(PI)
-
-
-def _assert_same_chamber_point(a, b, atol):
-    """a equals b within ``atol``, or, both with c3 inside the band around
-    TOL_BASE, the one with c1 > π/2 is the other's base mirror [π-c1, c2, c3]."""
-    if np.max(np.abs(a - b)) <= atol:
-        return
-    hi, lo = (a, b) if a[0] > b[0] else (b, a)
-    assert hi[0] > PI / 2, (a, b)
-    assert abs(a[2] - TOL_BASE) <= _BASE_BAND and abs(b[2] - TOL_BASE) <= _BASE_BAND, (a, b)
-    assert_allclose(np.sort([PI - hi[0], hi[1], hi[2]])[::-1], lo, atol=atol)
-
 # Vertices, edges and faces of the chamber, as points of a parameter s in [0, 1].
 _SPECIAL = (
     lambda s: [0.0, 0.0, 0.0],
@@ -182,7 +170,7 @@ def test_fold_idempotent_and_in_chamber(c):
 def test_fold_constant_on_orbit(c):
     ref = canonicalize(c)
     for image in weyl_orbit(c):
-        _assert_same_chamber_point(canonicalize(image), ref, atol=1e-9)
+        assert_same_chamber_point(canonicalize(image), ref, atol=1e-9)
 
 
 @PROPERTY
@@ -258,7 +246,7 @@ def test_gate_coords_ignore_dressing_and_phase(c, seed):
     rng = np.random.default_rng(seed)
     u = gate_at(c)
     v = np.exp(1j * rng.uniform(0.0, 2 * PI)) * (rand_local(rng) @ u @ rand_local(rng))
-    _assert_same_chamber_point(gate_coords(v), gate_coords(u), atol=1e-7)
+    assert_same_chamber_point(gate_coords(v), gate_coords(u), atol=1e-7)
 
 
 @PROPERTY
@@ -307,7 +295,7 @@ def _oracle_gates():
 
 def test_gate_coords_match_eigvals_oracle():
     for u in _oracle_gates():
-        _assert_same_chamber_point(gate_coords(u), _eigvals_coords(u), atol=1e-12)
+        assert_same_chamber_point(gate_coords(u), _eigvals_coords(u), atol=1e-12)
 
 
 def _eigvals_margin(u):

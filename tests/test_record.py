@@ -9,8 +9,6 @@ gate the check rejects is rejected on every call, and the stacked paths
 never touch the memo.
 """
 
-import sys
-from collections import defaultdict
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -158,30 +156,9 @@ def test_writing_to_returned_arrays_changes_no_later_result(cold, gate):
     assert_identical(readme_sequence(u) + [wg.m_matrix(u), wg.m_spectrum(u)], before)
 
 
-def _spy(monkeypatch, names):
-    """The shapes of the first argument of each call to the named private
-    functions, wrapped in every weylgate namespace that holds them."""
-    shapes = defaultdict(list)
-    for name in names:
-        fn = next(
-            getattr(mod, name)
-            for mod_name, mod in sorted(sys.modules.items())
-            if mod_name.startswith("weylgate.") and hasattr(mod, name)
-        )
-
-        def wrapper(*args, _name=name, _fn=fn, **kwargs):
-            shapes[_name].append(np.shape(args[0]))
-            return _fn(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("weylgate.") and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, wrapper)
-    return shapes
-
-
 @pytest.mark.parametrize("gate", ["haar4", "cnot", "sqrtswap", "iswap"])
-def test_readme_sequence_derives_once_per_gate(cold, monkeypatch, gate):
-    shapes = _spy(monkeypatch, ["_check_unitary", "_magic", "_simdiag", "_fold", "_verdict"])
+def test_readme_sequence_derives_once_per_gate(cold, spy, gate):
+    shapes = spy("_check_unitary", "_magic", "_simdiag", "_fold", "_verdict")
     readme_sequence(GATES[gate])
     assert dict(shapes) == {
         "_check_unitary": [(4, 4)],

@@ -14,16 +14,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import weylgate as wg
-from conftest import gate_at, rand_u4
-from test_properties import _assert_same_chamber_point
+from conftest import PI, PROPERTY, assert_same_chamber_point, gate_at, rand_u4
 from weylgate import HamiltonianSpec, chamber
 from weylgate.chamber import VERTEX_A3, VERTEX_L, VERTEX_O, VERTEX_P, _gate_coords
 from weylgate.invariants import _Gate, _spectrum_of_m
 from weylgate.linalg import _SIMDIAG_WEIGHTS, TOL_EIG, _eigh, _simdiag
-
-PI = np.pi
-
-PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 NAMED_KINDS = (
     HamiltonianSpec.isotropic(),
@@ -54,7 +49,7 @@ def per_point(spec, times):
     return out
 
 
-@PROPERTY
+@settings(PROPERTY, max_examples=60)
 @given(specs, grids)
 def test_trajectory_matches_per_point_loop(spec, times):
     samples = wg.trajectory(spec, times)
@@ -65,7 +60,7 @@ def test_trajectory_matches_per_point_loop(spec, times):
         if from_spectrum:
             assert_array_equal(s.coords, coords)
         else:
-            _assert_same_chamber_point(s.coords, coords, atol=1e-12)
+            assert_same_chamber_point(s.coords, coords, atol=1e-12)
         assert s.is_pe == is_pe
         # Built-in types: the CLI's json.dump rejects np.bool_.
         assert type(s.t) is float and type(s.is_pe) is bool
@@ -126,7 +121,7 @@ def _scaled_u_spectrum(u):
     return _spectrum_of_m(_Gate(np.exp(-1j * alpha)[..., None, None] * u).m)
 
 
-@PROPERTY
+@settings(PROPERTY, max_examples=60)
 @given(st.lists(gate_recipes, min_size=1, max_size=6))
 def test_spectrum_of_scaled_m_matches_scaled_u(recipes):
     stack = np.array([_recipe_gate(r) for r in recipes])

@@ -1,25 +1,25 @@
 """Three-pulse circuit synthesis and time bookkeeping."""
 
 import pickle
-import sys
-from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_nonlocal_hamiltonian, rand_u4
+from conftest import PI, rand_local, rand_nonlocal_hamiltonian, rand_u4
 from weylgate import (
     CircuitPlan,
     DegenerateHamiltonianError,
     HamiltonianSpec,
     WeylgateError,
+    assemble_nonlocal,
     cnot_from_isotropic,
     expm_i_hermitian,
     fundamental_period,
     gate_coords,
     is_local_gate,
     kak_decompose,
+    locally_equivalent,
     named_gate,
     plan_unitary,
     realize,
@@ -31,8 +31,6 @@ from weylgate import (
 )
 from weylgate.hamflow import _L3, _generator
 from weylgate.synth import TOL_TIME, _plan_product
-
-PI = np.pi
 
 
 def test_solve_times_isotropic_cnot():
@@ -74,8 +72,6 @@ def test_plan_unitary_order():
     rng = np.random.default_rng(72)
     spec = HamiltonianSpec.isotropic()
     h = realize(spec)
-    from conftest import rand_local
-
     locs = tuple(rand_local(rng) for _ in range(4))
     times = (0.3, 0.7, 1.1)
     plan = CircuitPlan(locals=locs, times=times, hamiltonian=spec)
@@ -108,8 +104,6 @@ def test_cnot_from_isotropic_structure():
     # The two-pulse circuit lands in the cnot class (not the literal matrix).
     u = plan_unitary(plan)
     assert_allclose(gate_coords(u), [PI / 2, 0.0, 0.0], atol=1e-9)
-    from weylgate import locally_equivalent
-
     assert locally_equivalent(u, named_gate("cnot"), tol=1e-9)
     # Halfway through, the evolution passes the square-root-of-swap class.
     h = realize(plan.hamiltonian)
@@ -226,6 +220,15 @@ def test_nonnegative_rewrite_is_the_period_shift():
     # Rounding in U(t) at |t| = 1e9 misses by more than 1e-8.
     plan = cnot_from_isotropic()
     assert with_nonnegative_times(CircuitPlan(plan.locals, (-1e9, 0.5, 0.0), spec)) is None
+    # Further out n·T rounds so far that U(-n·T) is a generic gate, which the
+    # new time absorbs: the segments match, and only the compensator's own
+    # locality test refuses.  The rewrite once returned times (0, 0, 0) here,
+    # with gate_coords [2.018, 1.124, 1.124] of its "local" layer at -1e16.
+    for t in (-1e16, -1e300):
+        assert with_nonnegative_times(CircuitPlan(plan.locals, (t, 0.0, 0.0), spec)) is None
+    lifted = with_nonnegative_times(CircuitPlan(plan.locals, (-3.0, 0.0, 0.0), spec))
+    assert lifted.times == (-3.0 + period, 0.0, 0.0)
+    np.testing.assert_array_equal(lifted.locals[0], flow(-period) @ plan.locals[0])
 
 
 def test_nonnegative_rewrite_keeps_nonnegative_plans():
@@ -261,26 +264,6 @@ def test_nonnegative_rewrite_without_period():
 # The generator record: derived once per spec object
 
 
-def _count_calls(monkeypatch, names):
-    """Counts of weylgate private functions, wrapped in every weylgate
-    namespace that holds them."""
-    import weylgate.hamflow as hamflow
-    import weylgate.linalg as linalg
-
-    counts = Counter()
-    for name in names:
-        fn = getattr(hamflow, name, None) or getattr(linalg, name)
-
-        def wrapper(*args, _name=name, _fn=fn, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "weylgate" and getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, wrapper)
-    return counts
-
-
 # isotropic and xy: test_fundamental_period_isotropic and _xy above.
 @pytest.mark.parametrize(
     "spec, period",
@@ -292,13 +275,11 @@ def test_fundamental_period_commensurate(spec, period):
 
 
 def _random_two_body_specs(n, seed=80):
-    from weylgate import assemble_nonlocal
-
     rng = np.random.default_rng(seed)
     return [HamiltonianSpec.custom(assemble_nonlocal(rng.uniform(-1.0, 1.0, 9))) for _ in range(n)]
 
 
-def test_incommensurate_period_rejected_before_the_flow(monkeypatch):
+def test_incommensurate_period_rejected_before_the_flow(spy):
     # limit_denominator finds a fraction within ~1e-12 of any ratio; the
     # miss π·q·|ratio − p/q| at the candidate period is what rejects it.
     specs = [
@@ -306,31 +287,31 @@ def test_incommensurate_period_rejected_before_the_flow(monkeypatch):
         HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
         *_random_two_body_specs(20),
     ]
-    counts = _count_calls(monkeypatch, ["_m_scalar"])
+    calls = spy("_m_scalar")
     for spec in specs:
         assert fundamental_period(spec) is None
-    assert counts["_m_scalar"] == 0
+    assert len(calls["_m_scalar"]) == 0
 
 
-def test_generator_derived_once_per_spec(monkeypatch):
+def test_generator_derived_once_per_spec(spy):
     specs = [HamiltonianSpec.isotropic(), *_random_two_body_specs(1, seed=81)]
-    counts = _count_calls(monkeypatch, ["_conjugate", "_flow", "_period"])
+    calls = spy("_conjugate", "_flow", "_period")
     rng = np.random.default_rng(82)
     for spec in specs:
-        counts.clear()
+        calls.clear()
         for _ in range(5):
             plan = synthesize(rand_u4(rng), spec)
             with_nonnegative_times(CircuitPlan(plan.locals, (-1.0, 0.5, 0.25), spec))
-        assert dict(counts) == {"_conjugate": 1, "_flow": 1, "_period": 1}
+        assert calls.counts() == {"_conjugate": 1, "_flow": 1, "_period": 1}
 
 
-def test_pulse_time_matrix_derived_once_per_spec(monkeypatch):
+def test_pulse_time_matrix_derived_once_per_spec(spy):
     spec = _random_two_body_specs(1, seed=87)[0]
-    counts = _count_calls(monkeypatch, ["_pulse_time_matrix"])
+    calls = spy("_pulse_time_matrix")
     rng = np.random.default_rng(88)
     for _ in range(50):
         synthesize(rand_u4(rng), spec)
-    assert counts["_pulse_time_matrix"] == 1
+    assert len(calls["_pulse_time_matrix"]) == 1
 
 
 def test_degenerate_spec_raises_on_every_call():
@@ -385,8 +366,6 @@ def _pulse_loop(plan):
 
 
 def test_eigenbasis_product_matches_the_pulse_loop():
-    from conftest import rand_local
-
     rng = np.random.default_rng(89)
     specs = [
         HamiltonianSpec.isotropic(),

@@ -9,9 +9,7 @@ check per matrix argument and none on matrices the library built itself.
 
 import json
 import re
-import sys
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylgate as wg
-from conftest import rand_local, rand_u4
+from conftest import PROPERTY, TWO_BODY, rand_local, rand_u4
 from weylgate import (
     CircuitPlan,
     DegenerateHamiltonianError,
@@ -31,7 +29,7 @@ from weylgate import (
     NotUnitaryError,
     WeylgateError,
 )
-from weylgate import chamber, invariants, linalg
+from weylgate import invariants, linalg
 from weylgate.chamber import _gate_coords
 from weylgate.cli import main
 
@@ -240,7 +238,6 @@ SCALAR_FNS = {
 }
 # A tolerance a caller passes: a finite real ≥ 0.
 TOL_FNS = {
-    "check_unitary tol": lambda tol: wg.check_unitary(CNOT, tol=tol),
     "in_chamber tol": lambda tol: wg.in_chamber([1.0, 0.5, 0.2], tol=tol),
     "locally_equivalent tol": lambda tol: wg.locally_equivalent(CNOT, CNOT, tol=tol),
     "is_perfect_entangler tol": lambda tol: wg.is_perfect_entangler(CNOT, tol=tol),
@@ -271,6 +268,12 @@ BAD_TEXT = {
     "unknown": ("nonsense", InvalidInputError),
 }
 
+# A row per two-body kind: the times parse runs before any code of the kind.
+TIMES_FNS = {
+    f"trajectory times {kind}".removesuffix(" isotropic"): lambda t, s=make(): wg.trajectory(s, t)
+    for kind, make in TWO_BODY.items()
+}
+
 # Every public entry the tables below take, by table key (see _table).
 TABLED: dict = {}
 
@@ -290,7 +293,7 @@ MALFORMED = (
     + _table(SPEC_FNS, BAD_SPECS)
     + _table(SYMMETRIC_FNS, BAD_SYMMETRIC)
     + _table(COORD_FNS, BAD_COORDS)
-    + _table({"trajectory times": lambda times: wg.trajectory(_ISO, times)}, BAD_TIMES)
+    + _table(TIMES_FNS, BAD_TIMES)
     + _table(
         {"assemble_nonlocal": wg.assemble_nonlocal},
         {
@@ -407,7 +410,6 @@ def test_every_public_callable_has_a_bad_input_row():
 
 # The TOL_FNS calls with the default tolerance.
 DEFAULT_TOL_CALLS = {
-    "check_unitary tol": lambda: wg.check_unitary(CNOT),
     "in_chamber tol": lambda: wg.in_chamber([1.0, 0.5, 0.2]),
     "locally_equivalent tol": lambda: wg.locally_equivalent(CNOT, CNOT),
     "is_perfect_entangler tol": lambda: wg.is_perfect_entangler(CNOT),
@@ -448,35 +450,13 @@ def test_short_coords_message():
 # ---------------------------------------------------------------------------
 # One check per public matrix argument
 
-# The name a check is counted under -> the function counted.  A gate's check
-# is its core, which check_unitary and a memo miss of the gate record both run.
-_COUNTED = {
-    "check_unitary": linalg._check_unitary,
-    "check_hermitian": wg.check_hermitian,
-    "realize": wg.realize,
-}
-
 
 @pytest.fixture
-def checks(monkeypatch):
-    """Counts of the three checks, wrapped in every weylgate namespace, with
-    the gate record memo cleared so that each gate argument is a miss."""
-    counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name, fn in _COUNTED.items():
-        wrapper = counting(name, fn)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "weylgate" and getattr(mod, fn.__name__, None) is fn:
-                monkeypatch.setattr(mod, fn.__name__, wrapper)
+def checks(spy):
+    """The calls of the gate check's core (run by check_unitary and by a memo miss of
+    the record), check_hermitian and realize; with the memo cleared, each gate is a miss."""
     invariants._gate_of_bytes.cache_clear()
-    yield counts
+    yield spy("_check_unitary", "check_hermitian", "realize")
     invariants._gate_of_bytes.cache_clear()
 
 
@@ -508,18 +488,18 @@ def _negative_plan():
 # name -> (call, expected counts); a spec is realized once, and realizing a
 # custom spec is its one Hermitian check.
 COUNT_CASES = {
-    "m_matrix": (lambda: wg.m_matrix(_U), {"check_unitary": 1}),
-    "local_invariants": (lambda: wg.local_invariants(_U), {"check_unitary": 1}),
-    "m_spectrum": (lambda: wg.m_spectrum(_U), {"check_unitary": 1}),
-    "gate_coords": (lambda: wg.gate_coords(_U), {"check_unitary": 1}),
-    "kak_decompose": (lambda: wg.kak_decompose(_U), {"check_unitary": 1}),
-    "is_local_gate": (lambda: wg.is_local_gate(_LOCAL), {"check_unitary": 1}),
-    "factor_local": (lambda: wg.factor_local(_LOCAL), {"check_unitary": 1}),
-    "is_perfect_entangler": (lambda: wg.is_perfect_entangler(_U), {"check_unitary": 1}),
-    "entangling_input": (lambda: wg.entangling_input(CNOT), {"check_unitary": 1}),
-    "locally_equivalent": (lambda: wg.locally_equivalent(_U, CNOT), {"check_unitary": 2}),
-    "magic_transform": (lambda: wg.magic_transform(_U), {"check_unitary": 1}),
-    "dist_up_to_phase": (lambda: wg.dist_up_to_phase(_U, CNOT), {"check_unitary": 2}),
+    "m_matrix": (lambda: wg.m_matrix(_U), {"_check_unitary": 1}),
+    "local_invariants": (lambda: wg.local_invariants(_U), {"_check_unitary": 1}),
+    "m_spectrum": (lambda: wg.m_spectrum(_U), {"_check_unitary": 1}),
+    "gate_coords": (lambda: wg.gate_coords(_U), {"_check_unitary": 1}),
+    "kak_decompose": (lambda: wg.kak_decompose(_U), {"_check_unitary": 1}),
+    "is_local_gate": (lambda: wg.is_local_gate(_LOCAL), {"_check_unitary": 1}),
+    "factor_local": (lambda: wg.factor_local(_LOCAL), {"_check_unitary": 1}),
+    "is_perfect_entangler": (lambda: wg.is_perfect_entangler(_U), {"_check_unitary": 1}),
+    "entangling_input": (lambda: wg.entangling_input(CNOT), {"_check_unitary": 1}),
+    "locally_equivalent": (lambda: wg.locally_equivalent(_U, CNOT), {"_check_unitary": 2}),
+    "magic_transform": (lambda: wg.magic_transform(_U), {"_check_unitary": 1}),
+    "dist_up_to_phase": (lambda: wg.dist_up_to_phase(_U, CNOT), {"_check_unitary": 2}),
     "expm_i_hermitian": (lambda: wg.expm_i_hermitian(ISO_H, 0.3), {"check_hermitian": 1}),
     "split_hamiltonian": (lambda: wg.split_hamiltonian(ISO_H), {"check_hermitian": 1}),
     "cartan_conjugate": (lambda: wg.cartan_conjugate(ISO_H), {"check_hermitian": 1}),
@@ -531,15 +511,15 @@ COUNT_CASES = {
         lambda: wg.trajectory(_custom(), np.linspace(0, 3, 7)),
         {"realize": 1, "check_hermitian": 1},
     ),
-    "synthesize(named)": (lambda: wg.synthesize(_U, _iso()), {"check_unitary": 1, "realize": 1}),
+    "synthesize(named)": (lambda: wg.synthesize(_U, _iso()), {"_check_unitary": 1, "realize": 1}),
     "synthesize(custom)": (
         lambda: wg.synthesize(_U, _custom()),
-        {"check_unitary": 1, "realize": 1, "check_hermitian": 1},
+        {"_check_unitary": 1, "realize": 1, "check_hermitian": 1},
     ),
     "plan_unitary": (lambda: wg.plan_unitary(_plan()), {"realize": 1}),
     # verify_plan checks its target and multiplies the plan out through the
     # public plan_unitary, which realizes the spec.
-    "verify_plan": (lambda: wg.verify_plan(_plan(), CNOT), {"check_unitary": 1, "realize": 1}),
+    "verify_plan": (lambda: wg.verify_plan(_plan(), CNOT), {"_check_unitary": 1, "realize": 1}),
     "fundamental_period": (lambda: wg.fundamental_period(_iso()), {"realize": 1}),
     "with_nonnegative_times": (lambda: wg.with_nonnegative_times(_negative_plan()), {"realize": 1}),
 }
@@ -548,13 +528,13 @@ COUNT_CASES = {
 # on the same spec object): the spec is checked by its first call only.
 SECOND_CALL_CASES = {
     "trajectory": (_custom, lambda s: wg.trajectory(s, np.linspace(0, 3, 7)), {}),
-    "synthesize(named)": (_iso, lambda s: wg.synthesize(_U, s), {"check_unitary": 1}),
-    "synthesize(custom)": (_custom, lambda s: wg.synthesize(_U, s), {"check_unitary": 1}),
+    "synthesize(named)": (_iso, lambda s: wg.synthesize(_U, s), {"_check_unitary": 1}),
+    "synthesize(custom)": (_custom, lambda s: wg.synthesize(_U, s), {"_check_unitary": 1}),
     "plan_unitary": (_custom, lambda s: wg.plan_unitary(CircuitPlan(_PLAN.locals, _PLAN.times, s)), {}),
     "verify_plan": (
         _custom,
         lambda s: wg.verify_plan(CircuitPlan(_PLAN.locals, _PLAN.times, s), CNOT),
-        {"check_unitary": 1},
+        {"_check_unitary": 1},
     ),
     "fundamental_period": (_custom, wg.fundamental_period, {}),
     "with_nonnegative_times": (
@@ -568,7 +548,7 @@ SECOND_CALL_CASES = {
 @pytest.mark.parametrize("call, expected", COUNT_CASES.values(), ids=COUNT_CASES.keys())
 def test_one_check_per_matrix_argument(checks, call, expected):
     call()
-    assert dict(+checks) == expected
+    assert checks.counts() == expected
 
 
 @pytest.mark.parametrize(
@@ -579,23 +559,7 @@ def test_spec_checked_once_per_object(checks, make_spec, call, expected):
     call(spec)
     checks.clear()
     call(spec)
-    assert dict(+checks) == expected
-
-
-@pytest.fixture
-def folds(monkeypatch):
-    """Counts of _fold and canonicalize calls, wrapped where the library
-    looks them up: the record folds, and canonicalize folds one triple."""
-    counts = Counter()
-    for mod, name in ((invariants, "_fold"), (chamber, "_fold"), (chamber, "canonicalize")):
-        fn = getattr(mod, name)
-
-        def wrapper(*args, _name=name, _fn=fn, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(mod, name, wrapper)
-    return counts
+    assert checks.counts() == expected
 
 
 STACK_CALLS = [
@@ -605,9 +569,11 @@ STACK_CALLS = [
 
 
 @pytest.mark.parametrize("call", STACK_CALLS, ids=["trajectory", "stacked _gate_coords"])
-def test_one_fold_per_stack(folds, call):
+def test_one_fold_per_stack(spy, call):
+    # The record folds the stack once; canonicalize, the one-triple fold, is not called.
+    folds = spy("_fold", "canonicalize")
     call()
-    assert dict(+folds) == {"_fold": 1}
+    assert folds.counts() == {"_fold": 1}
 
 
 @pytest.mark.parametrize(
@@ -623,34 +589,26 @@ def test_one_fold_per_stack(folds, call):
     ],
     ids=["trajectory", "stacked _gate_coords", "trajectory josephson"],
 )
-def test_one_m_per_stack(monkeypatch, call, expected):
+def test_one_m_per_stack(spy, call, expected):
     # The spectrum and the invariant check read one record of the whole
     # stack: one magic transform for its m(U), at most one joint diagonalization.
-    calls = Counter()
-    for name in ("_magic", "_simdiag"):
-        fn = getattr(invariants, name)
-
-        def counted(*args, _name=name, _fn=fn, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(invariants, name, counted)
+    _ISO._generator.cartan  # derived once per spec, through a magic transform of its own
+    calls = spy("_magic", "_simdiag")
     call()
-    assert dict(calls) == expected
+    assert calls.counts() == expected
 
 
 def test_library_built_matrices_are_not_rechecked(checks):
     # No matrix argument at all: every matrix here is built by the library.
     wg.josephson_cnot_min_time(k_max=2)
     wg.cnot_from_isotropic()
-    assert checks["check_unitary"] == 0
-    assert checks["check_hermitian"] == 0
+    assert len(checks["_check_unitary"]) == 0
+    assert len(checks["check_hermitian"]) == 0
 
 
 # ---------------------------------------------------------------------------
 # Synthesis from random two-body generators
 
-PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 # Tiny and zero couplings reach the singular and near-singular pulse-time systems.
 coupling = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-5, 1e-5), st.just(0.0))
 
@@ -759,7 +717,7 @@ def test_extreme_finite_arguments_raise_only_typed_errors(entry, shape, takes, s
 def test_bad_input_raises_only_typed_errors(entry, shape, takes):
     # Warnings are errors; a malformed argument raises, and one of a shape
     # the entry does not take raises InvalidInputError.
-    @settings(derandomize=True, max_examples=10, deadline=None, database=None)
+    @settings(PROPERTY, max_examples=10)
     @given(_argument(shape, takes))
     def check(arg):
         x, fits, malformed = arg
