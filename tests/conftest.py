@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: seeded random gates and states, the
-hypothesis setting of the property tests, the chamber-point comparison and
-the call spy."""
+hypothesis setting of the property tests, the named two-body couplings, the
+malformed trajectory times, the chamber-point comparison and the call spy."""
 
 import sys
 from collections import defaultdict
@@ -10,7 +10,14 @@ import pytest
 from hypothesis import settings
 from numpy.testing import assert_allclose
 
-from weylgate import HamiltonianSpec, assemble_nonlocal, canonical_gate, cartan_conjugate, kron2
+from weylgate import (
+    HamiltonianSpec,
+    InvalidInputError,
+    assemble_nonlocal,
+    canonical_gate,
+    cartan_conjugate,
+    kron2,
+)
 from weylgate.chamber import TOL_BASE
 
 PI = np.pi
@@ -25,6 +32,16 @@ TWO_BODY = {
     "ising": HamiltonianSpec.ising,
     "exchange": lambda: HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
     "exchange(0.7,0.3,0.1,0.05)": lambda: HamiltonianSpec.exchange(0.7, 0.3, 0.1, 0.05),
+}
+
+# Malformed trajectory times, by name -> (times, the error they raise).
+BAD_TIMES = {
+    "nan": ([0.0, float("nan")], ValueError),
+    "inf": ([np.inf], ValueError),
+    "2d": ([[0.1, 0.2]], ValueError),
+    "scalar": (0.5, ValueError),
+    "text": (["0.1"], InvalidInputError),
+    "complex": (np.array([0.1j]), InvalidInputError),
 }
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import weylgate as wg
-from conftest import PI, PROPERTY, TWO_BODY, assert_same_chamber_point
+from conftest import BAD_TIMES, PI, PROPERTY, TWO_BODY, assert_same_chamber_point
 from weylgate import HamiltonianSpec, LocalInvariants, NotNonlocalError
 from weylgate.cartan import _WORDS, TOL_BASE, assemble_nonlocal, cartan_element
 from weylgate.chamber import _gate_coords
@@ -119,6 +119,13 @@ def test_far_times_read_the_spectrum(kind):
         assert s.invariants.g1 == complex(g1[0])
         assert s.invariants.g2 == float(g2c[0].real)
         assert s.is_pe == _in_pe(ref[0])
+
+
+@pytest.mark.parametrize("kind", TWO_BODY)
+@pytest.mark.parametrize("bad, error", BAD_TIMES.values(), ids=BAD_TIMES.keys())
+def test_bad_times_keep_their_error(kind, bad, error):
+    with pytest.raises(error):
+        wg.trajectory(TWO_BODY[kind](), bad)
 
 
 # ---------------------------------------------------------------------------

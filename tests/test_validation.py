@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylgate as wg
-from conftest import PROPERTY, TWO_BODY, rand_local, rand_u4
+from conftest import BAD_TIMES, PROPERTY, rand_local, rand_u4
 from weylgate import (
     CircuitPlan,
     DegenerateHamiltonianError,
@@ -99,14 +99,6 @@ BAD_SPECS = {
         NotHermitianError,
     ),
     **{f"matrix {k}": v for k, v in BAD_HAMILTONIANS.items()},
-}
-BAD_TIMES = {
-    "nan": ([0.0, NAN], ValueError),
-    "inf": ([np.inf], ValueError),
-    "2d": ([[0.1, 0.2]], ValueError),
-    "scalar": (0.5, ValueError),
-    "text": (["0.1"], InvalidInputError),
-    "complex": (np.array([0.1j]), InvalidInputError),
 }
 BAD_COORDS = {
     "nan": ([NAN, 0.0, 0.0], ValueError),
@@ -268,12 +260,6 @@ BAD_TEXT = {
     "unknown": ("nonsense", InvalidInputError),
 }
 
-# A row per two-body kind: the times parse runs before any code of the kind.
-TIMES_FNS = {
-    f"trajectory times {kind}".removesuffix(" isotropic"): lambda t, s=make(): wg.trajectory(s, t)
-    for kind, make in TWO_BODY.items()
-}
-
 # Every public entry the tables below take, by table key (see _table).
 TABLED: dict = {}
 
@@ -293,7 +279,7 @@ MALFORMED = (
     + _table(SPEC_FNS, BAD_SPECS)
     + _table(SYMMETRIC_FNS, BAD_SYMMETRIC)
     + _table(COORD_FNS, BAD_COORDS)
-    + _table(TIMES_FNS, BAD_TIMES)
+    + _table({"trajectory times": lambda times: wg.trajectory(_ISO, times)}, BAD_TIMES)
     + _table(
         {"assemble_nonlocal": wg.assemble_nonlocal},
         {
