@@ -104,7 +104,7 @@ def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, _as_array(b, a.shape, "b", InvalidInputError, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianSplit:
     """Coefficients of a 4x4 Hermitian operator over the Pauli words.
 
@@ -168,7 +168,7 @@ def assemble_nonlocal(coeffs) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartanTarget:
     """Result of rotating a nonlocal Hamiltonian into the Cartan subalgebra.
 
@@ -235,7 +235,7 @@ def _local_rotation(axis: str, sign: int) -> np.ndarray:
     return kron2(f, g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylReflection:
     """A reflection of canonical coordinates realized by a concrete local gate.
 

@@ -168,25 +168,20 @@ def _cmd_trajectory(args) -> dict | str:
     spec = parse_hamiltonian(args.hamiltonian)
     t_max = _as_real(args.t_max, "--t-max")  # linspace would warn on an infinite end
     times = np.linspace(0.0, t_max, _as_count(args.steps, "--steps", 0))
-    samples = trajectory(spec, times)
+    table = trajectory(spec, times)
+    columns = (table.t, table.coords, table.g1, table.g2, table.is_pe)
+    rows = list(zip(*(column.tolist() for column in columns)))
     if args.format == "csv":
         lines = ["t,c1,c2,c3,g1_re,g1_im,g2,is_pe\n"]
-        for s in samples:
-            g1 = s.invariants.g1
-            reals = _json([s.t, *s.coords, g1.real, g1.imag, s.invariants.g2])
-            lines.append(",".join(map(str, reals)) + f",{int(s.is_pe)}\n")
+        for t, c, g1, g2, is_pe in rows:
+            reals = _json([t, *c, g1.real, g1.imag, g2])
+            lines.append(",".join(map(str, reals)) + f",{int(is_pe)}\n")
         return "".join(lines)
     return {
         "hamiltonian": {"kind": spec.kind, "params": _json(spec.params)},
         "samples": [
-            {
-                "t": _json(s.t),
-                "c": _json(s.coords),
-                "g1": _json(s.invariants.g1),
-                "g2": _json(s.invariants.g2),
-                "is_pe": bool(s.is_pe),
-            }
-            for s in samples
+            {"t": _json(t), "c": _json(c), "g1": _json(g1), "g2": _json(g2), "is_pe": is_pe}
+            for t, c, g1, g2, is_pe in rows
         ],
     }
 

@@ -71,7 +71,7 @@ def _ent(psi) -> complex:
     return complex(psi @ P_ENT @ psi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeVerdict:
     """Outcome of the convex-hull perfect-entangler test.
 

@@ -26,6 +26,7 @@ Supported kinds
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -263,19 +264,67 @@ def parse_hamiltonian(text: str) -> HamiltonianSpec:
     raise InvalidInputError(f"UnsupportedKind: {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectorySample:
+    """One point of a trajectory: U(t)'s coordinates, invariants and PE status."""
+
     t: float
     coords: np.ndarray
     invariants: LocalInvariants
     is_pe: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A trajectory as columns, one row per time: ``t`` (N), ``coords``
+    (N, 3), ``g1`` (N, complex), ``g2`` (N), ``g2_imag_residual`` (N) and
+    ``is_pe`` (N, bool).
+
+    It reads as the sequence of its rows: ``len``, ``table[i]`` and
+    iteration build each ``TrajectorySample`` when it is read, with
+    built-in scalars and ``coords[i]`` as a view, and ``table[a:b]`` is the
+    table of the sliced columns.
+    """
+
+    t: np.ndarray
+    coords: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    g2_imag_residual: np.ndarray
+    is_pe: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trajectory(
+                self.t[i], self.coords[i], self.g1[i], self.g2[i], self.g2_imag_residual[i], self.is_pe[i]
+            )
+        i = operator.index(i)
+        return _sample(
+            float(self.t[i]),
+            self.coords[i],
+            complex(self.g1[i]),
+            float(self.g2[i]),
+            float(self.g2_imag_residual[i]),
+            bool(self.is_pe[i]),
+        )
+
+    def __iter__(self):
+        scalars = (self.g1.tolist(), self.g2.tolist(), self.g2_imag_residual.tolist())
+        return map(_sample, self.t.tolist(), self.coords, *scalars, self.is_pe.tolist())
+
+
+def _sample(t, coords, g1, g2, residual, is_pe) -> TrajectorySample:
+    return TrajectorySample(t, coords, LocalInvariants(g1, g2, residual), is_pe)
+
+
 @_finite_math
-def trajectory(spec, times) -> list[TrajectorySample]:
+def trajectory(spec, times) -> Trajectory:
     """Coordinates, invariants, and PE status of exp(iHt) along a time grid
     (a 1-D sequence of finite reals, else InvalidInputError), all times in
-    one stacked pass.
+    one stacked pass, as a ``Trajectory`` table with one row per time.
 
     U(t) is formed at every time, and its invariants are read from m(U(t)).
     A two-body coupling, k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2 up to
@@ -293,17 +342,7 @@ def trajectory(spec, times) -> list[TrajectorySample]:
         with np.errstate(over="ignore"):  # an inf is beyond the fold's reach
             raw = times[:, None] * g.two_body.coeffs
     coords, (g1, g2c) = _gate_coords(g.flow(times[:, None, None]), raw)
-    rows = zip(
-        times.tolist(),
-        coords,
-        g1.tolist(),
-        g2c.real.tolist(),
-        np.abs(g2c.imag).tolist(),
-        _in_pe(coords).tolist(),
-    )
-    return [
-        TrajectorySample(t, c, LocalInvariants(a, b, r), pe) for t, c, a, b, r, pe in rows
-    ]
+    return Trajectory(times, coords, g1, g2c.real, np.abs(g2c.imag), _in_pe(coords))
 
 
 @_finite_math

@@ -120,7 +120,7 @@ def locally_equivalent(u, v, tol: float = _TOL_EQUIVALENT) -> bool:
     return invariant_distance(local_invariants(u), local_invariants(v)) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MSpectrum:
     """Eigenphases of m(U) with U normalized to det = 1.
 

@@ -39,7 +39,7 @@ _EYE = np.eye(4)
 _TOL_LOCAL = 1e-8  # the locality test's bound on m = λ·I and on a tensor factorization
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KakDecomposition:
     """U = e^{iα}·k1·a_factor·k2 with coords in the Weyl chamber.
 
@@ -88,7 +88,7 @@ def is_local_gate(u) -> bool:
     return bool(abs(lam - 1.0) <= _TOL_LOCAL)  # False for NaN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalFactors:
     """k = e^{i·phase}·(a ⊗ b) with a, b single-qubit gates of det 1."""
 

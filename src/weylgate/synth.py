@@ -43,7 +43,7 @@ TOL_TIME = 1e-10  # a duration at most this is no pulse
 _TOL_RESIDUAL = 1e-8  # how far a returned plan may miss its target, up to phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitPlan:
     """An alternating local/pulse schedule implementing a target gate.
 
@@ -212,8 +212,9 @@ def with_nonnegative_times(plan: CircuitPlan) -> CircuitPlan | None:
 
     n·T rounds at about |t|·ε, so for |t| ≫ T the compensator U(-n·T) need
     not be local, and the new time would absorb the difference: each
-    compensator must also pass the locality test the period passed (m(U) a
-    multiple of I within 1e-8), else None.
+    compensator with n ≥ 2 must also pass the locality test the period
+    passed (m(U) a multiple of I within 1e-8), else None.  At n = 1 the
+    compensator is U(-T) = U(T)†, which that test has already passed.
     """
     if all(t >= 0.0 for t in plan.times):
         return plan
@@ -230,11 +231,12 @@ def with_nonnegative_times(plan: CircuitPlan) -> CircuitPlan | None:
         if t < 0.0:
             n = ceil(-t / period)
             new_times[j] = t + n * period
-            comp = flow(-n * period)  # local up to phase, checked below
-            comps.append(comp)
+            comp = flow(-n * period)  # local up to phase, checked below for n ≥ 2
+            if n > 1:
+                comps.append(comp)
             new_locals[j] = comp @ new_locals[j]
             miss += _dist_up_to_phase(flow(new_times[j]) @ comp, flow(t))
-    if miss > _TOL_RESIDUAL or np.isnan(_m_scalar(np.array(comps))).any():
+    if miss > _TOL_RESIDUAL or comps and np.isnan(_m_scalar(np.array(comps))).any():
         return None
     return CircuitPlan(
         locals=tuple(new_locals), times=tuple(new_times), hamiltonian=plan.hamiltonian

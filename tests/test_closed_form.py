@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import weylgate as wg
 from conftest import BAD_TIMES, PI, PROPERTY, TWO_BODY, assert_same_chamber_point
-from weylgate import HamiltonianSpec, LocalInvariants, NotNonlocalError
+from weylgate import HamiltonianSpec, LocalInvariants, NotNonlocalError, chamber
 from weylgate.cartan import _WORDS, TOL_BASE, assemble_nonlocal, cartan_element
-from weylgate.chamber import _gate_coords
+from weylgate.chamber import _TOL_VERIFY, _gate_coords
 from weylgate.entangler import _in_pe
 
 
@@ -126,6 +126,40 @@ def test_far_times_read_the_spectrum(kind):
 def test_bad_times_keep_their_error(kind, bad, error):
     with pytest.raises(error):
         wg.trajectory(TWO_BODY[kind](), bad)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form check at its bound
+
+
+@pytest.mark.parametrize(
+    "factor, simdiags", [(1 + 1e-6, [(1, 4, 4)]), (1 - 1e-6, [])], ids=["past", "inside"]
+)
+def test_a_row_past_the_check_alone_reads_the_spectrum(monkeypatch, spy, factor, simdiags):
+    # The check of the folded points at _TOL_VERIFY: a row just past it, and
+    # only that row, is read from its gate's spectrum; just inside, none is.
+    spec, times, row = TWO_BODY["exchange"](), np.linspace(0.1, 3.0, 7), 3
+    u = spec._generator.flow(times[:, None, None])
+    folded, spectrum = wg.trajectory(spec, times), _gate_coords(u[row])[0]
+    miss = chamber._miss
+
+    def one_row_misses(c, g1, g2c):
+        d = miss(c, g1, g2c)
+        if len(d) == len(times):  # the check of the folded points
+            d[row] = _TOL_VERIFY * factor
+        return d
+
+    monkeypatch.setattr(chamber, "_miss", one_row_misses)
+    calls = spy("_simdiag")
+    table = wg.trajectory(spec, times)
+    assert calls["_simdiag"] == simdiags
+    expected = folded.coords.copy()
+    if simdiags:
+        expected[row] = spectrum
+    np.testing.assert_array_equal(table.coords, expected)
+    np.testing.assert_array_equal(table.is_pe, _in_pe(expected))
+    for column in ("t", "g1", "g2", "g2_imag_residual"):
+        np.testing.assert_array_equal(getattr(table, column), getattr(folded, column))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import PI
 from weylgate import (
     HamiltonianSpec,
+    LocalInvariants,
     PAULIS,
     cartan_element,
     closed_form_invariants,
@@ -20,6 +21,8 @@ from weylgate import (
     parse_hamiltonian,
     realize,
     split_hamiltonian,
+    Trajectory,
+    TrajectorySample,
     trajectory,
 )
 
@@ -101,6 +104,53 @@ def test_trajectory_samples_carry_invariants_and_pe():
     assert mid.is_pe is True
     assert abs(mid.invariants.g1 - 0.25j) < 1e-9
     assert samples[-1].is_pe is False  # swap class
+
+
+def _scalars(row) -> tuple:
+    inv = row.invariants
+    return row.t, inv.g1, inv.g2, inv.g2_imag_residual, row.is_pe
+
+
+def _assert_same_row(a, b):
+    """Rows a and b hold the same built-in types and the same values."""
+    assert type(a) is type(b) is TrajectorySample
+    for x, y, kind in zip(_scalars(a), _scalars(b), (float, complex, float, float, bool)):
+        assert type(x) is type(y) is kind and x == y
+    assert_array_equal(a.coords, b.coords, strict=True)
+
+
+def test_trajectory_is_a_table_of_rows():
+    times = np.linspace(-1.0, 7.0, 9)
+    table = trajectory(HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0), times)
+    assert isinstance(table, Trajectory) and len(table) == 9
+    assert table.coords.shape == (9, 3) and table.g1.dtype == complex and table.is_pe.dtype == bool
+    rows = list(table)
+    assert len(rows) == 9
+    for i, row in enumerate(rows):
+        _assert_same_row(table[i], row)
+        _assert_same_row(table[i - 9], row)
+        _assert_same_row(table[np.int64(i)], row)
+        assert row.t == times[i]
+        assert row.invariants == LocalInvariants(table.g1[i], table.g2[i], table.g2_imag_residual[i])
+        assert row.coords.base is not None and np.shares_memory(row.coords, table.coords)
+    for i in (9, -10):
+        with pytest.raises(IndexError):
+            table[i]
+    with pytest.raises(TypeError):
+        table[0.5]
+
+
+@pytest.mark.parametrize("cut", [slice(2, 5), slice(None, None, -2), slice(7, 3), slice(-3, None)])
+def test_trajectory_slices_are_tables(cut):
+    table = trajectory(HamiltonianSpec.isotropic(), np.linspace(0.0, PI, 9))
+    part = table[cut]
+    assert isinstance(part, Trajectory)
+    assert_array_equal(part.t, table.t[cut], strict=True)
+    assert_array_equal(part.coords, table.coords[cut], strict=True)
+    rows = list(table)[cut]
+    assert len(part) == len(rows)
+    for a, b in zip(part, rows):
+        _assert_same_row(a, b)
 
 
 def test_closed_form_isotropic():

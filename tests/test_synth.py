@@ -231,6 +231,23 @@ def test_nonnegative_rewrite_is_the_period_shift():
     np.testing.assert_array_equal(lifted.locals[0], flow(-period) @ plan.locals[0])
 
 
+def test_one_period_compensator_is_not_tested_again(spy):
+    # At n = 1 the compensator is U(-T) = U(T)†, whose locality the period
+    # passed when it was derived; only n ≥ 2 compensators are tested, in
+    # one stacked call.
+    spec = HamiltonianSpec.isotropic()
+    period, flow = fundamental_period(spec), spec._generator.flow
+    plan = cnot_from_isotropic()
+    calls = spy("_m_scalar")
+    lifted = with_nonnegative_times(CircuitPlan(plan.locals, (-0.5 * period, -0.25 * period, 0.0), spec))
+    assert lifted.times == (0.5 * period, 0.75 * period, 0.0)
+    assert calls.counts() == {}
+    lifted = with_nonnegative_times(CircuitPlan(plan.locals, (-1.5 * period, -0.5 * period, 0.0), spec))
+    assert lifted.times == (-1.5 * period + 2 * period, 0.5 * period, 0.0)
+    np.testing.assert_array_equal(lifted.locals[0], flow(-2 * period) @ plan.locals[0])
+    assert calls["_m_scalar"] == [(1, 4, 4)]
+
+
 def test_nonnegative_rewrite_keeps_nonnegative_plans():
     plan = cnot_from_isotropic()
     lifted = with_nonnegative_times(plan)

@@ -318,6 +318,7 @@ EXEMPT = {
             "LocalInvariants",
             "MSpectrum",
             "PeVerdict",
+            "Trajectory",
             "TrajectorySample",
             "VolumeReport",
         ),
@@ -423,8 +424,12 @@ def test_pe_fraction_mc_needs_a_positive_integer(n):
 
 
 def test_trajectory_of_no_times_is_empty():
-    assert wg.trajectory(_ISO, []) == []
-    assert wg.trajectory(_ISO, np.zeros(0)) == []
+    for times in ([], np.zeros(0)):
+        table = wg.trajectory(_ISO, times)
+        assert list(table) == []
+        assert table.coords.shape == (0, 3)
+        for column in (table.t, table.g1, table.g2, table.g2_imag_residual, table.is_pe):
+            assert column.shape == (0,)
 
 
 def test_short_coords_message():
