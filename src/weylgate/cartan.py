@@ -332,9 +332,15 @@ _CODE_KEY = np.array([1.0, 7.0, 49.0])  # codes -> key in -171..171
 # Element index by key; a negative key wraps, on lookup as on filling.
 _ELEMENT = np.zeros(343, dtype=np.intp)
 _ELEMENT[(_WEYL_ACTIONS @ _CODE @ _CODE_KEY).astype(np.intp)] = np.arange(len(_WEYL_ACTIONS))
-# x @ M applies a move to every triple of a fold state x.
+# x @ M + S applies a move to every triple of a fold state x.  The first mod π
+# leaves each coordinate in [0, π] (no exception was found below |c| = 1e11;
+# far past it, rounding can leave one just above π), and each branch's own
+# test then puts the axes it negates in [-π, 0): their mod π is + π with
+# n + 1, which S adds, as the subtraction of -π would.
 _REFLECT_SUM = WEYL_REFLECTIONS["c1+c2"].action.T
+_REFLECT_SHIFT = np.array([[[np.pi, np.pi, 0.0]], [[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]]])
 _BASE_MIRROR = _frame("c1-c3", "c1+c3")[1].T
+_MIRROR_SHIFT = np.array([[[np.pi, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]])
 
 
 def _fold(c):
@@ -356,31 +362,23 @@ def _fold(c):
     offsets = np.arange(0, c.size, 3)[:, None]
     n = np.floor(c / np.pi)
     x = np.empty((3,) + c.shape)
-    np.subtract(c, n * np.pi, out=x[0])  # _translate on all axes, built in place
+    np.subtract(c, n * np.pi, out=x[0])  # each coordinate mod π, built in place
     x[1] = _CODE
     np.negative(n, out=x[2])
     x = _sort(x, offsets)
     m = x[0, :, 0] + x[0, :, 1] > np.pi
     if m.any():
-        y = x @ _REFLECT_SUM  # -> (-c2, -c1, c3)
-        _translate(y, slice(0, 2))
+        # a + b > π with 0 ≤ b ≤ a ≤ π: -a and -b lie in [-π, 0)
+        y = x @ _REFLECT_SUM + _REFLECT_SHIFT  # -> (π-c2, π-c1, c3)
         x = np.where(m[:, None], _sort(y, offsets), x)
     m = (x[0, :, 2] <= TOL_BASE) & (x[0, :, 0] > np.pi / 2 + _TOL_CHAMBER)
     if m.any():
-        y = x @ _BASE_MIRROR  # -> (-c1, c2, -c3)
-        _translate(y, slice(0, 1))  # -> (π-c1, c2, -c3)
+        y = x @ _BASE_MIRROR + _MIRROR_SHIFT  # -> (π-c1, c2, -c3), as π/2 < c1 ≤ π
         x = np.where(m[:, None], _sort(y, offsets), x)
     p = _ELEMENT[(x[1] @ _CODE_KEY).astype(np.intp)]
     image = x[0] + 0.0  # + 0.0 turns -0.0 into 0.0
     shape = lead + (3,)
     return image.reshape(shape), p.reshape(lead), x[2].astype(np.intp).reshape(shape)
-
-
-def _translate(x, axes) -> None:
-    """Take the coordinates on ``axes`` of a fold state mod π, in place."""
-    n = np.floor(x[0, :, axes] / np.pi)
-    x[0, :, axes] -= n * np.pi
-    x[2, :, axes] -= n
 
 
 def _sort(x, offsets):

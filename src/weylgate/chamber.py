@@ -73,11 +73,15 @@ def weyl_orbit(c) -> list[np.ndarray]:
     """All images of a coordinate triple under the identification group,
     reduced mod π to [0, π)³ and deduplicated at 1e-12.  Sorted lexicographically.
 
-    A coordinate with |c_j| ≥ 2^53 raises InvalidInputError, as in canonicalize.
+    A reduced coordinate that rounds to π is 0: mod π takes -1e-17 to π
+    in floating point, so [0, 0, -1e-17] has the one image [0, 0, 0] as
+    the identity does.  A coordinate with |c_j| ≥ 2^53 raises
+    InvalidInputError, as in canonicalize.
     """
-    pts = sorted(np.mod(_WEYL_ACTIONS @ _mod_pi_triple(c), PI), key=tuple)
+    pts = np.mod(_WEYL_ACTIONS @ _mod_pi_triple(c), PI)
+    pts[pts == PI] = 0.0
     out: list[np.ndarray] = []
-    for p in pts:
+    for p in sorted(pts, key=tuple):
         if not out or np.max(np.abs(p - out[-1])) > 1e-12:
             out.append(p)
     return out

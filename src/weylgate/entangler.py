@@ -24,6 +24,7 @@ entangled ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,12 @@ _MC_CHUNK = 1 << 16  # rows pe_fraction_mc draws at once
 # Ent(ψ) = ψᵀ P ψ; P = -(1/2) σy⊗σy (+ 0.0 turns each -0.0 into 0.0).
 P_ENT = -0.5 * _CARTAN_WORDS[1] + 0.0
 
+# The witness's barycentric solve: row k of _KEEP keeps every sorted point but
+# k, and the system's last row is Σ w = 1.
+_KEEP = ~np.eye(4, dtype=bool)
+_ONES = np.ones(3)
+_BARYCENTER = np.array([0.0, 0.0, 1.0])
+
 
 def ent(psi) -> complex:
     """The quadratic entanglement form ψᵀ·P·ψ of a state normalized within 1e-9."""
@@ -65,7 +72,7 @@ def ent(psi) -> complex:
 
 def _ent(psi) -> complex:
     """ent's core on a parsed state: its norm is checked, then the form taken."""
-    norm = np.sqrt(np.vdot(psi, psi).real)  # vdot overflows to inf, which fails, without a warning
+    norm = math.sqrt(np.vdot(psi, psi).real)  # vdot overflows to inf, which fails, without a warning
     if not abs(norm - 1.0) <= _TOL_NORM:
         raise NotNormalizedError(f"state norm {norm} is not 1 within {_TOL_NORM:.1e}")
     return complex(psi @ P_ENT @ psi)
@@ -137,10 +144,11 @@ def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
     """The verdict and, when a perfect entangler's witness fails its
     self-check (its weights are then None), why."""
     order = spec.theta.argsort()
-    theta = spec.theta[order]
-    # gaps[k]: sorted point k to k+1 (np.diff's arithmetic, without its overhead)
-    gaps = np.concatenate((theta[1:], theta[:1] + 2 * np.pi)) - theta
-    margin = float(np.cos(gaps.max() / 2))
+    t0, t1, t2, t3 = spec.theta[order].tolist()
+    # gaps[k]: sorted point k to k+1, as Python floats (the same IEEE arithmetic)
+    gaps = [t1 - t0, t2 - t1, t3 - t2, (t0 + 2 * math.pi) - t3]
+    widest = max(gaps)
+    margin = float(np.cos(widest / 2))
     # The margin is about minus the point's excess over the nearest PE face,
     # so this is pe_from_coords' band; a gap's excess over π is twice that
     # face excess, so a bound of π + tol on the gap would be half as wide.
@@ -155,7 +163,7 @@ def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
     drop = min(range(4), key=lambda k: gaps[k - 1] + gaps[k])
     if margin <= tol:
         # Half on each end of the widest gap: |Σ w·z| = |cos(g/2)| = |margin|.
-        g = int(gaps.argmax())
+        g = gaps.index(widest)  # the first, as argmax picks
         w[order[[g, (g + 1) % 4]]] = 0.5
     elif np.cos((gaps[drop - 1] + gaps[drop]) / 2) <= tol:
         # The merged arc is π within tol: its ends are the antipodal pair, and
@@ -164,10 +172,10 @@ def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
         w[order[[drop - 1, (drop + 1) % 4]]] = 0.5
     else:
         # Every kept arc is short of π by more than tol: one barycentric solve.
-        keep = order[np.arange(4) != drop]
-        a = np.array([z[keep].real, z[keep].imag, np.ones(3)])
+        keep = order[_KEEP[drop]]
+        zk = z[keep]
         try:
-            w[keep] = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
+            w[keep] = np.linalg.solve(np.array([zk.real, zk.imag, _ONES]), _BARYCENTER)
         except np.linalg.LinAlgError:  # a flat triangle; needs tol ≤ 0
             failure = "hull witness: the three phases left are collinear"
             return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure

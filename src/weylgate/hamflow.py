@@ -283,7 +283,8 @@ class Trajectory:
     It reads as the sequence of its rows: ``len``, ``table[i]`` and
     iteration build each ``TrajectorySample`` when it is read, with
     built-in scalars and ``coords[i]`` as a view, and ``table[a:b]`` is the
-    table of the sliced columns.
+    table of the sliced columns.  ``trajectory`` returns columns that are
+    fresh and writable, shared with no other table or call.
     """
 
     t: np.ndarray
@@ -342,7 +343,8 @@ def trajectory(spec, times) -> Trajectory:
         with np.errstate(over="ignore"):  # an inf is beyond the fold's reach
             raw = times[:, None] * g.two_body.coeffs
     coords, (g1, g2c) = _gate_coords(g.flow(times[:, None, None]), raw)
-    return Trajectory(times, coords, g1, g2c.real, np.abs(g2c.imag), _in_pe(coords))
+    # The stack record's pair is read-only: the table takes its own copies.
+    return Trajectory(times, coords, g1.copy(), g2c.real.copy(), np.abs(g2c.imag), _in_pe(coords))
 
 
 @_finite_math

@@ -14,12 +14,13 @@ global phase, so any U(4) representative may be passed.
 Every analysis of a gate, or of a stack (..., 4, 4) of gates, reads one
 derivation record (``_Gate``): U_B, m(U) and det U, and on first use the
 invariant pair, the spectrum and the chamber fold.  It is the one place
-where m(U) and det U are formed.  The single-gate analyses here and in
-chamber, kak and entangler parse their gate and take its record from a
-memo of the last ``_RECORDS`` gates, keyed by the parsed gate's bytes, so
-the analyses of one gate form each part once, and the gate is checked as
-unitary once per distinct gate, on a memo miss: an entry exists only for
-bytes that passed the check.  Stacks, and gates the library built itself,
+where m(U), det U and α = arg(det U)/4 are formed.  The single-gate
+analyses here and in chamber, kak and entangler take their gate's record
+from a memo of the last ``_RECORDS`` gates, keyed by the gate's bytes: a
+complex128 4x4 array's as given, and anything else's once parsed.  So the
+analyses of one gate form each part once, and the gate is parsed and
+checked as unitary once per distinct gate, on a memo miss: an entry exists
+only for bytes that passed the parser and the check.  Stacks, and gates the library built itself,
 read a fresh record and never use the memo.
 """
 
@@ -99,11 +100,10 @@ def invariants_from_coords(coords) -> LocalInvariants:
 
 def _g_from_coords(c) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form g1 and g2 of a stack (..., 3) of coordinate triples."""
-    prod_cos = (np.cos(c) ** 2).prod(-1)
-    prod_sin = (np.sin(c) ** 2).prod(-1)
-    g1 = prod_cos - prod_sin + 0.25j * np.sin(2 * c).prod(-1)
-    g2 = 4 * prod_cos - 4 * prod_sin - np.cos(2 * c).prod(-1)
-    return g1, g2
+    # 4·a - 4·b is 4·(a - b) exactly: scaling by 4 neither rounds nor overflows here.
+    diff = (np.cos(c) ** 2).prod(-1) - (np.sin(c) ** 2).prod(-1)
+    c2 = 2 * c
+    return diff + 0.25j * np.sin(c2).prod(-1), 4 * diff - np.cos(c2).prod(-1)
 
 
 def invariant_distance(a: LocalInvariants, b: LocalInvariants) -> float:
@@ -190,9 +190,9 @@ class _lazy:
 class _Gate:
     """What the analyses read of a checked gate U, or of a stack (..., 4, 4)
     of them, derived once: U_B = Q†·U·Q, m(U) = U_Bᵀ·U_B and det U, and, on
-    first use, the invariant pair (g1, complex g2), the spectrum of m(U) and
-    the fold of its raw coordinates into the chamber, as (image, p, n) (see
-    ``cartan._fold``).
+    first use, the invariant pair (g1, complex g2), α = arg(det U)/4, the
+    spectrum of m(U) and the fold of its raw coordinates into the chamber,
+    as (image, p, n) (see ``cartan._fold``).
 
     Every array is read-only, so readers hand out copies.  A lazy part that
     raises is not kept: it is derived again on the next use.
@@ -211,10 +211,14 @@ class _Gate:
         return _read_only(tr * tr / (16.0 * self.det), g2c)
 
     @_lazy
+    def alpha(self):
+        """α = arg(det U)/4 (np.angle's arithmetic), the phase that scales U to det 1."""
+        return _read_only(np.arctan2(self.det.imag, self.det.real) / 4.0)[0]
+
+    @_lazy
     def spectrum(self) -> MSpectrum:
-        # With α = arg(det U)/4, e^{-2iα}·m(U) is exactly m of the det-one gate e^{-iα}·U.
-        alpha = np.angle(self.det) / 4.0
-        s = _spectrum_of_m(np.exp(-2j * alpha)[..., None, None] * self.m)
+        # e^{-2iα}·m(U) is exactly m of the det-one gate e^{-iα}·U.
+        s = _spectrum_of_m(np.exp(-2j * self.alpha)[..., None, None] * self.m)
         _read_only(s.theta, s.theta_balanced, s.frame)
         return s
 
@@ -240,14 +244,17 @@ def _read_only(*arrays):
 
 
 def _gate(u) -> _Gate:
-    """The record of gate ``u``, which it parses, from a memo of the last
-    ``_RECORDS`` gates keyed by the parsed gate's bytes; the record holds its
-    own copy."""
+    """The record of gate ``u`` from a memo of the last ``_RECORDS`` gates,
+    keyed by the gate's bytes: a complex 4x4 array's as given, anything else's
+    once parsed.  The record holds its own copy."""
+    if type(u) is np.ndarray and u.dtype == complex and u.shape == (4, 4):
+        return _gate_of_bytes(u.tobytes())
     return _gate_of_bytes(_as_gate(u).tobytes())
 
 
 @lru_cache(maxsize=_RECORDS)
 def _gate_of_bytes(key: bytes) -> _Gate:
-    # Only a miss checks the gate, and lru_cache keeps no raise: the check
-    # is a function of the bytes alone, so every entry has passed it.
-    return _Gate(_check_unitary(np.frombuffer(key, dtype=complex).reshape(4, 4), TOL_UNITARY))
+    # Only a miss parses and checks the gate, and lru_cache keeps no raise:
+    # both are functions of the bytes alone, so every entry has passed them.
+    u = _as_gate(np.frombuffer(key, dtype=complex).reshape(4, 4))
+    return _Gate(_check_unitary(u, TOL_UNITARY))

@@ -158,14 +158,14 @@ def kak_decompose(u) -> KakDecomposition:
 
 def _kak(g: _Gate) -> KakDecomposition:
     """kak_decompose's core on a gate's record.  It forms no m or det of
-    its own: α comes from the record's det U, the frames from its U_B and
+    its own: α comes from the record, the frames from its U_B and
     spectrum, and the coordinates, P and n from its fold.  Only the outer
     factors k1 and k2 get an m, in one stacked locality check."""
-    alpha = float(np.angle(g.det) / 4.0)
+    alpha = float(g.alpha)
     theta, o2 = g.spectrum.theta_balanced, g.spectrum.frame
     # The det-one gate's U_B is e^{-iα}·U_B, and F = diag(e^{iθ/2}).
     o1 = g.ub @ (o2.T * np.exp(-1j * (alpha + 0.5 * theta)))
-    if np.max(np.abs(o1.imag)) >= 1e-8:
+    if np.abs(o1.imag).max() >= 1e-8:
         raise BranchSearchError("the square-root branch did not produce a real frame")
 
     # Before the fold, k1 = Q·o1·Q† and k2 = Q·o2·Q†.  With
@@ -176,7 +176,8 @@ def _kak(g: _Gate) -> KakDecomposition:
     k1 = MAGIC @ o1.real @ gq.conj().T
     k2 = _PARITY_WORDS[(n % 2) @ _PARITY_KEY] @ gq @ o2 @ Q_DAG
     alpha -= np.pi / 2.0 * n.sum(-1)
-    alpha_out = float(np.angle(np.exp(1j * alpha)))  # wrap to (-π, π]
+    turn = np.exp(1j * alpha)
+    alpha_out = float(np.arctan2(turn.imag, turn.real))  # wrap to (-π, π], as np.angle does
     a_factor = _canonical_gate(coords)
 
     rec = np.exp(1j * alpha_out) * (k1 @ a_factor @ k2)

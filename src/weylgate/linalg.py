@@ -18,10 +18,11 @@ as a stack: the fold of t·c for a two-body coupling, and the spectrum for
 the other couplings and for the rows the fold cannot answer (see
 ``hamflow``).  Both a single gate and a stack are read through one
 derivation record (``invariants._Gate``): public
-single-gate functions parse their gate and take its record from a small memo,
-so a gate is checked once per distinct gate, on a memo miss
-(``_check_unitary``, the core of ``check_unitary``); stacks read a fresh
-record and never use the memo.
+single-gate functions take their gate's record from a small memo keyed by
+the gate's bytes, a complex128 4x4 array's as given and anything else's
+once parsed, so a gate is parsed and checked once per distinct gate, on a
+memo miss (``_as_gate``, then ``_check_unitary``, the core of
+``check_unitary``); stacks read a fresh record and never use the memo.
 """
 
 from __future__ import annotations
@@ -294,16 +295,20 @@ def _simdiag(a, b):
         dfa, dfb = fa.diagonal(0, -2, -1), fb.diagonal(0, -2, -1)
         if i == 0:  # every row; those that failed are overwritten below
             da, db, vecs = dfa.copy(), dfb.copy(), v
+            if ok.all():
+                break
         else:
             rows = todo[ok]
             da[rows], db[rows], vecs[rows] = dfa[ok], dfb[ok], v[ok]
         todo = todo[~ok]
         if not len(todo):
-            return da.reshape(*lead, n), db.reshape(*lead, n), vecs.reshape(*lead, n, n)
-    raise ConvergenceError(
-        "simultaneous diagonalization failed for every blend weight; "
-        "inputs may not commute"
-    )
+            break
+    else:
+        raise ConvergenceError(
+            "simultaneous diagonalization failed for every blend weight; "
+            "inputs may not commute"
+        )
+    return da.reshape(*lead, n), db.reshape(*lead, n), vecs.reshape(*lead, n, n)
 
 
 def dist_up_to_phase(u, v) -> float:

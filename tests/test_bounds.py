@@ -1,0 +1,112 @@
+"""Each self-check of the one-gate analysis chain, pinned at its bound.
+
+A perturbation of the checked quantity is injected, through a monkeypatched
+core or an edited derivation record, at (1 + 1e-6)× the bound, where the
+typed error must be raised, and at (1 - 1e-6)×, where the call must pass.
+The gap, 1e-6 of the bound, is far above the rounding of each injected
+quantity, so a bound loosened or tightened by more than that fails here.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import rand_u4
+from weylgate import ConvergenceError, VerificationError, chamber, entangler, gate_coords, kak, linalg
+from weylgate.errors import BranchSearchError
+from weylgate.invariants import _Gate
+
+E00 = np.diag([1.0, 0.0, 0.0, 0.0])  # the (0, 0) unit matrix
+FACTORS = pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6], ids=["past", "inside"])
+
+
+def _outcome(factor, error, call):
+    """Run ``call``: past the bound it must raise ``error``, inside it must pass."""
+    if factor > 1:
+        with pytest.raises(error):
+            call()
+    else:
+        call()
+
+
+def _haar_record(seed=11) -> _Gate:
+    """A fresh record of a Haar gate with its spectrum and fold derived."""
+    g = _Gate(rand_u4(np.random.default_rng(seed)))
+    kak._kak(g)
+    return g
+
+
+@FACTORS
+def test_simdiag_off_diagonal_bound(monkeypatch, factor):
+    # Every blend weight returns the identity frame, so the off-diagonal test
+    # reads a's own off-diagonal pair e: √2·|e| against TOL_EIG·scale, with
+    # scale = ||a|| = 2 (e² is far below 4's rounding).
+    eye = np.eye(4)
+    monkeypatch.setattr(linalg, "_eigh", lambda s: (np.zeros(s.shape[:-1]), np.broadcast_to(eye, s.shape).copy()))
+    a = np.diag([0.0, 0.0, 0.0, 2.0])
+    a[0, 1] = a[1, 0] = factor * linalg.TOL_EIG * 2.0 / np.sqrt(2.0)
+    _outcome(factor, ConvergenceError, lambda: linalg._simdiag(a[None], np.zeros((1, 4, 4))))
+
+
+@FACTORS
+def test_eigh_residual_bound(monkeypatch, factor):
+    # LAPACK answers with an eigenvalue off by δ, so the residual is δ against
+    # 1e-10·max(1, ||s||) = 2e-10.
+    s = np.diag([0.0, 0.5, 1.0, np.sqrt(2.75)])  # ||s|| = 2
+    delta = factor * 1e-10 * 2.0
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.diag(m) + [delta, 0.0, 0.0, 0.0], np.eye(4)))
+    _outcome(factor, ConvergenceError, lambda: linalg._eigh(s))
+
+
+@FACTORS
+def test_kak_real_frame_bound(factor):
+    # U_B gains i·ε·E·F·o2 with E the (0, 0) unit, so the left frame
+    # o1 = U_B·o2ᵀ·F̄ gains i·ε on entry (0, 0) alone: its real part, and with
+    # it the factors and the residual, stay as they were.
+    g = _haar_record()
+    eps = factor * 1e-8
+    f = np.exp(1j * (float(g.alpha) + 0.5 * g.spectrum.theta_balanced))
+    g.ub = g.ub + 1j * eps * f[0] * E00 @ g.spectrum.frame
+    _outcome(factor, BranchSearchError, lambda: kak._kak(g))
+
+
+@FACTORS
+def test_kak_reconstruction_bound(factor):
+    # The record's gate moves by δ on one entry away from the product the
+    # factors rebuild, so the residual is δ, rounded once.
+    g = _haar_record()
+    g.u = kak.kak_reconstruct(kak._kak(g)) + factor * 1e-9 * E00
+    _outcome(factor, VerificationError, lambda: kak._kak(g))
+
+
+@FACTORS
+def test_kak_outer_factor_locality_bound(monkeypatch, factor):
+    # The outer factors' λ = m(k)[0, 0] moves by t off 1.
+    g = _haar_record()
+    m_scalar = kak._m_scalar
+    monkeypatch.setattr(kak, "_m_scalar", lambda u: m_scalar(u) + factor * kak._TOL_LOCAL)
+    _outcome(factor, VerificationError, lambda: kak._kak(g))
+
+
+@FACTORS
+def test_gate_coords_verify_bound(monkeypatch, factor):
+    monkeypatch.setattr(chamber, "_miss", lambda c, g1, g2c: np.full(c.shape[:-1], factor * chamber._TOL_VERIFY))
+    _outcome(factor, VerificationError, lambda: gate_coords(rand_u4(np.random.default_rng(12))))
+
+
+@FACTORS
+@pytest.mark.parametrize("state", ["in", "out"])
+def test_witness_self_check_bound(monkeypatch, factor, state):
+    # Ent of the product state moves by t off 0, or Ent of the output scales
+    # by 1 + 2t, so |Ent| moves by t off 1/2.
+    ent, t = entangler._ent, factor * 1e-9
+
+    def moved(psi):
+        value = ent(psi)
+        if abs(value) < 0.25:
+            return value + t if state == "in" else value
+        return value * (1 + 2 * t) if state == "out" else value
+
+    u = rand_u4(np.random.default_rng(13))
+    assert entangler.is_perfect_entangler(u).is_pe
+    monkeypatch.setattr(entangler, "_ent", moved)
+    _outcome(factor, VerificationError, lambda: entangler.entangling_input(u))

@@ -97,6 +97,15 @@ def test_fold_takes_the_largest_float_below_two_to_the_53():
         assert all(((0.0 <= p) & (p <= PI)).all() for p in weyl_orbit(c)), c
 
 
+def test_fold_keeps_a_coordinate_reduced_past_pi_in_the_chamber():
+    # At this magnitude c mod π rounds by about 1e-4, and one coordinate
+    # reduces to just above π.  The reflection across c1 + c2 = π adds π to
+    # its two axes; a re-reduction mod π once added 2π to that one, and the
+    # point came back with c1 + c2 near 2π.
+    c = [-401474416905.8347, 549877854374.7069, -473059334399.8623]
+    assert in_chamber(canonicalize(c))
+
+
 def test_canonicalize_idempotent():
     rng = np.random.default_rng(33)
     for _ in range(100):

@@ -153,6 +153,23 @@ def test_trajectory_slices_are_tables(cut):
         _assert_same_row(a, b)
 
 
+COLUMNS = ("t", "coords", "g1", "g2", "g2_imag_residual", "is_pe")
+
+
+@pytest.mark.parametrize("spec", [HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0), HamiltonianSpec.josephson(1.2)])
+def test_trajectory_columns_are_the_tables_own(spec):
+    times = np.linspace(0.0, PI, 7)
+    table, other = trajectory(spec, times), trajectory(spec, times)
+    before = {name: getattr(other, name).copy() for name in COLUMNS}
+    for name in COLUMNS:
+        column = getattr(table, name)
+        assert column.flags.writeable, name
+        column[...] = 0
+    for name in COLUMNS:
+        assert_array_equal(getattr(other, name), before[name], strict=True)
+        assert_array_equal(getattr(trajectory(spec, times), name), before[name], strict=True)
+
+
 def test_closed_form_isotropic():
     h = realize(HamiltonianSpec.isotropic())
     for t in np.linspace(0.0, 2 * PI, 25):

@@ -165,6 +165,22 @@ def test_fold_idempotent_and_in_chamber(c):
 
 
 @PROPERTY
+@given(special_triples)
+@example(np.array([0.3, 0.2, -1e-17]))
+def test_orbit_lies_in_the_half_open_cell(c):
+    assert all(((0.0 <= p) & (p < PI)).all() for p in weyl_orbit(c)), c
+
+
+@pytest.mark.parametrize("tiny", [1e-17, -1e-17, 0.0, -0.0])
+def test_orbit_of_a_rounding_error_from_the_identity_is_one_point(tiny):
+    assert len(weyl_orbit([0.0, 0.0, tiny])) == 1
+    # The same 24 images within 1e-12, the exact ones with 0 where these hold ±1e-17.
+    near, exact = np.array(weyl_orbit([0.3, 0.2, tiny])), np.array(weyl_orbit([0.3, 0.2, 0.0]))
+    gap = np.abs(near[:, None, :] - exact[None, :, :]).max(-1)
+    assert len(near) == len(exact) == 24 and gap.min(0).max() <= 1e-12 and gap.min(1).max() <= 1e-12
+
+
+@PROPERTY
 @given(triples)
 @example(np.array([1.0, 1e-9, -1.0]))
 def test_fold_constant_on_orbit(c):

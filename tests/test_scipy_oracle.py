@@ -3,7 +3,8 @@
 The library forms exp(i·t·H) from the eigendecomposition of H.  scipy's
 ``expm`` takes another route, Padé approximation with scaling and squaring
 (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 2009), so agreement
-checks the flow, and the invariants ``trajectory`` reads along it, against
+checks the flow, the invariants ``trajectory`` reads along it, and the
+products ``plan_unitary`` multiplies out in the flow's eigenbasis, against
 arithmetic the library does not share.
 """
 
@@ -12,6 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 import weylgate as wg
+from conftest import rand_local, rand_nonlocal_hamiltonian, rand_u4
 
 # The couplings of the flow benchmark, by kind.
 FLOWS = {
@@ -40,3 +42,41 @@ def test_trajectory_invariants_match_scipy_flow(kind):
         ref = wg.local_invariants(expm(1j * row.t * h))
         assert abs(row.invariants.g1 - ref.g1) <= 1e-12
         assert abs(row.invariants.g2 - ref.g2) <= 1e-12
+
+
+def _expm_product(plan, h):
+    """locals[3]·U(t3)·locals[2]·U(t2)·locals[1]·U(t1)·locals[0], U(t) from scipy."""
+    u = plan.locals[0]
+    for t, k in zip(plan.times, plan.locals[1:]):
+        u = k @ expm(1j * t * h) @ u
+    return u
+
+
+def _synth_specs():
+    rng = np.random.default_rng(20261020)
+    return {
+        "isotropic": wg.HamiltonianSpec.isotropic(),
+        "exchange": wg.HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
+        "custom-0": wg.HamiltonianSpec.custom(rand_nonlocal_hamiltonian(rng)),
+        "custom-1": wg.HamiltonianSpec.custom(rand_nonlocal_hamiltonian(rng)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_synth_specs()))
+def test_synthesized_plan_products_match_scipy(name):
+    spec = _synth_specs()[name]
+    h = wg.realize(spec)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        plan = wg.synthesize(rand_u4(rng), spec)
+        assert np.abs(wg.plan_unitary(plan) - _expm_product(plan, h)).max() <= 1e-12
+
+
+def test_random_local_plan_products_match_scipy():
+    spec = wg.HamiltonianSpec.josephson(1.2)
+    h = wg.realize(spec)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        locals_ = tuple(rand_local(rng) for _ in range(4))
+        plan = wg.CircuitPlan(locals_, tuple(rng.uniform(-5.0, 5.0, 3).tolist()), spec)
+        assert np.abs(wg.plan_unitary(plan) - _expm_product(plan, h)).max() <= 1e-12

@@ -146,23 +146,22 @@ def _nan(shape, dtype=float) -> np.ndarray:
 
 def compute(inp: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Every output of the corpus from its inputs."""
-    out: dict[str, list] = {k: [] for k in (
-        "gate_g1", "gate_g2", "gate_g2_residual", "gate_coords",
-        "kak_alpha", "kak_k1", "kak_k2", "kak_coords", "kak_a_factor", "kak_residual",
-        "pe_is_pe", "pe_margin", "pe_phases", "pe_weights", "witness_in", "witness_out",
-    )}
+    rows = []
     for u in inp["gate_u"]:
         inv = wg.local_invariants(u)
         d = wg.kak_decompose(u)
         v = wg.is_perfect_entangler(u)
         witness = wg.entangling_input(u) if v.is_pe and v.weights is not None else (_nan(4, complex),) * 2
-        for key, value in zip(out, (
-            inv.g1, inv.g2, inv.g2_imag_residual, wg.gate_coords(u),
-            d.alpha, d.k1, d.k2, d.coords, d.a_factor, d.residual,
-            v.is_pe, v.margin, v.phases, _nan(4) if v.weights is None else v.weights, *witness,
-        )):
-            out[key].append(value)
-    result = {k: np.array(v) for k, v in out.items()}
+        rows.append({
+            "gate_g1": inv.g1, "gate_g2": inv.g2, "gate_g2_residual": inv.g2_imag_residual,
+            "gate_coords": wg.gate_coords(u),
+            "kak_alpha": d.alpha, "kak_k1": d.k1, "kak_k2": d.k2, "kak_coords": d.coords,
+            "kak_a_factor": d.a_factor, "kak_residual": d.residual,
+            "pe_is_pe": v.is_pe, "pe_margin": v.margin, "pe_phases": v.phases,
+            "pe_weights": _nan(4) if v.weights is None else v.weights,
+            "witness_in": witness[0], "witness_out": witness[1],
+        })
+    result = {k: np.array([row[k] for row in rows]) for k in rows[0]}
 
     result["fold_image"], result["fold_p"], result["fold_n"] = _fold(inp["fold_in"])
 
