@@ -6,9 +6,10 @@ bit-identity field by field).  Here the outputs are checked at the A-suite
 tolerances: the invariants at 1e-10, chamber points and trajectories at
 1e-8, KAK and witnesses at 1e-9, plans at 1e-8.  The fields that turn with
 LAPACK's eigenvector signs and orderings (k1, k2, α, the weights, the
-witness states and the plan locals) are checked by their defining
-properties instead: reconstruction, locality, the hull and Ent conditions,
-and the plan product against its target.
+witness states, the plan locals and the tensor factors of k1 and k2) are
+checked by their defining properties instead: reconstruction, locality, the
+hull and Ent conditions, the plan product against its target, and
+e^{iφ}·(a ⊗ b) against the factor.
 """
 
 from pathlib import Path
@@ -24,6 +25,8 @@ with np.load(Path(__file__).resolve().parent / "data" / "corpus.npz") as _file:
     CORPUS = dict(_file)
 
 GATES = range(len(CORPUS["gate_u"]))
+PI = np.pi
+EDGE_C2 = (0.0, 0.3, PI / 4, 1.2, PI / 2)  # the last 15 gates: three per point of the L–A2 edge
 FLOWS = {
     "isotropic": wg.HamiltonianSpec.isotropic,
     "xy": wg.HamiltonianSpec.xy,
@@ -40,6 +43,9 @@ def _ent(psi) -> complex:
 def test_corpus_is_small_and_covers_the_chain():
     assert (Path(__file__).resolve().parent / "data" / "corpus.npz").stat().st_size < 1 << 20
     assert len(CORPUS["gate_u"]) >= 600 and len(CORPUS["plan_target"]) == 60
+    assert len(CORPUS["plan_custom"]) == 4 and set(CORPUS["plan_spec"]) == set(range(6))
+    assert CORPUS["local_a"].shape == (600, 2, 2, 2)
+    assert CORPUS["big_raises"].any() and not CORPUS["big_raises"].all()
     assert CORPUS["flow_t"].shape == (len(FLOWS), 100)
     assert CORPUS["pe_is_pe"].any() and not CORPUS["pe_is_pe"].all()
     assert CORPUS["plan_rewritten"].any() and not CORPUS["plan_rewritten"].all()
@@ -75,6 +81,36 @@ def test_kak_fields_and_properties():
             residual=float(CORPUS["kak_residual"][i]),
         )
         assert np.linalg.norm(wg.kak_reconstruct(stored) - u) <= 1e-9, i
+
+
+def test_factor_local_of_the_kak_factors():
+    # a and b have det 1 and e^{iφ}·(a ⊗ b) is the factor, both as stored and
+    # from a fresh factor_local of the stored factor.
+    for i in range(len(CORPUS["local_a"])):
+        for j, k in enumerate((CORPUS["kak_k1"][i], CORPUS["kak_k2"][i])):
+            f = wg.factor_local(k)
+            stored = (CORPUS["local_a"][i, j], CORPUS["local_b"][i, j], CORPUS["local_phase"][i, j])
+            for a, b, phase in ((f.a, f.b, f.phase), stored):
+                assert abs(np.linalg.det(a) - 1) <= 1e-12 and abs(np.linalg.det(b) - 1) <= 1e-12, i
+                assert np.linalg.norm(np.exp(1j * phase) * np.kron(a, b) - k) <= 1e-9, i
+
+
+def test_l_a2_edge_rows():
+    # Dressed at (π/2, c2, 0), at c1 = π/2 + 1e-9 (the base mirror's side) and at c3 = 1e-9.
+    edge = CORPUS["gate_coords"][-3 * len(EDGE_C2):]
+    want = np.array([[PI / 2, c2, 0.0] for c2 in EDGE_C2 for _ in range(3)])
+    assert_allclose(edge, want, rtol=0.0, atol=1e-8)
+
+
+def test_coordinates_near_two_to_the_53():
+    for c, raises, want in zip(CORPUS["big_in"], CORPUS["big_raises"], CORPUS["big_canon"]):
+        if raises:
+            with pytest.raises(wg.InvalidInputError):
+                wg.canonicalize(c)
+            continue
+        got = wg.canonicalize(c)
+        assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert wg.in_chamber(got)
 
 
 def test_pe_verdict_and_witness():

@@ -11,22 +11,29 @@ exactly what was written.  They cover:
 * ``gate_*``: Haar-random gates with a global phase, the named gates, the
   nine chamber vertices dressed with random locals at ε = 0, 1e-12, 1e-9
   and 1e-7, dressed points on both sides of ``TOL_BASE`` with c1 > π/2, and
-  dressed points on c1 + c2 = π.  Each goes through the chain that
+  dressed points on c1 + c2 = π, and dressed points on the L–A2 edge
+  (c1 = π/2, c3 = 0) and beside it.  Each goes through the chain that
   ``analyze_haar`` times: ``local_invariants``, ``gate_coords``,
   ``kak_decompose``, ``is_perfect_entangler`` and, for a perfect entangler
   with weights, ``entangling_input`` (NaN rows elsewhere).
+* ``local_*``: ``factor_local`` of each Haar gate's KAK factors k1 and k2:
+  the single-qubit factors a and b and the phase.
 * ``fold_*``: coordinate triples at the mod-π boundaries (±0, ±1e-17, π and
   its neighboring floats, c3 at ``TOL_BASE`` ± 1 ulp, c1 + c2 = π, |c| up
-  to 1e15) and the raw coordinates of the gates, through the fold.
+  to 1e15, the L–A2 edge and its neighboring floats, and coordinates just
+  below 2^53) and the raw coordinates of the gates, through the fold.
+* ``big_*``: triples just below 2^53 through ``canonicalize``, and triples
+  at and past it, where it raises (``big_raises``; NaN rows).
 * ``flow_*``: the five couplings of the flow benchmark at 100 times each,
   through ``trajectory``; the far times reach past the fold's reach, so the
   spectrum path runs for two-body couplings too.
-* ``plan_*``: seeded targets over isotropic, exchange(1, 0.5, 0.2, 0) and
-  two seeded custom couplings, through ``synthesize`` and
+* ``plan_*``: seeded targets over six specs, isotropic,
+  exchange(1, 0.5, 0.2, 0) and four seeded custom couplings, through ``synthesize`` and
   ``with_nonnegative_times`` (NaN rows and ``plan_rewritten`` False where
   it returns None).
 
-A change that moves an output on purpose writes the file again and gives the
+Rows added after the first corpus draw from their own seeded generator, so
+the rows before them keep their inputs.  A change that moves an output on purpose writes the file again and gives the
 reason.  ``tests/test_corpus.py`` checks the same outputs at the A-suite
 tolerances, reading the file alone.
 """
@@ -55,7 +62,9 @@ NAMED = ("identity", "cnot", "cz", "swap", "sqrtswap", "sqrtswap_inv", "iswap", 
 VERTICES = ("O", "A1", "A2", "A3", "L", "M", "N", "P", "Q")
 EPSILONS = (0.0, 1e-12, 1e-9, 1e-7)
 PI = np.pi
-INPUTS = ("gate_u", "fold_in", "flow_t", "plan_custom", "plan_target", "plan_spec")
+INPUTS = ("gate_u", "fold_in", "big_in", "flow_t", "plan_custom", "plan_target", "plan_spec")
+EDGE_C2 = (0.0, 0.3, PI / 4, 1.2, PI / 2)  # along L–A2, from L to A2
+TWO_53 = 2.0**53
 
 
 def _haar_u4(rng) -> np.ndarray:
@@ -78,7 +87,7 @@ def _dressed(rng, c) -> np.ndarray:
     return np.exp(2j * PI * rng.random()) * (_local(rng) @ wg.canonical_gate(c) @ _local(rng))
 
 
-def _gates(rng) -> np.ndarray:
+def _gates(rng, extra) -> np.ndarray:
     gates = [np.exp(2j * PI * rng.random()) * _haar_u4(rng) for _ in range(HAAR_GATES)]
     gates += [wg.named_gate(name) for name in NAMED]
     for name in VERTICES:
@@ -90,6 +99,9 @@ def _gates(rng) -> np.ndarray:
             gates.append(_dressed(rng, [c1, 0.4, c3]))
     for c1 in (1.6, 2.0, 2.5, 3.0):  # on c1 + c2 = π
         gates.append(_dressed(rng, [c1, PI - c1, 0.3 * (PI - c1)]))
+    for c2 in EDGE_C2:  # on the L–A2 edge, and beside it on the base and above it
+        for c1, c3 in ((PI / 2, 0.0), (PI / 2 + 1e-9, 0.0), (PI / 2, 1e-9)):
+            gates.append(_dressed(extra, [c1, c2, c3]))
     return np.array(gates)
 
 
@@ -102,33 +114,48 @@ def _fold_rows(rng, gates) -> np.ndarray:
     rows += [[c1, 0.4, c3] for c1 in (1.7, 2.9) for c3 in (tb_down, TOL_BASE, tb_up, -TOL_BASE)]
     rows += [[c1, PI - c1, c3] for c1 in (1.6, 2.0, PI / 2, PI) for c3 in (0.0, 0.2, -0.2)]
     rows += rng.uniform(-10.0, 10.0, size=(200, 3)).tolist()
+    half, half_up = PI / 2, np.nextafter(PI / 2, 4.0)
+    rows += [[c1, c2, c3] for c1 in (half, half_up, np.nextafter(half, 0.0)) for c2 in EDGE_C2
+             for c3 in (0.0, -0.0, 1e-17, -1e-17, TOL_BASE)]
+    below = np.nextafter(TWO_53, 0.0)
+    rows += [[below, 0.3, 0.2], [-below, below, 0.0], [2.0**52 + 0.5, -below, 1.0], [below, below, below]]
     raw = _raw_coords(np.array([wg.m_spectrum(u).theta_balanced for u in gates]))
     return np.concatenate([np.array(rows, dtype=float), raw])
 
 
-def _couplings(rng) -> np.ndarray:
-    """Two seeded two-body Hamiltonians whose Cartan coefficients clear 0.05."""
+def _couplings(rng, count) -> list[np.ndarray]:
+    """``count`` seeded two-body Hamiltonians whose Cartan coefficients clear 0.05."""
     paulis = [wg.PAULIS[a] for a in "xyz"]
     out = []
-    while len(out) < 2:
+    while len(out) < count:
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
         if np.linalg.svd(c, compute_uv=False).min() >= 0.05:
             out.append(0.5 * sum(c[a, b] * np.kron(paulis[a], paulis[b]) for a in range(3) for b in range(3)))
-    return np.array(out)
+    return out
+
+
+def _big_rows() -> np.ndarray:
+    """Triples just below 2^53, where canonicalize folds, and at or past it, where it raises."""
+    below = np.nextafter(TWO_53, 0.0)
+    return np.array([
+        [below, 0.3, 0.2], [-below, 1.0, 0.5], [2.0**52 + 0.5, below, -below], [1e15, 2.0**52, 0.1],
+        [TWO_53, 0.3, 0.2], [0.3, -TWO_53, 0.2], [0.1, 0.2, np.nextafter(TWO_53, 1e17)], [1e16, 0.0, 0.0],
+    ])
 
 
 def build_inputs() -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(SEED)
-    gates = _gates(rng)
+    rng, extra = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
+    gates = _gates(rng, extra)
     far = [-1.5, 3e4, 2e5, 1e6]
     flow_t = np.array([np.concatenate([np.linspace(0.0, 2.2 * PI, 96), far]) for _ in FLOW_KINDS])
     return {
         "gate_u": gates,
         "fold_in": _fold_rows(rng, gates),
+        "big_in": _big_rows(),
         "flow_t": flow_t,
-        "plan_custom": _couplings(rng),
+        "plan_custom": np.array(_couplings(rng, 2) + _couplings(extra, 2)),
         "plan_target": np.array([_haar_u4(rng) for _ in range(PLANS)]),
-        "plan_spec": np.arange(PLANS) % 4,
+        "plan_spec": np.arange(PLANS) % 6,
     }
 
 
@@ -142,6 +169,14 @@ def _flow_spec(kind: str):
 
 def _nan(shape, dtype=float) -> np.ndarray:
     return np.full(shape, np.nan, dtype=dtype)
+
+
+def _canonicalized(c):
+    """canonicalize(c), or None where it raises InvalidInputError."""
+    try:
+        return wg.canonicalize(c)
+    except wg.InvalidInputError:
+        return None
 
 
 def compute(inp: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -162,6 +197,15 @@ def compute(inp: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
             "witness_in": witness[0], "witness_out": witness[1],
         })
     result = {k: np.array([row[k] for row in rows]) for k in rows[0]}
+
+    haar = zip(result["kak_k1"][:HAAR_GATES], result["kak_k2"][:HAAR_GATES])
+    factors = [[wg.factor_local(k) for k in pair] for pair in haar]
+    for field in ("a", "b", "phase"):
+        result[f"local_{field}"] = np.array([[getattr(f, field) for f in pair] for pair in factors])
+
+    big = [_canonicalized(c) for c in inp["big_in"]]
+    result["big_canon"] = np.array([_nan(3) if c is None else c for c in big])
+    result["big_raises"] = np.array([c is None for c in big])
 
     result["fold_image"], result["fold_p"], result["fold_n"] = _fold(inp["fold_in"])
 
