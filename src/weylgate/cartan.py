@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidInputError, NotNonlocalError
-from .linalg import _as_array, _as_text, _as_triple, _eigh, _finite_math, check_hermitian, kron2
+from .linalg import _as_array, _as_triple, _eigh, _finite_math, check_hermitian
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -127,10 +127,10 @@ class HamiltonianSplit:
 
 def _word(label: str) -> np.ndarray:
     if label.endswith("1"):
-        return kron2(PAULIS[label[0]], I2)
+        return np.kron(PAULIS[label[0]], I2)
     if label.endswith("2"):
-        return kron2(I2, PAULIS[label[0]])
-    return kron2(PAULIS[label[0]], PAULIS[label[1]])
+        return np.kron(I2, PAULIS[label[0]])
+    return np.kron(PAULIS[label[0]], PAULIS[label[1]])
 
 
 _WORDS = np.array([_word(lbl) for lbl in BASIS_LABELS])
@@ -232,7 +232,7 @@ def _local_rotation(axis: str, sign: int) -> np.ndarray:
     p = PAULIS[axis]
     f = np.cos(np.pi / 4) * I2 + 1j * np.sin(np.pi / 4) * p
     g = np.cos(np.pi / 4) * I2 + sign * 1j * np.sin(np.pi / 4) * p
-    return kron2(f, g)
+    return np.kron(f, g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,24 +298,6 @@ def _weyl_group() -> tuple[np.ndarray, np.ndarray]:
 # The Weyl group acting on canonical coordinates: the fold names its element
 # by an index into these tables.
 _WEYL_ACTIONS, _WEYL_GATES = _weyl_group()
-
-
-def weyl_reflection_gate(label: str) -> np.ndarray:
-    """The local gate for one Weyl reflection, by root label.
-
-    Labels name the functional on coordinates whose sign the reflection
-    controls: ``c3-c2``, ``c2-c1``, ``c1-c3`` (coordinate swaps) and
-    ``c2+c3``, ``c1+c2``, ``c1+c3`` (swaps with two sign flips).  An
-    ``i(...)`` wrapper and whitespace are tolerated.
-    """
-    key = _as_text(label, "root label").replace(" ", "")
-    if key.startswith("i(") and key.endswith(")"):
-        key = key[2:-1]
-    if key not in WEYL_REFLECTIONS:
-        raise InvalidInputError(
-            f"unknown root label {label!r}; expected one of {sorted(WEYL_REFLECTIONS)}"
-        )
-    return WEYL_REFLECTIONS[key].gate
 
 
 # ---------------------------------------------------------------------------

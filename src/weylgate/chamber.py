@@ -71,7 +71,10 @@ def in_chamber(c, tol: float = _TOL_CHAMBER) -> bool:
 
 def weyl_orbit(c) -> list[np.ndarray]:
     """All images of a coordinate triple under the identification group,
-    reduced mod π to [0, π)³ and deduplicated at 1e-12.  Sorted lexicographically.
+    reduced mod π to [0, π)³ and deduplicated at 1e-12 around the circle:
+    an image is kept unless every coordinate lies within 1e-12 of an image
+    already kept, mod π.  Sorted lexicographically; the first of a cluster
+    is kept.
 
     A reduced coordinate that rounds to π is 0: mod π takes -1e-17 to π
     in floating point, so [0, 0, -1e-17] has the one image [0, 0, 0] as
@@ -82,7 +85,8 @@ def weyl_orbit(c) -> list[np.ndarray]:
     pts[pts == PI] = 0.0
     out: list[np.ndarray] = []
     for p in sorted(pts, key=tuple):
-        if not out or np.max(np.abs(p - out[-1])) > 1e-12:
+        d = np.abs(p - np.reshape(out, (-1, 3)))  # to every image kept so far
+        if not (np.minimum(d, PI - d).max(-1) <= 1e-12).any():
             out.append(p)
     return out
 

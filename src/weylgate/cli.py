@@ -29,7 +29,6 @@ from .entangler import (
     pe_volume_exact,
 )
 from .errors import (
-    BranchSearchError,
     ConvergenceError,
     InvalidInputError,
     VerificationError,
@@ -297,7 +296,7 @@ def main(argv=None) -> int:
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
         sys.stderr.write("\n")
         # 2: a verified numerical contract failed inside; 1: bad input
-        return 2 if isinstance(exc, (VerificationError, BranchSearchError, ConvergenceError)) else 1
+        return 2 if isinstance(exc, (VerificationError, ConvergenceError)) else 1
     if isinstance(doc, str):
         sys.stdout.write(doc)
     else:

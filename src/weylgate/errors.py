@@ -2,8 +2,8 @@
 
 Input-domain problems (a matrix that is not unitary, a state that is not
 normalized, ...) and numerical failures (a verification residual that did
-not meet its bound, a branch search that found nothing) get distinct
-classes so callers can tell them apart.
+not meet its bound, a search that found nothing) get distinct classes so
+callers can tell them apart.
 
 An argument is parsed once, where it enters (``linalg._as_array``): a wrong
 shape raises ``InvalidInputError``, and entries that are not finite numbers
@@ -29,10 +29,6 @@ class NotHermitianError(WeylgateError):
     """A matrix expected to be Hermitian is not, within tolerance."""
 
 
-class NotSymmetricError(WeylgateError):
-    """A real matrix expected to be symmetric is not, within tolerance."""
-
-
 class NotLocalError(WeylgateError):
     """A gate expected to be a tensor product of single-qubit gates is not."""
 
@@ -53,12 +49,9 @@ class DegenerateHamiltonianError(WeylgateError):
     """The coupling coefficients make the pulse-time system singular."""
 
 
-class BranchSearchError(WeylgateError):
-    """A chosen sign or branch failed its acceptance test (e.g. a KAK frame not real)."""
-
-
 class VerificationError(WeylgateError):
-    """A computed result failed its self-verification residual bound."""
+    """A computed result failed its self-verification bound (a residual, or
+    a KAK left frame that is not real)."""
 
 
 class ConvergenceError(WeylgateError):

@@ -40,22 +40,10 @@ from .linalg import (
     _check_unitary,
     _finite_math,
     _simdiag,
-    check_unitary,
 )
 
 _RECORDS = 8  # gates whose derivation record the single-gate memo keeps
 _TOL_EQUIVALENT = 1e-8  # locally_equivalent's default bound on the invariant distance
-
-
-def magic_transform(u) -> np.ndarray:
-    """Conjugate a gate, which it checks, into the magic basis: Q† u Q."""
-    return _magic(check_unitary(u))
-
-
-def m_matrix(u) -> np.ndarray:
-    """The complex symmetric matrix m = u_Bᵀ u_B, u_B the magic transform
-    (a copy: the gate's record keeps its own)."""
-    return _gate(u).m.copy()
 
 
 @dataclass(frozen=True)
@@ -65,9 +53,6 @@ class LocalInvariants:
     g1: complex
     g2: float
     g2_imag_residual: float
-
-    def as_tuple(self) -> tuple[complex, float]:
-        return (self.g1, self.g2)
 
 
 def local_invariants(u) -> LocalInvariants:

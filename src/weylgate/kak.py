@@ -21,9 +21,9 @@ import numpy as np
 
 from .cartan import _CARTAN_WORDS, _WEYL_GATES, MAGIC, Q_DAG
 from .chamber import _canonical_gate
-from .errors import BranchSearchError, NotLocalError, VerificationError
+from .errors import NotLocalError, VerificationError
 from .invariants import _Gate, _gate
-from .linalg import _as_gate, _check_unitary, check_unitary, kron2
+from .linalg import _as_gate, _check_unitary, check_unitary
 
 # The σj⊗σj words W_j implement the π translations A(c + π·e_j) = A(c)·(i·W_j);
 # the i goes into the global phase, W_j into a neighboring local factor.
@@ -123,7 +123,7 @@ def factor_local(k) -> LocalFactors:
     b = row.reshape(2, 2)
     a = a / np.sqrt(np.linalg.det(a))
     b = b / np.sqrt(np.linalg.det(b))
-    ab = kron2(a, b)
+    ab = np.kron(a, b)
     phase = float(np.angle(np.trace(ab.conj().T @ k) / 4.0))
     resid = np.linalg.norm(k - np.exp(1j * phase) * ab)
     if resid > _TOL_LOCAL:
@@ -148,10 +148,9 @@ def kak_decompose(u) -> KakDecomposition:
 
     Raises
     ------
-    BranchSearchError
-        If the left frame is not real within 1e-8.
     VerificationError
-        If the reconstruction residual exceeds 1e-9.
+        If the left frame is not real within 1e-8, the reconstruction
+        residual exceeds 1e-9, or an outer factor fails the locality test.
     """
     return _kak(_gate(u))
 
@@ -166,7 +165,7 @@ def _kak(g: _Gate) -> KakDecomposition:
     # The det-one gate's U_B is e^{-iα}·U_B, and F = diag(e^{iθ/2}).
     o1 = g.ub @ (o2.T * np.exp(-1j * (alpha + 0.5 * theta)))
     if np.abs(o1.imag).max() >= 1e-8:
-        raise BranchSearchError("the square-root branch did not produce a real frame")
+        raise VerificationError("the square-root branch did not produce a real frame")
 
     # Before the fold, k1 = Q·o1·Q† and k2 = Q·o2·Q†.  With
     # coords = P·c_raw + π·n: A(c) = g_P†·A(P·c)·g_P, and

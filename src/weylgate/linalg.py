@@ -1,9 +1,11 @@
 """Small dense linear-algebra utilities shared by the rest of the package.
 
-Everything here works on explicit 4x4 (or 2x2) complex matrices.  Eigen
-problems are delegated to LAPACK via numpy; the wrappers fix conventions
-(descending eigenvalue order, right-handed eigenvector frames) and enforce
-the pre/postconditions the higher layers rely on.
+Everything here works on explicit 4x4 complex matrices (``check_hermitian``
+and ``expm_i_hermitian`` take any n x n).  Eigen
+problems are delegated to LAPACK via numpy; the private cores ``_eigh`` and
+``_simdiag`` fix the conventions (descending eigenvalue order, right-handed
+eigenvector frames) and check the residuals the higher layers rely on.  They
+have no public wrappers: the library calls them on matrices it formed itself.
 
 An argument is validated once, where it enters the library.  ``_as_array`` is
 the one parser: a ragged nesting or a wrong shape raises
@@ -36,13 +38,11 @@ from .errors import (
     ConvergenceError,
     InvalidInputError,
     NotHermitianError,
-    NotSymmetricError,
     NotUnitaryError,
 )
 
 TOL_UNITARY = 1e-9
 TOL_HERMITIAN = 1e-9
-TOL_SYMMETRIC = 1e-9
 TOL_EIG = 1e-10
 
 # Blend weights tried when jointly diagonalizing a commuting symmetric pair.
@@ -186,42 +186,12 @@ def check_hermitian(h, n: int = 4) -> np.ndarray:
     return h
 
 
-@_finite_math
-def kron2(a, b) -> np.ndarray:
-    """Tensor product of two single-qubit operators (first factor = qubit 1)."""
-    a = _as_array(a, (2, 2), "first factor", InvalidInputError, None)
-    return np.kron(a, _as_array(b, (2, 2), "second factor", InvalidInputError, None))
-
-
-@_finite_math
-def eig_real_symmetric(s):
-    """Eigendecomposition of a real symmetric matrix with fixed conventions.
-
-    Returns ``(evals, vecs)`` with eigenvalues sorted in descending order and
-    ``vecs`` orthogonal with det +1 (a column sign is flipped if needed), so
-    that `s = vecs @ diag(evals) @ vecs.T`.
-
-    Raises
-    ------
-    NotSymmetricError
-        If ``s`` has an imaginary part or s != s.T beyond TOL_SYMMETRIC.
-    """
-    return _eigh(_as_symmetric(s, None))
-
-
-def _as_symmetric(s, n: int | None) -> np.ndarray:
-    s = _as_array(s, (n, n), "matrix", NotSymmetricError, complex)
-    if not np.linalg.norm(s.imag) <= TOL_SYMMETRIC:
-        raise NotSymmetricError("matrix has a nonreal part")
-    s = s.real.copy()
-    if not np.linalg.norm(s - s.T) <= TOL_SYMMETRIC:
-        raise NotSymmetricError(f"matrix is not symmetric within {TOL_SYMMETRIC:.1e}")
-    return s
-
-
 def _eigh(s):
-    """eig_real_symmetric's core over a stack (..., n, n) of checked real
-    symmetric matrices; the residual is checked per matrix."""
+    """The eigendecomposition of each real symmetric matrix of a stack
+    (..., n, n): ``(evals, vecs)`` with the eigenvalues in descending order and
+    ``vecs`` orthogonal with det +1 (a column sign is flipped if needed), so
+    that s = vecs @ diag(evals) @ vecs.T.  The residual is checked per
+    matrix; one above 1e-10·max(1, ||s||) raises ConvergenceError."""
     evals, vecs = np.linalg.eigh(s)
     evals = evals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
@@ -256,32 +226,22 @@ def _evolve(w, v, vh, t):
     return (v * np.exp(1j * t * w)) @ vh
 
 
-@_finite_math
-def simdiag_commuting_symmetric(a, b):
-    """Jointly diagonalize two commuting real symmetric matrices.
+def _simdiag(a, b):
+    """Jointly diagonalize each pair of a stack (..., 4, 4) of commuting real
+    symmetric matrices.
 
     Diagonalizes ``a + w·b`` for a fixed blend weight ``w`` and checks that
     the resulting frame diagonalizes both inputs; if a weight produces an
     accidental eigenvalue collision that mixes non-joint eigenvectors, the
-    next weight from a fixed fallback list is tried.  Deterministic: no
-    randomness, same output for the same input.
+    next weight from a fixed fallback list is tried, on the rows that failed
+    alone.  Deterministic: no randomness, same output for the same input.
 
     Returns ``(da, db, vecs)`` with ``a = vecs @ diag(da) @ vecs.T`` and
     ``b = vecs @ diag(db) @ vecs.T``; ``vecs`` is orthogonal with det +1.
-    Each input is checked as eig_real_symmetric checks its matrix.
     """
-    a = _as_symmetric(a, None)
-    return _simdiag(a, _as_symmetric(b, len(a)))
-
-
-def _simdiag(a, b):
-    """simdiag_commuting_symmetric's core over stacks (..., n, n) of checked
-    commuting pairs.  Only the rows whose frame fails the off-diagonal test
-    retry with the next blend weight."""
-    lead, n = a.shape[:-2], a.shape[-1]
-    a, b = a.reshape(-1, n, n), b.reshape(-1, n, n)
+    lead = a.shape[:-2]
+    a, b = a.reshape(-1, 4, 4), b.reshape(-1, 4, 4)
     scale = np.maximum(1.0, np.maximum(_frobenius(a), _frobenius(b)))
-    off_diagonal = _OFF_DIAGONAL if n == 4 else 1.0 - np.eye(n)
     todo = np.arange(len(a))
     for i, w in enumerate(_SIMDIAG_WEIGHTS):
         # The first weight takes all rows as views, so each matrix product
@@ -290,7 +250,7 @@ def _simdiag(a, b):
         _, v = _eigh(ra + w * rb)
         vt = v.swapaxes(-1, -2)
         fa, fb = vt @ ra @ v, vt @ rb @ v
-        off = np.maximum(_frobenius(fa * off_diagonal), _frobenius(fb * off_diagonal))
+        off = np.maximum(_frobenius(fa * _OFF_DIAGONAL), _frobenius(fb * _OFF_DIAGONAL))
         ok = off <= TOL_EIG * scale[todo]
         dfa, dfb = fa.diagonal(0, -2, -1), fb.diagonal(0, -2, -1)
         if i == 0:  # every row; those that failed are overwritten below
@@ -308,23 +268,18 @@ def _simdiag(a, b):
             "simultaneous diagonalization failed for every blend weight; "
             "inputs may not commute"
         )
-    return da.reshape(*lead, n), db.reshape(*lead, n), vecs.reshape(*lead, n, n)
+    return da.reshape(*lead, 4), db.reshape(*lead, 4), vecs.reshape(*lead, 4, 4)
 
 
-def dist_up_to_phase(u, v) -> float:
-    """Frobenius distance between 4x4 unitaries, which it checks, minimized
-    over a global phase.
+def _dist_up_to_phase(u, v) -> float:
+    """Frobenius distance between two checked 4x4 unitaries, minimized over a
+    global phase.
 
     min over φ of ||u - e^{iφ} v||_F, equal to sqrt(8 - 2|tr(u†v)|); computed
     by subtracting at the optimal phase e^{iφ} = conj(tr(u†v))/|tr(u†v)|,
     which stays accurate when the distance is near zero (the closed form
     loses half the significant digits there).
     """
-    return _dist_up_to_phase(check_unitary(u), check_unitary(v))
-
-
-def _dist_up_to_phase(u, v) -> float:
-    """dist_up_to_phase's core over two checked gates."""
     t = np.trace(u.conj().T @ v)
     if abs(t) < 1e-12:
         return float(np.sqrt(8.0))

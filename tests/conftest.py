@@ -16,7 +16,6 @@ from weylgate import (
     assemble_nonlocal,
     canonical_gate,
     cartan_conjugate,
-    kron2,
 )
 from weylgate.chamber import TOL_BASE
 
@@ -55,7 +54,7 @@ def rand_su2(rng):
 
 def rand_local(rng):
     """A Haar-random SU(2)xSU(2) gate on two qubits."""
-    return kron2(rand_su2(rng), rand_su2(rng))
+    return np.kron(rand_su2(rng), rand_su2(rng))
 
 
 def rand_u4(rng):

@@ -1,18 +1,34 @@
-"""Each self-check of the one-gate analysis chain, pinned at its bound.
+"""Each self-check of the one-gate analysis chain and of synthesis, pinned
+at its bound.
 
 A perturbation of the checked quantity is injected, through a monkeypatched
 core or an edited derivation record, at (1 + 1e-6)× the bound, where the
 typed error must be raised, and at (1 - 1e-6)×, where the call must pass.
 The gap, 1e-6 of the bound, is far above the rounding of each injected
 quantity, so a bound loosened or tightened by more than that fails here.
+``tools/mutants.py`` loosens each bound in a copy of the sources and runs
+the test here that must then fail.
 """
 
 import numpy as np
 import pytest
 
 from conftest import rand_u4
-from weylgate import ConvergenceError, VerificationError, chamber, entangler, gate_coords, kak, linalg
-from weylgate.errors import BranchSearchError
+from weylgate import (
+    MAGIC,
+    CircuitPlan,
+    ConvergenceError,
+    DegenerateHamiltonianError,
+    HamiltonianSpec,
+    VerificationError,
+    chamber,
+    entangler,
+    gate_coords,
+    hamflow,
+    kak,
+    linalg,
+    synth,
+)
 from weylgate.invariants import _Gate
 
 E00 = np.diag([1.0, 0.0, 0.0, 0.0])  # the (0, 0) unit matrix
@@ -66,7 +82,7 @@ def test_kak_real_frame_bound(factor):
     eps = factor * 1e-8
     f = np.exp(1j * (float(g.alpha) + 0.5 * g.spectrum.theta_balanced))
     g.ub = g.ub + 1j * eps * f[0] * E00 @ g.spectrum.frame
-    _outcome(factor, BranchSearchError, lambda: kak._kak(g))
+    _outcome(factor, VerificationError, lambda: kak._kak(g))
 
 
 @FACTORS
@@ -110,3 +126,50 @@ def test_witness_self_check_bound(monkeypatch, factor, state):
     assert entangler.is_perfect_entangler(u).is_pe
     monkeypatch.setattr(entangler, "_ent", moved)
     _outcome(factor, VerificationError, lambda: entangler.entangling_input(u))
+
+
+def _negative_plan(t0):
+    """The isotropic CNOT plan with its first time set to ``t0`` < 0."""
+    plan = synth.cnot_from_isotropic()
+    return CircuitPlan(plan.locals, (t0, *plan.times[1:]), HamiltonianSpec.isotropic())
+
+
+@FACTORS
+def test_synthesize_residual_bound(monkeypatch, factor):
+    monkeypatch.setattr(synth, "_dist_up_to_phase", lambda u, v: factor * synth._TOL_RESIDUAL)
+    target = rand_u4(np.random.default_rng(14))
+    _outcome(factor, VerificationError, lambda: synth.synthesize(target, HamiltonianSpec.isotropic()))
+
+
+@FACTORS
+def test_nonnegative_rewrite_residual_bound(monkeypatch, factor):
+    # One segment is shifted by one period, so the miss is that segment's alone.
+    monkeypatch.setattr(synth, "_dist_up_to_phase", lambda u, v: factor * synth._TOL_RESIDUAL)
+    rewritten = synth.with_nonnegative_times(_negative_plan(-0.5))
+    assert (rewritten is None) == (factor > 1)
+
+
+@FACTORS
+def test_nonnegative_rewrite_compensator_locality_bound(monkeypatch, factor):
+    # Shifted by three periods, the compensator is tested as a local gate.  It
+    # is read as Q·(I + ε·E)·Q† with E the symmetric (0, 1) pair, whose m is
+    # I + 2ε·E + ε²·E²: the off-diagonal entry 2ε against the bound 1e-8.
+    eps = factor * kak._TOL_LOCAL / 2.0
+    pair = np.eye(4)
+    pair[0, 1] = pair[1, 0] = eps
+    moved = MAGIC @ pair @ MAGIC.conj().T
+    m_scalar = kak._m_scalar
+    monkeypatch.setattr(synth, "_m_scalar", lambda u: m_scalar(np.broadcast_to(moved, u.shape)))
+    period = synth.fundamental_period(HamiltonianSpec.isotropic())
+    rewritten = synth.with_nonnegative_times(_negative_plan(-2.5 * period))
+    assert (rewritten is None) == (factor > 1)
+
+
+@FACTORS
+def test_pulse_time_matrix_det_bound(factor):
+    # det M is cubic in the coefficients, so scaling them by s scales it by s³:
+    # det = 1e-12 / factor, at or below the bound past it.
+    c = np.array([1.0, 0.5, 0.2])
+    det = np.linalg.det(hamflow._pulse_time_matrix(c))
+    c = c * np.cbrt(1e-12 / factor / det)
+    _outcome(factor, DegenerateHamiltonianError, lambda: hamflow._pulse_time_matrix(c))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weylgate import PAULIS, canonical_gate, cartan_element, kron2
+from weylgate import PAULIS, canonical_gate, cartan_element
 from weylgate.cartan import MAGIC, Q_DAG, _PATTERN, _raw_coords
 from weylgate.chamber import _canonical_gate
 from weylgate.hamflow import _A2, _A3, _L2, _L3, _STEER_INDEX, _STEER_SIGN
@@ -52,7 +52,7 @@ def _old_steering(c):
 
 @pytest.mark.parametrize("j, axis", enumerate("xyz"))
 def test_pattern_is_the_magic_diagonal_of_each_cartan_word(j, axis):
-    word = Q_DAG @ kron2(PAULIS[axis], PAULIS[axis]) @ MAGIC
+    word = Q_DAG @ np.kron(PAULIS[axis], PAULIS[axis]) @ MAGIC
     assert_allclose(word, np.diag(_PATTERN[:, j]), atol=1e-15)
 
 
@@ -113,4 +113,4 @@ def test_steering_columns_are_the_frames_actions():
 
 def test_cnot_plan_flip_is_sigma_x_on_qubit_one():
     k_x = cnot_from_isotropic().locals[2]
-    assert_allclose(k_x, 1j * kron2(PAULIS["x"], np.eye(2)), atol=1e-15)
+    assert_allclose(k_x, 1j * np.kron(PAULIS["x"], np.eye(2)), atol=1e-15)

@@ -175,7 +175,6 @@ def test_coords_of_a_negative_cu_angle(capsys):
     "error, code",
     [
         (errors.VerificationError, 2),
-        (errors.BranchSearchError, 2),
         (errors.ConvergenceError, 2),
         (errors.InvalidInputError, 1),
         (errors.NotUnitaryError, 1),

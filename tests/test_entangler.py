@@ -19,7 +19,6 @@ from weylgate import (
     entangling_input,
     gate_coords,
     is_perfect_entangler,
-    kron2,
     named_gate,
     pe_fraction_mc,
     pe_from_coords,
@@ -50,7 +49,7 @@ def test_ent_magnitude_local_invariant():
     rng = np.random.default_rng(52)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
-    k = kron2(rand_su2(rng), rand_su2(rng))
+    k = np.kron(rand_su2(rng), rand_su2(rng))
     assert abs(abs(ent(k @ psi)) - abs(ent(psi))) < 1e-12
 
 

@@ -16,7 +16,6 @@ from weylgate import (
     gate_coords,
     josephson_cnot_min_time,
     josephson_invariants,
-    kron2,
     local_invariants,
     parse_hamiltonian,
     realize,
@@ -42,7 +41,7 @@ def test_realize_exchange():
     h = realize(HamiltonianSpec.exchange(1.0, 0.5, 0.2, -0.1))
     sx, sy = PAULIS["x"], PAULIS["y"]
     expected = 0.5 * (
-        1.0 * kron2(sx, sx) + 0.5 * kron2(sy, sy) + 0.2 * kron2(sx, sy) - 0.1 * kron2(sy, sx)
+        1.0 * np.kron(sx, sx) + 0.5 * np.kron(sy, sy) + 0.2 * np.kron(sx, sy) - 0.1 * np.kron(sy, sx)
     )
     assert_array_equal(h, expected)
     s = split_hamiltonian(h)
@@ -57,8 +56,8 @@ def test_realize_josephson():
     alpha, e_l = 1.2, 1.0
     h = realize(HamiltonianSpec.josephson(alpha, e_l))
     sx, sy = PAULIS["x"], PAULIS["y"]
-    expected = -(alpha * e_l / 2.0) * (kron2(sx, np.eye(2)) + kron2(np.eye(2), sx))
-    expected = expected + alpha**2 * e_l * kron2(sy, sy)
+    expected = -(alpha * e_l / 2.0) * (np.kron(sx, np.eye(2)) + np.kron(np.eye(2), sx))
+    expected = expected + alpha**2 * e_l * np.kron(sy, sy)
     assert_array_equal(h, expected)
 
 

@@ -6,16 +6,15 @@ from numpy.testing import assert_allclose
 
 from conftest import rand_local, rand_u4
 from weylgate import (
-    LocalInvariants,
     canonical_gate,
     invariant_distance,
     invariants_from_coords,
     local_invariants,
     locally_equivalent,
-    m_matrix,
     m_spectrum,
     named_gate,
 )
+from weylgate.invariants import _Gate
 
 # Frozen oracle: (g1, g2) for the named gates.
 NAMED_INVARIANTS = {
@@ -80,7 +79,7 @@ def test_closed_form_matches_gate_invariants():
 def test_m_matrix_symmetric_unitary():
     rng = np.random.default_rng(24)
     u = rand_u4(rng)
-    m = m_matrix(u)
+    m = _Gate(u).m
     assert_allclose(m, m.T, atol=1e-12)
     assert_allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
 
@@ -97,7 +96,7 @@ def test_m_spectrum_reconstruction():
         # Frame is real orthogonal and reproduces m of the det-normalized u.
         assert_allclose(spec.frame @ spec.frame.T, np.eye(4), atol=1e-10)
         alpha = np.angle(np.linalg.det(u)) / 4.0
-        m = m_matrix(np.exp(-1j * alpha) * u)
+        m = _Gate(np.exp(-1j * alpha) * u).m
         rebuilt = spec.frame.T @ np.diag(np.exp(1j * spec.theta)) @ spec.frame
         assert_allclose(rebuilt, m, atol=1e-9)
 
@@ -117,8 +116,3 @@ def test_invariant_distance_properties():
     assert invariant_distance(a, a) == 0.0
     assert invariant_distance(a, b) == invariant_distance(b, a)
     assert invariant_distance(a, b) > 1.0
-
-
-def test_as_tuple():
-    inv = LocalInvariants(g1=0.5 + 0.1j, g2=2.0, g2_imag_residual=0.0)
-    assert inv.as_tuple() == (0.5 + 0.1j, 2.0)

@@ -1,4 +1,4 @@
-"""Checks for the small linear-algebra toolkit."""
+"""Checks for the small linear-algebra toolkit and its eigen cores."""
 
 import numpy as np
 import pytest
@@ -7,21 +7,17 @@ from numpy.testing import assert_allclose
 from conftest import rand_u4
 from weylgate import (
     NotHermitianError,
-    NotSymmetricError,
     NotUnitaryError,
     check_hermitian,
     check_unitary,
-    dist_up_to_phase,
-    eig_real_symmetric,
     expm_i_hermitian,
     gate_coords,
     is_perfect_entangler,
     kak_decompose,
-    kron2,
     local_invariants,
     named_gate,
-    simdiag_commuting_symmetric,
 )
+from weylgate.linalg import _dist_up_to_phase, _eigh, _simdiag
 
 
 def test_check_unitary_accepts_unitary():
@@ -73,28 +69,16 @@ def test_entry_points_reject_nan_gate(fn):
         fn(u)
 
 
-def test_kron2_matches_numpy():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2))
-    assert_allclose(kron2(a, b), np.kron(a, b))
-
-
 def test_eig_real_symmetric_roundtrip():
     rng = np.random.default_rng(4)
     for _ in range(20):
         s = rng.standard_normal((4, 4))
         s = s + s.T
-        w, o = eig_real_symmetric(s)
+        w, o = _eigh(s)
         assert_allclose(o @ np.diag(w) @ o.T, s, atol=1e-12)
         assert_allclose(o @ o.T, np.eye(4), atol=1e-12)
         assert np.linalg.det(o) > 0.5  # proper rotation, det +1
         assert np.all(np.diff(w) <= 1e-12)  # descending
-
-
-def test_eig_real_symmetric_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
-        eig_real_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_expm_diagonal_oracle():
@@ -117,10 +101,10 @@ def test_simdiag_commuting_pair():
     rng = np.random.default_rng(6)
     for _ in range(10):
         s = rng.standard_normal((4, 4))
-        _, frame = eig_real_symmetric(s + s.T)
+        _, frame = _eigh(s + s.T)
         a = frame @ np.diag(rng.standard_normal(4)) @ frame.T
         b = frame @ np.diag(rng.standard_normal(4)) @ frame.T
-        da, db, vecs = simdiag_commuting_symmetric(a, b)
+        da, db, vecs = _simdiag(a, b)
         assert_allclose(vecs @ np.diag(da) @ vecs.T, a, atol=1e-10)
         assert_allclose(vecs @ np.diag(db) @ vecs.T, b, atol=1e-10)
         assert_allclose(vecs @ vecs.T, np.eye(4), atol=1e-12)
@@ -131,7 +115,7 @@ def test_simdiag_degenerate_first_matrix():
     rng = np.random.default_rng(7)
     s = rng.standard_normal((4, 4))
     b = s + s.T
-    da, db, vecs = simdiag_commuting_symmetric(np.eye(4), b)
+    da, db, vecs = _simdiag(np.eye(4), b)
     assert_allclose(da, np.ones(4), atol=1e-12)
     assert_allclose(vecs @ np.diag(db) @ vecs.T, b, atol=1e-10)
 
@@ -139,13 +123,13 @@ def test_simdiag_degenerate_first_matrix():
 def test_dist_up_to_phase_ignores_phase():
     rng = np.random.default_rng(8)
     u = rand_u4(rng)
-    assert dist_up_to_phase(u, np.exp(0.7j) * u) < 1e-13
+    assert _dist_up_to_phase(u, np.exp(0.7j) * u) < 1e-13
 
 
 def test_dist_up_to_phase_cnot_identity():
     # |tr(CNOT)| = 2, so the best phase alignment leaves a distance of
     # sqrt(8 - 2*2) = 2 exactly.
-    assert_allclose(dist_up_to_phase(np.eye(4), named_gate("cnot")), 2.0, atol=1e-12)
+    assert_allclose(_dist_up_to_phase(np.eye(4), named_gate("cnot")), 2.0, atol=1e-12)
 
 
 def test_dist_up_to_phase_no_float_floor():
@@ -153,7 +137,7 @@ def test_dist_up_to_phase_no_float_floor():
     # of the naive sqrt(8 - 2|tr|) cancellation.
     rng = np.random.default_rng(9)
     u = rand_u4(rng)
-    assert dist_up_to_phase(u, u * np.exp(1j * 1e-15)) < 1e-12
+    assert _dist_up_to_phase(u, u * np.exp(1j * 1e-15)) < 1e-12
 
 
 def test_dist_up_to_phase_matches_grid_minimum():
@@ -161,4 +145,4 @@ def test_dist_up_to_phase_matches_grid_minimum():
     u, v = rand_u4(rng), rand_u4(rng)
     grid = np.linspace(0.0, 2.0 * np.pi, 20001)
     brute = min(np.linalg.norm(u - np.exp(1j * p) * v) for p in grid)
-    assert abs(dist_up_to_phase(u, v) - brute) < 1e-6
+    assert abs(_dist_up_to_phase(u, v) - brute) < 1e-6

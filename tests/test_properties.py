@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.stats import unitary_group
 
 from conftest import (
     PI,
@@ -171,6 +172,33 @@ def test_orbit_lies_in_the_half_open_cell(c):
     assert all(((0.0 <= p) & (p < PI)).all() for p in weyl_orbit(c)), c
 
 
+def _circle_gap(a, b):
+    """The largest per-coordinate distance mod π between the rows of a and of b."""
+    d = np.abs(a[:, None, :] - b[None, :, :]) % PI
+    return np.minimum(d, PI - d).max(-1)
+
+
+@PROPERTY
+@given(special_triples)
+@example(np.array([0.0, 0.0, 1e-13]))
+@example(np.array([0.3, 0.2, -5e-13]))
+def test_orbit_keeps_one_image_per_cluster_on_the_circle(c):
+    kept = np.array(weyl_orbit(c))
+    assert ((0.0 <= kept) & (kept < PI)).all(), c
+    gap = _circle_gap(kept, kept)
+    np.fill_diagonal(gap, np.inf)
+    assert gap.min() > 1e-12, c
+    # Each of the 24 group images lies within 1e-12 of a kept one.
+    images = _WEYL_ACTIONS @ c
+    assert _circle_gap(images, kept).min(1).max() <= 1e-12, c
+
+
+@pytest.mark.parametrize("tiny", [1e-13, -1e-13])
+def test_orbit_merges_images_across_the_ends_of_the_cell(tiny):
+    # [0, 0, 1e-13] and [0, 0, π - 1e-13] are 2e-13 apart around the cell.
+    assert len(weyl_orbit([0.0, 0.0, tiny])) == 1
+
+
 @pytest.mark.parametrize("tiny", [1e-17, -1e-17, 0.0, -0.0])
 def test_orbit_of_a_rounding_error_from_the_identity_is_one_point(tiny):
     assert len(weyl_orbit([0.0, 0.0, tiny])) == 1
@@ -324,6 +352,22 @@ def test_pe_verdict_matches_eigvals_margin_and_polyhedron():
     # One boundary for both verdicts: the hull's margin ≥ -tol is the
     # polyhedron's face bound, read from an independent eigensolver.
     for u in _oracle_gates():
+        is_pe = is_perfect_entangler(u).is_pe
+        assert is_pe == (_eigvals_margin(u) >= -TOL_HULL)
+        assert is_pe == pe_from_coords(_eigvals_coords(u))
+
+
+# 200 seeded Haar gates from scipy's sampler, which shares no code with rand_u4.
+_SCIPY_HAAR = unitary_group.rvs(4, size=200, random_state=np.random.default_rng(20261021))
+
+
+def test_scipy_haar_gate_coords_match_eigvals_oracle():
+    for u in _SCIPY_HAAR:
+        assert_same_chamber_point(gate_coords(u), _eigvals_coords(u), atol=1e-12)
+
+
+def test_scipy_haar_pe_verdict_matches_eigvals_oracle():
+    for u in _SCIPY_HAAR:
         is_pe = is_perfect_entangler(u).is_pe
         assert is_pe == (_eigvals_margin(u) >= -TOL_HULL)
         assert is_pe == pe_from_coords(_eigvals_coords(u))

@@ -51,7 +51,6 @@ GATES = _gates()
 # Every single-gate public function that reads the record.
 READERS = {
     "local_invariants": wg.local_invariants,
-    "m_matrix": wg.m_matrix,
     "m_spectrum": wg.m_spectrum,
     "gate_coords": wg.gate_coords,
     "kak_decompose": wg.kak_decompose,
@@ -142,18 +141,17 @@ def test_mutating_the_input_after_a_call_changes_nothing_kept(cold):
 @pytest.mark.parametrize("gate", ["haar3", "cnot", "sqrtswap"])
 def test_writing_to_returned_arrays_changes_no_later_result(cold, gate):
     u = GATES[gate]
-    before = readme_sequence(u) + [wg.m_matrix(u), wg.m_spectrum(u)]
-    m = wg.m_matrix(u)
+    before = readme_sequence(u) + [wg.m_spectrum(u)]
     s = wg.m_spectrum(u)
     c = wg.gate_coords(u)
     d = wg.kak_decompose(u)
     v = wg.is_perfect_entangler(u)
     psi_in, psi_out = wg.entangling_input(u)
-    arrays = (m, s.theta, s.theta_balanced, s.frame, c, d.coords, d.k1, d.k2, d.a_factor)
+    arrays = (s.theta, s.theta_balanced, s.frame, c, d.coords, d.k1, d.k2, d.a_factor)
     for a in arrays + (v.phases, v.weights, psi_in, psi_out):
         assert a.flags.writeable  # a fresh array, the caller's own
         a[...] = 7.0
-    assert_identical(readme_sequence(u) + [wg.m_matrix(u), wg.m_spectrum(u)], before)
+    assert_identical(readme_sequence(u) + [wg.m_spectrum(u)], before)
 
 
 @pytest.mark.parametrize("gate", ["haar4", "cnot", "sqrtswap", "iswap"])

@@ -1,19 +1,24 @@
-"""Flows against an oracle outside the library's numerics.
+"""Flows and the perfect-entangler polyhedron against oracles outside the
+library's numerics.
 
 The library forms exp(i·t·H) from the eigendecomposition of H.  scipy's
 ``expm`` takes another route, Padé approximation with scaling and squaring
 (Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 2009), so agreement
 checks the flow, the invariants ``trajectory`` reads along it, and the
 products ``plan_unitary`` multiplies out in the flow's eigenbasis, against
-arithmetic the library does not share.
+arithmetic the library does not share.  scipy's Delaunay triangulation of
+the polyhedron's vertices L, M, N, P, Q and A2 (Qhull) checks its exact volume
+and the coordinate membership test.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.spatial import ConvexHull, Delaunay
 
 import weylgate as wg
-from conftest import rand_local, rand_nonlocal_hamiltonian, rand_u4
+from conftest import rand_chamber_point, rand_local, rand_nonlocal_hamiltonian, rand_u4
+from weylgate import chamber
 
 # The couplings of the flow benchmark, by kind.
 FLOWS = {
@@ -80,3 +85,30 @@ def test_random_local_plan_products_match_scipy():
         locals_ = tuple(rand_local(rng) for _ in range(4))
         plan = wg.CircuitPlan(locals_, tuple(rng.uniform(-5.0, 5.0, 3).tolist()), spec)
         assert np.abs(wg.plan_unitary(plan) - _expm_product(plan, h)).max() <= 1e-12
+
+
+# The vertices of the perfect-entangler polyhedron.
+PE_VERTICES = np.array([getattr(chamber, f"VERTEX_{name}") for name in ("L", "M", "N", "P", "Q", "A2")])
+
+
+def test_pe_volume_is_the_delaunay_volume():
+    tri = Delaunay(PE_VERTICES)
+    corners = PE_VERTICES[tri.simplices]  # (simplices, 4, 3)
+    volume = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])).sum() / 6.0
+    assert abs(volume - np.pi**3 / 48) <= 1e-12
+    assert abs(wg.pe_volume_exact().perfect_entanglers - volume) <= 1e-12
+
+
+def test_pe_from_coords_matches_delaunay_membership():
+    tri = Delaunay(PE_VERTICES)
+    faces = ConvexHull(PE_VERTICES).equations  # unit normal n and offset d: n·x + d ≤ 0 inside
+    rng = np.random.default_rng(20261022)
+    checked = inside = 0
+    while checked < 2000:
+        c = rand_chamber_point(rng)
+        if np.abs(faces[:, :3] @ c + faces[:, 3]).min() <= 1e-6:
+            continue
+        checked += 1
+        inside += bool(tri.find_simplex(c) >= 0)
+        assert wg.pe_from_coords(c) == (tri.find_simplex(c) >= 0), c
+    assert 0 < inside < checked

@@ -25,7 +25,6 @@ from weylgate import (
     InvalidInputError,
     NotHermitianError,
     NotNormalizedError,
-    NotSymmetricError,
     NotUnitaryError,
     WeylgateError,
 )
@@ -124,7 +123,6 @@ _PLAN = wg.cnot_from_isotropic()
 
 GATE_FNS = {
     "check_unitary": wg.check_unitary,
-    "m_matrix": wg.m_matrix,
     "local_invariants": wg.local_invariants,
     "m_spectrum": wg.m_spectrum,
     "gate_coords": wg.gate_coords,
@@ -137,9 +135,6 @@ GATE_FNS = {
     "locally_equivalent(., v)": lambda v: wg.locally_equivalent(CNOT, v),
     "synthesize": lambda u: wg.synthesize(u, _ISO),
     "verify_plan": lambda u: wg.verify_plan(_PLAN, u),
-    "magic_transform": wg.magic_transform,
-    "dist_up_to_phase(u, .)": lambda u: wg.dist_up_to_phase(u, CNOT),
-    "dist_up_to_phase(., v)": lambda v: wg.dist_up_to_phase(CNOT, v),
 }
 HAMILTONIAN_FNS = {
     "check_hermitian": wg.check_hermitian,
@@ -158,18 +153,6 @@ SPEC_FNS = {
     "with_nonnegative_times": lambda s: wg.with_nonnegative_times(
         CircuitPlan(_PLAN.locals, (-1.0, 0.5, 0.0), s)
     ),
-}
-SYMMETRIC_FNS = {
-    "eig_real_symmetric": wg.eig_real_symmetric,
-    "simdiag_commuting_symmetric": lambda s: wg.simdiag_commuting_symmetric(s, np.eye(4)),
-}
-BAD_SYMMETRIC = {
-    "nan": (_with(np.eye(4), (0, 1), NAN).real, NotSymmetricError),
-    "inf": (_with(np.eye(4), (2, 2), np.inf).real, NotSymmetricError),
-    "4x3": (np.ones((4, 3)), ValueError),
-    "asymmetric": (np.triu(np.ones((4, 4))), NotSymmetricError),
-    "0-d": (1.0, InvalidInputError),
-    "str": (np.eye(4).astype(str), NotSymmetricError),
 }
 COORD_FNS = {
     "canonicalize": wg.canonicalize,
@@ -201,16 +184,6 @@ BAD_SQUARE = {
     "str": (np.eye(4).astype(str), InvalidInputError),
     "object": (_with_object(ISO_H, (0, 0), [1, 0]), InvalidInputError),
     "ragged": ([[1, 2], [3]], InvalidInputError),
-}
-KRON_FNS = {
-    "kron2(a, .)": lambda a: wg.kron2(a, np.eye(2)),
-    "kron2(., b)": lambda b: wg.kron2(np.eye(2), b),
-}
-BAD_FACTORS = {
-    "nan": (_with(np.eye(2), (0, 1), NAN), InvalidInputError),
-    "3x3": (np.eye(3), InvalidInputError),
-    "str": (np.eye(2).astype(str), InvalidInputError),
-    "ragged": ([[1, 0], [0]], InvalidInputError),
 }
 # A scalar that is not a finite real number.
 BAD_SCALARS = {
@@ -249,7 +222,6 @@ BAD_COUNTS = {
 }
 TEXT_FNS = {
     "named_gate": wg.named_gate,
-    "weyl_reflection_gate": wg.weyl_reflection_gate,
     "parse_hamiltonian": wg.parse_hamiltonian,
 }
 BAD_TEXT = {
@@ -277,7 +249,6 @@ MALFORMED = (
     _table(GATE_FNS, BAD_GATES)
     + _table(HAMILTONIAN_FNS, BAD_HAMILTONIANS)
     + _table(SPEC_FNS, BAD_SPECS)
-    + _table(SYMMETRIC_FNS, BAD_SYMMETRIC)
     + _table(COORD_FNS, BAD_COORDS)
     + _table({"trajectory times": lambda times: wg.trajectory(_ISO, times)}, BAD_TIMES)
     + _table(
@@ -291,7 +262,6 @@ MALFORMED = (
     )
     + _table({"ent": wg.ent}, BAD_STATES)
     + _table(PAIR_FNS, BAD_SQUARE)
-    + _table(KRON_FNS, BAD_FACTORS)
     + _table(SCALAR_FNS, BAD_SCALARS)
     + _table(TOL_FNS, BAD_TOLS)
     + _table(COUNT_FNS, BAD_COUNTS)
@@ -479,7 +449,6 @@ def _negative_plan():
 # name -> (call, expected counts); a spec is realized once, and realizing a
 # custom spec is its one Hermitian check.
 COUNT_CASES = {
-    "m_matrix": (lambda: wg.m_matrix(_U), {"_check_unitary": 1}),
     "local_invariants": (lambda: wg.local_invariants(_U), {"_check_unitary": 1}),
     "m_spectrum": (lambda: wg.m_spectrum(_U), {"_check_unitary": 1}),
     "gate_coords": (lambda: wg.gate_coords(_U), {"_check_unitary": 1}),
@@ -489,8 +458,6 @@ COUNT_CASES = {
     "is_perfect_entangler": (lambda: wg.is_perfect_entangler(_U), {"_check_unitary": 1}),
     "entangling_input": (lambda: wg.entangling_input(CNOT), {"_check_unitary": 1}),
     "locally_equivalent": (lambda: wg.locally_equivalent(_U, CNOT), {"_check_unitary": 2}),
-    "magic_transform": (lambda: wg.magic_transform(_U), {"_check_unitary": 1}),
-    "dist_up_to_phase": (lambda: wg.dist_up_to_phase(_U, CNOT), {"_check_unitary": 2}),
     "expm_i_hermitian": (lambda: wg.expm_i_hermitian(ISO_H, 0.3), {"check_hermitian": 1}),
     "split_hamiltonian": (lambda: wg.split_hamiltonian(ISO_H), {"check_hermitian": 1}),
     "cartan_conjugate": (lambda: wg.cartan_conjugate(ISO_H), {"check_hermitian": 1}),
@@ -621,14 +588,13 @@ def test_synthesis_meets_residual_or_reports_degenerate(coeffs, seed):
 
 _EXCHANGE = HamiltonianSpec.exchange(3.0, 1.0, 0.5, 0.2)
 # name -> (entry, the shape it takes (None: any length), what it takes:
-# "complex", "real", or a "hermitian" or "symmetric" matrix)
+# "complex", "real", or a "hermitian" matrix)
 ENTRIES = {
     **{f"gate {k}": (fn, (4, 4), "complex") for k, fn in GATE_FNS.items()},
     **{
         f"hamiltonian {k}": (fn, (4, 4), "hermitian")
         for k, fn in {**HAMILTONIAN_FNS, **SPEC_FNS}.items()
     },
-    **{f"symmetric {k}": (fn, (4, 4), "symmetric") for k, fn in SYMMETRIC_FNS.items()},
     **{f"coords {k}": (fn, (3,), "real") for k, fn in COORD_FNS.items()},
     "coefficients assemble_nonlocal": (wg.assemble_nonlocal, (9,), "real"),
     "coefficients exchange": (lambda p: wg.realize(HamiltonianSpec("exchange", p)), (4,), "real"),
@@ -637,7 +603,6 @@ ENTRIES = {
     "state": (wg.ent, (4,), "complex"),
     "matrix commutator": (lambda a: wg.commutator(a, a), (4, 4), "complex"),
     "matrix killing_form": (lambda a: wg.killing_form(a, a), (4, 4), "complex"),
-    "factor kron2": (lambda a: wg.kron2(a, a), (2, 2), "complex"),
 }
 # list: an object array with one entry that is not a number.
 _DTYPES = (bool, int, np.float32, float, np.complex64, complex, object, list, str)
@@ -670,11 +635,11 @@ def _argument(draw, shape, takes):
     # Entries from a few drawn values, placed by a seeded generator.
     pool = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=4))
     re, im = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, (2, *dims))
-    dtype = how if fault == "dtype" else float if takes in ("real", "symmetric") else complex
+    dtype = how if fault == "dtype" else float if takes == "real" else complex
     with np.errstate(all="ignore"):  # casting NaN to int, for one
-        if takes in ("hermitian", "symmetric") and fault != "shape":
+        if takes == "hermitian" and fault != "shape":
             re = np.triu(re) + np.triu(re, 1).T
-            im = np.triu(im, 1) - np.triu(im, 1).T if takes == "hermitian" else 0 * im
+            im = np.triu(im, 1) - np.triu(im, 1).T
         x = np.asarray(re).astype(object if dtype is list else dtype)
         if x.dtype.kind == "c":
             x.imag = im
