@@ -28,13 +28,14 @@ exactly what was written.  They cover:
   through ``trajectory``; the far times reach past the fold's reach, so the
   spectrum path runs for two-body couplings too.
 * ``plan_*``: seeded targets over six specs, isotropic,
-  exchange(1, 0.5, 0.2, 0) and four seeded custom couplings, through ``synthesize`` and
-  ``with_nonnegative_times`` (NaN rows and ``plan_rewritten`` False where
-  it returns None).
+  exchange(1, 0.5, 0.2, 0) and four seeded custom couplings, 15 plans
+  each, through ``synthesize`` and ``with_nonnegative_times`` (NaN rows
+  and ``plan_rewritten`` False where it returns None).
 
-Rows added after the first corpus draw from their own seeded generator, so
-the rows before them keep their inputs.  A change that moves an output on purpose writes the file again and gives the
-reason.  ``tests/test_corpus.py`` checks the same outputs at the A-suite
+Rows added after the first corpus (the L–A2 gates, the last two couplings
+and their plans) draw from their own seeded generator, so the rows before
+them keep their inputs and specs.  A change that moves an output on purpose
+writes the file again and gives the reason.  ``tests/test_corpus.py`` checks the same outputs at the A-suite
 tolerances, reading the file alone.
 """
 
@@ -56,7 +57,8 @@ from weylgate.cartan import TOL_BASE, _fold, _raw_coords  # noqa: E402
 
 SEED = 20261019
 HAAR_GATES = 600
-PLANS = 60
+PLANS = 60  # over the first four specs
+EXTRA_PLANS = 30  # over the last two
 FLOW_KINDS = ("isotropic", "xy", "ising", "exchange", "josephson")
 NAMED = ("identity", "cnot", "cz", "swap", "sqrtswap", "sqrtswap_inv", "iswap", "cu(0.3,0.2,0.1)")
 VERTICES = ("O", "A1", "A2", "A3", "L", "M", "N", "P", "Q")
@@ -154,8 +156,8 @@ def build_inputs() -> dict[str, np.ndarray]:
         "big_in": _big_rows(),
         "flow_t": flow_t,
         "plan_custom": np.array(_couplings(rng, 2) + _couplings(extra, 2)),
-        "plan_target": np.array([_haar_u4(rng) for _ in range(PLANS)]),
-        "plan_spec": np.arange(PLANS) % 6,
+        "plan_target": np.array([_haar_u4(rng) for _ in range(PLANS)] + [_haar_u4(extra) for _ in range(EXTRA_PLANS)]),
+        "plan_spec": np.concatenate([np.arange(PLANS) % 4, 4 + np.arange(EXTRA_PLANS) % 2]),
     }
 
 

@@ -1,19 +1,17 @@
 """The committed mutant list: each self-check bound that ``tests/test_bounds.py``
 pins, loosened 1000× in a copy of the sources, with the test that must then fail.
 
-    python tools/mutants.py            # every mutant, against tests/test_bounds.py
-    python tools/mutants.py --suite    # every mutant, against the whole suite
+    python tools/mutants.py
 
 Each mutant replaces one text of one file under ``src/weylgate/`` (the text
 occurs there exactly once; ``tests/test_mutants.py`` keeps that true) and runs
-the tests in a temporary copy of the checkout.  A mutant passes when the tests
-that fail are exactly its own ``kills``; with ``--suite``, when they include
-them.  The repository itself is never edited.
+``tests/test_bounds.py`` in a temporary copy of the checkout.  A mutant is
+killed when the tests that fail are exactly its own ``kills``.  The repository
+itself is never edited.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -62,44 +60,42 @@ MUTANTS = (
 )
 
 
-def _failures(copy: Path, target: list[str]) -> set[str] | None:
-    """The failing tests of ``target`` in the copy, as ``file::name[params]``;
-    None when pytest stopped short of running them (a collection error, say)."""
+def _failures(copy: Path) -> set[str] | None:
+    """The failing tests of ``tests/test_bounds.py`` in the copy, as
+    ``file::name[params]``; None when pytest stopped short of running them
+    (a collection error, say)."""
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *target],
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", BOUNDS],
         cwd=copy, env=os.environ | {"PYTHONPATH": str(copy / "src")}, capture_output=True, text=True,
     )
     return None if run.returncode > 1 else set(re.findall(r"^FAILED (\S+)", run.stdout, re.MULTILINE))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--suite", action="store_true", help="run the whole suite, not test_bounds.py alone")
-    args = parser.parse_args(argv)
-    # The list's own staleness test fails on every mutant, so the suite skips it.
-    target = ["tests", "--ignore=tests/test_mutants.py"] if args.suite else [BOUNDS]
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        for part in ("src", "tests", "tools"):  # the suite reads tools/ and README.md too
+        for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
-        for name in ("pyproject.toml", "README.md"):
-            shutil.copy(ROOT / name, copy)
-        if _failures(copy, target) != set():
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if _failures(copy) != set():
             print("the unmutated copy does not pass its tests")
             return 1
         for m in MUTANTS:
             path = copy / "src" / "weylgate" / m.file
             source = path.read_text(encoding="utf-8")
             path.write_text(source.replace(m.old, m.new, 1), encoding="utf-8")
-            failed = _failures(copy, target) or set()
+            failed = _failures(copy)
             path.write_text(source, encoding="utf-8")
             want = f"{BOUNDS}::{m.kills}"
-            others = sorted(failed - {want})
-            ok = want in failed and (args.suite or not others)
+            ok = failed == {want}
             bad += not ok
             print(f"{'killed ' if ok else 'MISSED '} {m.file}: {m.old!r} -> {m.new!r}")
+            if failed is None:
+                print(f"    {BOUNDS} did not run (pytest stopped before its tests)")
+                continue
+            others = sorted(failed - {want})
             if want not in failed:
                 print(f"    {want} passed")
             if others:
