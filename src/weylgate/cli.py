@@ -39,7 +39,7 @@ from .hamflow import (
     parse_hamiltonian,
     trajectory,
 )
-from .invariants import invariant_distance, local_invariants
+from .invariants import _TOL_EQUIVALENT, invariant_distance, local_invariants
 from .kak import factor_local, kak_decompose
 from .linalg import _as_count, _as_real, _as_tol
 from .synth import steps, synthesize, verify_plan, with_nonnegative_times
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="test local equivalence of two gates")
     p.add_argument("gate_a")
     p.add_argument("gate_b")
-    p.add_argument("--equiv-tol", type=float, default=1e-8)
+    p.add_argument("--equiv-tol", type=float, default=_TOL_EQUIVALENT)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("pe", help="perfect-entangler test (convex hull)")

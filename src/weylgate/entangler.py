@@ -48,8 +48,8 @@ from .errors import (
     NotPerfectEntanglerError,
     VerificationError,
 )
-from .invariants import MSpectrum, _Gate, _gate, _read_only
-from .linalg import _as_array, _as_count, _as_tol
+from .invariants import _Gate, _gate, _keep, _read_only
+from .linalg import _as_array, _as_count
 
 TOL_HULL = 1e-9
 _TOL_NORM = 1e-9  # how far ent lets a state's norm miss 1
@@ -88,18 +88,18 @@ class PeVerdict:
     is outside, the chord's midpoint is the hull point nearest 0).  Near
     the boundary the margin equals minus the chamber point's excess over
     the nearest perfect-entangler face, to first order, so ``is_pe`` is
-    margin ≥ -tol: the band ``pe_from_coords`` allows the face inequalities.
-    ``weights``, present when the test passes and the witness passes its
-    self-check, are convex weights w ≥ 0 on the squared eigenphases z with
-    |Σ w·z| ≤ tol, ordered like ``phases``: ½ and ½ on the ends of the
-    widest gap when the margin is at most tol.  Otherwise the point whose
-    two neighboring gaps have the least sum is dropped (that merged arc is
-    at most π, so the other three still surround 0): ½ and ½ on the arc's
-    ends when it is π within tol, else the barycentric weights of the three
-    points left, and 0 on the dropped one.  A perfect entangler gets
-    ``weights`` None when no weights meet the check, as at tol = 0 where
-    rounding leaves |Σ w·z| of about 1e-16; ``is_pe`` and ``margin`` do not
-    depend on them.
+    margin ≥ -TOL_HULL: the band ``pe_from_coords`` allows the face
+    inequalities.  ``weights``, present when the test passes and the witness
+    passes its self-check, are convex weights w ≥ 0 on the squared
+    eigenphases z with |Σ w·z| ≤ TOL_HULL, ordered like ``phases``: ½ and ½
+    on the ends of the widest gap when the margin is at most TOL_HULL.
+    Otherwise the point whose two neighboring gaps have the least sum is
+    dropped (that merged arc is at most π, so the other three still surround
+    0): ½ and ½ on the arc's ends when it is π within TOL_HULL, else the
+    barycentric weights of the three points left, and 0 on the dropped one.
+    A perfect entangler gets ``weights`` None when no weights meet the
+    check (a weight below -1e-12, or |Σ w·z| past TOL_HULL); ``is_pe`` and
+    ``margin`` do not depend on them.
     """
 
     is_pe: bool
@@ -108,52 +108,38 @@ class PeVerdict:
     weights: np.ndarray | None
 
 
-def is_perfect_entangler(u, tol: float = TOL_HULL) -> PeVerdict:
+def is_perfect_entangler(u) -> PeVerdict:
     """Convex-hull test on the squared eigenphases of m(U).
 
     U is a perfect entangler iff no arc of length > π is free of
     eigenphases, i.e. iff 0 lies in the convex hull of the four points
-    e^{iθ_k}.  The verdict is margin ≥ -tol, with margin the cos of half
-    the widest gap, the same band as ``pe_from_coords``' (see ``PeVerdict``).
-    It carries the hull margin and, when the test passes, the convex weights
-    that witness it (None when none pass their self-check).  ``tol`` is the
-    hull's, a finite real ≥ 0.
+    e^{iθ_k}.  The verdict is margin ≥ -TOL_HULL, with margin the cos of
+    half the widest gap, the same band as ``pe_from_coords``' (see
+    ``PeVerdict``).  It carries the hull margin and, when the test passes,
+    the convex weights that witness it (None when none pass their
+    self-check).
     """
-    v = _verdict_of(_gate(u), tol)[0]
+    v = _keep(_gate(u), _verdict)[0]
     weights = None if v.weights is None else v.weights.copy()
     return PeVerdict(is_pe=v.is_pe, margin=v.margin, phases=v.phases.copy(), weights=weights)
 
 
-def _verdict_of(g: _Gate, tol) -> tuple[PeVerdict, str | None]:
-    """``_verdict`` on a gate's record: at the default tol the one the record
-    keeps, whose arrays are read-only; at a tol a caller passes, a fresh one."""
-    if tol is TOL_HULL:
-        return g.keep(_default_verdict)
-    return _verdict(g.spectrum, _as_tol(tol, TOL_HULL))
-
-
-def _default_verdict(g: _Gate) -> tuple[PeVerdict, str | None]:
-    verdict, failure = _verdict(g.spectrum, TOL_HULL)
-    _read_only(verdict.phases)
-    if verdict.weights is not None:
-        _read_only(verdict.weights)
-    return verdict, failure
-
-
-def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
-    """The verdict and, when a perfect entangler's witness fails its
-    self-check (its weights are then None), why."""
-    order = spec.theta.argsort()
-    t0, t1, t2, t3 = spec.theta[order].tolist()
+def _verdict(g: _Gate) -> tuple[PeVerdict, str | None]:
+    """The verdict on a gate's record, with read-only arrays, and, when a
+    perfect entangler's witness fails its self-check (its weights are then
+    None), why.  The record keeps it (``invariants._keep``)."""
+    theta = g.spectrum.theta
+    order = theta.argsort()
+    t0, t1, t2, t3 = theta[order].tolist()
     # gaps[k]: sorted point k to k+1, as Python floats (the same IEEE arithmetic)
     gaps = [t1 - t0, t2 - t1, t3 - t2, (t0 + 2 * math.pi) - t3]
     widest = max(gaps)
     margin = float(np.cos(widest / 2))
     # The margin is about minus the point's excess over the nearest PE face,
     # so this is pe_from_coords' band; a gap's excess over π is twice that
-    # face excess, so a bound of π + tol on the gap would be half as wide.
-    is_pe = margin >= -tol
-    z = np.exp(1j * spec.theta)
+    # face excess, so a bound of π + TOL_HULL on the gap would be half as wide.
+    is_pe = margin >= -TOL_HULL
+    z = _read_only(np.exp(1j * theta))[0]
     if not is_pe:
         return PeVerdict(is_pe=False, margin=margin, phases=z, weights=None), None
     w = np.zeros(4)
@@ -161,30 +147,30 @@ def _verdict(spec: MSpectrum, tol: float) -> tuple[PeVerdict, str | None]:
     # arc of at most π (the two disjoint pair sums add to 2π), so 0 stays in
     # the hull of the other three.
     drop = min(range(4), key=lambda k: gaps[k - 1] + gaps[k])
-    if margin <= tol:
+    if margin <= TOL_HULL:
         # Half on each end of the widest gap: |Σ w·z| = |cos(g/2)| = |margin|.
-        g = gaps.index(widest)  # the first, as argmax picks
-        w[order[[g, (g + 1) % 4]]] = 0.5
-    elif np.cos((gaps[drop - 1] + gaps[drop]) / 2) <= tol:
-        # The merged arc is π within tol: its ends are the antipodal pair, and
+        i = gaps.index(widest)  # the first, as argmax picks
+        w[order[[i, (i + 1) % 4]]] = 0.5
+    elif np.cos((gaps[drop - 1] + gaps[drop]) / 2) <= TOL_HULL:
+        # The merged arc is π within TOL_HULL: its ends are the antipodal pair, and
         # the third point's true weight is 0, which a solve on that near-flat
         # triangle can round below -1e-12.  Half on each end instead.
         w[order[[drop - 1, (drop + 1) % 4]]] = 0.5
     else:
-        # Every kept arc is short of π by more than tol: one barycentric solve.
+        # Every kept arc is short of π by more than TOL_HULL: one barycentric solve.
         keep = order[_KEEP[drop]]
         zk = z[keep]
         try:
             w[keep] = np.linalg.solve(np.array([zk.real, zk.imag, _ONES]), _BARYCENTER)
-        except np.linalg.LinAlgError:  # a flat triangle; needs tol ≤ 0
+        except np.linalg.LinAlgError:  # a singular system: the branches above should leave none
             failure = "hull witness: the three phases left are collinear"
             return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure
     low, residual = float(w.min()), abs(w @ z)
-    if low < -1e-12 or not residual <= tol:
+    if low < -1e-12 or not residual <= TOL_HULL:
         failure = f"hull witness fails: min weight {low:.3e}, |Σ w·z| {residual:.3e}"
         return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure
     # Clipped after the check: a weight of -1e-16 would make sqrt(w) NaN.
-    return PeVerdict(is_pe=True, margin=margin, phases=z, weights=np.maximum(w, 0.0)), None
+    return PeVerdict(is_pe=True, margin=margin, phases=z, weights=_read_only(np.maximum(w, 0.0))[0]), None
 
 
 def pe_from_coords(coords) -> bool:
@@ -199,7 +185,7 @@ def _in_pe(c, tol: float = TOL_HULL) -> np.ndarray:
     return (c1 + c2 >= np.pi / 2 - tol) & (c2 + c3 <= np.pi / 2 + tol) & (c1 - c2 <= np.pi / 2 + tol)
 
 
-def entangling_input(u, tol: float = TOL_HULL):
+def entangling_input(u):
     """A product state that the perfect entangler ``u`` maximally entangles.
 
     Returns ``(psi_in, psi_out)`` with |Ent(psi_in)| < 1e-9 and
@@ -221,7 +207,7 @@ def entangling_input(u, tol: float = TOL_HULL):
         states fail theirs.
     """
     g = _gate(u)
-    verdict, failure = _verdict_of(g, tol)
+    verdict, failure = _keep(g, _verdict)
     if not verdict.is_pe:
         raise NotPerfectEntanglerError(
             f"gate is not a perfect entangler (hull margin {verdict.margin:.3e})"

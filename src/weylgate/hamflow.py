@@ -4,7 +4,9 @@ A Hamiltonian H generates the gate family U(t) = exp(i·H·t); this module
 tracks the invariants and chamber coordinates along t for the standard
 coupling models, provides closed-form invariant curves for the exactly
 solvable ones, and solves the minimum-time CNOT problem for the
-Josephson-junction (capacitively coupled charge qubit) model.
+Josephson-junction (capacitively coupled charge qubit) model.  A spec's
+flow and Cartan form are derived once and kept by the spec (``_Generator``);
+what synthesis derives from them, ``synth`` keeps on the same record.
 
 ``trajectory`` takes a coordinate path per coupling.  A purely two-body H
 (up to identity) has a local k with k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2,
@@ -28,21 +30,17 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from .cartan import _WORDS, CartanTarget, _conjugate, _frame, cartan_element
+from .cartan import _WORDS, CartanTarget, _conjugate, cartan_element
 from .chamber import _gate_coords
 from .entangler import _in_pe
-from .errors import ConvergenceError, DegenerateHamiltonianError, InvalidInputError, NotNonlocalError
+from .errors import ConvergenceError, InvalidInputError, NotNonlocalError
 from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
-from .kak import _m_scalar
-from .linalg import _as_array, _as_count, _as_real, _as_text, _finite_math, _flow, check_hermitian
+from .linalg import _as_array, _as_real, _as_text, _finite_math, _flow, check_hermitian
 
-_TOL_PERIOD = 1e-9  # how far |c_j|·T may miss a multiple of π in _period
-_COMMENSURABLE_DENOM = 10**6
+_K_MAX = 8  # the largest k of the odd quarter-period counts 2k+1 josephson_cnot_min_time searches
 
 
 @dataclass(frozen=True)
@@ -119,49 +117,14 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
     raise InvalidInputError(f"UnsupportedKind: {kind!r}")
 
 
-# The fixed frames l2 and l3 (l1 = I), each a (gate, action) pair:
-# conjugating the coupling by l_i moves its Cartan coefficients c to
-# action·c, column i of the pulse-time matrix.
-_L2, _A2 = _frame("c3-c2", "c1+c3")
-_L3, _A3 = _frame("c2-c1", "c3-c2", "c1+c2")
-
-# Column i of the pulse-time matrix is _STEER[i]·c, the coefficients seen through
-# frame l_i; each action, a signed permutation, is applied as a gather and a
-# sign flip, exact to the sign of a zero.
-_STEER = np.array([np.eye(3), _A2, _A3])
-_STEER_INDEX, _STEER_SIGN = np.abs(_STEER).argmax(-1), _STEER.sum(-1)
-
-
-def _pulse_time_matrix(c) -> np.ndarray:
-    """The pulse-time matrix M of Cartan coefficients ``c``, whose column i
-    is c seen through frame l_i, so that M·t = γ gives the durations that
-    reach coordinates γ (``synth.solve_times``).
-
-    Raises DegenerateHamiltonianError if |det M| ≤ 1e-12 (coefficients too
-    degenerate to steer).
-    """
-    m = (_STEER_SIGN * c[_STEER_INDEX]).T
-    det = float(np.linalg.det(m))
-    if abs(det) <= 1e-12:
-        raise DegenerateHamiltonianError(
-            f"pulse-time system is singular (det {det:.3e}) for coefficients {c}"
-        )
-    return m
-
-
 class _Generator:
-    """What flows and synthesis need of one checked Hamiltonian h, which
-    depends on the coupling alone and not on any target: the flow
-    t ↦ exp(i·h·t), diagonalized once as U(t) = V·e^{i·w·t}·V†, with its
-    eigenpair (w, V, V†), and, derived on first use, the Cartan conjugation,
-    the generator-only plan locals, their images in the flow's eigenbasis
-    (the middle factors of a plan's product), the pulse-time matrix and the
-    period.
+    """What flows need of one checked Hamiltonian h, which depends on the
+    coupling alone and not on any target: the flow t ↦ exp(i·h·t),
+    diagonalized once as U(t) = V·e^{i·w·t}·V†, with its eigenpair
+    (w, V, V†), and, derived on first use, the Cartan conjugation.
 
     An h with single-qubit terms has no Cartan form: ``two_body`` keeps
-    None for it, and ``cartan`` and the parts built on it raise
-    NotNonlocalError on every use.  A degenerate coupling's pulse-time
-    matrix raises DegenerateHamiltonianError on every use.
+    None for it, and ``cartan`` raises NotNonlocalError on every use.
     """
 
     def __init__(self, h):
@@ -182,35 +145,6 @@ class _Generator:
         # _conjugate raises NotNonlocalError again, with its message
         return self.two_body or _conjugate(self.h)
 
-    @_lazy
-    def pulse_locals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """k†, k1 = k†·l2†·l1·k = k†·l2†·k and k2 = k†·l3†·l2·k, with k the
-        conjugating local gate: a plan's locals are k†·(KAK k2), k1, k2 and
-        (KAK k1)·l3·k."""
-        k = self.cartan.k
-        kd = k.conj().T
-        return kd, kd @ _L2.conj().T @ k, kd @ _L3.conj().T @ _L2 @ k
-
-    @_lazy
-    def middle(self) -> tuple[np.ndarray, np.ndarray]:
-        """V†·k1·V and V†·k2·V: the two middle locals of every synthesized
-        plan in the flow's eigenbasis (see ``in_eigenbasis``)."""
-        return tuple(self.in_eigenbasis(k) for k in self.pulse_locals[1:])
-
-    def in_eigenbasis(self, k) -> np.ndarray:
-        """V†·k·V: a plan's middle local k between two pulses, so that
-        U(s)·k·U(t) = V·e^{i·w·s}·(V†·k·V)·e^{i·w·t}·V†."""
-        return self.vh @ k @ self.v
-
-    @_lazy
-    def steer(self) -> np.ndarray:
-        """The pulse-time matrix of the Cartan coefficients."""
-        return _pulse_time_matrix(self.cartan.coeffs)
-
-    @_lazy
-    def period(self) -> float | None:
-        return _period(self)
-
 
 def _generator(hamiltonian) -> _Generator:
     """The generator record of a spec, which the spec keeps; an explicit
@@ -218,25 +152,6 @@ def _generator(hamiltonian) -> _Generator:
     if isinstance(hamiltonian, HamiltonianSpec):
         return hamiltonian._generator
     return _Generator(realize(hamiltonian))
-
-
-def _period(g: _Generator) -> float | None:
-    """fundamental_period's core on a generator record."""
-    nonzero = [abs(x) for x in g.cartan.coeffs if abs(x) > 1e-12]
-    if not nonzero:
-        return None
-    ref = nonzero[0]
-    ratios = [x / ref for x in nonzero[1:]]
-    fracs = [Fraction(r).limit_denominator(_COMMENSURABLE_DENOM) for r in ratios]
-    q = lcm(*(f.denominator for f in fracs))
-    # At T = π·q/ref each c_j·T misses its multiple of π by π·q·|x/ref − p/q_x|;
-    # limit_denominator alone always lands within about 1e-12 of the ratio.
-    if any(np.pi * q * abs(r - f) > _TOL_PERIOD for r, f in zip(ratios, fracs)):
-        return None
-    period = np.pi * q / ref
-    if np.isnan(_m_scalar(g.flow(period))):
-        return None
-    return float(period)
 
 
 def parse_hamiltonian(text: str) -> HamiltonianSpec:
@@ -415,23 +330,21 @@ class JosephsonCnot:
     invariants: LocalInvariants
 
 
-def josephson_cnot_min_time(e_l: float = 1.0, k_max: int = 8) -> JosephsonCnot:
+def josephson_cnot_min_time(e_l: float = 1.0) -> JosephsonCnot:
     """Search the CNOT-class times of the Josephson flow and return the fastest.
 
     A CNOT-class gate requires cos²(α²E_L·t) = 1/2, i.e. α²E_L·t = (2k+1)π/4,
     together with 2α²·cos²(sqrt(1+α⁻²)(2k+1)π/4) = α² - 1.  For each
-    k ≤ k_max the second condition is solved for α by bisection on a
+    k ≤ 8 the second condition is solved for α by bisection on a
     sign-change scan of 1 < α ≤ 12; each root is verified by computing the
     actual invariants of exp(iHt), and the root with the smallest t wins.
-    The optimum sits at k = 2: α ≈ 1.1992, t ≈ 2.7309/E_L.  ``k_max`` must
-    be an integer ≥ 0.
+    The optimum sits at k = 2: α ≈ 1.1992, t ≈ 2.7309/E_L.
     """
-    k_max = _as_count(k_max, "k_max", 0)
     e_l = _as_real(e_l, "e_l")
     if e_l <= 0:
         raise InvalidInputError("InvalidParams: e_l must be positive")
     best: JosephsonCnot | None = None
-    for k in range(k_max + 1):
+    for k in range(_K_MAX + 1):
         q = (2 * k + 1) * np.pi / 4.0
 
         def f(alpha: float | np.ndarray) -> float | np.ndarray:

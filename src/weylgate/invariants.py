@@ -33,7 +33,6 @@ import numpy as np
 
 from .cartan import _fold, _magic, _raw_coords
 from .linalg import (
-    TOL_UNITARY,
     _as_gate,
     _as_tol,
     _as_triple,
@@ -211,15 +210,17 @@ class _Gate:
     def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _read_only(*_fold(_raw_coords(self.spectrum.theta_balanced)))
 
-    def keep(self, derive):
-        """derive(self), derived on first use and kept under derive's name as a
-        lazy field is: what a layer above derives from the record alone (the
-        entangler's verdict at its default tol).  A raise is not kept."""
-        try:
-            return self.__dict__[derive.__name__]
-        except KeyError:
-            value = self.__dict__[derive.__name__] = derive(self)
-            return value
+
+def _keep(record, derive):
+    """derive(record), derived on first use and kept on the record under
+    derive's name as a lazy field is: what a layer above derives from a
+    record alone (the entangler's verdict on a gate's, synthesis' parts on a
+    generator's).  A raise is not kept."""
+    try:
+        return record.__dict__[derive.__name__]
+    except KeyError:
+        value = record.__dict__[derive.__name__] = derive(record)
+        return value
 
 
 def _read_only(*arrays):
@@ -242,4 +243,4 @@ def _gate_of_bytes(key: bytes) -> _Gate:
     # Only a miss parses and checks the gate, and lru_cache keeps no raise:
     # both are functions of the bytes alone, so every entry has passed them.
     u = _as_gate(np.frombuffer(key, dtype=complex).reshape(4, 4))
-    return _Gate(_check_unitary(u, TOL_UNITARY))
+    return _Gate(_check_unitary(u))

@@ -23,7 +23,7 @@ from .cartan import _CARTAN_WORDS, _WEYL_GATES, MAGIC, Q_DAG
 from .chamber import _canonical_gate
 from .errors import NotLocalError, VerificationError
 from .invariants import _Gate, _gate
-from .linalg import _as_gate, _check_unitary, check_unitary
+from .linalg import check_unitary
 
 # The σj⊗σj words W_j implement the π translations A(c + π·e_j) = A(c)·(i·W_j);
 # the i goes into the global phase, W_j into a neighboring local factor.
@@ -78,13 +78,13 @@ def _m_scalar(u) -> np.ndarray:
 
 
 def is_local_gate(u) -> bool:
-    """True iff m(u) = I and det u = 1 within 1e-8 (u unitary within 1e-8), i.e.
+    """True iff m(u) = I and det u = 1 within 1e-8 (u unitary within 1e-9), i.e.
     the magic-basis conjugate of ``u`` is a rotation (real orthogonal, det +1).
 
     This recognizes exactly SU(2)⊗SU(2): a tensor product dressed with a
     global phase other than ±1 does NOT pass (its m is e^{2iφ}·I).
     """
-    lam = _m_scalar(_check_unitary(_as_gate(u), _TOL_LOCAL))
+    lam = _m_scalar(check_unitary(u))
     return bool(abs(lam - 1.0) <= _TOL_LOCAL)  # False for NaN
 
 

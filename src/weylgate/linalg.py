@@ -149,7 +149,7 @@ def _as_text(x, name: str) -> str:
 def check_unitary(u) -> np.ndarray:
     """Return ``u`` as a fresh complex 4x4 array after checking u†u = I within
     1e-9 (non-numeric and non-finite entries fail the check)."""
-    return _check_unitary(_as_gate(u), TOL_UNITARY)
+    return _check_unitary(_as_gate(u))
 
 
 def _as_gate(u) -> np.ndarray:
@@ -157,16 +157,16 @@ def _as_gate(u) -> np.ndarray:
     return _as_array(u, (4, 4), "matrix", NotUnitaryError, complex)
 
 
-def _check_unitary(u, tol: float) -> np.ndarray:
-    """check_unitary's core on a parsed gate and a tol the library trusts; returns ``u``."""
-    # No entry of a unitary exceeds 1, and one above 1 + tol puts the defect
-    # above tol: this keeps u†u from overflowing.
+def _check_unitary(u) -> np.ndarray:
+    """check_unitary's core on a parsed gate; returns ``u``."""
+    # No entry of a unitary exceeds 1, and one above 1 + TOL_UNITARY puts the
+    # defect above TOL_UNITARY: this keeps u†u from overflowing.
     big = np.abs(u).max()
-    if not big <= 1.0 + tol:
-        raise NotUnitaryError(f"matrix is not unitary: max |u_ij| = {big:.3e} > 1 + {tol:.1e}")
+    if not big <= 1.0 + TOL_UNITARY:
+        raise NotUnitaryError(f"matrix is not unitary: max |u_ij| = {big:.3e} > 1 + {TOL_UNITARY:.1e}")
     defect = np.linalg.norm(u.conj().T @ u - _EYE)
-    if not defect <= tol:
-        raise NotUnitaryError(f"matrix is not unitary: ||u†u - I|| = {defect:.3e} > {tol:.1e}")
+    if not defect <= TOL_UNITARY:
+        raise NotUnitaryError(f"matrix is not unitary: ||u†u - I|| = {defect:.3e} > {TOL_UNITARY:.1e}")
     return u
 
 

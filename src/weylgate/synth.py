@@ -14,33 +14,52 @@ rotates H into the Cartan subalgebra, and fixed reflection gates.
 Work per generator and per target
 ---------------------------------
 Everything that depends on the coupling alone is derived once per
-``HamiltonianSpec`` object and kept by it (``hamflow._Generator``): the
-checked matrix, the eigenpair (w, V) of its flow U(t) = V·e^{i·w·t}·V†, its
-Cartan coefficients and conjugating gate k, the two middle locals, their
-images V†·k_i·V in the eigenbasis, the pulse-time matrix M with its
-determinant check, and the recurrence period.  Per target there remain the
-target's KAK, one 3x3 solve M·t = γ, the two outer locals and the residual
-check, which multiplies the plan out in the eigenbasis: all three pulses
-come from one ``exp``, and the middle factors are the kept ones.  An
-explicit matrix passed in place of a spec is derived afresh on each call.
+``HamiltonianSpec`` object and kept on its generator record
+(``hamflow._Generator``).  The record derives the checked matrix, the
+eigenpair (w, V) of its flow U(t) = V·e^{i·w·t}·V†, and its Cartan
+coefficients and conjugating gate k.  This module derives the plan parts,
+and ``invariants._keep`` keeps them on the same record: the two middle
+locals, their images V†·k_i·V in the eigenbasis, the pulse-time matrix M
+with its determinant check, and the recurrence period.  A part that raises
+is not kept, and raises again on the next use.  Per target there remain
+the target's KAK, one 3x3 solve M·t = γ, the two outer locals and the
+residual check, which multiplies the plan out in the eigenbasis: all three
+pulses come from one ``exp``, and the middle factors are the kept ones.
+An explicit matrix passed in place of a spec is derived afresh on each
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from fractions import Fraction
+from math import ceil, lcm
 
 import numpy as np
 
 from .cartan import _frame
-from .errors import InvalidInputError, VerificationError
-from .hamflow import _L3, HamiltonianSpec, _Generator, _generator, _pulse_time_matrix
-from .invariants import _Gate
+from .errors import DegenerateHamiltonianError, InvalidInputError, VerificationError
+from .hamflow import HamiltonianSpec, _Generator, _generator
+from .invariants import _Gate, _keep
 from .kak import _kak, _m_scalar
 from .linalg import _as_array, _as_triple, _dist_up_to_phase, _finite_math, check_unitary
 
 TOL_TIME = 1e-10  # a duration at most this is no pulse
 _TOL_RESIDUAL = 1e-8  # how far a returned plan may miss its target, up to phase
+_TOL_PERIOD = 1e-9  # how far |c_j|·T may miss a multiple of π in _period
+_COMMENSURABLE_DENOM = 10**6
+
+# The fixed frames l2 and l3 (l1 = I), each a (gate, action) pair:
+# conjugating the coupling by l_i moves its Cartan coefficients c to
+# action·c, column i of the pulse-time matrix.
+_L2, _A2 = _frame("c3-c2", "c1+c3")
+_L3, _A3 = _frame("c2-c1", "c3-c2", "c1+c2")
+
+# Column i of the pulse-time matrix is _STEER[i]·c, the coefficients seen through
+# frame l_i; each action, a signed permutation, is applied as a gather and a
+# sign flip, exact to the sign of a zero.
+_STEER = np.array([np.eye(3), _A2, _A3])
+_STEER_INDEX, _STEER_SIGN = np.abs(_STEER).argmax(-1), _STEER.sum(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,19 +80,76 @@ class CircuitPlan:
         _as_array(self.times, (3,), "plan times", InvalidInputError, float)
 
 
+def _pulse_time_matrix(c) -> np.ndarray:
+    """The pulse-time matrix M of Cartan coefficients ``c``, whose column i
+    is c seen through frame l_i, so that M·t = γ gives the durations that
+    reach coordinates γ (``solve_times``).
+
+    Raises DegenerateHamiltonianError if |det M| ≤ 1e-12 (coefficients too
+    degenerate to steer).
+    """
+    m = (_STEER_SIGN * c[_STEER_INDEX]).T
+    det = float(np.linalg.det(m))
+    if abs(det) <= 1e-12:
+        raise DegenerateHamiltonianError(
+            f"pulse-time system is singular (det {det:.3e}) for coefficients {c}"
+        )
+    return m
+
+
+def _pulse_locals(g: _Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k†, k1 = k†·l2†·l1·k = k†·l2†·k and k2 = k†·l3†·l2·k, with k the
+    conjugating local gate: a plan's locals are k†·(KAK k2), k1, k2 and
+    (KAK k1)·l3·k."""
+    k = g.cartan.k
+    kd = k.conj().T
+    return kd, kd @ _L2.conj().T @ k, kd @ _L3.conj().T @ _L2 @ k
+
+
+def _middle(g: _Generator) -> tuple[np.ndarray, np.ndarray]:
+    """V†·k1·V and V†·k2·V: the two middle locals of every synthesized
+    plan in the flow's eigenbasis (see ``_plan_product``)."""
+    return tuple(g.vh @ k @ g.v for k in _keep(g, _pulse_locals)[1:])
+
+
+def _steer(g: _Generator) -> np.ndarray:
+    """The pulse-time matrix of the Cartan coefficients."""
+    return _pulse_time_matrix(g.cartan.coeffs)
+
+
+def _period(g: _Generator) -> float | None:
+    """fundamental_period's core on a generator record."""
+    nonzero = [abs(x) for x in g.cartan.coeffs if abs(x) > 1e-12]
+    if not nonzero:
+        return None
+    ref = nonzero[0]
+    ratios = [x / ref for x in nonzero[1:]]
+    fracs = [Fraction(r).limit_denominator(_COMMENSURABLE_DENOM) for r in ratios]
+    q = lcm(*(f.denominator for f in fracs))
+    # At T = π·q/ref each c_j·T misses its multiple of π by π·q·|x/ref − p/q_x|;
+    # limit_denominator alone always lands within about 1e-12 of the ratio.
+    if any(np.pi * q * abs(r - f) > _TOL_PERIOD for r, f in zip(ratios, fracs)):
+        return None
+    period = np.pi * q / ref
+    if np.isnan(_m_scalar(g.flow(period))):
+        return None
+    return float(period)
+
+
 @_finite_math
 def plan_unitary(plan: CircuitPlan) -> np.ndarray:
     """Multiply the plan out into an explicit 4x4 unitary."""
     g = _generator(plan.hamiltonian)
     l0, l1, l2, l3 = plan.locals
-    middle = g.in_eigenbasis(l1), g.in_eigenbasis(l2)
+    middle = g.vh @ l1 @ g.v, g.vh @ l2 @ g.v
     return _plan_product(g, l0, middle, l3, plan.times)
 
 
 def _plan_product(g: _Generator, l0, middle, l3, times) -> np.ndarray:
     """l3·U(t3)·l2·U(t2)·l1·U(t1)·l0 with U(t) = V·e^{i·w·t}·V†, as
     (l3·V)·E3·(V†·l2·V)·E2·(V†·l1·V)·E1·(V†·l0), E_i = diag(e^{i·w·t_i});
-    ``middle`` holds V†·l1·V and V†·l2·V."""
+    ``middle`` holds V†·l1·V and V†·l2·V, so that
+    U(s)·l·U(t) = V·e^{i·w·s}·(V†·l·V)·e^{i·w·t}·V†."""
     e = np.exp(1j * np.multiply.outer(times, g.w))  # row i: the diagonal of E_i
     m1, m2 = middle
     return ((l3 @ g.v) * e[2]) @ ((m2 * e[1]) @ ((m1 * e[0]) @ (g.vh @ l0)))
@@ -110,7 +186,7 @@ def solve_times(coeffs, target_coords) -> np.ndarray:
 
     Solves M·t = γ where column i of M is the coefficient vector c seen
     through the fixed frame l_i: c itself and its images under the Weyl
-    actions of ``hamflow._L2`` and ``_L3``.  Durations may be negative; see
+    actions of ``_L2`` and ``_L3``.  Durations may be negative; see
     with_nonnegative_times.
 
     Raises
@@ -142,8 +218,8 @@ def synthesize(target, hamiltonian: HamiltonianSpec) -> CircuitPlan:
     """
     target = check_unitary(target)
     g = _generator(hamiltonian)
-    kd, k1, k2 = g.pulse_locals  # raises NotNonlocalError on local terms
-    m = g.steer  # raises DegenerateHamiltonianError on a degenerate coupling
+    kd, k1, k2 = _keep(g, _pulse_locals)  # raises NotNonlocalError on local terms
+    m = _keep(g, _steer)  # raises DegenerateHamiltonianError on a degenerate coupling
 
     d = _kak(_Gate(target))  # a fresh target: no use for the single-gate memo
     k0 = kd @ d.k2
@@ -158,7 +234,7 @@ def synthesize(target, hamiltonian: HamiltonianSpec) -> CircuitPlan:
         times=times,
         hamiltonian=hamiltonian,
     )
-    resid = _dist_up_to_phase(_plan_product(g, k0, g.middle, k3, times), target)
+    resid = _dist_up_to_phase(_plan_product(g, k0, _keep(g, _middle), k3, times), target)
     if resid > _TOL_RESIDUAL:
         raise VerificationError(
             f"synthesized plan misses target: residual {resid:.3e} > {_TOL_RESIDUAL:.1e}"
@@ -195,7 +271,7 @@ def fundamental_period(hamiltonian: HamiltonianSpec) -> float | None:
     otherwise kept only if exp(iHT) passes the locality test.  The period
     is derived once per spec object.
     """
-    return _generator(hamiltonian).period
+    return _keep(_generator(hamiltonian), _period)
 
 
 @_finite_math
@@ -219,7 +295,7 @@ def with_nonnegative_times(plan: CircuitPlan) -> CircuitPlan | None:
     if all(t >= 0.0 for t in plan.times):
         return plan
     g = _generator(plan.hamiltonian)
-    period = g.period
+    period = _keep(g, _period)
     if period is None:
         return None
     flow = g.flow

@@ -4,6 +4,7 @@ malformed trajectory times, the chamber-point comparison and the call spy."""
 
 import sys
 from collections import defaultdict
+from functools import wraps
 
 import numpy as np
 import pytest
@@ -120,7 +121,9 @@ class Calls(defaultdict):
 def spy(monkeypatch):
     """``spy(*names)`` wraps the named weylgate functions and returns the
     ``Calls`` they record.  Each is wrapped in every weylgate namespace that
-    holds the same object, the package included, under any name."""
+    holds the same object, the package included, under any name.  A wrapper
+    keeps the name of the function it wraps, so a derivation that a record
+    keeps under its name (``invariants._keep``) is kept under that name."""
 
     def wrap(*names) -> Calls:
         calls = Calls(list)
@@ -130,6 +133,7 @@ def spy(monkeypatch):
             assert len(found) == 1, f"{len(found)} weylgate objects are named {name}"
             (fn,) = found.values()
 
+            @wraps(fn)
             def wrapper(*args, _name=name, _fn=fn, **kwargs):
                 calls[_name].append(np.shape(args[0]) if args else ())
                 return _fn(*args, **kwargs)

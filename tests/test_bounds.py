@@ -16,6 +16,7 @@ import pytest
 from conftest import rand_u4
 from weylgate import (
     MAGIC,
+    CartanTarget,
     CircuitPlan,
     ConvergenceError,
     DegenerateHamiltonianError,
@@ -24,7 +25,6 @@ from weylgate import (
     chamber,
     entangler,
     gate_coords,
-    hamflow,
     kak,
     linalg,
     synth,
@@ -128,10 +128,37 @@ def test_witness_self_check_bound(monkeypatch, factor, state):
     _outcome(factor, VerificationError, lambda: entangler.entangling_input(u))
 
 
-def _negative_plan(t0):
-    """The isotropic CNOT plan with its first time set to ``t0`` < 0."""
+@FACTORS
+@pytest.mark.parametrize("check", ["residual", "floor"])
+def test_hull_witness_check_bound(monkeypatch, factor, check):
+    # The barycentric solve's right-hand side moves off (0, 0, 1).  To
+    # (δ, 0, 1): the three weights then sum w·z to δ, rounded at 1e-16.  Or
+    # to (0, 0, s), s < 0: every weight scales by s, so the least is s·max(w)
+    # and |Σ w·z| stays at rounding.  Past either bound the perfect entangler
+    # keeps its verdict and margin, and its witness fails.
+    u = rand_u4(np.random.default_rng(13))  # the witness test's gate
+    monkeypatch.setattr(entangler, "_gate", _Gate)  # a fresh record per call: no kept verdict
+    v = entangler.is_perfect_entangler(u)
+    assert v.is_pe and np.count_nonzero(v.weights) == 3  # the weights of one solve
+    if check == "residual":
+        rhs = [factor * entangler.TOL_HULL, 0.0, 1.0]
+    else:
+        rhs = [0.0, 0.0, -factor * 1e-12 / v.weights.max()]
+    monkeypatch.setattr(entangler, "_BARYCENTER", np.array(rhs))
+    moved = entangler.is_perfect_entangler(u)
+    assert (moved.is_pe, moved.margin) == (True, v.margin)
+    assert (moved.weights is None) == (factor > 1)
+    if factor > 1:
+        with pytest.raises(VerificationError, match="hull witness"):
+            entangler.entangling_input(u)
+    elif check == "residual":
+        entangler.entangling_input(u)
+
+
+def _negative_plan(t0, spec):
+    """The isotropic CNOT plan on ``spec`` with its first time set to ``t0`` < 0."""
     plan = synth.cnot_from_isotropic()
-    return CircuitPlan(plan.locals, (t0, *plan.times[1:]), HamiltonianSpec.isotropic())
+    return CircuitPlan(plan.locals, (t0, *plan.times[1:]), spec)
 
 
 @FACTORS
@@ -145,7 +172,7 @@ def test_synthesize_residual_bound(monkeypatch, factor):
 def test_nonnegative_rewrite_residual_bound(monkeypatch, factor):
     # One segment is shifted by one period, so the miss is that segment's alone.
     monkeypatch.setattr(synth, "_dist_up_to_phase", lambda u, v: factor * synth._TOL_RESIDUAL)
-    rewritten = synth.with_nonnegative_times(_negative_plan(-0.5))
+    rewritten = synth.with_nonnegative_times(_negative_plan(-0.5, HamiltonianSpec.isotropic()))
     assert (rewritten is None) == (factor > 1)
 
 
@@ -158,11 +185,24 @@ def test_nonnegative_rewrite_compensator_locality_bound(monkeypatch, factor):
     pair = np.eye(4)
     pair[0, 1] = pair[1, 0] = eps
     moved = MAGIC @ pair @ MAGIC.conj().T
+    spec = HamiltonianSpec.isotropic()
+    period = synth.fundamental_period(spec)  # kept by the spec before the locality test moves
     m_scalar = kak._m_scalar
     monkeypatch.setattr(synth, "_m_scalar", lambda u: m_scalar(np.broadcast_to(moved, u.shape)))
-    period = synth.fundamental_period(HamiltonianSpec.isotropic())
-    rewritten = synth.with_nonnegative_times(_negative_plan(-2.5 * period))
+    rewritten = synth.with_nonnegative_times(_negative_plan(-2.5 * period, spec))
     assert (rewritten is None) == (factor > 1)
+
+
+@FACTORS
+def test_period_commensurability_bound(factor):
+    # The ising record's coefficients are set to (1, 1/2 + δ, 0): the
+    # candidate T = π·2 misses a multiple of π on c2 by π·2·δ.  Rounding
+    # 1/2 + δ moves δ by at most 4e-7 of itself.  Inside the bound, U(2π)
+    # of the ising flow is local, and T is the period.
+    g = HamiltonianSpec.ising()._generator
+    delta = factor * synth._TOL_PERIOD / (2 * np.pi)
+    g.two_body = CartanTarget(np.array([1.0, 0.5 + delta, 0.0]), g.cartan.k)
+    assert (synth._period(g) is None) == (factor > 1)
 
 
 @FACTORS
@@ -170,6 +210,6 @@ def test_pulse_time_matrix_det_bound(factor):
     # det M is cubic in the coefficients, so scaling them by s scales it by s³:
     # det = 1e-12 / factor, at or below the bound past it.
     c = np.array([1.0, 0.5, 0.2])
-    det = np.linalg.det(hamflow._pulse_time_matrix(c))
+    det = np.linalg.det(synth._pulse_time_matrix(c))
     c = c * np.cbrt(1e-12 / factor / det)
-    _outcome(factor, DegenerateHamiltonianError, lambda: hamflow._pulse_time_matrix(c))
+    _outcome(factor, DegenerateHamiltonianError, lambda: synth._pulse_time_matrix(c))

@@ -15,7 +15,9 @@ from weylgate import (
     VerificationError,
     canonical_gate,
     canonicalize,
+    check_unitary,
     ent,
+    entangler,
     entangling_input,
     gate_coords,
     is_perfect_entangler,
@@ -26,6 +28,7 @@ from weylgate import (
 )
 from weylgate.chamber import VERTEX_A2, VERTEX_L, VERTEX_M, VERTEX_N, VERTEX_P, VERTEX_Q
 from weylgate.entangler import TOL_HULL
+from weylgate.invariants import _Gate
 
 
 def test_ent_known_states():
@@ -166,17 +169,21 @@ def test_witness_weights_near_the_boundary(point, eps):
 
 
 @pytest.mark.parametrize("name", ["cnot", "cz", "iswap", "sqrtswap", "sqrtswap_inv"])
-def test_zero_hull_tol_keeps_verdict_without_weights(name):
-    # At tol = 0 the widest-gap pair misses by rounding and every triangle
-    # of two coincident antipodal pairs is flat: no weights pass the check.
-    # The verdict and margin do not need them; the witness states do.
+def test_zero_hull_tol_keeps_verdict_without_weights(monkeypatch, name):
+    # At TOL_HULL = 0 the widest-gap pair misses by rounding and every
+    # triangle of two coincident antipodal pairs is flat: no weights pass the
+    # check.  The verdict and margin do not need them; the witness states do.
+    # Each call reads a fresh record, so no verdict kept at the real bound is read.
     u = named_gate(name)
-    verdict = is_perfect_entangler(u, tol=0.0)
+    margin = is_perfect_entangler(u).margin
+    monkeypatch.setattr(entangler, "TOL_HULL", 0.0)
+    monkeypatch.setattr(entangler, "_gate", lambda u: _Gate(check_unitary(u)))
+    verdict = is_perfect_entangler(u)
     assert verdict.is_pe
-    assert verdict.margin == is_perfect_entangler(u).margin
+    assert verdict.margin == margin
     assert verdict.weights is None
     with pytest.raises(VerificationError, match="hull witness"):
-        entangling_input(u, tol=0.0)
+        entangling_input(u)
 
 
 def test_witness_requires_perfect_entangler():

@@ -35,7 +35,7 @@ def test_checker_finds_a_check_beside_the_record():
             "    u = linalg.check_unitary(u)\n"
             "    return _gate(u).spectrum\n"
             "def core(u):\n"
-            "    return _gate(_check_unitary(_as_gate(u), 1e-9))\n"
+            "    return _gate(_check_unitary(_as_gate(u)))\n"
             "def record_only(u):\n"
             "    return _gate(u).m\n"
             "def check_only(u):\n"

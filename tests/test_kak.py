@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import rand_chamber_point, rand_local, rand_su2, rand_u4
 from weylgate import (
     NotLocalError,
+    NotUnitaryError,
     canonical_gate,
     canonicalize,
     factor_local,
@@ -107,6 +108,15 @@ def test_is_local_gate():
     assert not is_local_gate(np.exp(1.1j) * rand_local(rng))
     assert not is_local_gate(named_gate("cnot"))
     assert not is_local_gate(named_gate("sqrtswap"))
+
+
+def test_local_gate_entries_read_unitarity_at_one_bound():
+    # u†u - I has the entry (1 + 4e-9)² - 1 = 8e-9: past the 1e-9 of every
+    # gate entry, inside the locality test's 1e-8.
+    u = np.diag([1.0 + 4e-9, 1.0, 1.0, 1.0])
+    for fn in (is_local_gate, factor_local):
+        with pytest.raises(NotUnitaryError):
+            fn(u)
 
 
 def test_decomposition_factors_multiply_back():

@@ -22,11 +22,8 @@ KNOBS = {
     ("hamflow", "exchange_coords", "jxy"): "a coupling: physics, not a bound",
     ("hamflow", "exchange_coords", "jyx"): "a coupling: physics, not a bound",
     ("chamber", "in_chamber", "tol"): "tests/test_chamber.py sets 1e-9 and 1e-7",
-    ("entangler", "is_perfect_entangler", "tol"): "tests/test_entangler.py sets 0.0",
-    ("entangler", "entangling_input", "tol"): "tests/test_entangler.py sets 0.0",
     ("invariants", "locally_equivalent", "tol"): "tests/test_synth.py sets 1e-9",
     ("hamflow", "josephson_cnot_min_time", "e_l"): "the CLI's --e-l",
-    ("hamflow", "josephson_cnot_min_time", "k_max"): "tests/test_validation.py sets 2",
 }
 
 

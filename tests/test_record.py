@@ -2,7 +2,7 @@
 
 The single-gate analyses read one record per checked gate, kept in a small
 memo: U_B, m(U) and det U, and on first use the spectrum, the fold and the
-perfect-entangler verdict at its default tol.  A warm call must give exactly
+perfect-entangler verdict.  A warm call must give exactly
 what a cold one gives, nothing a caller does to its arrays may reach the
 record, the README sequence checks the gate and derives each part once, a
 gate the check rejects is rejected on every call, and the stacked paths
@@ -124,7 +124,7 @@ def test_memo_is_bounded(cold):
 
 def test_record_arrays_are_read_only(cold):
     g = invariants._gate(wg.check_unitary(GATES["haar0"]))
-    verdict = g.keep(entangler._default_verdict)[0]
+    verdict = invariants._keep(g, entangler._verdict)[0]
     arrays = [g.u, g.ub, g.m, g.spectrum.theta, g.spectrum.theta_balanced, g.spectrum.frame, *g.fold]
     arrays += [verdict.phases, verdict.weights]
     assert not any(a.flags.writeable for a in arrays)
@@ -165,7 +165,7 @@ def test_readme_sequence_derives_once_per_gate(cold, spy, gate):
         "_magic": [(4, 4), (2, 4, 4)],
         "_simdiag": [(4, 4)],
         "_fold": [(3,)],
-        "_verdict": [()],  # its argument is the spectrum, a dataclass
+        "_verdict": [()],  # its argument is the gate's record, which has no shape
     }
 
 
@@ -187,23 +187,6 @@ def test_a_gate_near_a_memoized_one_is_checked(cold, name):
     with pytest.raises(NotUnitaryError):
         READERS[name](near)
     assert invariants._gate_of_bytes.cache_info().currsize == 1
-
-
-@pytest.mark.parametrize("gate", ["haar0", "cnot", "L"])
-def test_a_passed_tol_gets_its_own_verdict(cold, gate):
-    u = GATES[gate]
-    default = wg.is_perfect_entangler(u)
-    strict = wg.is_perfect_entangler(u, tol=0.0)
-    # At tol 0 rounding fails the witness, so its weights are None (PeVerdict).
-    assert default.weights is not None and strict.weights is None
-    with pytest.raises(wg.VerificationError):
-        wg.entangling_input(u, tol=0.0)
-    states = wg.entangling_input(u)
-    assert_identical(wg.is_perfect_entangler(u), default)
-    invariants._gate_of_bytes.cache_clear()  # now the passed tol comes first
-    assert_identical(wg.is_perfect_entangler(u, tol=0.0), strict)
-    assert_identical(wg.entangling_input(u), states)
-    assert_identical(wg.is_perfect_entangler(u), default)
 
 
 STACK_CALLS = {

@@ -199,22 +199,20 @@ SCALAR_FNS = {
     "closed_form_invariants t": lambda t: wg.closed_form_invariants("xy", t),
     "josephson_invariants alpha_ratio": lambda a: wg.josephson_invariants(a, 1.0, 0.5),
     "exchange_coords jxx": lambda j: wg.exchange_coords(j, 1.0),
-    "josephson_cnot_min_time e_l": lambda e: wg.josephson_cnot_min_time(e_l=e, k_max=0),
+    "josephson_cnot_min_time e_l": lambda e: wg.josephson_cnot_min_time(e_l=e),
 }
 # A tolerance a caller passes: a finite real ≥ 0.
 TOL_FNS = {
     "in_chamber tol": lambda tol: wg.in_chamber([1.0, 0.5, 0.2], tol=tol),
     "locally_equivalent tol": lambda tol: wg.locally_equivalent(CNOT, CNOT, tol=tol),
-    "is_perfect_entangler tol": lambda tol: wg.is_perfect_entangler(CNOT, tol=tol),
-    "entangling_input tol": lambda tol: wg.entangling_input(CNOT, tol=tol),
 }
 BAD_TOLS = {**BAD_SCALARS, "negative": (-1e-9, InvalidInputError)}
-# A count: an integer, ≥ 1 for n (pe_fraction_mc's has its own test below).
+# A count: an integer ≥ 1 (pe_fraction_mc's has its own test below).
 COUNT_FNS = {
-    "josephson_cnot_min_time k_max": lambda k: wg.josephson_cnot_min_time(k_max=k),
     "check_hermitian n": lambda n: wg.check_hermitian(ISO_H, n=n),
 }
 BAD_COUNTS = {
+    "zero": (0, InvalidInputError),
     "negative": (-1, InvalidInputError),
     "float": (1.5, InvalidInputError),
     "text": ("4", InvalidInputError),
@@ -265,7 +263,6 @@ MALFORMED = (
     + _table(SCALAR_FNS, BAD_SCALARS)
     + _table(TOL_FNS, BAD_TOLS)
     + _table(COUNT_FNS, BAD_COUNTS)
-    + _table({"check_hermitian n": COUNT_FNS["check_hermitian n"]}, {"zero": (0, InvalidInputError)})
     + _table(TEXT_FNS, BAD_TEXT)
 )
 
@@ -369,8 +366,6 @@ def test_every_public_callable_has_a_bad_input_row():
 DEFAULT_TOL_CALLS = {
     "in_chamber tol": lambda: wg.in_chamber([1.0, 0.5, 0.2]),
     "locally_equivalent tol": lambda: wg.locally_equivalent(CNOT, CNOT),
-    "is_perfect_entangler tol": lambda: wg.is_perfect_entangler(CNOT),
-    "entangling_input tol": lambda: wg.entangling_input(CNOT),
 }
 
 
@@ -558,7 +553,7 @@ def test_one_m_per_stack(spy, call, expected):
 
 def test_library_built_matrices_are_not_rechecked(checks):
     # No matrix argument at all: every matrix here is built by the library.
-    wg.josephson_cnot_min_time(k_max=2)
+    wg.josephson_cnot_min_time()
     wg.cnot_from_isotropic()
     assert len(checks["_check_unitary"]) == 0
     assert len(checks["check_hermitian"]) == 0

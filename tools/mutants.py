@@ -55,8 +55,14 @@ MUTANTS = (
            "test_nonnegative_rewrite_residual_bound[past]"),
     Mutant("kak.py", "& (off <= _TOL_LOCAL)", "& (off <= 1e3 * _TOL_LOCAL)",
            "test_nonnegative_rewrite_compensator_locality_bound[past]"),
-    Mutant("hamflow.py", "if abs(det) <= 1e-12:", "if abs(det) <= 1e-15:",
+    Mutant("entangler.py", "not residual <= TOL_HULL:", "not residual <= 1e3 * TOL_HULL:",
+           "test_hull_witness_check_bound[residual-past]"),
+    Mutant("entangler.py", "if low < -1e-12 or", "if low < -1e-9 or",
+           "test_hull_witness_check_bound[floor-past]"),
+    Mutant("synth.py", "if abs(det) <= 1e-12:", "if abs(det) <= 1e-15:",
            "test_pulse_time_matrix_det_bound[past]"),
+    Mutant("synth.py", "q * abs(r - f) > _TOL_PERIOD for", "q * abs(r - f) > 1e3 * _TOL_PERIOD for",
+           "test_period_commensurability_bound[past]"),
 )
 
 
