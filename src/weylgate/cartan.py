@@ -86,22 +86,22 @@ def generator_basis() -> tuple[np.ndarray, ...]:
 
 @_finite_math
 def commutator(a, b) -> np.ndarray:
-    """[a, b] = a·b - b·a of two square matrices of one shape."""
+    """[a, b] = a·b - b·a of two 4x4 matrices (su(4) elements, say)."""
     a, b = _square_pair(a, b)
     return a @ b - b @ a
 
 
 @_finite_math
 def killing_form(a, b) -> float:
-    """Killing form B(a, b) = 8·tr(a·b) of two su(4) elements (real)."""
+    """Killing form B(a, b) = 8·tr(a·b) of two su(4) elements as 4x4 matrices (real)."""
     a, b = _square_pair(a, b)
     return float((8.0 * np.trace(a @ b)).real)
 
 
 def _square_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Two finite numeric square matrices of one shape, else InvalidInputError."""
-    a = _as_array(a, (None, None), "a", InvalidInputError, None)
-    return a, _as_array(b, a.shape, "b", InvalidInputError, None)
+    """Two finite numeric 4x4 matrices, else InvalidInputError."""
+    a = _as_array(a, (4, 4), "a", InvalidInputError, None)
+    return a, _as_array(b, (4, 4), "b", InvalidInputError, None)
 
 
 @dataclass(frozen=True, eq=False)

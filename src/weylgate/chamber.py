@@ -35,7 +35,7 @@ import numpy as np
 from .cartan import _PATTERN, _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold
 from .errors import InvalidInputError, VerificationError
 from .invariants import _g_from_coords, _Gate, _gate
-from .linalg import _as_text, _as_tol, _as_triple, _finite_math
+from .linalg import _as_instance, _as_tol, _as_triple, _finite_math
 
 _TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invariants
 # The largest |raw coordinate| _gate_coords folds.  The closed-form triple and
@@ -254,7 +254,7 @@ def named_gate(name: str) -> np.ndarray:
     Known names: identity, cnot, cz, swap, sqrtswap, sqrtswap_inv, iswap,
     and ``cu(γ1,γ2,γ3)`` for the controlled rotation family.
     """
-    key = _as_text(name, "gate name").strip().lower()
+    key = _as_instance(name, str, "gate name").strip().lower()
     table_key = key.replace("-", "_")  # sqrtswap-inv; a cu(...) angle keeps its "-"
     if table_key in _NAMED:
         return _NAMED[table_key].copy()

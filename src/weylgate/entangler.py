@@ -275,8 +275,8 @@ def pe_fraction_mc(n: int, seed: int) -> float:
     canonical with probability 1).
     """
     _as_count(n, "sample count", 1)
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:  # Philox's key
-        raise InvalidInputError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    if _as_count(seed, "seed", 0) >= 2**128:  # Philox's key
+        raise InvalidInputError(f"seed must be below 2**128, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     accepted = 0
     hits = 0

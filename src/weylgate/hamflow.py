@@ -4,7 +4,8 @@ A Hamiltonian H generates the gate family U(t) = exp(i·H·t); this module
 tracks the invariants and chamber coordinates along t for the standard
 coupling models, provides closed-form invariant curves for the exactly
 solvable ones, and solves the minimum-time CNOT problem for the
-Josephson-junction (capacitively coupled charge qubit) model.  A spec's
+Josephson-junction (capacitively coupled charge qubit) model.  A coupling
+is a ``HamiltonianSpec`` (a matrix enters as ``HamiltonianSpec.custom``); its
 flow and Cartan form are derived once and kept by the spec (``_Generator``);
 what synthesis derives from them, ``synth`` keeps on the same record.
 
@@ -38,7 +39,7 @@ from .chamber import _gate_coords
 from .entangler import _in_pe
 from .errors import ConvergenceError, InvalidInputError, NotNonlocalError
 from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
-from .linalg import _as_array, _as_real, _as_text, _finite_math, _flow, check_hermitian
+from .linalg import _as_array, _as_instance, _as_real, _finite_math, _flow, check_hermitian
 
 _K_MAX = 8  # the largest k of the odd quarter-period counts 2k+1 josephson_cnot_min_time searches
 
@@ -83,8 +84,9 @@ class HamiltonianSpec:
         return _Generator(realize(self))
 
 
-# Parameters per kind; isotropic, xy and ising take any and ignore them.
-_ARITY = {"exchange": 4, "josephson": 2, "custom": 32}
+# The Cartan coefficients of the named kinds, and the parameters per kind.
+_NAMED_COEFFS = {"isotropic": [0.5, 0.5, 0.5], "xy": [0.5, 0.5, 0.0], "ising": [0.0, 0.0, 0.5]}
+_ARITY = {"isotropic": 0, "xy": 0, "ising": 0, "exchange": 4, "josephson": 2, "custom": 32}
 
 # The Pauli words x1, x2, xx, xy, yx, yy (rows of _WORDS, see BASIS_LABELS).
 _X1, _X2, _XX, _XY, _YX, _YY = _WORDS[[0, 3, 6, 7, 9, 10]]
@@ -92,17 +94,11 @@ _X1, _X2, _XX, _XY, _YX, _YY = _WORDS[[0, 3, 6, 7, 9, 10]]
 
 @_finite_math
 def realize(spec: HamiltonianSpec) -> np.ndarray:
-    """The explicit Hermitian matrix of a HamiltonianSpec, which it checks."""
-    if not isinstance(spec, HamiltonianSpec):  # an explicit matrix
-        return check_hermitian(spec)
-    kind = _as_text(spec.kind, "Hamiltonian kind")
+    """The explicit Hermitian matrix of a HamiltonianSpec (nothing else), which it checks."""
+    kind = _as_instance(_as_spec(spec).kind, str, "Hamiltonian kind")
     params = _as_array(spec.params, (_ARITY.get(kind),), f"{kind} params", InvalidInputError, float)
-    if kind == "isotropic":
-        return cartan_element([0.5, 0.5, 0.5])
-    if kind == "xy":
-        return cartan_element([0.5, 0.5, 0.0])
-    if kind == "ising":
-        return cartan_element([0.0, 0.0, 0.5])
+    if kind in _NAMED_COEFFS:
+        return cartan_element(_NAMED_COEFFS[kind])
     if kind == "exchange":
         jxx, jyy, jxy, jyx = params
         return 0.5 * (jxx * _XX + jyy * _YY + jxy * _XY + jyx * _YX)
@@ -146,12 +142,14 @@ class _Generator:
         return self.two_body or _conjugate(self.h)
 
 
-def _generator(hamiltonian) -> _Generator:
-    """The generator record of a spec, which the spec keeps; an explicit
-    matrix gets a fresh one."""
-    if isinstance(hamiltonian, HamiltonianSpec):
-        return hamiltonian._generator
-    return _Generator(realize(hamiltonian))
+def _as_spec(spec) -> HamiltonianSpec:
+    """``spec`` if it is a HamiltonianSpec, else InvalidInputError."""
+    return _as_instance(spec, HamiltonianSpec, "coupling (for a matrix, HamiltonianSpec.custom)")
+
+
+def _generator(spec) -> _Generator:
+    """The generator record of a spec, which the spec keeps."""
+    return _as_spec(spec)._generator
 
 
 def parse_hamiltonian(text: str) -> HamiltonianSpec:
@@ -160,7 +158,7 @@ def parse_hamiltonian(text: str) -> HamiltonianSpec:
     Accepts ``isotropic``, ``xy``, ``ising``, ``exchange(jxx,jyy[,jxy,jyx])``,
     ``josephson(alpha[,e_l])``.
     """
-    s = _as_text(text, "Hamiltonian").strip().lower()
+    s = _as_instance(text, str, "Hamiltonian").strip().lower()
     if s in ("isotropic", "heisenberg", "xy", "ising"):
         return HamiltonianSpec("isotropic" if s == "heisenberg" else s)
     for name in ("exchange", "josephson"):

@@ -1,8 +1,7 @@
 """Small dense linear-algebra utilities shared by the rest of the package.
 
-Everything here works on explicit 4x4 complex matrices (``check_hermitian``
-and ``expm_i_hermitian`` take any n x n).  Eigen
-problems are delegated to LAPACK via numpy; the private cores ``_eigh`` and
+Everything here works on explicit 4x4 complex matrices.  Eigen problems
+are delegated to LAPACK via numpy; the private cores ``_eigh`` and
 ``_simdiag`` fix the conventions (descending eigenvalue order, right-handed
 eigenvector frames) and check the residuals the higher layers rely on.  They
 have no public wrappers: the library calls them on matrices it formed itself.
@@ -10,11 +9,12 @@ have no public wrappers: the library calls them on matrices it formed itself.
 An argument is validated once, where it enters the library.  ``_as_array`` is
 the one parser: a ragged nesting or a wrong shape raises
 ``InvalidInputError``, and text, objects that are not numbers, complex
-entries where reals are due, NaN and ±inf raise the caller's typed error.
-Public functions check their gate or Hamiltonian arguments once (a spec by
-one ``realize`` per spec object), and ``_``-prefixed cores take checked
-arrays and never check again.  The cores here and above them (spectrum,
-invariants, coordinates) take a stack ``(..., n, n)``, so ``trajectory``
+entries where reals are due, NaN and ±inf raise the caller's typed error;
+``_as_instance`` checks text, a spec or a plan by its type.  Public
+functions check their gate or Hamiltonian arguments once (a spec by one
+``realize`` per spec object), and ``_``-prefixed cores take checked arrays
+and never check again.  The cores here and above them (spectrum,
+invariants, coordinates) take a stack ``(..., 4, 4)``, so ``trajectory``
 forms U(t) for all its times in one NumPy pass and reads their coordinates
 as a stack: the fold of t·c for a two-body coupling, and the spectrum for
 the other couplings and for the rows the fold cannot answer (see
@@ -57,18 +57,16 @@ _OFF_DIAGONAL = 1.0 - _EYE  # the 4x4 mask of _simdiag's off-diagonal test
 
 def _as_array(x, shape: tuple, name: str, error: type[Exception], dtype) -> np.ndarray:
     """``x`` as a fresh array of ``shape`` and ``dtype`` (float, complex, or
-    None for a numeric dtype as given).  A None axis takes the length of the
-    first, so (None, None) is any square matrix.  A ragged nesting or a wrong
-    shape raises ``InvalidInputError``; text, objects that are not numbers,
-    complex entries where dtype is float, NaN and ±inf raise ``error``."""
+    None for a numeric dtype as given); the shape (None,) takes a 1-D
+    sequence of any length.  A ragged nesting or a wrong shape raises
+    ``InvalidInputError``; text, objects that are not numbers, complex
+    entries where dtype is float, NaN and ±inf raise ``error``."""
     try:
         a = np.asarray(x)
     except ValueError:  # NumPy refuses a ragged nesting
         raise InvalidInputError(f"{name} must be {_shape_text(shape)}, got a ragged list") from None
-    if a.shape != shape:
-        n = a.shape[0] if a.ndim else -1
-        if a.shape != tuple(n if k is None else k for k in shape):
-            raise InvalidInputError(f"{name} must be {_shape_text(shape)}, got shape {a.shape}")
+    if a.shape != shape and not (shape == (None,) and a.ndim == 1):
+        raise InvalidInputError(f"{name} must be {_shape_text(shape)}, got shape {a.shape}")
     if dtype is None and a.dtype.kind in "biufc":
         dtype = a.dtype
     if a.dtype == dtype:
@@ -94,7 +92,7 @@ def _as_array(x, shape: tuple, name: str, error: type[Exception], dtype) -> np.n
 def _shape_text(shape: tuple) -> str:
     if len(shape) == 1:
         return "a 1-D sequence" if shape[0] is None else f"a length-{shape[0]} vector"
-    return "a square matrix" if None in shape else "x".join(map(str, shape)) or "a number"
+    return "x".join(map(str, shape)) or "a number"
 
 
 def _finite_math(fn):
@@ -133,16 +131,16 @@ def _as_tol(tol, default: float | None, name: str = "tol") -> float:
 
 
 def _as_count(n, name: str, least: int) -> int:
-    """``n`` as an integer ≥ ``least``, else InvalidInputError."""
-    if not isinstance(n, (int, np.integer)) or n < least:
+    """``n`` as an integer ≥ ``least``, not a bool, else InvalidInputError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
         raise InvalidInputError(f"{name} must be an integer ≥ {least}, got {n!r}")
     return n
 
 
-def _as_text(x, name: str) -> str:
-    """``x`` if it is a string, else InvalidInputError."""
-    if not isinstance(x, str):
-        raise InvalidInputError(f"{name} must be a string, got {type(x).__name__}")
+def _as_instance(x, cls: type, name: str):
+    """``x`` if it is a ``cls``, else InvalidInputError."""
+    if not isinstance(x, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
     return x
 
 
@@ -170,11 +168,10 @@ def _check_unitary(u) -> np.ndarray:
     return u
 
 
-def check_hermitian(h, n: int = 4) -> np.ndarray:
-    """Return ``h`` as a complex n x n array, n a positive integer, after
-    checking h = h† within TOL_HERMITIAN (non-numeric and non-finite entries
-    fail the check)."""
-    h = _as_array(h, (_as_count(n, "n", 1),) * 2, "matrix", NotHermitianError, complex)
+def check_hermitian(h) -> np.ndarray:
+    """Return ``h`` as a fresh complex 4x4 array after checking h = h† within
+    TOL_HERMITIAN (non-numeric and non-finite entries fail the check)."""
+    h = _as_array(h, (4, 4), "matrix", NotHermitianError, complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf norm
         defect, size = np.linalg.norm(h - h.conj().T), np.linalg.norm(h)
     if not defect <= TOL_HERMITIAN:
@@ -210,9 +207,8 @@ def _frobenius(a) -> np.ndarray:
 
 @_finite_math
 def expm_i_hermitian(h, t: float = 1.0) -> np.ndarray:
-    """exp(i·h·t) for Hermitian ``h``, at a real ``t``, via its spectral decomposition."""
-    h = _as_array(h, (None, None), "matrix", NotHermitianError, complex)  # any n x n
-    return _flow(check_hermitian(h, n=len(h)))(_as_real(t, "t"))
+    """exp(i·h·t) for a Hermitian 4x4 ``h``, at a real ``t``, via its spectral decomposition."""
+    return _flow(check_hermitian(h))(_as_real(t, "t"))
 
 
 def _flow(h):

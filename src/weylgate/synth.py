@@ -25,8 +25,6 @@ is not kept, and raises again on the next use.  Per target there remain
 the target's KAK, one 3x3 solve M·t = γ, the two outer locals and the
 residual check, which multiplies the plan out in the eigenbasis: all three
 pulses come from one ``exp``, and the middle factors are the kept ones.
-An explicit matrix passed in place of a spec is derived afresh on each
-call.
 """
 
 from __future__ import annotations
@@ -39,10 +37,10 @@ import numpy as np
 
 from .cartan import _frame
 from .errors import DegenerateHamiltonianError, InvalidInputError, VerificationError
-from .hamflow import HamiltonianSpec, _Generator, _generator
+from .hamflow import HamiltonianSpec, _as_spec, _Generator, _generator
 from .invariants import _Gate, _keep
 from .kak import _kak, _m_scalar
-from .linalg import _as_array, _as_triple, _dist_up_to_phase, _finite_math, check_unitary
+from .linalg import _as_array, _as_instance, _as_triple, _dist_up_to_phase, _finite_math, check_unitary
 
 TOL_TIME = 1e-10  # a duration at most this is no pulse
 _TOL_RESIDUAL = 1e-8  # how far a returned plan may miss its target, up to phase
@@ -68,8 +66,11 @@ class CircuitPlan:
 
     The implemented unitary is
     locals[3] · U(times[2]) · locals[2] · U(times[1]) · locals[1] ·
-    U(times[0]) · locals[0], up to a global phase.  ``times`` must be three
-    finite reals, else InvalidInputError.
+    U(times[0]) · locals[0], up to a global phase.  Parsed once, when built:
+    ``locals`` must be four 4x4 matrices of finite numbers (kept as fresh
+    complex arrays, and not checked as unitary: a library-built plan's are
+    checked already), ``times`` three finite reals (kept as a tuple of
+    floats) and ``hamiltonian`` a HamiltonianSpec, else InvalidInputError.
     """
 
     locals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -77,7 +78,11 @@ class CircuitPlan:
     hamiltonian: HamiltonianSpec
 
     def __post_init__(self):
-        _as_array(self.times, (3,), "plan times", InvalidInputError, float)
+        local_stack = _as_array(self.locals, (4, 4, 4), "plan locals", InvalidInputError, complex)
+        object.__setattr__(self, "locals", tuple(local_stack))
+        times = _as_array(self.times, (3,), "plan times", InvalidInputError, float)
+        object.__setattr__(self, "times", tuple(times.tolist()))
+        _as_spec(self.hamiltonian)
 
 
 def _pulse_time_matrix(c) -> np.ndarray:
@@ -139,7 +144,7 @@ def _period(g: _Generator) -> float | None:
 @_finite_math
 def plan_unitary(plan: CircuitPlan) -> np.ndarray:
     """Multiply the plan out into an explicit 4x4 unitary."""
-    g = _generator(plan.hamiltonian)
+    g = _generator(_as_instance(plan, CircuitPlan, "plan").hamiltonian)
     l0, l1, l2, l3 = plan.locals
     middle = g.vh @ l1 @ g.v, g.vh @ l2 @ g.v
     return _plan_product(g, l0, middle, l3, plan.times)
@@ -160,6 +165,7 @@ def verify_plan(plan: CircuitPlan, target) -> float:
     return _dist_up_to_phase(plan_unitary(plan), check_unitary(target))
 
 
+@_finite_math
 def steps(plan: CircuitPlan):
     """The plan as an explicit schedule, shortest form.
 
@@ -168,7 +174,7 @@ def steps(plan: CircuitPlan):
     neighboring locals merged).
     """
     out: list[tuple[str, object]] = []
-    acc = plan.locals[0]
+    acc = _as_instance(plan, CircuitPlan, "plan").locals[0]
     for t, k in zip(plan.times, plan.locals[1:]):
         if abs(t) <= TOL_TIME:
             acc = k @ acc
@@ -230,7 +236,7 @@ def synthesize(target, hamiltonian: HamiltonianSpec) -> CircuitPlan:
     t = np.linalg.solve(m, d.coords).tolist()
     times = tuple(0.0 if abs(x) <= TOL_TIME else x for x in t)
     plan = CircuitPlan(
-        locals=(k0, k1.copy(), k2.copy(), k3),  # the plan owns its arrays
+        locals=(k0, k1, k2, k3),  # parsed into the plan's own arrays
         times=times,
         hamiltonian=hamiltonian,
     )
@@ -292,7 +298,7 @@ def with_nonnegative_times(plan: CircuitPlan) -> CircuitPlan | None:
     passed (m(U) a multiple of I within 1e-8), else None.  At n = 1 the
     compensator is U(-T) = U(T)†, which that test has already passed.
     """
-    if all(t >= 0.0 for t in plan.times):
+    if all(t >= 0.0 for t in _as_instance(plan, CircuitPlan, "plan").times):
         return plan
     g = _generator(plan.hamiltonian)
     period = _keep(g, _period)

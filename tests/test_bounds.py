@@ -1,5 +1,5 @@
-"""Each self-check of the one-gate analysis chain and of synthesis, pinned
-at its bound.
+"""Each self-check of the one-gate analysis chain, of synthesis and of the
+Josephson CNOT search, pinned at its bound.
 
 A perturbation of the checked quantity is injected, through a monkeypatched
 core or an edited derivation record, at (1 + 1e-6)× the bound, where the
@@ -9,6 +9,8 @@ quantity, so a bound loosened or tightened by more than that fails here.
 ``tools/mutants.py`` loosens each bound in a copy of the sources and runs
 the test here that must then fail.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from weylgate import (
     ConvergenceError,
     DegenerateHamiltonianError,
     HamiltonianSpec,
+    NotLocalError,
     VerificationError,
     chamber,
     entangler,
     gate_coords,
+    hamflow,
     kak,
     linalg,
     synth,
@@ -104,6 +108,17 @@ def test_kak_outer_factor_locality_bound(monkeypatch, factor):
 
 
 @FACTORS
+def test_factor_local_residual_bound(monkeypatch, factor):
+    # k = exp(i·ε·σz⊗σz) is not local: its rank-one factorization leaves the
+    # residual √12·ε, to within a relative ε².  The locality test is patched
+    # to pass k, so the residual alone decides.
+    eps = factor * kak._TOL_LOCAL / np.sqrt(12.0)
+    k = np.diag(np.exp(1j * eps * np.array([1.0, -1.0, -1.0, 1.0])))
+    monkeypatch.setattr(kak, "_m_scalar", lambda u: 1.0)
+    _outcome(factor, NotLocalError, lambda: kak.factor_local(k))
+
+
+@FACTORS
 def test_gate_coords_verify_bound(monkeypatch, factor):
     monkeypatch.setattr(chamber, "_miss", lambda c, g1, g2c: np.full(c.shape[:-1], factor * chamber._TOL_VERIFY))
     _outcome(factor, VerificationError, lambda: gate_coords(rand_u4(np.random.default_rng(12))))
@@ -153,6 +168,23 @@ def test_hull_witness_check_bound(monkeypatch, factor, check):
             entangler.entangling_input(u)
     elif check == "residual":
         entangler.entangling_input(u)
+
+
+@FACTORS
+@pytest.mark.parametrize("invariant", ["g1", "g2"])
+def test_josephson_root_check_bound(monkeypatch, factor, invariant):
+    # Each root's G1 or G2 moves by δ, and it is verified at |G1| ≤ 1e-6 and
+    # |G2 - 1| ≤ 1e-6; unmoved, every root meets both within 1e-15.  Past the
+    # bound no root is verified, and the search finds nothing.
+    delta = factor * 1e-6
+    invariants_of = hamflow._invariants_of
+
+    def moved(g):
+        inv = invariants_of(g)
+        return replace(inv, **{invariant: getattr(inv, invariant) + delta})
+
+    monkeypatch.setattr(hamflow, "_invariants_of", moved)
+    _outcome(factor, ConvergenceError, hamflow.josephson_cnot_min_time)
 
 
 def _negative_plan(t0, spec):

@@ -9,6 +9,7 @@ from weylgate import (
     MAGIC,
     PAULIS,
     WEYL_REFLECTIONS,
+    InvalidInputError,
     NotNonlocalError,
     assemble_nonlocal,
     cartan_conjugate,
@@ -54,6 +55,14 @@ def test_killing_form_orthogonality():
         for k, b in enumerate(basis):
             expected = -8.0 if j == k else 0.0
             assert abs(killing_form(a, b) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("fn", [killing_form, commutator])
+def test_su2_elements_are_refused(fn):
+    # 8·tr is su(4)'s Killing form: on iσx/2 it read -4, where su(2)'s is -2.
+    x = 0.5j * SX
+    with pytest.raises(InvalidInputError, match="must be 4x4"):
+        fn(x, x)
 
 
 def test_commutator_single_qubit_block():

@@ -158,6 +158,25 @@ def test_rejects_nan_file(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "NotUnitaryError"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"matrix": [[', "is not valid JSON"),
+        ('{"gate": "cnot"}', "needs a 'matrix' field"),
+        ('{"matrix": [[1, 0], [0, 1]]}', "must be [re, im] pairs"),
+        ('{"matrix": [[[1]]]}', "must be [re, im] pairs"),
+    ],
+    ids=["invalid json", "no matrix field", "bare numbers", "short pair"],
+)
+def test_rejects_a_malformed_gate_file(capsys, tmp_path, text, message):
+    path = tmp_path / "gate.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "coords", str(path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "InvalidInputError" and message in payload["message"]
+
+
 def test_unknown_gate_name(capsys):
     code, out, err = run(capsys, "invariants", "frobnicator")
     assert code == 1

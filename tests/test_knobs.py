@@ -17,7 +17,6 @@ MODULES = (linalg, cartan, invariants, chamber, kak, entangler, hamflow, synth)
 
 # (module, function, parameter) -> who sets it, or what it is.
 KNOBS = {
-    ("linalg", "check_hermitian", "n"): "linalg.expm_i_hermitian passes len(h)",
     ("linalg", "expm_i_hermitian", "t"): "the evolution time: physics, not a bound",
     ("hamflow", "exchange_coords", "jxy"): "a coupling: physics, not a bound",
     ("hamflow", "exchange_coords", "jyx"): "a coupling: physics, not a bound",

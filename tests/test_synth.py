@@ -210,10 +210,12 @@ def test_nonnegative_rewrite_is_the_period_shift():
                 continue
             lifted = with_nonnegative_times(plan)
             assert verify_plan(lifted, plan_unitary(plan)) <= 1e-8
-            assert lifted.locals[3] is plan.locals[3]
+            # A plan keeps its own copies of the locals it is built from.
+            np.testing.assert_array_equal(lifted.locals[3], plan.locals[3])
             for t, new_t, k, new_k in zip(plan.times, lifted.times, plan.locals, lifted.locals):
                 if t >= 0:
-                    assert new_t == t and new_k is k
+                    assert new_t == t
+                    np.testing.assert_array_equal(new_k, k)
                     continue
                 n = int(np.ceil(-t / period))
                 assert new_t == t + n * period
@@ -348,7 +350,7 @@ def _assembly_couplings():
         HamiltonianSpec.isotropic(),
         HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
         *_random_two_body_specs(2, seed=86),
-        rand_nonlocal_hamiltonian(rng),  # an explicit matrix, derived afresh per call
+        HamiltonianSpec.custom(rand_nonlocal_hamiltonian(rng)),  # an explicit matrix, as a spec
     ]
 
 
@@ -372,6 +374,27 @@ def test_synthesize_is_kak_time_solve_and_frames(hamiltonian):
         assert [t.hex() for t in plan.times] == [float(t).hex() for t in times]
         for got, want in zip(plan.locals, (kd @ d.k2, k1, k2, d.k1 @ _L3 @ g.cartan.k)):
             np.testing.assert_array_equal(got, want)
+
+
+def test_plan_parses_its_locals_and_times_into_its_own_values():
+    # Four 4x4 matrices of numbers, in any numeric form, kept as fresh complex
+    # arrays, and three times kept as a tuple of floats: a later edit of the
+    # input does not reach the plan.
+    plan = cnot_from_isotropic()
+    given, times = [k.tolist() for k in plan.locals], list(plan.times)
+    parsed = CircuitPlan(given, times, plan.hamiltonian)
+    given[0][0][0], times[0] = 7.0, float("nan")
+    for k, want in zip(parsed.locals, plan.locals):
+        assert k.dtype == complex and k.shape == (4, 4)
+        np.testing.assert_array_equal(k, want)
+    assert parsed.times == plan.times and all(type(t) is float for t in parsed.times)
+    assert verify_plan(parsed, plan_unitary(plan)) == 0.0
+
+
+def test_a_plan_orthogonal_to_its_target_is_at_the_largest_distance():
+    # tr(U†·V) = 0, so no phase brings the two closer: the distance is √8.
+    x1 = np.kron([[0, 1], [1, 0]], np.eye(2))
+    assert verify_plan(cnot_from_isotropic(), x1) == np.sqrt(8.0)
 
 
 def _pulse_loop(plan):

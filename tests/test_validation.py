@@ -73,7 +73,8 @@ BAD_GATES = {
 }
 BAD_HAMILTONIANS = {
     "nan": (_with(ISO_H, (0, 0), NAN), NotHermitianError),
-    "4x3": (np.ones((4, 3)), ValueError),  # expm_i_hermitian takes any n x n, so not 3x3
+    "3x3": (np.eye(3), ValueError),
+    "4x3": (np.ones((4, 3)), ValueError),
     "vector": (np.ones(4), ValueError),
     "non-hermitian": (ISO_H + 1e-6j * np.eye(4), NotHermitianError),
     "str": (np.eye(4, dtype=int).astype(str), NotHermitianError),
@@ -93,11 +94,16 @@ BAD_SPECS = {
     "nan custom": (HamiltonianSpec("custom", (NAN,) * 32), ValueError),
     "short custom": (HamiltonianSpec("custom", (0.0,) * 10), ValueError),
     "list kind": (HamiltonianSpec(["xy"]), ValueError),
+    "unknown kind": (HamiltonianSpec("foo"), InvalidInputError),
+    # A named kind takes no parameters: these made a second spec of one coupling.
+    "isotropic params": (HamiltonianSpec("isotropic", (1.0, 2.0)), InvalidInputError),
     "non-hermitian custom": (
         HamiltonianSpec("custom", _custom_params(ISO_H + 1e-6j * np.eye(4))),
         NotHermitianError,
     ),
-    **{f"matrix {k}": v for k, v in BAD_HAMILTONIANS.items()},
+    # A coupling is a spec: a matrix, well-formed or not, is refused before any parse.
+    "matrix": (ISO_H, ValueError),
+    **{f"matrix {k}": (m, ValueError) for k, (m, _) in BAD_HAMILTONIANS.items()},
 }
 BAD_COORDS = {
     "nan": ([NAN, 0.0, 0.0], ValueError),
@@ -168,7 +174,7 @@ COORD_FNS = {
     "solve_times(., target)": lambda c: wg.solve_times([1.0, 0.5, 0.2], c),
     "CircuitPlan times": lambda t: CircuitPlan(_PLAN.locals, t, _ISO),
 }
-# Two square matrices of one shape.
+# Two 4x4 matrices.
 PAIR_FNS = {
     "commutator(a, .)": lambda a: wg.commutator(a, ISO_H),
     "commutator(., b)": lambda b: wg.commutator(ISO_H, b),
@@ -178,7 +184,7 @@ PAIR_FNS = {
 BAD_SQUARE = {
     "nan": (_with(ISO_H, (0, 0), NAN), InvalidInputError),
     "inf": (_with(ISO_H, (1, 2), np.inf), InvalidInputError),
-    "3x3": (np.eye(3), InvalidInputError),  # square, but not the other's shape
+    "3x3": (np.eye(3), InvalidInputError),  # square, but not 4x4
     "4x3": (np.ones((4, 3)), InvalidInputError),
     "vector": (np.ones(4), InvalidInputError),
     "str": (np.eye(4).astype(str), InvalidInputError),
@@ -207,17 +213,6 @@ TOL_FNS = {
     "locally_equivalent tol": lambda tol: wg.locally_equivalent(CNOT, CNOT, tol=tol),
 }
 BAD_TOLS = {**BAD_SCALARS, "negative": (-1e-9, InvalidInputError)}
-# A count: an integer ≥ 1 (pe_fraction_mc's has its own test below).
-COUNT_FNS = {
-    "check_hermitian n": lambda n: wg.check_hermitian(ISO_H, n=n),
-}
-BAD_COUNTS = {
-    "zero": (0, InvalidInputError),
-    "negative": (-1, InvalidInputError),
-    "float": (1.5, InvalidInputError),
-    "text": ("4", InvalidInputError),
-    "none": (None, InvalidInputError),
-}
 TEXT_FNS = {
     "named_gate": wg.named_gate,
     "parse_hamiltonian": wg.parse_hamiltonian,
@@ -228,6 +223,18 @@ BAD_TEXT = {
     "bytes": (b"cnot", InvalidInputError),
     "list": (["cnot"], InvalidInputError),
     "unknown": ("nonsense", InvalidInputError),
+}
+# A plan is a CircuitPlan; its locals, times and coupling are parsed when it is built.
+PLAN_FNS = {
+    "plan_unitary": wg.plan_unitary,
+    "verify_plan": lambda p: wg.verify_plan(p, CNOT),
+    "steps": wg.steps,
+    "with_nonnegative_times": wg.with_nonnegative_times,
+}
+BAD_PLANS = {
+    "text": ("x", InvalidInputError),
+    "no plan": (None, InvalidInputError),
+    "tuple": ((_PLAN.locals, _PLAN.times, _ISO), InvalidInputError),
 }
 
 # Every public entry the tables below take, by table key (see _table).
@@ -262,8 +269,45 @@ MALFORMED = (
     + _table(PAIR_FNS, BAD_SQUARE)
     + _table(SCALAR_FNS, BAD_SCALARS)
     + _table(TOL_FNS, BAD_TOLS)
-    + _table(COUNT_FNS, BAD_COUNTS)
     + _table(TEXT_FNS, BAD_TEXT)
+    + _table(
+        {"parse_hamiltonian": wg.parse_hamiltonian},
+        {
+            "bad number": ("exchange(1,x)", InvalidInputError),
+            "exchange(1)": ("exchange(1)", InvalidInputError),
+            "josephson(1,2,3)": ("josephson(1,2,3)", InvalidInputError),
+        },
+    )
+    + _table(
+        {"named_gate": wg.named_gate},
+        {"cu(1,2)": ("cu(1,2)", InvalidInputError), "cu(a,b,c)": ("cu(a,b,c)", InvalidInputError)},
+    )
+    + _table(
+        {"josephson_cnot_min_time e_l": SCALAR_FNS["josephson_cnot_min_time e_l"]},
+        {"zero": (0.0, InvalidInputError)},
+    )
+    # A seed is an integer in [0, 2**128), and a bool is not one.
+    + _table(
+        {"pe_fraction_mc seed": lambda seed: wg.pe_fraction_mc(10, seed)},
+        {
+            "negative": (-1, InvalidInputError),
+            "float": (1.5, InvalidInputError),
+            "bool": (True, InvalidInputError),
+            "2**128": (2**128, InvalidInputError),
+        },
+    )
+    + _table(PLAN_FNS, BAD_PLANS)
+    + _table(
+        {"CircuitPlan locals": lambda locals_: CircuitPlan(locals_, _PLAN.times, _ISO)},
+        {
+            "3x3": ((np.eye(3),) * 4, InvalidInputError),
+            "text": ((np.eye(4).astype(str),) * 4, InvalidInputError),
+            "three": (_PLAN.locals[:3], InvalidInputError),
+            "five": (_PLAN.locals + (np.eye(4),), InvalidInputError),
+            "nan": ((_with(CNOT, (0, 0), NAN),) * 4, InvalidInputError),
+            "ragged": ((np.eye(4),) * 3 + (np.eye(3),), InvalidInputError),
+        },
+    )
 )
 
 # Public callables that no bad-input table takes, each with the reason.
@@ -273,8 +317,6 @@ EXEMPT = {
     "pe_volume_exact": "takes no argument",
     "invariant_distance": "takes two LocalInvariants that the library built",
     "kak_reconstruct": "takes a KakDecomposition that the library built",
-    "steps": "takes a CircuitPlan, whose times are parsed when it is built",
-    "pe_fraction_mc": "test_pe_fraction_mc_needs_a_positive_integer holds its bad sample counts",
     **dict.fromkeys(
         (
             "CartanTarget",
@@ -309,6 +351,13 @@ def test_malformed_input_raises_typed_error(fn, bad, error):
     assert not isinstance(info.value, np.linalg.LinAlgError), info.value
 
 
+@pytest.mark.parametrize("fn", SPEC_FNS.values(), ids=SPEC_FNS.keys())
+def test_a_matrix_is_not_a_coupling(fn):
+    # The one accepted form is a spec; the error names the one that takes a matrix.
+    with pytest.raises(InvalidInputError, match=r"HamiltonianSpec\.custom"):
+        fn(ISO_H)
+
+
 @pytest.mark.parametrize("fn, bad, error", _table(SPEC_FNS, BAD_SPECS))
 def test_malformed_spec_raises_on_every_call(fn, bad, error):
     # A spec keeps what it derives, but not a failure.
@@ -319,8 +368,9 @@ def test_malformed_spec_raises_on_every_call(fn, bad, error):
 
 @pytest.mark.parametrize("fn, bad, error", [p for p in MALFORMED if p.values[2] is ValueError])
 def test_value_error_rows_are_invalid_input(fn, bad, error):
-    # Shape faults, and coordinates, coefficients or times that are not
-    # finite reals, raise the one typed class; it is a ValueError too.
+    # Shape faults, coordinates, coefficients or times that are not finite
+    # reals, and a matrix where a spec is due raise the one typed class; it
+    # is a ValueError too.
     with pytest.raises(InvalidInputError):
         fn(bad)
 
@@ -382,7 +432,7 @@ def test_only_a_tolerance_the_caller_passes_is_parsed(monkeypatch, name):
     assert calls == ["tol"]
 
 
-@pytest.mark.parametrize("n", [0, -3, 10.5, "10", None])
+@pytest.mark.parametrize("n", [0, -3, 10.5, "10", None, True])
 def test_pe_fraction_mc_needs_a_positive_integer(n):
     with pytest.raises(InvalidInputError):
         wg.pe_fraction_mc(n, 1)
@@ -586,9 +636,11 @@ _EXCHANGE = HamiltonianSpec.exchange(3.0, 1.0, 0.5, 0.2)
 # "complex", "real", or a "hermitian" matrix)
 ENTRIES = {
     **{f"gate {k}": (fn, (4, 4), "complex") for k, fn in GATE_FNS.items()},
+    **{f"hamiltonian {k}": (fn, (4, 4), "hermitian") for k, fn in HAMILTONIAN_FNS.items()},
+    # A spec function takes a matrix as the custom spec that wraps it.
     **{
-        f"hamiltonian {k}": (fn, (4, 4), "hermitian")
-        for k, fn in {**HAMILTONIAN_FNS, **SPEC_FNS}.items()
+        f"hamiltonian {k}": ((lambda fn: lambda h: fn(HamiltonianSpec.custom(h)))(fn), (4, 4), "hermitian")
+        for k, fn in SPEC_FNS.items()
     },
     **{f"coords {k}": (fn, (3,), "real") for k, fn in COORD_FNS.items()},
     "coefficients assemble_nonlocal": (wg.assemble_nonlocal, (9,), "real"),
@@ -598,6 +650,11 @@ ENTRIES = {
     "state": (wg.ent, (4,), "complex"),
     "matrix commutator": (lambda a: wg.commutator(a, a), (4, 4), "complex"),
     "matrix killing_form": (lambda a: wg.killing_form(a, a), (4, 4), "complex"),
+    "matrix plan local": (
+        lambda k: wg.plan_unitary(CircuitPlan((k,) * 4, _PLAN.times, _ISO)),
+        (4, 4),
+        "complex",
+    ),
 }
 # list: an object array with one entry that is not a number.
 _DTYPES = (bool, int, np.float32, float, np.complex64, complex, object, list, str)
