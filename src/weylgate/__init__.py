@@ -3,182 +3,31 @@
 Local invariants, canonical coordinates, KAK decomposition,
 perfect-entangler tests and witnesses, Hamiltonian coordinate flows, and
 minimal three-pulse circuit synthesis for 4x4 unitaries.
+
+Each module's ``__all__`` is its public surface; the package re-exports
+them all, and ``__all__`` here is their concatenation.
 """
 
-from .cartan import (
-    BASIS_LABELS,
-    MAGIC,
-    PAULIS,
-    WEYL_REFLECTIONS,
-    CartanTarget,
-    HamiltonianSplit,
-    assemble_nonlocal,
-    cartan_conjugate,
-    cartan_element,
-    commutator,
-    generator_basis,
-    killing_form,
-    split_hamiltonian,
-)
-from .chamber import (
-    canonical_gate,
-    canonicalize,
-    controlled_gate,
-    coords_of_inverse,
-    gate_coords,
-    in_chamber,
-    named_gate,
-    weyl_orbit,
-)
-from .entangler import (
-    P_ENT,
-    PeVerdict,
-    VolumeReport,
-    ent,
-    entangling_input,
-    is_perfect_entangler,
-    pe_fraction_mc,
-    pe_from_coords,
-    pe_volume_exact,
-)
-from .errors import (
-    ConvergenceError,
-    DegenerateHamiltonianError,
-    InvalidInputError,
-    NotHermitianError,
-    NotLocalError,
-    NotNonlocalError,
-    NotNormalizedError,
-    NotPerfectEntanglerError,
-    NotUnitaryError,
-    VerificationError,
-    WeylgateError,
-)
-from .hamflow import (
-    HamiltonianSpec,
-    JosephsonCnot,
-    Trajectory,
-    TrajectorySample,
-    closed_form_invariants,
-    exchange_coords,
-    josephson_cnot_min_time,
-    josephson_invariants,
-    parse_hamiltonian,
-    realize,
-    trajectory,
-)
-from .invariants import (
-    LocalInvariants,
-    MSpectrum,
-    invariant_distance,
-    invariants_from_coords,
-    local_invariants,
-    locally_equivalent,
-    m_spectrum,
-)
-from .kak import (
-    KakDecomposition,
-    LocalFactors,
-    factor_local,
-    is_local_gate,
-    kak_decompose,
-    kak_reconstruct,
-)
-from .linalg import (
-    check_hermitian,
-    check_unitary,
-    expm_i_hermitian,
-)
-from .synth import (
-    CircuitPlan,
-    cnot_from_isotropic,
-    fundamental_period,
-    plan_unitary,
-    solve_times,
-    steps,
-    synthesize,
-    verify_plan,
-    with_nonnegative_times,
-)
+from . import cartan, chamber, entangler, errors, hamflow, invariants, kak, linalg, synth
+from .cartan import *
+from .chamber import *
+from .entangler import *
+from .errors import *
+from .hamflow import *
+from .invariants import *
+from .kak import *
+from .linalg import *
+from .synth import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASIS_LABELS",
-    "MAGIC",
-    "PAULIS",
-    "P_ENT",
-    "WEYL_REFLECTIONS",
-    "CartanTarget",
-    "CircuitPlan",
-    "ConvergenceError",
-    "DegenerateHamiltonianError",
-    "HamiltonianSpec",
-    "HamiltonianSplit",
-    "InvalidInputError",
-    "JosephsonCnot",
-    "KakDecomposition",
-    "LocalFactors",
-    "LocalInvariants",
-    "MSpectrum",
-    "NotHermitianError",
-    "NotLocalError",
-    "NotNonlocalError",
-    "NotNormalizedError",
-    "NotPerfectEntanglerError",
-    "NotUnitaryError",
-    "PeVerdict",
-    "Trajectory",
-    "TrajectorySample",
-    "VerificationError",
-    "VolumeReport",
-    "WeylgateError",
-    "assemble_nonlocal",
-    "canonical_gate",
-    "canonicalize",
-    "cartan_conjugate",
-    "cartan_element",
-    "check_hermitian",
-    "check_unitary",
-    "closed_form_invariants",
-    "cnot_from_isotropic",
-    "commutator",
-    "controlled_gate",
-    "coords_of_inverse",
-    "ent",
-    "entangling_input",
-    "exchange_coords",
-    "expm_i_hermitian",
-    "factor_local",
-    "fundamental_period",
-    "gate_coords",
-    "generator_basis",
-    "in_chamber",
-    "invariant_distance",
-    "invariants_from_coords",
-    "is_local_gate",
-    "is_perfect_entangler",
-    "josephson_cnot_min_time",
-    "josephson_invariants",
-    "kak_decompose",
-    "kak_reconstruct",
-    "killing_form",
-    "local_invariants",
-    "locally_equivalent",
-    "m_spectrum",
-    "named_gate",
-    "parse_hamiltonian",
-    "pe_fraction_mc",
-    "pe_from_coords",
-    "pe_volume_exact",
-    "plan_unitary",
-    "realize",
-    "solve_times",
-    "split_hamiltonian",
-    "steps",
-    "synthesize",
-    "trajectory",
-    "verify_plan",
-    "weyl_orbit",
-    "with_nonnegative_times",
-]
+__all__ = []
+__all__ += cartan.__all__
+__all__ += chamber.__all__
+__all__ += entangler.__all__
+__all__ += errors.__all__
+__all__ += hamflow.__all__
+__all__ += invariants.__all__
+__all__ += kak.__all__
+__all__ += linalg.__all__
+__all__ += synth.__all__

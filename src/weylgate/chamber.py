@@ -37,6 +37,17 @@ from .errors import InvalidInputError, VerificationError
 from .invariants import _g_from_coords, _Gate, _gate
 from .linalg import _as_instance, _as_tol, _as_triple, _finite_math
 
+__all__ = [
+    "canonical_gate",
+    "canonicalize",
+    "controlled_gate",
+    "coords_of_inverse",
+    "gate_coords",
+    "in_chamber",
+    "named_gate",
+    "weyl_orbit",
+]
+
 _TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invariants
 # The largest |raw coordinate| _gate_coords folds.  The closed-form triple and
 # the gate's spectrum each round by about |c|·ε, so their points drift apart as

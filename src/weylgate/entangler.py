@@ -51,6 +51,18 @@ from .errors import (
 from .invariants import _Gate, _gate, _keep, _read_only
 from .linalg import _as_array, _as_count
 
+__all__ = [
+    "P_ENT",
+    "PeVerdict",
+    "VolumeReport",
+    "ent",
+    "entangling_input",
+    "is_perfect_entangler",
+    "pe_fraction_mc",
+    "pe_from_coords",
+    "pe_volume_exact",
+]
+
 TOL_HULL = 1e-9
 _TOL_NORM = 1e-9  # how far ent lets a state's norm miss 1
 _MC_CHUNK = 1 << 16  # rows pe_fraction_mc draws at once

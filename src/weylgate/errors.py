@@ -10,6 +10,20 @@ shape raises ``InvalidInputError``, and entries that are not finite numbers
 (or complex where reals are due) raise the argument's own error class.
 """
 
+__all__ = [
+    "ConvergenceError",
+    "DegenerateHamiltonianError",
+    "InvalidInputError",
+    "NotHermitianError",
+    "NotLocalError",
+    "NotNonlocalError",
+    "NotNormalizedError",
+    "NotPerfectEntanglerError",
+    "NotUnitaryError",
+    "VerificationError",
+    "WeylgateError",
+]
+
 
 class WeylgateError(Exception):
     """Base class for all package-specific errors."""

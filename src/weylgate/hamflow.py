@@ -41,6 +41,20 @@ from .errors import ConvergenceError, InvalidInputError, NotNonlocalError
 from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
 from .linalg import _as_array, _as_instance, _as_real, _finite_math, _flow, check_hermitian
 
+__all__ = [
+    "HamiltonianSpec",
+    "JosephsonCnot",
+    "Trajectory",
+    "TrajectorySample",
+    "closed_form_invariants",
+    "exchange_coords",
+    "josephson_cnot_min_time",
+    "josephson_invariants",
+    "parse_hamiltonian",
+    "realize",
+    "trajectory",
+]
+
 _K_MAX = 8  # the largest k of the odd quarter-period counts 2k+1 josephson_cnot_min_time searches
 
 

@@ -41,6 +41,16 @@ from .linalg import (
     _simdiag,
 )
 
+__all__ = [
+    "LocalInvariants",
+    "MSpectrum",
+    "invariant_distance",
+    "invariants_from_coords",
+    "local_invariants",
+    "locally_equivalent",
+    "m_spectrum",
+]
+
 _RECORDS = 8  # gates whose derivation record the single-gate memo keeps
 _TOL_EQUIVALENT = 1e-8  # locally_equivalent's default bound on the invariant distance
 

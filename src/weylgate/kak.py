@@ -25,6 +25,15 @@ from .errors import NotLocalError, VerificationError
 from .invariants import _Gate, _gate
 from .linalg import check_unitary
 
+__all__ = [
+    "KakDecomposition",
+    "LocalFactors",
+    "factor_local",
+    "is_local_gate",
+    "kak_decompose",
+    "kak_reconstruct",
+]
+
 # The σj⊗σj words W_j implement the π translations A(c + π·e_j) = A(c)·(i·W_j);
 # the i goes into the global phase, W_j into a neighboring local factor.
 # _PARITY_WORDS holds Π_j W_j^(b_j) for each parity vector b, indexed by

@@ -8,9 +8,9 @@ have no public wrappers: the library calls them on matrices it formed itself.
 
 An argument is validated once, where it enters the library.  ``_as_array`` is
 the one parser: a ragged nesting or a wrong shape raises
-``InvalidInputError``, and text, objects that are not numbers, complex
-entries where reals are due, NaN and ±inf raise the caller's typed error;
-``_as_instance`` checks text, a spec or a plan by its type.  Public
+``InvalidInputError``, and text, bools, objects that are not numbers,
+complex entries where reals are due, NaN and ±inf raise the caller's typed
+error; ``_as_instance`` checks text, a spec or a plan by its type.  Public
 functions check their gate or Hamiltonian arguments once (a spec by one
 ``realize`` per spec object), and ``_``-prefixed cores take checked arrays
 and never check again.  The cores here and above them (spectrum,
@@ -41,6 +41,8 @@ from .errors import (
     NotUnitaryError,
 )
 
+__all__ = ["check_hermitian", "check_unitary", "expm_i_hermitian"]
+
 TOL_UNITARY = 1e-9
 TOL_HERMITIAN = 1e-9
 TOL_EIG = 1e-10
@@ -59,7 +61,7 @@ def _as_array(x, shape: tuple, name: str, error: type[Exception], dtype) -> np.n
     """``x`` as a fresh array of ``shape`` and ``dtype`` (float, complex, or
     None for a numeric dtype as given); the shape (None,) takes a 1-D
     sequence of any length.  A ragged nesting or a wrong shape raises
-    ``InvalidInputError``; text, objects that are not numbers, complex
+    ``InvalidInputError``; text, bools, objects that are not numbers, complex
     entries where dtype is float, NaN and ±inf raise ``error``."""
     try:
         a = np.asarray(x)
@@ -67,14 +69,17 @@ def _as_array(x, shape: tuple, name: str, error: type[Exception], dtype) -> np.n
         raise InvalidInputError(f"{name} must be {_shape_text(shape)}, got a ragged list") from None
     if a.shape != shape and not (shape == (None,) and a.ndim == 1):
         raise InvalidInputError(f"{name} must be {_shape_text(shape)}, got shape {a.shape}")
-    if dtype is None and a.dtype.kind in "biufc":
+    numbers = "real numbers" if dtype is float else "numbers"
+    if _holds_bool(x):
+        raise error(f"{name} must hold {numbers}, got a bool")
+    if dtype is None and a.dtype.kind in "iufc":
         dtype = a.dtype
     if a.dtype == dtype:
         a = a.copy()
     else:
-        kind, numbers = a.dtype.kind, "real numbers" if dtype is float else "numbers"
+        kind = a.dtype.kind
         if not (
-            kind in "biuf"
+            kind in "iuf"
             or kind == "c" and dtype is not float
             or kind == "O" and all(isinstance(v, Number) for v in a.flat)
         ):
@@ -87,6 +92,16 @@ def _as_array(x, shape: tuple, name: str, error: type[Exception], dtype) -> np.n
     if not np.isfinite(a).all():
         raise error(f"{name} must hold finite numbers")
     return a
+
+
+def _holds_bool(x) -> bool:
+    """Whether ``x`` is or holds a bool, which NumPy would read as 0 or 1
+    (and, beside numbers, promote to one)."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind == "b" or x.dtype.kind == "O" and any(map(_holds_bool, x.flat))
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_bool, x))
+    return isinstance(x, (bool, np.bool_))
 
 
 def _shape_text(shape: tuple) -> str:

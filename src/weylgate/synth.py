@@ -38,9 +38,21 @@ import numpy as np
 from .cartan import _frame
 from .errors import DegenerateHamiltonianError, InvalidInputError, VerificationError
 from .hamflow import HamiltonianSpec, _as_spec, _Generator, _generator
-from .invariants import _Gate, _keep
+from .invariants import _Gate, _keep, _read_only
 from .kak import _kak, _m_scalar
 from .linalg import _as_array, _as_instance, _as_triple, _dist_up_to_phase, _finite_math, check_unitary
+
+__all__ = [
+    "CircuitPlan",
+    "cnot_from_isotropic",
+    "fundamental_period",
+    "plan_unitary",
+    "solve_times",
+    "steps",
+    "synthesize",
+    "verify_plan",
+    "with_nonnegative_times",
+]
 
 TOL_TIME = 1e-10  # a duration at most this is no pulse
 _TOL_RESIDUAL = 1e-8  # how far a returned plan may miss its target, up to phase
@@ -68,9 +80,10 @@ class CircuitPlan:
     locals[3] · U(times[2]) · locals[2] · U(times[1]) · locals[1] ·
     U(times[0]) · locals[0], up to a global phase.  Parsed once, when built:
     ``locals`` must be four 4x4 matrices of finite numbers (kept as fresh
-    complex arrays, and not checked as unitary: a library-built plan's are
-    checked already), ``times`` three finite reals (kept as a tuple of
-    floats) and ``hamiltonian`` a HamiltonianSpec, else InvalidInputError.
+    complex arrays, read-only since every plan function reads them again,
+    and not checked as unitary: a library-built plan's are checked already),
+    ``times`` three finite reals (kept as a tuple of floats) and
+    ``hamiltonian`` a HamiltonianSpec, else InvalidInputError.
     """
 
     locals: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -79,7 +92,7 @@ class CircuitPlan:
 
     def __post_init__(self):
         local_stack = _as_array(self.locals, (4, 4, 4), "plan locals", InvalidInputError, complex)
-        object.__setattr__(self, "locals", tuple(local_stack))
+        object.__setattr__(self, "locals", tuple(_read_only(local_stack)[0]))
         times = _as_array(self.times, (3,), "plan times", InvalidInputError, float)
         object.__setattr__(self, "times", tuple(times.tolist()))
         _as_spec(self.hamiltonian)

@@ -42,6 +42,7 @@ BAD_TIMES = {
     "scalar": (0.5, ValueError),
     "text": (["0.1"], InvalidInputError),
     "complex": (np.array([0.1j]), InvalidInputError),
+    "bool": ([True, False], InvalidInputError),
 }
 
 

@@ -18,19 +18,23 @@ import pytest
 from conftest import rand_u4
 from weylgate import (
     MAGIC,
+    PAULIS,
     CartanTarget,
     CircuitPlan,
     ConvergenceError,
     DegenerateHamiltonianError,
     HamiltonianSpec,
     NotLocalError,
+    NotNonlocalError,
     VerificationError,
+    cartan_conjugate,
     chamber,
     entangler,
     gate_coords,
     hamflow,
     kak,
     linalg,
+    realize,
     synth,
 )
 from weylgate.invariants import _Gate
@@ -75,6 +79,20 @@ def test_eigh_residual_bound(monkeypatch, factor):
     delta = factor * 1e-10 * 2.0
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.diag(m) + [delta, 0.0, 0.0, 0.0], np.eye(4)))
     _outcome(factor, ConvergenceError, lambda: linalg._eigh(s))
+
+
+@FACTORS
+def test_conjugate_single_qubit_bound(factor):
+    # The isotropic coupling gains a·σx⊗I, whose entries sit where the
+    # coupling's are zero: its one single-qubit coefficient tr(σx⊗I·h)/2 is 2a
+    # exactly, and so is the single-qubit norm, against 1e-9.
+    a = factor * 1e-9 / 2.0
+    h = realize(HamiltonianSpec.isotropic()) + a * np.kron(PAULIS["x"], np.eye(2))
+    if factor > 1:
+        with pytest.raises(NotNonlocalError):
+            cartan_conjugate(h)
+    else:
+        assert isinstance(cartan_conjugate(h), CartanTarget)
 
 
 @FACTORS

@@ -140,6 +140,18 @@ def test_dist_up_to_phase_no_float_floor():
     assert _dist_up_to_phase(u, u * np.exp(1j * 1e-15)) < 1e-12
 
 
+def test_dist_up_to_phase_near_orthogonal_gates():
+    # |tr(u†v)| ≈ 1e-9 is far above the 1e-12 below which no phase is
+    # better than another: the distance still reads the trace and falls
+    # short of √8.
+    u = np.eye(4, dtype=complex)
+    v = np.diag(np.exp(1j * np.array([1e-9, np.pi / 2, np.pi, 3 * np.pi / 2])))
+    tr = abs(np.trace(v))
+    d = _dist_up_to_phase(u, v)
+    assert abs(d - np.sqrt(8.0 - 2.0 * tr)) <= 1e-15
+    assert d < np.sqrt(8.0)
+
+
 def test_dist_up_to_phase_matches_grid_minimum():
     rng = np.random.default_rng(10)
     u, v = rand_u4(rng), rand_u4(rng)

@@ -490,14 +490,20 @@ def test_josephson_spec_keeps_its_flow_and_rejects_synthesis():
 
 
 def test_plans_and_realize_own_their_arrays():
+    # realize returns a fresh matrix; a plan copies the locals it is built
+    # from and keeps them read-only, since every plan function reads them again.
     spec = HamiltonianSpec.isotropic()
     plan = synthesize(named_gate("cnot"), spec)
-    other = synthesize(named_gate("swap"), spec)
     expected = plan_unitary(plan)
     realize(spec)[:] = 7.0
-    other.locals[1][:] = 0.0
-    other.locals[2][:] = 0.0
+    source = [k.copy() for k in plan.locals]
+    copied = CircuitPlan(source, plan.times, spec)
+    source[1][:] = 0.0
+    for k in plan.locals + copied.locals:
+        with pytest.raises(ValueError, match="read-only"):
+            k[:] = np.nan
     np.testing.assert_array_equal(plan_unitary(plan), expected)
+    np.testing.assert_array_equal(plan_unitary(copied), expected)
     assert verify_plan(synthesize(named_gate("cnot"), spec), named_gate("cnot")) < 1e-8
 
 

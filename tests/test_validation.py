@@ -70,6 +70,9 @@ BAD_GATES = {
     "object": (_with_object(CNOT, (0, 0), [1, 0]), NotUnitaryError),
     "ragged": ([[1, 0], [0]], InvalidInputError),
     "0-d": (1.0, InvalidInputError),
+    # A bool is not a number, though NumPy casts it to one.
+    "bool": (np.eye(4, dtype=bool), NotUnitaryError),
+    "bool entry": (_with_object(np.eye(4), (0, 0), True), NotUnitaryError),
 }
 BAD_HAMILTONIANS = {
     "nan": (_with(ISO_H, (0, 0), NAN), NotHermitianError),
@@ -85,6 +88,7 @@ BAD_HAMILTONIANS = {
     "1e308 pair": (_with(_with(np.zeros((4, 4)), (0, 1), 1e308), (1, 0), -1e308), NotHermitianError),
     # Hermitian, but ||h|| overflows: eigh would return NaN without a warning.
     "huge hermitian": (np.full((4, 4), 1e308), InvalidInputError),
+    "bool": (np.eye(4, dtype=bool), NotHermitianError),
 }
 BAD_SPECS = {
     "string": ("isotropic", ValueError),
@@ -97,6 +101,9 @@ BAD_SPECS = {
     "unknown kind": (HamiltonianSpec("foo"), InvalidInputError),
     # A named kind takes no parameters: these made a second spec of one coupling.
     "isotropic params": (HamiltonianSpec("isotropic", (1.0, 2.0)), InvalidInputError),
+    # NumPy would promote the bool to 1.0 beside the numbers.
+    "bool exchange": (HamiltonianSpec("exchange", (1, 0.5, True, 0)), InvalidInputError),
+    "bool josephson": (HamiltonianSpec("josephson", (False, 1.0)), InvalidInputError),
     "non-hermitian custom": (
         HamiltonianSpec("custom", _custom_params(ISO_H + 1e-6j * np.eye(4))),
         NotHermitianError,
@@ -115,6 +122,8 @@ BAD_COORDS = {
     "complex array": (np.array([1 + 1j, 0, 0]), InvalidInputError),
     "object": (_with_object([1.0, 0.0, 0.0], 0, [1, 0]), InvalidInputError),
     "ragged": ([[1.0, 2.0], 3.0], InvalidInputError),
+    "bool": ([True, False, False], InvalidInputError),
+    "bool entry": ([0.5, True, 0.0], InvalidInputError),
 }
 BAD_STATES = {
     "nan": ([NAN, 1.0, 0.0, 0.0], NotNormalizedError),
@@ -122,6 +131,7 @@ BAD_STATES = {
     "text": (["1", "0", "0", "0"], NotNormalizedError),
     "object": (_with_object([1, 0, 0, 0], 1, [1, 0]), NotNormalizedError),
     "huge": ([1e308] * 4, NotNormalizedError),  # the norm overflows to inf
+    "bool": ([True, False, False, False], NotNormalizedError),
 }
 
 _ISO = HamiltonianSpec.isotropic()
@@ -190,6 +200,7 @@ BAD_SQUARE = {
     "str": (np.eye(4).astype(str), InvalidInputError),
     "object": (_with_object(ISO_H, (0, 0), [1, 0]), InvalidInputError),
     "ragged": ([[1, 2], [3]], InvalidInputError),
+    "bool": (np.eye(4, dtype=bool), InvalidInputError),
 }
 # A scalar that is not a finite real number.
 BAD_SCALARS = {
@@ -199,6 +210,7 @@ BAD_SCALARS = {
     "complex": (0.1j, InvalidInputError),
     "vector": ([0.1, 0.2], InvalidInputError),
     "none": (None, InvalidInputError),
+    "bool": (True, InvalidInputError),
 }
 SCALAR_FNS = {
     "expm_i_hermitian t": lambda t: wg.expm_i_hermitian(ISO_H, t),
@@ -263,6 +275,7 @@ MALFORMED = (
             "short": ([1.0] * 8, ValueError),
             "text": (["1"] * 9, InvalidInputError),
             "complex": (1j * np.ones(9), InvalidInputError),
+            "bool": ([1.0] * 8 + [True], InvalidInputError),
         },
     )
     + _table({"ent": wg.ent}, BAD_STATES)
@@ -306,6 +319,7 @@ MALFORMED = (
             "five": (_PLAN.locals + (np.eye(4),), InvalidInputError),
             "nan": ((_with(CNOT, (0, 0), NAN),) * 4, InvalidInputError),
             "ragged": ((np.eye(4),) * 3 + (np.eye(3),), InvalidInputError),
+            "bool": ((np.eye(4, dtype=bool),) * 4, InvalidInputError),
         },
     )
 )
@@ -695,8 +709,8 @@ def _argument(draw, shape, takes):
         x = np.asarray(re).astype(object if dtype is list else dtype)
         if x.dtype.kind == "c":
             x.imag = im
-        # Text, a list entry, complex for reals, and NaN or ±inf: never well-formed.
-        malformed = dtype in (str, list) or x.dtype.kind == "c" and takes == "real"
+        # Text, bools, a list entry, complex for reals, and NaN or ±inf: never well-formed.
+        malformed = dtype in (bool, str, list) or x.dtype.kind == "c" and takes == "real"
         malformed |= x.dtype.kind in "fcO" and not np.isfinite(x.astype(complex)).all()
     if dtype is list:
         x[(0,) * x.ndim] = [1, 0]

@@ -37,6 +37,8 @@ MUTANTS = (
            "test_simdiag_off_diagonal_bound[past]"),
     Mutant("linalg.py", "bound = 1e-10 * np.maximum(1.0, _frobenius(s))", "bound = 1e-7 * np.maximum(1.0, _frobenius(s))",
            "test_eigh_residual_bound[past]"),
+    Mutant("cartan.py", "if split.local_norm > 1e-9:", "if split.local_norm > 1e-6:",
+           "test_conjugate_single_qubit_bound[past]"),
     Mutant("kak.py", "if np.abs(o1.imag).max() >= 1e-8:", "if np.abs(o1.imag).max() >= 1e-5:",
            "test_kak_real_frame_bound[past]"),
     Mutant("kak.py", "if residual > 1e-9:", "if residual > 1e-6:",
