@@ -121,7 +121,7 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
         if alpha <= 0 or e_l <= 0:
             raise InvalidInputError("InvalidParams: josephson needs alpha_ratio > 0, e_l > 0")
         e_j = alpha * e_l
-        return -0.5 * e_j * (_X1 + _X2) + (e_j**2 / e_l) * _YY
+        return -0.5 * e_j * (_X1 + _X2) + (alpha * e_j) * _YY  # α²·E_L: E_J² under- or overflows
     if kind == "custom":
         return check_hermitian((params[0::2] + 1j * params[1::2]).reshape(4, 4))
     raise InvalidInputError(f"UnsupportedKind: {kind!r}")
@@ -178,9 +178,9 @@ def parse_hamiltonian(text: str) -> HamiltonianSpec:
     for name in ("exchange", "josephson"):
         if s.startswith(name + "(") and s.endswith(")"):
             try:
-                args = [float(p) for p in s[len(name) + 1 : -1].split(",") if p.strip()]
-            except ValueError as exc:
-                raise InvalidInputError(f"InvalidSpec: bad number in {text!r}") from exc
+                args = [float(p) for p in s[len(name) + 1 : -1].split(",")]
+            except ValueError as exc:  # an empty field too: float("") raises
+                raise InvalidInputError(f"InvalidSpec: bad or empty number in {text!r}") from exc
             if name == "exchange":
                 if len(args) not in (2, 4):
                     raise InvalidInputError("InvalidSpec: exchange(jxx,jyy[,jxy,jyx])")
@@ -207,11 +207,12 @@ class Trajectory:
     (N, 3), ``g1`` (N, complex), ``g2`` (N), ``g2_imag_residual`` (N) and
     ``is_pe`` (N, bool).
 
-    It reads as the sequence of its rows: ``len``, ``table[i]`` and
-    iteration build each ``TrajectorySample`` when it is read, with
-    built-in scalars and ``coords[i]`` as a view, and ``table[a:b]`` is the
-    table of the sliced columns.  ``trajectory`` returns columns that are
-    fresh and writable, shared with no other table or call.
+    It reads as the sequence of its rows: ``table[i]`` builds each
+    ``TrajectorySample`` when it is read, with built-in scalars and
+    ``coords[i]`` as a view, iteration reads the rows through indexing up
+    to ``len``, and ``table[a:b]`` is the table of the sliced columns.
+    ``trajectory`` returns columns that are fresh and writable, shared with
+    no other table or call.
     """
 
     t: np.ndarray
@@ -230,22 +231,8 @@ class Trajectory:
                 self.t[i], self.coords[i], self.g1[i], self.g2[i], self.g2_imag_residual[i], self.is_pe[i]
             )
         i = operator.index(i)
-        return _sample(
-            float(self.t[i]),
-            self.coords[i],
-            complex(self.g1[i]),
-            float(self.g2[i]),
-            float(self.g2_imag_residual[i]),
-            bool(self.is_pe[i]),
-        )
-
-    def __iter__(self):
-        scalars = (self.g1.tolist(), self.g2.tolist(), self.g2_imag_residual.tolist())
-        return map(_sample, self.t.tolist(), self.coords, *scalars, self.is_pe.tolist())
-
-
-def _sample(t, coords, g1, g2, residual, is_pe) -> TrajectorySample:
-    return TrajectorySample(t, coords, LocalInvariants(g1, g2, residual), is_pe)
+        inv = LocalInvariants(complex(self.g1[i]), float(self.g2[i]), float(self.g2_imag_residual[i]))
+        return TrajectorySample(float(self.t[i]), self.coords[i], inv, bool(self.is_pe[i]))
 
 
 @_finite_math
@@ -346,41 +333,35 @@ def josephson_cnot_min_time(e_l: float = 1.0) -> JosephsonCnot:
     """Search the CNOT-class times of the Josephson flow and return the fastest.
 
     A CNOT-class gate requires cos²(α²E_L·t) = 1/2, i.e. α²E_L·t = (2k+1)π/4,
-    together with 2α²·cos²(sqrt(1+α⁻²)(2k+1)π/4) = α² - 1.  For each
-    k ≤ 8 the second condition is solved for α by bisection on a
-    sign-change scan of 1 < α ≤ 12; each root is verified by computing the
-    actual invariants of exp(iHt), and the root with the smallest t wins.
+    together with 2α²·cos²(sqrt(1+α⁻²)(2k+1)π/4) = α² - 1.  The second
+    condition is scanned for sign changes on 1 < α ≤ 12 for all k ≤ 8 at
+    once, and every bracket is bisected at once; each root is verified on
+    one stacked record of the actual invariants of exp(iHt) (|G1| ≤ 1e-6
+    and |G2 - 1| ≤ 1e-6), and the verified root with the smallest t wins.
     The optimum sits at k = 2: α ≈ 1.1992, t ≈ 2.7309/E_L.
     """
     e_l = _as_real(e_l, "e_l")
     if e_l <= 0:
         raise InvalidInputError("InvalidParams: e_l must be positive")
-    best: JosephsonCnot | None = None
-    for k in range(_K_MAX + 1):
-        q = (2 * k + 1) * np.pi / 4.0
 
-        def f(alpha: float | np.ndarray) -> float | np.ndarray:
-            return 2.0 * alpha**2 * np.cos(np.sqrt(1.0 + alpha**-2) * q) ** 2 - (alpha**2 - 1.0)
+    def f(alpha, q):
+        return 2.0 * alpha**2 * np.cos(np.sqrt(1.0 + alpha**-2) * q) ** 2 - (alpha**2 - 1.0)
 
-        grid = np.linspace(1.0 + 1e-9, 12.0, 4001)
-        vals = f(grid)
-        for i in np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]:
-            lo, hi = grid[i], grid[i + 1]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if np.signbit(f(lo)) != np.signbit(f(mid)):
-                    hi = mid
-                else:
-                    lo = mid
-            alpha = 0.5 * (lo + hi)
-            t = q / (alpha**2 * e_l)
-            inv = _invariants_of(_Gate(HamiltonianSpec.josephson(alpha, e_l)._generator.flow(t)))
-            if abs(inv.g1) > 1e-6 or abs(inv.g2 - 1.0) > 1e-6:
-                continue
-            if best is None or t < best.t:
-                best = JosephsonCnot(
-                    alpha_ratio=float(alpha), t=float(t), pulse_index=2 * k + 1, invariants=inv
-                )
-    if best is None:
+    grid = np.linspace(1.0 + 1e-9, 12.0, 4001)
+    quarters = (2 * np.arange(_K_MAX + 1) + 1) * np.pi / 4.0
+    sign = np.signbit(f(grid, quarters[:, None]))
+    k, i = np.nonzero(sign[:, :-1] != sign[:, 1:])  # every bracket of every k
+    q, lo, hi = quarters[k], grid[i], grid[i + 1]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        left = np.signbit(f(lo, q)) != np.signbit(f(mid, q))
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    alpha = 0.5 * (lo + hi)
+    t = q / (alpha**2 * e_l)
+    u = np.array([HamiltonianSpec.josephson(a, e_l)._generator.flow(s) for a, s in zip(alpha, t)])
+    g1, g2 = _Gate(u).invariant_pair
+    verified = (np.abs(g1) <= 1e-6) & (np.abs(g2.real - 1.0) <= 1e-6)
+    if not verified.any():
         raise ConvergenceError("NoSolutionInRange: no verified CNOT-class root for any pulse index")
-    return best
+    j = np.where(verified, t, np.inf).argmin()
+    return JosephsonCnot(float(alpha[j]), float(t[j]), int(2 * k[j] + 1), _invariants_of(_Gate(u[j])))

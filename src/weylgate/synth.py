@@ -17,11 +17,13 @@ Everything that depends on the coupling alone is derived once per
 ``HamiltonianSpec`` object and kept on its generator record
 (``hamflow._Generator``).  The record derives the checked matrix, the
 eigenpair (w, V) of its flow U(t) = V·e^{i·w·t}·V†, and its Cartan
-coefficients and conjugating gate k.  This module derives the plan parts,
-and ``invariants._keep`` keeps them on the same record: the two middle
-locals, their images V†·k_i·V in the eigenbasis, the pulse-time matrix M
-with its determinant check, and the recurrence period.  A part that raises
-is not kept, and raises again on the next use.  Per target there remain
+coefficients and conjugating gate k.  This module derives from it the
+plan frame and the recurrence period, and ``invariants._keep`` keeps both on
+the same record.  The frame holds k and k†, the two middle locals, their
+images V†·k_i·V in the eigenbasis, and the pulse-time matrix M with its
+determinant check.  The period stays apart, since a coupling whose M is
+singular (ising) still has one.  A part that raises is not kept, and raises
+again on the next use.  Per target there remain
 the target's KAK, one 3x3 solve M·t = γ, the two outer locals and the
 residual check, which multiplies the plan out in the eigenbasis: all three
 pulses come from one ``exp``, and the middle factors are the kept ones.
@@ -115,24 +117,17 @@ def _pulse_time_matrix(c) -> np.ndarray:
     return m
 
 
-def _pulse_locals(g: _Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k†, k1 = k†·l2†·l1·k = k†·l2†·k and k2 = k†·l3†·l2·k, with k the
-    conjugating local gate: a plan's locals are k†·(KAK k2), k1, k2 and
-    (KAK k1)·l3·k."""
+def _plan_frame(g: _Generator) -> tuple:
+    """What every plan on the coupling shares: (k, k†, k1, k2, (V†·k1·V,
+    V†·k2·V), M), with k the conjugating local gate, k1 = k†·l2†·l1·k =
+    k†·l2†·k and k2 = k†·l3†·l2·k the middle locals, their images in the
+    flow's eigenbasis (see ``_plan_product``) and the pulse-time matrix M.
+    A plan's outer locals are k†·(KAK k2) and (KAK k1)·l3·k.  Raises
+    NotNonlocalError on local terms, then DegenerateHamiltonianError."""
     k = g.cartan.k
     kd = k.conj().T
-    return kd, kd @ _L2.conj().T @ k, kd @ _L3.conj().T @ _L2 @ k
-
-
-def _middle(g: _Generator) -> tuple[np.ndarray, np.ndarray]:
-    """V†·k1·V and V†·k2·V: the two middle locals of every synthesized
-    plan in the flow's eigenbasis (see ``_plan_product``)."""
-    return tuple(g.vh @ k @ g.v for k in _keep(g, _pulse_locals)[1:])
-
-
-def _steer(g: _Generator) -> np.ndarray:
-    """The pulse-time matrix of the Cartan coefficients."""
-    return _pulse_time_matrix(g.cartan.coeffs)
+    k1, k2 = kd @ _L2.conj().T @ k, kd @ _L3.conj().T @ _L2 @ k
+    return k, kd, k1, k2, (g.vh @ k1 @ g.v, g.vh @ k2 @ g.v), _pulse_time_matrix(g.cartan.coeffs)
 
 
 def _period(g: _Generator) -> float | None:
@@ -237,12 +232,11 @@ def synthesize(target, hamiltonian: HamiltonianSpec) -> CircuitPlan:
     """
     target = check_unitary(target)
     g = _generator(hamiltonian)
-    kd, k1, k2 = _keep(g, _pulse_locals)  # raises NotNonlocalError on local terms
-    m = _keep(g, _steer)  # raises DegenerateHamiltonianError on a degenerate coupling
+    k, kd, k1, k2, middle, m = _keep(g, _plan_frame)
 
     d = _kak(_Gate(target))  # a fresh target: no use for the single-gate memo
     k0 = kd @ d.k2
-    k3 = d.k1 @ _L3 @ g.cartan.k
+    k3 = d.k1 @ _L3 @ k
 
     # Durations at rounding-noise level are exact zeros: a time of -1e-16
     # would otherwise cost a full recurrence period in with_nonnegative_times.
@@ -253,7 +247,7 @@ def synthesize(target, hamiltonian: HamiltonianSpec) -> CircuitPlan:
         times=times,
         hamiltonian=hamiltonian,
     )
-    resid = _dist_up_to_phase(_plan_product(g, k0, _keep(g, _middle), k3, times), target)
+    resid = _dist_up_to_phase(_plan_product(g, k0, middle, k3, times), target)
     if resid > _TOL_RESIDUAL:
         raise VerificationError(
             f"synthesized plan misses target: residual {resid:.3e} > {_TOL_RESIDUAL:.1e}"

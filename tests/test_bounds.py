@@ -10,8 +10,6 @@ quantity, so a bound loosened or tightened by more than that fails here.
 the test here that must then fail.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -191,17 +189,19 @@ def test_hull_witness_check_bound(monkeypatch, factor, check):
 @FACTORS
 @pytest.mark.parametrize("invariant", ["g1", "g2"])
 def test_josephson_root_check_bound(monkeypatch, factor, invariant):
-    # Each root's G1 or G2 moves by δ, and it is verified at |G1| ≤ 1e-6 and
-    # |G2 - 1| ≤ 1e-6; unmoved, every root meets both within 1e-15.  Past the
-    # bound no root is verified, and the search finds nothing.
+    # Each root's G1 or G2 moves by δ on the stacked record that checks all
+    # roots, and it is verified at |G1| ≤ 1e-6 and |G2 - 1| ≤ 1e-6; unmoved,
+    # every root meets both within 1e-15.  Past the bound no root is
+    # verified, and the search finds nothing.
     delta = factor * 1e-6
-    invariants_of = hamflow._invariants_of
 
-    def moved(g):
-        inv = invariants_of(g)
-        return replace(inv, **{invariant: getattr(inv, invariant) + delta})
+    class Moved(_Gate):
+        @property
+        def invariant_pair(self):
+            g1, g2c = super().invariant_pair
+            return (g1 + delta, g2c) if invariant == "g1" else (g1, g2c + delta)
 
-    monkeypatch.setattr(hamflow, "_invariants_of", moved)
+    monkeypatch.setattr(hamflow, "_Gate", Moved)
     _outcome(factor, ConvergenceError, hamflow.josephson_cnot_min_time)
 
 

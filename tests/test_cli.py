@@ -101,6 +101,13 @@ def test_trajectory_csv(capsys):
     assert len(lines) == 6
 
 
+def test_trajectory_rejects_an_empty_field(capsys):
+    code, out, err = run(capsys, "trajectory", "exchange(1,,0.5)")
+    assert code == 1 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "InvalidInputError" and "empty" in payload["message"]
+
+
 def test_synth_cnot(capsys):
     doc = run_json(capsys, "synth", "cnot", "isotropic")
     assert doc["residual"] < 1e-8

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import PI
 from weylgate import (
     HamiltonianSpec,
+    InvalidInputError,
     LocalInvariants,
     PAULIS,
     cartan_element,
@@ -267,3 +268,74 @@ def test_josephson_cnot_min_time_scales_with_e_l():
         assert result.alpha_ratio == ref.alpha_ratio
         assert result.pulse_index == ref.pulse_index == 5
         assert abs(result.t * e_l - ref.t) <= 1e-12 * ref.t
+
+
+def _scalar_cnot_search(e_l):
+    """The Josephson search one pulse count and one bracket at a time, each
+    root bisected on scalars: (α, t, pulse index, invariants) of the fastest
+    verified root."""
+    best = None
+    for k in range(9):
+        q = (2 * k + 1) * np.pi / 4.0
+
+        def f(alpha):
+            return 2.0 * alpha**2 * np.cos(np.sqrt(1.0 + alpha**-2) * q) ** 2 - (alpha**2 - 1.0)
+
+        grid = np.linspace(1.0 + 1e-9, 12.0, 4001)
+        vals = f(grid)
+        for i in np.nonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))[0]:
+            lo, hi = grid[i], grid[i + 1]
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if np.signbit(f(lo)) != np.signbit(f(mid)) else (mid, hi)
+            alpha = 0.5 * (lo + hi)
+            t = q / (alpha**2 * e_l)
+            inv = local_invariants(expm_i_hermitian(realize(HamiltonianSpec.josephson(alpha, e_l)), t))
+            if abs(inv.g1) <= 1e-6 and abs(inv.g2 - 1.0) <= 1e-6 and (best is None or t < best[1]):
+                best = float(alpha), float(t), 2 * k + 1, inv
+    return best
+
+
+@pytest.mark.parametrize("e_l", [1e-3, 0.5, 1.0, 2.0, 1e3])
+def test_stacked_cnot_search_is_the_scalar_search(e_l):
+    # All brackets bisected at once take the same steps as one at a time.
+    result = josephson_cnot_min_time(e_l)
+    assert (result.alpha_ratio, result.t, result.pulse_index, result.invariants) == _scalar_cnot_search(e_l)
+
+
+# Two roundings on each side (E_J = α·E_L, then the term), so at most 4 units
+# of roundoff apart; measured at most 2.2e-16 on realize and 1.6e-16 on t·E_L.
+SCALE_RTOL = 4 * 2.0**-53
+
+
+@pytest.mark.parametrize("e_l", [1e-200, 1e-160, 1e100, 1e160])
+def test_josephson_energy_scale_reaches_the_extremes(e_l):
+    # E_L scales H, and so the root's time, at any representable scale: the
+    # coupling term is α²·E_L, with no E_J² to underflow below 1e-154 or to
+    # overflow above 1e154.
+    ref_h = realize(HamiltonianSpec.josephson(1.2, 1.0))
+    h = realize(HamiltonianSpec.josephson(1.2, e_l))
+    nonzero = ref_h != 0
+    assert_array_equal(h == 0, ~nonzero)
+    assert np.max(np.abs(h / e_l - ref_h)[nonzero] / np.abs(ref_h[nonzero])) <= SCALE_RTOL
+    ref, result = josephson_cnot_min_time(1.0), josephson_cnot_min_time(e_l)
+    assert (result.alpha_ratio, result.pulse_index) == (ref.alpha_ratio, ref.pulse_index)
+    assert abs(result.t * e_l - ref.t) <= SCALE_RTOL * ref.t
+
+
+@pytest.mark.parametrize("e_l", [1e-200, 1e-160, 1e100])
+def test_josephson_trajectory_scales_with_energy(e_l):
+    # At times τ/E_L the flow is the E_L = 1 flow at τ.  Measured at most
+    # 1.4e-14 (g2 at 1e100); an E_J² that underflows misses by 1.2e-3 at
+    # 1e-160 and leaves the flow at the identity at 1e-200.
+    tau = np.linspace(0.0, 4.0, 50)
+    ref = trajectory(HamiltonianSpec.josephson(1.2, 1.0), tau)
+    table = trajectory(HamiltonianSpec.josephson(1.2, e_l), tau / e_l)
+    for got, want in ((table.coords, ref.coords), (table.g1, ref.g1), (table.g2, ref.g2)):
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_josephson_trajectory_past_the_split_norm_raises_typed():
+    # At E_L = 1e160 the norm of H's local/nonlocal split overflows.
+    with pytest.raises(InvalidInputError, match="argument too large"):
+        trajectory(HamiltonianSpec.josephson(1.2, 1e160), [0.0, 1e-160])

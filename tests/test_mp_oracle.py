@@ -16,6 +16,12 @@ and the nine chamber vertices dressed with random locals at ε = 0, 1e-12,
 1e-9 and 1e-7.  Each output must lie within 1e-13 of the oracle; the worst
 measured over all 600 Haar rows and the 36 dressed vertices is 6.7e-16 on
 the coordinates, 1.0e-15 on g1 and 3.1e-15 on g2, all on this slice.
+
+The Hamiltonian side is checked the same way, each bound stated beside its
+check: U(t) of the corpus's five flow couplings against ``mp.expm(i·H·t)``,
+``solve_times`` against ``mp.lu_solve`` on a slice of the corpus plans, and
+the Josephson CNOT root against ``mp.findroot`` of its 40-digit condition and
+the 40-digit invariants of exp(iHt) at the returned (α, t).
 """
 
 from pathlib import Path
@@ -29,7 +35,9 @@ from weylgate import chamber
 from weylgate.cartan import _TOL_CHAMBER, TOL_BASE
 
 with np.load(Path(__file__).resolve().parent / "data" / "corpus.npz") as _file:
-    GATES = _file["gate_u"]
+    GATES, FLOW_T, PLAN_TARGET, PLAN_SPEC, PLAN_CUSTOM = (
+        _file[k] for k in ("gate_u", "flow_t", "plan_target", "plan_spec", "plan_custom")
+    )
 
 BOUND = 1e-13
 HAAR = 100  # of the corpus's 600 Haar rows, which come first
@@ -57,17 +65,20 @@ def _fold(c):
     return sorted((abs(x) for x in c), reverse=True)
 
 
+def _invariants(u):
+    """(m, det U, g1, g2) of an mpmath matrix ``u``, at the working precision."""
+    q = mp.matrix(np.rint(np.sqrt(2.0) * wg.MAGIC).tolist()) / mp.sqrt(2)  # exact
+    ub = q.H * u * q
+    m = ub.T * ub
+    det = mp.det(u)
+    tr, tr_m2 = (sum(x[i, i] for i in range(4)) for x in (m, m * m))
+    return m, det, tr * tr / (16 * det), ((tr * tr - tr_m2) / (4 * det)).real
+
+
 def _oracle(u):
     """(chamber point, g1, g2) of ``u`` at DIGITS significant digits."""
     with mp.workdps(DIGITS):
-        q = mp.matrix(np.rint(np.sqrt(2.0) * wg.MAGIC).tolist()) / mp.sqrt(2)  # exact
-        u = mp.matrix(u.tolist())
-        ub = q.H * u * q
-        m = ub.T * ub
-        det = mp.det(u)
-        tr, tr_m2 = (sum(x[i, i] for i in range(4)) for x in (m, m * m))
-        g1 = tr * tr / (16 * det)
-        g2 = ((tr * tr - tr_m2) / (4 * det)).real
+        m, det, g1, g2 = _invariants(mp.matrix(u.tolist()))
         # e^{-2iα}·m is m of the det-one gate e^{-iα}·U, α = arg(det U)/4.
         scaled = mp.exp(-1j * mp.arg(det) / 2) * m
         theta = sorted(mp.arg(z) for z in mp.eig(scaled, left=False, right=False))
@@ -98,3 +109,79 @@ def test_undressed_vertex_rows_are_the_vertices():
         u = GATES[FIRST_VERTEX_ROW + len(EPSILONS) * j]
         target = wg.canonicalize(getattr(chamber, f"VERTEX_{vertex}"))
         assert np.abs(wg.gate_coords(u) - target).max() <= 1e-12, vertex
+
+
+# ---------------------------------------------------------------------------
+# The Hamiltonian side: flows, pulse times and the Josephson root
+
+# The corpus's flow couplings, in the order of its flow rows.
+FLOW_SPECS = {
+    "isotropic": wg.HamiltonianSpec.isotropic(),
+    "xy": wg.HamiltonianSpec.xy(),
+    "ising": wg.HamiltonianSpec.ising(),
+    "exchange": wg.HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0),
+    "josephson": wg.HamiltonianSpec.josephson(1.2),
+}
+NEAR = slice(0, 96, 10)  # ten of each row's 96 times on [0, 2.2π]
+FAR = slice(97, 100)  # 3e4, 2e5 and 1e6, past the fold's reach
+FAR_ULPS = 8  # measured at most 1.9 units of ε·‖H‖_max·|t|
+PLAN_SPECS = [wg.HamiltonianSpec.isotropic(), wg.HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0)]
+PLAN_SPECS += [wg.HamiltonianSpec.custom(h) for h in PLAN_CUSTOM]
+PLANS = range(0, len(PLAN_TARGET), 3)  # 30 of the 90 plans, every coupling among them
+
+
+def _flow_error(spec, t):
+    """max |U(t) - exp(i·H·t)| over the entries, with the library's H taken as exact."""
+    h = wg.realize(spec)
+    with mp.workdps(DIGITS):
+        want = mp.expm(1j * mp.matrix(h.tolist()) * mp.mpf(float(t)))
+        miss = want - mp.matrix(wg.expm_i_hermitian(h, t).tolist())
+        return float(max(abs(z) for row in miss.tolist() for z in row))
+
+
+@pytest.mark.parametrize("kind", FLOW_SPECS)
+def test_flow_matches_the_oracle(kind):
+    # Measured at most 3.6e-15 at the near times.  At a far time the phases
+    # w·t round at ε·‖H‖·|t|, so each is bounded by that on its own: at
+    # most 5.9e-10 there, on josephson at t = 1e6, inside the A-suite's 1e-8.
+    spec, times = FLOW_SPECS[kind], FLOW_T[list(FLOW_SPECS).index(kind)]
+    for t in times[NEAR]:
+        assert _flow_error(spec, t) <= BOUND, t
+    scale = np.abs(wg.realize(spec)).max() * np.finfo(float).eps
+    for t in times[FAR]:
+        assert _flow_error(spec, t) <= FAR_ULPS * scale * abs(t), t
+
+
+def test_pulse_times_match_the_oracle():
+    # M·t = γ with M written from the paper's frames, solved by LU at 40
+    # digits; measured at most 2.6e-16 over the 30 plans.
+    for row in PLANS:
+        c = wg.cartan_conjugate(wg.realize(PLAN_SPECS[PLAN_SPEC[row]])).coeffs
+        gamma = wg.kak_decompose(PLAN_TARGET[row]).coords
+        with mp.workdps(DIGITS):
+            c1, c2, c3 = (mp.mpf(float(x)) for x in c)
+            m = mp.matrix([[c1, -c3, c3], [c2, -c1, -c2], [c3, c2, -c1]])
+            want = np.array(mp.lu_solve(m, mp.matrix(gamma.tolist())).tolist(), dtype=float)
+        assert np.abs(wg.solve_times(c, gamma) - want.ravel()).max() <= BOUND
+
+
+def test_josephson_root_matches_the_oracle():
+    # α is the root of the 40-digit f on the returned pulse count, and the
+    # 40-digit exp(iHt) at the returned (α, t) is CNOT-class: G1 = 0, G2 = 1.
+    # Measured 3.7e-16 on α, 4.9e-32 on |G1| and 1.9e-30 on |G2 - 1|: both
+    # vanish to second order in the miss of (α, t).
+    root = wg.josephson_cnot_min_time()
+    with mp.workdps(DIGITS):
+        q = root.pulse_index * mp.pi / 4
+        alpha = mp.findroot(
+            lambda a: 2 * a**2 * mp.cos(mp.sqrt(1 + a**-2) * q) ** 2 - (a**2 - 1),
+            mp.mpf(root.alpha_ratio),
+        )
+        a = mp.mpf(root.alpha_ratio)
+        # Integer matrices, exact: x1 + x2 and σyσy.
+        x, y, eye = wg.PAULIS["x"], wg.PAULIS["y"], np.eye(2)
+        h = -(a / 2) * mp.matrix((np.kron(x, eye) + np.kron(eye, x)).tolist())
+        h += a * a * mp.matrix(np.kron(y, y).tolist())
+        _, _, g1, g2 = _invariants(mp.expm(1j * h * mp.mpf(root.t)))
+        errors = abs(alpha - a), abs(g1), abs(g2 - 1)
+    assert max(errors) <= BOUND

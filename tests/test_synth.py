@@ -31,7 +31,7 @@ from weylgate import (
 )
 from weylgate.hamflow import _generator
 from weylgate.invariants import _keep
-from weylgate.synth import _L3, TOL_TIME, _middle, _plan_product, _pulse_locals
+from weylgate.synth import _L3, TOL_TIME, _plan_frame, _plan_product
 
 
 def test_solve_times_isotropic_cnot():
@@ -364,7 +364,7 @@ def test_synthesize_is_kak_time_solve_and_frames(hamiltonian):
     # coupling's Cartan coefficients, the snap of noise-level durations, and
     # the frames around the generator's pulse locals.
     g = _generator(hamiltonian)
-    kd, k1, k2 = _keep(g, _pulse_locals)
+    _, kd, k1, k2, _, _ = _keep(g, _plan_frame)
     rng = np.random.default_rng(87)
     for _ in range(10):
         target = rand_u4(rng)
@@ -424,10 +424,11 @@ def test_eigenbasis_product_matches_the_pulse_loop():
         for _ in range(10):
             plan = synthesize(rand_u4(rng), spec)
             # A synthesized plan's middle factors are the coupling's kept ones.
-            for kept, k in zip(_keep(g, _middle), plan.locals[1:3]):
+            middle = _keep(g, _plan_frame)[4]
+            for kept, k in zip(middle, plan.locals[1:3]):
                 np.testing.assert_array_equal(kept, g.vh @ k @ g.v)
             l0, _, _, l3 = plan.locals
-            u = _plan_product(g, l0, _keep(g, _middle), l3, plan.times)
+            u = _plan_product(g, l0, middle, l3, plan.times)
             assert np.max(np.abs(u - _pulse_loop(plan))) <= 1e-13
 
 

@@ -289,6 +289,10 @@ MALFORMED = (
             "bad number": ("exchange(1,x)", InvalidInputError),
             "exchange(1)": ("exchange(1)", InvalidInputError),
             "josephson(1,2,3)": ("josephson(1,2,3)", InvalidInputError),
+            "exchange(1,,0.5)": ("exchange(1,,0.5)", InvalidInputError),
+            "exchange(,1,0.5)": ("exchange(,1,0.5)", InvalidInputError),
+            "exchange(1,0.5,)": ("exchange(1,0.5,)", InvalidInputError),
+            "josephson(1.2,)": ("josephson(1.2,)", InvalidInputError),
         },
     )
     + _table(
