@@ -25,6 +25,7 @@ and the coefficients of a conjugation are read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -138,7 +139,9 @@ class HamiltonianSplit:
 
     @property
     def local_norm(self) -> float:
-        return float(np.linalg.norm(self.local_coeffs))
+        # hypot scales by the largest |coefficient|, so coefficients near
+        # 1e160 do not overflow the sum of squares.
+        return math.hypot(*self.local_coeffs)
 
 
 def _word(label: str) -> np.ndarray:

@@ -13,9 +13,9 @@ purpose (they cross-check each other):
 
 The same spectrum gives the witness: m's real eigenframe and the hull's
 convex weights build a product state that U maximally entangles.  The
-weights come from the gaps that the verdict reads: the widest-gap pair, the
-ends of the arc a drop rule merges, or one barycentric solve on the three
-phases that rule leaves (``PeVerdict``).
+weights are ½ and ½ on the ends of the widest gap in the margin band, else
+the closed-form Wachspress coordinates of 0 over the gaps that the verdict
+reads (``PeVerdict``).
 
 The entanglement measure on states is Ent(ψ) = ψᵀ·P·ψ with
 P = -(1/2)·σy⊗σy; |Ent| = 0 on product states and 1/2 on maximally
@@ -70,12 +70,6 @@ _MC_CHUNK = 1 << 16  # rows pe_fraction_mc draws at once
 # Ent(ψ) = ψᵀ P ψ; P = -(1/2) σy⊗σy (+ 0.0 turns each -0.0 into 0.0).
 P_ENT = -0.5 * _CARTAN_WORDS[1] + 0.0
 
-# The witness's barycentric solve: row k of _KEEP keeps every sorted point but
-# k, and the system's last row is Σ w = 1.
-_KEEP = ~np.eye(4, dtype=bool)
-_ONES = np.ones(3)
-_BARYCENTER = np.array([0.0, 0.0, 1.0])
-
 
 def ent(psi) -> complex:
     """The quadratic entanglement form ψᵀ·P·ψ of a state normalized within 1e-9."""
@@ -104,14 +98,12 @@ class PeVerdict:
     inequalities.  ``weights``, present when the test passes and the witness
     passes its self-check, are convex weights w ≥ 0 on the squared
     eigenphases z with |Σ w·z| ≤ TOL_HULL, ordered like ``phases``: ½ and ½
-    on the ends of the widest gap when the margin is at most TOL_HULL.
-    Otherwise the point whose two neighboring gaps have the least sum is
-    dropped (that merged arc is at most π, so the other three still surround
-    0): ½ and ½ on the arc's ends when it is π within TOL_HULL, else the
-    barycentric weights of the three points left, and 0 on the dropped one.
-    A perfect entangler gets ``weights`` None when no weights meet the
-    check (a weight below -1e-12, or |Σ w·z| past TOL_HULL); ``is_pe`` and
-    ``margin`` do not depend on them.
+    on the ends of the widest gap when the margin is at most TOL_HULL, else
+    w_k ∝ tan(g_{k-1}/2) + tan(g_k/2) over the sorted points' gaps g_k (all
+    below π).  These sum w·z to 0 since tan(g_k/2)·(z_k + z_{k+1}) =
+    -i·(z_{k+1} - z_k), which telescopes.  A perfect entangler gets
+    ``weights`` None when they fail the check (a weight below -1e-12, or
+    |Σ w·z| past TOL_HULL); ``is_pe`` and ``margin`` do not depend on them.
     """
 
     is_pe: bool
@@ -155,34 +147,27 @@ def _verdict(g: _Gate) -> tuple[PeVerdict, str | None]:
     if not is_pe:
         return PeVerdict(is_pe=False, margin=margin, phases=z, weights=None), None
     w = np.zeros(4)
-    # Dropping the point between the two gaps of least sum leaves a merged
-    # arc of at most π (the two disjoint pair sums add to 2π), so 0 stays in
-    # the hull of the other three.
-    drop = min(range(4), key=lambda k: gaps[k - 1] + gaps[k])
     if margin <= TOL_HULL:
         # Half on each end of the widest gap: |Σ w·z| = |cos(g/2)| = |margin|.
         i = gaps.index(widest)  # the first, as argmax picks
         w[order[[i, (i + 1) % 4]]] = 0.5
-    elif np.cos((gaps[drop - 1] + gaps[drop]) / 2) <= TOL_HULL:
-        # The merged arc is π within TOL_HULL: its ends are the antipodal pair, and
-        # the third point's true weight is 0, which a solve on that near-flat
-        # triangle can round below -1e-12.  Half on each end instead.
-        w[order[[drop - 1, (drop + 1) % 4]]] = 0.5
     else:
-        # Every kept arc is short of π by more than TOL_HULL: one barycentric solve.
-        keep = order[_KEEP[drop]]
-        zk = z[keep]
-        try:
-            w[keep] = np.linalg.solve(np.array([zk.real, zk.imag, _ONES]), _BARYCENTER)
-        except np.linalg.LinAlgError:  # a singular system: the branches above should leave none
-            failure = "hull witness: the three phases left are collinear"
-            return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure
+        w[order] = _hull_weights(gaps)
     low, residual = float(w.min()), abs(w @ z)
     if low < -1e-12 or not residual <= TOL_HULL:
         failure = f"hull witness fails: min weight {low:.3e}, |Σ w·z| {residual:.3e}"
         return PeVerdict(is_pe=True, margin=margin, phases=z, weights=None), failure
     # Clipped after the check: a weight of -1e-16 would make sqrt(w) NaN.
     return PeVerdict(is_pe=True, margin=margin, phases=z, weights=_read_only(np.maximum(w, 0.0))[0]), None
+
+
+def _hull_weights(gaps: list[float]) -> np.ndarray:
+    """The Wachspress coordinates of 0 in the hull of four sorted points on
+    the unit circle, from their gaps (each below π): w_k ∝ tan(g_{k-1}/2) +
+    tan(g_k/2), every term ≥ 0.  As a gap nears π its ends go to ½ and ½."""
+    h = [math.tan(x / 2) for x in gaps]
+    w = np.array([h[k - 1] + h[k] for k in range(4)])
+    return w / w.sum()
 
 
 def pe_from_coords(coords) -> bool:

@@ -329,6 +329,7 @@ class JosephsonCnot:
     invariants: LocalInvariants
 
 
+@_finite_math
 def josephson_cnot_min_time(e_l: float = 1.0) -> JosephsonCnot:
     """Search the CNOT-class times of the Josephson flow and return the fastest.
 

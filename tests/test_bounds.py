@@ -162,20 +162,23 @@ def test_witness_self_check_bound(monkeypatch, factor, state):
 @FACTORS
 @pytest.mark.parametrize("check", ["residual", "floor"])
 def test_hull_witness_check_bound(monkeypatch, factor, check):
-    # The barycentric solve's right-hand side moves off (0, 0, 1).  To
-    # (δ, 0, 1): the three weights then sum w·z to δ, rounded at 1e-16.  Or
-    # to (0, 0, s), s < 0: every weight scales by s, so the least is s·max(w)
-    # and |Σ w·z| stays at rounding.  Past either bound the perfect entangler
-    # keeps its verdict and margin, and its witness fails.
+    # The closed-form weights move: δ on the first sorted point, so Σ w·z
+    # moves by δ, rounded at 1e-16.  Or every weight scales by s < 0, so the
+    # least is s·max(w) and |Σ w·z| stays at rounding.  Past either bound the
+    # perfect entangler keeps its verdict and margin, and its witness fails.
     u = rand_u4(np.random.default_rng(13))  # the witness test's gate
     monkeypatch.setattr(entangler, "_gate", _Gate)  # a fresh record per call: no kept verdict
     v = entangler.is_perfect_entangler(u)
-    assert v.is_pe and np.count_nonzero(v.weights) == 3  # the weights of one solve
-    if check == "residual":
-        rhs = [factor * entangler.TOL_HULL, 0.0, 1.0]
-    else:
-        rhs = [0.0, 0.0, -factor * 1e-12 / v.weights.max()]
-    monkeypatch.setattr(entangler, "_BARYCENTER", np.array(rhs))
+    assert v.is_pe and v.margin > entangler.TOL_HULL and v.weights.min() > 0  # the closed form's weights
+    hull_weights = entangler._hull_weights
+
+    def moved_weights(gaps):
+        w = hull_weights(gaps)
+        if check == "residual":
+            return w + factor * entangler.TOL_HULL * np.eye(4)[0]
+        return w * (-factor * 1e-12 / w.max())
+
+    monkeypatch.setattr(entangler, "_hull_weights", moved_weights)
     moved = entangler.is_perfect_entangler(u)
     assert (moved.is_pe, moved.margin) == (True, v.margin)
     assert (moved.weights is None) == (factor > 1)

@@ -123,13 +123,13 @@ def test_witness_states():
         assert_allclose(psi_out, u @ psi_in, atol=1e-12)
 
 
-# Vertices of the perfect-entangler polyhedron nudged by ε, where the hull's
-# triangles are nearly flat, and gates whose eigenphases form two antipodal
-# pairs: on the boundary (the widest-gap pair) or inside it at B (a weight
-# that is exactly 0 and rounds to about -1e-16 for some dressings).  On the
-# L-A2 edge near cnot, (π/2, t, 0), one antipodal pair and a third phase 2t
-# from one of its ends leave a triangle of area about 2t whose exact-0 weight
-# a solve rounds to about ±1e-16/t.
+# Vertices of the perfect-entangler polyhedron nudged by ε, where the widest
+# gap is π within about ε: the margin band's ½ and ½ on its ends, or closed-form
+# weights whose tan(g/2) terms reach about 1/ε and send those ends toward ½.
+# Gates whose eigenphases form two antipodal pairs: on the boundary (the
+# widest-gap pair) or inside it at B (a square: every weight ¼).  On the L-A2
+# edge near cnot, (π/2, t, 0), two pairs of phases 2t apart straddle ±π/2, so
+# two gaps are 2t and two are π - 2t: every weight is about ¼.
 _WITNESS_CASES = [
     pytest.param(vertex, eps, id=f"{name}-{eps:g}")
     for name, vertex in (
@@ -170,9 +170,10 @@ def test_witness_weights_near_the_boundary(point, eps):
 
 @pytest.mark.parametrize("name", ["cnot", "cz", "iswap", "sqrtswap", "sqrtswap_inv"])
 def test_zero_hull_tol_keeps_verdict_without_weights(monkeypatch, name):
-    # At TOL_HULL = 0 the widest-gap pair misses by rounding and every
-    # triangle of two coincident antipodal pairs is flat: no weights pass the
-    # check.  The verdict and margin do not need them; the witness states do.
+    # Each margin is 6e-17.  At TOL_HULL = 0 that leaves the band, and the
+    # closed form's residual, of rounding size, fails a bound of exactly 0:
+    # no weights pass the check.  The verdict and margin do not need them;
+    # the witness states do.
     # Each call reads a fresh record, so no verdict kept at the real bound is read.
     u = named_gate(name)
     margin = is_perfect_entangler(u).margin

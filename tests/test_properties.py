@@ -43,7 +43,17 @@ from weylgate import (
     weyl_orbit,
 )
 from weylgate.cartan import _WEYL_ACTIONS, _WEYL_GATES, MAGIC
-from weylgate.chamber import _TOL_CHAMBER, TOL_BASE, _fold
+from weylgate.chamber import (
+    _TOL_CHAMBER,
+    TOL_BASE,
+    VERTEX_A2,
+    VERTEX_L,
+    VERTEX_M,
+    VERTEX_N,
+    VERTEX_P,
+    VERTEX_Q,
+    _fold,
+)
 from weylgate.entangler import TOL_HULL
 from weylgate.invariants import _raw_coords
 
@@ -499,3 +509,41 @@ def test_pe_witness_contract(u):
     assert abs(ent(psi_in)) <= 1e-9
     assert abs(abs(ent(psi_out)) - 0.5) <= 1e-9
     assert_allclose(psi_out, u @ psi_in, atol=1e-12)
+
+
+# The perfect-entangler polyhedron's vertices, and, as vertex indices, its
+# three faces where the hull margin is 0: c1+c2 = π/2, c2+c3 = π/2 and
+# c1-c2 = π/2.  Its other faces lie on the chamber's boundary.
+_PE_VERTICES = np.array([VERTEX_L, VERTEX_M, VERTEX_N, VERTEX_P, VERTEX_Q, VERTEX_A2])
+_PE_FACES = ((4, 0, 3), (3, 5, 2), (0, 1, 2))
+
+
+@st.composite
+def pe_interior_gates(draw):
+    """A point strictly inside the perfect-entangler polyhedron, or a point
+    of one of its three faces moved 1e-7 to 1e-1 of the way to the
+    centroid, dressed with random locals and a global phase.  The polyhedron
+    is convex, so the moved point keeps every face inequality with a slack of
+    at least that fraction of the centroid's (π/6 or more)."""
+    rng = np.random.default_rng(draw(seeds))
+    face = draw(st.sampled_from((None,) + _PE_FACES))
+    if face is None:
+        point = rng.dirichlet(np.ones(6)) @ _PE_VERTICES
+    else:
+        step = 10.0 ** draw(st.floats(-7.0, -1.0))
+        on_face = rng.dirichlet(np.ones(3)) @ _PE_VERTICES[list(face)]
+        point = (1.0 - step) * on_face + step * _PE_VERTICES.mean(axis=0)
+    return gate_at(point, rng, phase=rng.uniform(0.0, 2 * PI))
+
+
+@PROPERTY
+@given(pe_interior_gates())
+def test_closed_form_hull_weights(u):
+    # Past the margin band the weights are the closed form over all four
+    # phases: convex, and Σ w·z vanishes to rounding (measured at most 5e-16).
+    v = is_perfect_entangler(u)
+    assert v.margin > TOL_HULL
+    assert np.all(v.weights >= 0.0)
+    assert abs(v.weights.sum() - 1.0) <= 1e-12
+    assert abs(v.weights @ v.phases) <= 1e-13
+    entangling_input(u)

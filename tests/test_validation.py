@@ -301,7 +301,12 @@ MALFORMED = (
     )
     + _table(
         {"josephson_cnot_min_time e_l": SCALAR_FNS["josephson_cnot_min_time e_l"]},
-        {"zero": (0.0, InvalidInputError)},
+        {
+            "zero": (0.0, InvalidInputError),
+            # Positive, but t = q/(α²·E_L) or α²·E_L overflows.
+            "5e-324": (5e-324, InvalidInputError),
+            "1.7e308": (1.7e308, InvalidInputError),
+        },
     )
     # A seed is an integer in [0, 2**128), and a bool is not one.
     + _table(
