@@ -136,6 +136,20 @@ def test_gate_export_import_roundtrip(capsys, tmp_path):
     assert_allclose(doc["c"], [PI / 4, PI / 4, PI / 4], atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["identity", "cnot", "cz", "swap", "sqrtswap", "sqrtswap_inv", "iswap", "cu(0.3,0.2,0.1)"],
+)
+def test_gate_file_round_trips_bit_for_bit(capsys, tmp_path, name):
+    # 17 significant digits round-trip every double; a second pass at 12 would not.
+    code, out, err = run(capsys, "gate", name)
+    assert code == 0, err
+    path = tmp_path / "gate.json"
+    path.write_text(out)
+    got = np.asarray(cli.load_gate(str(path)), dtype=np.complex128)
+    assert np.array_equal(got, np.asarray(named_gate(name), dtype=np.complex128))
+
+
 def test_matrix_file_input(capsys, tmp_path):
     u = named_gate("iswap")
     doc = {"matrix": [[[z.real, z.imag] for z in row] for row in u]}
@@ -165,23 +179,47 @@ def test_rejects_nan_file(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "NotUnitaryError"
 
 
+def _cnot_file_with(entry) -> bytes:
+    """A CNOT gate file with ``entry`` in place of its first pair."""
+    matrix = [[[z.real, z.imag] for z in row] for row in named_gate("cnot")]
+    matrix[0][0] = entry
+    return json.dumps({"matrix": matrix}).encode()
+
+
+# The last five read as a gate, or escaped as a raw traceback, before
+# load_gate parsed the matrix with the library's one parser.
 @pytest.mark.parametrize(
-    "text, message",
+    "content, error, message",
     [
-        ('{"matrix": [[', "is not valid JSON"),
-        ('{"gate": "cnot"}', "needs a 'matrix' field"),
-        ('{"matrix": [[1, 0], [0, 1]]}', "must be [re, im] pairs"),
-        ('{"matrix": [[[1]]]}', "must be [re, im] pairs"),
+        (b'{"matrix": [[', "InvalidInputError", "is not valid JSON"),
+        (b'{"gate": "cnot"}', "InvalidInputError", "needs a 'matrix' field"),
+        (b'{"matrix": [[1, 0], [0, 1]]}', "InvalidInputError", "must be [re, im] pairs"),
+        (b'{"matrix": [[[1]]]}', "InvalidInputError", "must be [re, im] pairs"),
+        (_cnot_file_with([True, False]), "NotUnitaryError", "got a bool"),
+        (_cnot_file_with([1, 0, 7]), "InvalidInputError", "must be [re, im] pairs"),
+        (_cnot_file_with({"re": 1}), "InvalidInputError", "must be [re, im] pairs"),
+        (_cnot_file_with(["1", "0"]), "NotUnitaryError", "must hold real numbers"),
+        (b'{"matrix": "\xff"}', "InvalidInputError", "is not valid JSON"),
     ],
-    ids=["invalid json", "no matrix field", "bare numbers", "short pair"],
+    ids=[
+        "invalid json",
+        "no matrix field",
+        "bare numbers",
+        "short pair",
+        "bool pair",
+        "third component",
+        "object entry",
+        "text pair",
+        "not utf-8",
+    ],
 )
-def test_rejects_a_malformed_gate_file(capsys, tmp_path, text, message):
+def test_rejects_a_malformed_gate_file(capsys, tmp_path, content, error, message):
     path = tmp_path / "gate.json"
-    path.write_text(text)
+    path.write_bytes(content)
     code, out, err = run(capsys, "coords", str(path))
     assert code == 1 and out == ""
     payload = json.loads(err)["error"]
-    assert payload["type"] == "InvalidInputError" and message in payload["message"]
+    assert payload["type"] == error and message in payload["message"]
 
 
 def test_unknown_gate_name(capsys):
@@ -208,10 +246,10 @@ def test_coords_of_a_negative_cu_angle(capsys):
     ],
 )
 def test_exit_code_by_error_class(capsys, monkeypatch, error, code):
-    def fail(args):
+    def fail(gate):
         raise error("boom")
 
-    monkeypatch.setattr(cli, "_cmd_coords", fail)
+    monkeypatch.setattr(cli, "gate_coords", fail)
     got, out, err = run(capsys, "coords", "cnot")
     assert got == code and out == ""
     assert json.loads(err) == {"error": {"type": error.__name__, "message": "boom"}}

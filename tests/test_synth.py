@@ -175,6 +175,26 @@ def test_fundamental_period_incommensurate():
     assert fundamental_period(HamiltonianSpec.exchange(1.0, np.sqrt(2.0))) is None
 
 
+def test_period_kept_only_if_the_flow_is_local_there(monkeypatch):
+    # The candidate T = π·q/ref passes the commensurability test; the final
+    # locality test on U(T) is what decides.  Read U(T) as not local, and
+    # there is no period and no period shift.  Each call takes a fresh spec,
+    # as a spec keeps its period once derived.
+    locals_ = synthesize(named_gate("cnot"), HamiltonianSpec.isotropic()).locals
+
+    def negative_plan():
+        return CircuitPlan(locals_, (-1.0, 0.5, 0.0), HamiltonianSpec.isotropic())
+
+    def not_local(u):
+        return np.full(np.shape(u)[:-2], np.nan + 0j)
+
+    assert fundamental_period(HamiltonianSpec.isotropic()) is not None
+    assert with_nonnegative_times(negative_plan()) is not None
+    monkeypatch.setattr("weylgate.synth._m_scalar", not_local)
+    assert fundamental_period(HamiltonianSpec.isotropic()) is None
+    assert with_nonnegative_times(negative_plan()) is None
+
+
 def test_nonnegative_rewrite():
     rng = np.random.default_rng(73)
     spec = HamiltonianSpec.isotropic()

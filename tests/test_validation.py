@@ -120,6 +120,8 @@ BAD_COORDS = {
     "text": (["1", "0", "0"], InvalidInputError),
     "complex": ([1j, 0, 0], InvalidInputError),
     "complex array": (np.array([1 + 1j, 0, 0]), InvalidInputError),
+    # Numbers all, so only the cast to float refuses them.
+    "complex object": (np.array([1j, 0, 0], dtype=object), InvalidInputError),
     "object": (_with_object([1.0, 0.0, 0.0], 0, [1, 0]), InvalidInputError),
     "ragged": ([[1.0, 2.0], 3.0], InvalidInputError),
     "bool": ([True, False, False], InvalidInputError),
