@@ -1,6 +1,11 @@
 """Lie-algebra layer: su(4) product-operator basis, Cartan splitting, the
 reflection gates that generate the Weyl-group action on canonical
 coordinates, and the fold that reduces coordinates to the chamber by it.
+The fold comes in two functions with the same moves and constants:
+``_fold`` also yields the Weyl-group element P and the π-translation n,
+which only the KAK factors read, so it runs on a gate's record alone;
+``_fold_image`` yields the image alone, for canonicalize, trajectories and
+stacked coordinates.
 
 Conventions
 -----------
@@ -321,6 +326,14 @@ _WEYL_ACTIONS, _WEYL_GATES = _weyl_group()
 
 # ---------------------------------------------------------------------------
 # The fold: the Weyl group's reduction of coordinates to the chamber
+#
+# Two functions make the same moves with the same constants.  _fold carries
+# the Weyl-group element P and the π-translation n through them, which only
+# the KAK factors need, so it runs on a gate's record alone (_Gate.fold, which
+# gate_coords and kak_decompose share).  _fold_image moves the coordinates
+# alone and returns _fold's image bit for bit, sign of zero included: every
+# caller that reads neither P nor n uses it (canonicalize, and the stacked
+# coordinates of a trajectory or of a stack of gates).
 
 TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule
 _TOL_CHAMBER = 1e-12  # slack for the closed chamber inequalities
@@ -337,7 +350,10 @@ _ELEMENT[(_WEYL_ACTIONS @ _CODE @ _CODE_KEY).astype(np.intp)] = np.arange(len(_W
 # leaves each coordinate in [0, π] (no exception was found below |c| = 1e11;
 # far past it, rounding can leave one just above π), and each branch's own
 # test then puts the axes it negates in [-π, 0): their mod π is + π with
-# n + 1, which S adds, as the subtraction of -π would.
+# n + 1, which S adds, as the subtraction of -π would.  No move makes a -0.0:
+# c - n·π is -0.0 only if c is -0.0 and n·π is 0.0, yet floor keeps the sign
+# of c / π, and each move adds a shift of 0.0 or π.  So an image never holds
+# a -0.0, and the two folds agree in the sign of zero with no fix-up.
 _REFLECT_SUM = WEYL_REFLECTIONS["c1+c2"].action.T
 _REFLECT_SHIFT = np.array([[[np.pi, np.pi, 0.0]], [[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]]])
 _BASE_MIRROR = _frame("c1-c3", "c1+c3")[1].T
@@ -377,9 +393,27 @@ def _fold(c):
         y = x @ _BASE_MIRROR + _MIRROR_SHIFT  # -> (π-c1, c2, -c3), as π/2 < c1 ≤ π
         x = np.where(m[:, None], _sort(y, offsets), x)
     p = _ELEMENT[(x[1] @ _CODE_KEY).astype(np.intp)]
-    image = x[0] + 0.0  # + 0.0 turns -0.0 into 0.0
     shape = lead + (3,)
-    return image.reshape(shape), p.reshape(lead), x[2].astype(np.intp).reshape(shape)
+    return x[0].reshape(shape), p.reshape(lead), x[2].astype(np.intp).reshape(shape)
+
+
+def _fold_image(c):
+    """_fold(c)[0] alone, bit for bit: the same moves on a stack (..., 3) of
+    coordinate triples, with no element or translation carried through
+    them.  np.sort stands in for the stable sort: they differ only in the
+    order of equal coordinates, and with no -0.0 about, equal coordinates
+    are equal bit for bit."""
+    x = c - np.floor(c / np.pi) * np.pi  # each coordinate mod π, as _fold forms it
+    x = np.sort(x, axis=-1)[..., ::-1]
+    m = x[..., 0] + x[..., 1] > np.pi
+    if m.any():
+        y = x @ _REFLECT_SUM + _REFLECT_SHIFT[0, 0]
+        x = np.where(m[..., None], np.sort(y, axis=-1)[..., ::-1], x)
+    m = (x[..., 2] <= TOL_BASE) & (x[..., 0] > np.pi / 2 + _TOL_CHAMBER)
+    if m.any():
+        y = x @ _BASE_MIRROR + _MIRROR_SHIFT[0, 0]
+        x = np.where(m[..., None], np.sort(y, axis=-1)[..., ::-1], x)
+    return x
 
 
 def _sort(x, offsets):

@@ -17,7 +17,10 @@ c3 = 0 face this identifies [c1, c2, 0] with [π-c1, c2, 0].  The fold
 whole stack of triples at once, by one fixed sequence of these moves per
 triple, and reports their composite as one Weyl-group element P (a signed
 permutation with an even number of sign flips) and one integer
-translation n: image = P·c + π·n.
+translation n: image = P·c + π·n.  P and n are derived only on a gate's
+record, where kak_decompose reads them and gate_coords the image of the
+same fold; canonicalize, trajectory and stacked coordinates read the image
+alone (``cartan._fold_image``, the same moves without P and n).
 
 Named reference points in the chamber (useful constants)::
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cartan import _PATTERN, _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold
+from .cartan import _PATTERN, _TOL_CHAMBER, _WEYL_ACTIONS, MAGIC, PAULIS, Q_DAG, TOL_BASE, _fold_image
 from .errors import InvalidInputError, VerificationError
 from .invariants import _g_from_coords, _Gate, _gate
 from .linalg import _as_instance, _as_tol, _as_triple, _finite_math
@@ -120,7 +123,7 @@ def canonicalize(c) -> np.ndarray:
     A coordinate with |c_j| ≥ 2^53 raises InvalidInputError: from there on
     neighboring floats are 2 or more apart, and c_j mod π is meaningless.
     """
-    return _chamber_point(_fold(_mod_pi_triple(c))[0])
+    return _chamber_point(_fold_image(_mod_pi_triple(c)))
 
 
 def _mod_pi_triple(c) -> np.ndarray:
@@ -161,7 +164,8 @@ def gate_coords(u) -> np.ndarray:
         If the closed-form invariants of the result are farther than
         1e-8 from the gate's own invariants.
     """
-    return _verified(_gate(u))[0]
+    g = _gate(u)
+    return _verified(g, g.fold[0])[0]
 
 
 def _gate_coords(u, raw=None):
@@ -175,11 +179,12 @@ def _gate_coords(u, raw=None):
     the check, is read from its gate's spectrum instead, on those rows alone.
     """
     if raw is None:
-        return _verified(_Gate(u))
+        g = _Gate(u)
+        return _verified(g, _fold_image(g.raw))
     near = np.abs(raw).max(-1) <= _FOLD_REACH  # an inf is beyond it
     if not near.all():
         raw = np.where(near[:, None], raw, 0.0)
-    c = _chamber_point(_fold(raw)[0])
+    c = _chamber_point(_fold_image(raw))
     g1, g2c = _Gate(u).invariant_pair
     redo = ~near | (_miss(c, g1, g2c) > _TOL_VERIFY)
     if redo.any():
@@ -187,10 +192,11 @@ def _gate_coords(u, raw=None):
     return c, (g1, g2c)
 
 
-def _verified(g: _Gate):
-    """A record's chamber points and its (g1, complex g2); raises VerificationError
-    when a point's closed-form invariants miss the gate's by > _TOL_VERIFY."""
-    c = _chamber_point(g.fold[0])
+def _verified(g: _Gate, image):
+    """The chamber points of ``image``, the fold of a record's raw coordinates,
+    and the record's (g1, complex g2); raises VerificationError when a point's
+    closed-form invariants miss the gate's by > _TOL_VERIFY."""
+    c = _chamber_point(image)
     g1, g2c = g.invariant_pair
     dist = _miss(c, g1, g2c)
     if (dist > _TOL_VERIFY).any():

@@ -150,7 +150,11 @@ def _cmd_entangle_input(args) -> dict:
 def _cmd_trajectory(args) -> dict | str:
     spec = parse_hamiltonian(args.hamiltonian)
     t_max = _as_real(args.t_max, "--t-max")  # linspace would warn on an infinite end
-    times = np.linspace(0.0, t_max, _as_count(args.steps, "--steps", 0))
+    n = _as_count(args.steps, "--steps", 0)
+    try:
+        times = np.linspace(0.0, t_max, n)
+    except (ValueError, MemoryError, IndexError) as exc:  # IndexError: NumPy 2.4 on a count ≥ 2^63
+        raise InvalidInputError(f"--steps {n} is more points than one grid can hold") from exc
     table = trajectory(spec, times)
     columns = (table.t, table.coords, table.g1, table.g2, table.is_pe)
     rows = list(zip(*(column.tolist() for column in columns)))

@@ -186,7 +186,9 @@ class _Gate:
     of them, derived once: U_B = Q†·U·Q, m(U) = U_Bᵀ·U_B and det U, and, on
     first use, the invariant pair (g1, complex g2), α = arg(det U)/4, the
     spectrum of m(U) and the fold of its raw coordinates into the chamber,
-    as (image, p, n) (see ``cartan._fold``).
+    as (image, p, n) (see ``cartan._fold``), which gate_coords and
+    kak_decompose share.  A stack reads no KAK: its coordinates fold
+    ``raw`` alone (``cartan._fold_image``), and ``fold`` is left underived.
 
     Every array is read-only, so readers hand out copies.  A lazy part that
     raises is not kept: it is derived again on the next use.
@@ -216,9 +218,14 @@ class _Gate:
         _read_only(s.theta, s.theta_balanced, s.frame)
         return s
 
+    @property
+    def raw(self) -> np.ndarray:
+        """The raw coordinates of the spectrum (``cartan._raw_coords``), which the folds reduce."""
+        return _raw_coords(self.spectrum.theta_balanced)
+
     @_lazy
     def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _read_only(*_fold(_raw_coords(self.spectrum.theta_balanced)))
+        return _read_only(*_fold(self.raw))
 
 
 def _keep(record, derive):

@@ -108,6 +108,16 @@ def test_trajectory_rejects_an_empty_field(capsys):
     assert payload["type"] == "InvalidInputError" and "empty" in payload["message"]
 
 
+# NumPy refuses each of these counts before it allocates anything; a count
+# NumPy would try to allocate has no place here.
+@pytest.mark.parametrize("steps", [10**20, 2**62, 2**63], ids=["1e20", "2^62", "2^63"])
+def test_trajectory_rejects_a_grid_too_large_to_build(capsys, steps):
+    code, out, err = run(capsys, "trajectory", "isotropic", "--steps", str(steps))
+    assert code == 1 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "InvalidInputError" and f"--steps {steps}" in payload["message"]
+
+
 def test_synth_cnot(capsys):
     doc = run_json(capsys, "synth", "cnot", "isotropic")
     assert doc["residual"] < 1e-8

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import weylgate as wg
 from conftest import assert_same_chamber_point
@@ -139,6 +139,9 @@ def test_fold_rows():
     image, p, n = wg.cartan._fold(CORPUS["fold_in"])
     assert_allclose(image, CORPUS["fold_image"], rtol=0.0, atol=1e-12)
     assert (p == CORPUS["fold_p"]).all() and (n == CORPUS["fold_n"]).all()
+    alone = wg.cartan._fold_image(CORPUS["fold_in"])  # the image bit for bit, sign of zero included
+    assert_array_equal(alone, image)
+    assert_array_equal(np.signbit(alone), np.signbit(image))
 
 
 @pytest.mark.parametrize("k, kind", list(enumerate(FLOWS)))

@@ -42,7 +42,7 @@ from weylgate import (
     pe_from_coords,
     weyl_orbit,
 )
-from weylgate.cartan import _WEYL_ACTIONS, _WEYL_GATES, MAGIC
+from weylgate.cartan import _WEYL_ACTIONS, _WEYL_GATES, MAGIC, _fold, _fold_image
 from weylgate.chamber import (
     _TOL_CHAMBER,
     TOL_BASE,
@@ -52,7 +52,6 @@ from weylgate.chamber import (
     VERTEX_N,
     VERTEX_P,
     VERTEX_Q,
-    _fold,
 )
 from weylgate.entangler import TOL_HULL
 from weylgate.invariants import _raw_coords
@@ -232,6 +231,9 @@ def test_fold_constant_on_orbit(c):
 def test_stacked_fold_matches_reference(c):
     image, p, n = _fold(c)
     assert image.shape == n.shape == c.shape and p.shape == c.shape[:-1]
+    alone = _fold_image(c)  # the image bit for bit, sign of zero included
+    assert_array_equal(alone, image)
+    assert_array_equal(np.signbit(alone), np.signbit(image))
     for row, got in zip(c.reshape(-1, 3), image.reshape(-1, 3)):
         ref, _ = _reference_fold(row)
         assert_array_equal(got, ref)
