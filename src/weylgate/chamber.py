@@ -20,7 +20,10 @@ permutation with an even number of sign flips) and one integer
 translation n: image = P·c + π·n.  P and n are derived only on a gate's
 record, where kak_decompose reads them and gate_coords the image of the
 same fold; canonicalize, trajectory and stacked coordinates read the image
-alone (``cartan._fold_image``, the same moves without P and n).
+alone (``cartan._fold_image``, the same moves without P and n).  Every
+gate's coordinates here are read from its spectrum and checked against its
+invariants; only ``hamflow.trajectory`` folds known raw coordinates t·c,
+on rows whose error it has bounded in advance, and forms no gate for them.
 
 Named reference points in the chamber (useful constants)::
 
@@ -52,11 +55,6 @@ __all__ = [
 ]
 
 _TOL_VERIFY = 1e-8  # how far _verified lets coordinates miss the gate's invariants
-# The largest |raw coordinate| _gate_coords folds.  The closed-form triple and
-# the gate's spectrum each round by about |c|·ε, so their points drift apart as
-# |c| grows (7e-11 at 1e5, measured on the two-body flows); past this the
-# spectrum decides, as it does for every gate whose raw coordinates are not known.
-_FOLD_REACH = 1e5
 # From 2^53 on, neighboring floats are 2 or more apart, so c mod π carries no
 # information: canonicalize and weyl_orbit refuse a coordinate this large.
 _MOD_PI_REACH = 2.0**53
@@ -168,28 +166,12 @@ def gate_coords(u) -> np.ndarray:
     return _verified(g, g.fold[0])[0]
 
 
-def _gate_coords(u, raw=None):
+def _gate_coords(u):
     """gate_coords' core over a stack (..., 4, 4) of checked gates, on a fresh
-    record: the coordinates (..., 3) and the (g1, complex g2) they were checked against.
-
-    ``raw``, given for a stack (N, 4, 4), holds the gates' raw coordinates
-    (N, 3) where they are known in closed form: a row is then folded from
-    raw, with no spectrum, and checked against its gate's invariants as
-    _verified checks it.  A row beyond _FOLD_REACH, or whose point misses
-    the check, is read from its gate's spectrum instead, on those rows alone.
-    """
-    if raw is None:
-        g = _Gate(u)
-        return _verified(g, _fold_image(g.raw))
-    near = np.abs(raw).max(-1) <= _FOLD_REACH  # an inf is beyond it
-    if not near.all():
-        raw = np.where(near[:, None], raw, 0.0)
-    c = _chamber_point(_fold_image(raw))
-    g1, g2c = _Gate(u).invariant_pair
-    redo = ~near | (_miss(c, g1, g2c) > _TOL_VERIFY)
-    if redo.any():
-        c[redo] = _gate_coords(u[redo])[0]
-    return c, (g1, g2c)
+    record: the coordinates (..., 3), read from the spectrum, and the
+    (g1, complex g2) they were checked against."""
+    g = _Gate(u)
+    return _verified(g, _fold_image(g.raw))
 
 
 def _verified(g: _Gate, image):

@@ -12,10 +12,14 @@ what synthesis derives from them, ``synth`` keeps on the same record.
 ``trajectory`` takes a coordinate path per coupling.  A purely two-body H
 (up to identity) has a local k with k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2,
 so U(t) is locally equivalent to A(t·c): its chamber point is the fold of
-the line t·c, read with no spectrum and checked against the invariants of
-U(t).  A time that misses that check, or whose t·c is too large to fold,
-and every time of a coupling with single-qubit terms (josephson), are read
-from the spectrum of m(U(t)).
+the line t·c.  One certificate per coupling, measured once and kept by its
+generator record, bounds how far a row's closed form can miss the
+invariants of the exact U(t): |t|·slope + _FLOOR.  A row whose bound is at
+most 1e-8, the bound gate_coords checks, is the fold of t·c with the
+closed-form invariants of its point and g2_imag_residual 0, and no U(t) is
+formed for it.  Every other time, and every time of a coupling with
+single-qubit terms (josephson), forms U(t) and is read from the spectrum of
+m(U(t)).
 
 Supported kinds
 ---------------
@@ -34,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import _WORDS, CartanTarget, _conjugate, cartan_element
-from .chamber import _gate_coords
+from .cartan import _PATTERN, _WORDS, MAGIC, TOL_BASE, CartanTarget, _conjugate, _fold_image, cartan_element
+from .chamber import _TOL_VERIFY, _chamber_point, _gate_coords
 from .entangler import _in_pe
 from .errors import ConvergenceError, InvalidInputError, NotNonlocalError
-from .invariants import LocalInvariants, _Gate, _invariants_of, _lazy
-from .linalg import _as_array, _as_instance, _as_real, _finite_math, _flow, check_hermitian
+from .invariants import LocalInvariants, _g_from_coords, _Gate, _invariants_of, _lazy
+from .linalg import _as_array, _as_instance, _as_real, _finite_math, _flow, _frobenius, check_hermitian
 
 __all__ = [
     "HamiltonianSpec",
@@ -56,6 +60,22 @@ __all__ = [
 ]
 
 _K_MAX = 8  # the largest k of the odd quarter-period counts 2k+1 josephson_cnot_min_time searches
+
+# The certificate of a two-body trajectory row: its closed-form invariants
+# lie within |t|·slope + _FLOOR of those of the exact U(t), with one slope
+# per coupling.  _Generator.slope derives these constants.
+_L = 12.65  # ≥ 4·√10: invariant distance per unit of spectral distance between gates
+_ROUND_LINE = 1.35e-16  # per unit of |t|·‖c‖₁: half the rounding of t·c and of its fold
+_ROUND_FOLD = 2.8e-15  # half the rounding of the fold that does not grow with |t|
+_FLOOR = _L * _ROUND_FOLD + TOL_BASE + 1e-13  # and the base mirror's sign, and the closed form's rounding
+# The Cartan form's residual is formed in long double: a 64-bit significand
+# on x86, and double where the platform has no wider type; the unit roundoff
+# enters the residual's rounding term.  √2·Q has the entries 0, ±1 and ±i,
+# so Q†·X·Q = (√2·Q)†·X·(√2·Q)/2 rounds nothing but the sums.
+_U_LONG = float(np.finfo(np.longdouble).eps) / 2
+_SQ = np.round(np.sqrt(2.0) * MAGIC).astype(np.clongdouble)
+_SQ_H = _SQ.conj().T
+_EYE_LONG = np.eye(4, dtype=np.longdouble)
 
 
 @dataclass(frozen=True)
@@ -131,7 +151,8 @@ class _Generator:
     """What flows need of one checked Hamiltonian h, which depends on the
     coupling alone and not on any target: the flow t ↦ exp(i·h·t),
     diagonalized once as U(t) = V·e^{i·w·t}·V†, with its eigenpair
-    (w, V, V†), and, derived on first use, the Cartan conjugation.
+    (w, V, V†), and, derived on first use, the Cartan conjugation and the
+    certificate of trajectory rows (``slope`` and ``reach``).
 
     An h with single-qubit terms has no Cartan form: ``two_body`` keeps
     None for it, and ``cartan`` raises NotNonlocalError on every use.
@@ -154,6 +175,87 @@ class _Generator:
     def cartan(self) -> CartanTarget:
         # _conjugate raises NotNonlocalError again, with its message
         return self.two_body or _conjugate(self.h)
+
+    @_lazy
+    def reach(self) -> float:
+        """The largest |t| whose trajectory row the certificate covers, where
+        |t|·slope + _FLOOR meets _TOL_VERIFY; -inf for an h with
+        single-qubit terms, whose rows all read the spectrum."""
+        if self.two_body is None:
+            return -np.inf
+        # A slope that underflows to 0 reaches every time: what it lost,
+        # below 1e-307, times any |t| < 1.8e308 is below 1e-15.
+        return (_TOL_VERIFY - _FLOOR) / self.slope if self.slope else np.inf
+
+    @_lazy
+    def slope(self) -> float:
+        """How fast the certified bound on a two-body row's invariants grows
+        with |t|: the closed form of the row's point misses the invariants of
+        the exact U(t) = exp(i·h·t) by at most |t|·slope + _FLOOR.
+
+        Let k·h·k† = A_H(c) + e0·I be the Cartan form, A_H(c) =
+        (c1 σxσx + c2 σyσy + c3 σzσz)/2, k̃ an exactly unitary local gate
+        near k, and B = e0·I + k̃†·A_H(c)·k̃, so that exp(i·B·t) is locally
+        equivalent to A(t·c), with the invariants G(t·c) of its closed form.
+        With δ ≥ ‖h − B‖₂, the row at t is bounded in four steps:
+
+        1. ‖exp(i·h·t) - exp(i·B·t)‖₂ ≤ |t|·δ (Duhamel's formula; Higham,
+           *Functions of Matrices*, SIAM 2008, ch. 10).
+        2. L: for gates U and V with V†·U = exp(i·X), move V to U along
+           V·exp(i·s·X), s from 0 to 1.  The phase part of X moves no
+           invariant, so with X₀ = X - tr(X)/4 and X₀ in the magic basis,
+           dg1 = (i/4)·tr(m)·tr(m·X₀)/det U·ds and
+           dg2 = i·tr((tr(m)·m - m²)·X₀)/det U·ds.  As m is unitary,
+           |tr m| ≤ 4, ‖tr(m)·m - m²‖₂ = max_j |tr(m) - λ_j(m)| ≤ 3, and
+           |tr(M·X₀)| ≤ ‖M‖₂·‖X₀‖_* ≤ 4·‖M‖₂·‖X‖₂, so the invariants move
+           by at most √(4² + 12²)·‖X‖₂ = 4√10·‖X‖₂, and ‖X‖₂ =
+           2·asin(‖U - V‖₂/2).  _L = 12.65 covers 4√10 = 12.6491 and the
+           asin, for ‖U - V‖₂ ≤ 0.01.
+        3. The allowance: the row's point is the fold of fl(t·c), and each
+           rounding moves it off an exact symmetry image of t·c.  fl(t·c_j)
+           by u·|t·c_j|, u = 2^-53; each mod π by 8u + |n_j|·(u·π + |fl(π) - π|),
+           with |n_j| ≤ |t·c_j|/3 + 1 multiples of π taken off; the
+           reflection and the base mirror by u·π + |fl(π) - π| on at most
+           three coordinates.  In all, with |fl(π) - π| = 1.2246e-16,
+           ‖Δc‖₁ ≤ |t|·‖c‖₁·2.681e-16 + 5.49e-15, and A(c)'s phases are
+           _PATTERN·c/2, so the canonical gates of the two points lie
+           ‖Δc‖₁/2 apart: |t|·‖c‖₁·_ROUND_LINE + _ROUND_FOLD.
+        4. The chamber point takes magnitudes: a mirrored c3 in
+           [-TOL_BASE, 0] changes sign, which conjugates g1 and moves it by
+           at most |c3| ≤ TOL_BASE.  The closed form's own rounding, with
+           sin and cos within 4 ulp, is below 1e-13.
+
+        So the row misses by at most L·(|t|·δ + |t|·‖c‖₁·_ROUND_LINE +
+        _ROUND_FOLD) + TOL_BASE + 1e-13 = |t|·slope + _FLOOR, with slope =
+        L·(δ + ‖c‖₁·_ROUND_LINE).
+
+        δ is measured here, in the magic basis Q: with K = Q†·k·Q, S =
+        Q†·h·Q and Λ = diag(_PATTERN·c)/2 = Q†·A_H(c)·Q, the local gate
+        k̃ = Q·polar(Re K)·Q† lies within ξ = ‖Im K‖_F + ‖Re Kᵀ·Re K - I‖_F
+        of k, so δ = ‖S - e0·I - K†·Λ·K‖_F + ‖Λ‖₂·ξ·(2 + ξ) + rounding.  It
+        holds k's orthogonality defect and h's single-qubit part, which
+        _conjugate drops below a norm of 1e-9.  h is first scaled by a power of
+        two, 2^-e, to max |h_ij| in [1/2, 1), so nothing underflows
+        (josephson at E_L = 1e-200).  The residual and ξ are formed in long
+        double, unit roundoff u_L (2^-64 on x86).  By Higham's γ_n bounds (*Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 3), with complex
+        products within √2·γ_2 and ‖h‖_F ≤ 4, ‖K‖_F ≤ 2 + ξ in these units,
+        their rounding is below 32·u_L + 208·u_L·‖Λ‖₂·(1 + ξ/2)²: the term
+        256·u_L·(1 + ‖Λ‖₂·(1 + ξ)²) covers it, and a factor 1 + 32·u_L the
+        norms' own.
+        """
+        target = self.two_body
+        e = int(np.frexp(np.abs(self.h).max())[1])
+        lam = _PATTERN @ np.ldexp(target.coeffs, -e).astype(np.longdouble) / 2.0
+        h = np.ldexp(self.h.view(float), -e).view(complex)
+        s, kb = _SQ_H @ np.array([h, target.k]) @ _SQ / 2.0
+        top = np.abs(lam).max()
+        r = s - s.trace().real / 4.0 * _EYE_LONG - kb.conj().T @ (lam[:, None] * kb)
+        ore = kb.real
+        xi = _frobenius(kb.imag) + _frobenius(ore.T @ ore - _EYE_LONG)
+        rounding = 256.0 * _U_LONG * (1.0 + top * (1.0 + xi) ** 2)
+        delta = (_frobenius(r.view(np.longdouble)) + top * xi * (2.0 + xi) + rounding) * (1.0 + 32.0 * _U_LONG)
+        return _L * (float(np.ldexp(delta, e)) + float(np.abs(target.coeffs).sum()) * _ROUND_LINE)
 
 
 def _as_spec(spec) -> HamiltonianSpec:
@@ -205,7 +307,9 @@ class TrajectorySample:
 class Trajectory:
     """A trajectory as columns, one row per time: ``t`` (N), ``coords``
     (N, 3), ``g1`` (N, complex), ``g2`` (N), ``g2_imag_residual`` (N) and
-    ``is_pe`` (N, bool).
+    ``is_pe`` (N, bool).  A row that ``trajectory`` certified in closed form
+    has the closed-form g1 and g2 of its coordinates and g2_imag_residual 0;
+    a row read from the spectrum has U(t)'s own.
 
     It reads as the sequence of its rows: ``table[i]`` builds each
     ``TrajectorySample`` when it is read, with built-in scalars and
@@ -241,24 +345,36 @@ def trajectory(spec, times) -> Trajectory:
     (a 1-D sequence of finite reals, else InvalidInputError), all times in
     one stacked pass, as a ``Trajectory`` table with one row per time.
 
-    U(t) is formed at every time, and its invariants are read from m(U(t)).
     A two-body coupling, k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2 up to
-    identity, makes U(t) locally equivalent to A(t·c), so its coordinates
-    are the fold of t·c, with no spectrum; each is checked against the
-    invariants of U(t) within 1e-8, and a time whose t·c misses the check
-    or lies beyond the fold's reach (|t·c_j| > 1e5) is read from the
-    spectrum of m(U(t)) instead.  A coupling with single-qubit terms reads
-    every time from the spectrum.
+    identity, makes U(t) locally equivalent to A(t·c).  A row whose
+    certified bound, |t|·slope + _FLOOR with one slope per coupling (see
+    ``_Generator.slope``), is at most 1e-8, the bound gate_coords checks,
+    is the fold of t·c: g1 and g2 are the closed form of its point,
+    g2_imag_residual is 0, and no U(t) is formed.  Every other row, and
+    every row of a coupling with single-qubit terms (josephson), forms
+    U(t) and is read from the spectrum of m(U(t)), with U(t)'s invariants.
     """
     g = _generator(spec)
     times = _as_array(times, (None,), "times", InvalidInputError, float)
-    raw = None
-    if g.two_body is not None:
-        with np.errstate(over="ignore"):  # an inf is beyond the fold's reach
-            raw = times[:, None] * g.two_body.coeffs
-    coords, (g1, g2c) = _gate_coords(g.flow(times[:, None, None]), raw)
-    # The stack record's pair is read-only: the table takes its own copies.
+    near = np.abs(times) <= g.reach
+    if not near.any():
+        coords, (g1, g2c) = _gate_coords(g.flow(times[:, None, None]))
+    elif near.all():
+        coords, (g1, g2c) = _folded(g, times)
+    else:
+        coords, g1, g2c = np.empty((len(times), 3)), np.empty(len(times), complex), np.empty(len(times), complex)
+        coords[near], (g1[near], g2c[near]) = _folded(g, times[near])
+        far = ~near
+        coords[far], (g1[far], g2c[far]) = _gate_coords(g.flow(times[far, None, None]))
+    # A stack record's pair is read-only: the table takes its own copies.
     return Trajectory(times, coords, g1.copy(), g2c.real.copy(), np.abs(g2c.imag), _in_pe(coords))
+
+
+def _folded(g: _Generator, times):
+    """The certified rows of a two-body coupling: the chamber points of t·c
+    and their closed-form (g1, g2)."""
+    coords = _chamber_point(_fold_image(times[:, None] * g.two_body.coeffs))
+    return coords, _g_from_coords(coords)
 
 
 @_finite_math

@@ -15,9 +15,9 @@ functions check their gate or Hamiltonian arguments once (a spec by one
 ``realize`` per spec object), and ``_``-prefixed cores take checked arrays
 and never check again.  The cores here and above them (spectrum,
 invariants, coordinates) take a stack ``(..., 4, 4)``, so ``trajectory``
-forms U(t) for all its times in one NumPy pass and reads their coordinates
-as a stack: the fold of t·c for a two-body coupling, and the spectrum for
-the other couplings and for the rows the fold cannot answer (see
+reads its rows as stacks: the fold of t·c, with no U(t), for the rows of a
+two-body coupling that its certificate covers, and for every other row the
+spectrum of U(t), formed for all of them in one NumPy pass (see
 ``hamflow``).  Both a single gate and a stack are read through one
 derivation record (``invariants._Gate``): public
 single-gate functions take their gate's record from a small memo keyed by

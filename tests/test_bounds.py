@@ -1,9 +1,12 @@
 """Each self-check of the one-gate analysis chain, of synthesis and of the
-Josephson CNOT search, pinned at its bound.
+Josephson CNOT search, and the certificate of two-body trajectory rows,
+pinned at its bound.
 
 A perturbation of the checked quantity is injected, through a monkeypatched
 core or an edited derivation record, at (1 + 1e-6)× the bound, where the
 typed error must be raised, and at (1 - 1e-6)×, where the call must pass.
+The certificate is met by a row's time instead: past its bound the row
+reads the spectrum, and inside it the closed form.
 The gap, 1e-6 of the bound, is far above the rounding of each injected
 quantity, so a bound loosened or tightened by more than that fails here.
 ``tools/mutants.py`` loosens each bound in a copy of the sources and runs
@@ -138,6 +141,28 @@ def test_factor_local_residual_bound(monkeypatch, factor):
 def test_gate_coords_verify_bound(monkeypatch, factor):
     monkeypatch.setattr(chamber, "_miss", lambda c, g1, g2c: np.full(c.shape[:-1], factor * chamber._TOL_VERIFY))
     _outcome(factor, VerificationError, lambda: gate_coords(rand_u4(np.random.default_rng(12))))
+
+
+@FACTORS
+def test_trajectory_certificate_bound(spy, factor):
+    # One row's time puts its certified bound, |t|·slope + _FLOOR, at
+    # factor·_TOL_VERIFY; every other row's bound is below 1e-9.  Past the
+    # bound that row alone forms U(t) and reads its spectrum; inside it,
+    # every row is the closed form of t·c.
+    spec = HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0)
+    g = spec._generator
+    row = 3
+    times = np.array([0.1, 0.7, -1.5, 0.0, 2.0])
+    times[row] = (factor * chamber._TOL_VERIFY - hamflow._FLOOR) / g.slope
+    calls = spy("_simdiag")
+    table = hamflow.trajectory(spec, times)
+    folded = hamflow._folded(g, times)[0]
+    if factor > 1:
+        assert calls["_simdiag"] == [(1, 4, 4)]
+        folded[row] = chamber._gate_coords(g.flow(times[row]))[0]
+    else:
+        assert calls["_simdiag"] == []
+    np.testing.assert_array_equal(table.coords, folded)
 
 
 @FACTORS

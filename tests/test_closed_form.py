@@ -1,24 +1,30 @@
 """Two-body flows in closed form: ``trajectory`` folds t·c instead of reading
-the spectrum of m(U(t)), and agrees with the spectrum path.
+the spectrum of m(U(t)), on every row its certificate covers, and agrees with
+the spectrum path.
 
-The spectrum path is ``_gate_coords`` of the same stack of U(t), with no raw
-coordinates.  Coordinates agree within 1e-12, or are exactly the base mirror
-where c3 lands at TOL_BASE; the PE verdicts agree; the invariants are bit
-for bit the same, since both paths read them from U(t).  Times whose t·c lies
-beyond the fold's reach are read from the spectrum, bit for bit.
+The spectrum path is ``_gate_coords`` of the same stack of U(t).  A row is
+certified when its bound, |t|·slope + _FLOOR with one slope per coupling,
+is at most 1e-8: its coordinates agree with the spectrum's within 1e-12, or
+are exactly the base mirror where c3 lands at TOL_BASE; its PE verdict
+agrees; its g1 and g2 are the closed form of its own point, bit for bit,
+with no imaginary residual, and lie within its certified bound of U(t)'s.
+Every other row, times far beyond the reach among them, is read from the
+spectrum: coordinates and invariants bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 
 import weylgate as wg
 from conftest import BAD_TIMES, PI, PROPERTY, TWO_BODY, assert_same_chamber_point
-from weylgate import HamiltonianSpec, LocalInvariants, NotNonlocalError, chamber
-from weylgate.cartan import _WORDS, TOL_BASE, assemble_nonlocal, cartan_element
+from weylgate import HamiltonianSpec, NotNonlocalError, hamflow
+from weylgate.cartan import _WORDS, TOL_BASE, _split, assemble_nonlocal, cartan_element
 from weylgate.chamber import _TOL_VERIFY, _gate_coords
 from weylgate.entangler import _in_pe
+from weylgate.invariants import _g_from_coords
 
 
 def _custom(coeffs, e0=0.0, local=None):
@@ -30,16 +36,33 @@ def _custom(coeffs, e0=0.0, local=None):
     return HamiltonianSpec.custom(h)
 
 
+def _bound(g, times):
+    """The certified bound of each row of a two-body coupling's generator record ``g``."""
+    return np.abs(times) * g.slope + hamflow._FLOOR
+
+
 def _assert_paths_agree(spec, times):
+    """The certified rows against the spectrum path; returns how many there are."""
     times = np.asarray(times, dtype=float)
-    samples = wg.trajectory(spec, times)
-    ref, (g1, g2c) = _gate_coords(spec._generator.flow(times[:, None, None]))
-    assert len(samples) == len(times)
-    for s, t, c, pe, a, b in zip(samples, times, ref, _in_pe(ref), g1, g2c):
-        assert s.t == t
-        assert_same_chamber_point(s.coords, c, atol=1e-12)
-        assert s.is_pe == pe
-        assert s.invariants == LocalInvariants(complex(a), float(b.real), float(abs(b.imag)))
+    table, g = wg.trajectory(spec, times), spec._generator
+    ref, (g1, g2c) = _gate_coords(g.flow(times[:, None, None]))
+    folded = np.abs(times) <= g.reach
+    assert len(table) == len(times)
+    assert_array_equal(table.t, times)
+    for got, want in zip(table.coords, ref):
+        assert_same_chamber_point(got, want, atol=1e-12)
+    assert_array_equal(table.is_pe, _in_pe(ref))
+    closed_g1, closed_g2 = _g_from_coords(table.coords[folded])
+    assert_array_equal(table.g1[folded], closed_g1)
+    assert_array_equal(table.g2[folded], closed_g2)
+    assert_array_equal(table.g2_imag_residual[folded], 0.0)
+    miss = np.hypot(np.abs(table.g1 - g1), table.g2 - g2c.real)[folded]
+    assert (miss <= _bound(g, times[folded])).all()
+    assert_array_equal(table.coords[~folded], ref[~folded])
+    assert_array_equal(table.g1[~folded], g1[~folded])
+    assert_array_equal(table.g2[~folded], g2c.real[~folded])
+    assert_array_equal(table.g2_imag_residual[~folded], np.abs(g2c.imag)[~folded])
+    return folded.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +117,34 @@ def test_closed_form_at_the_base_mirror(h):
 
 
 def test_closed_form_with_tolerated_single_qubit_terms():
-    # _conjugate drops single-qubit terms of norm up to 1e-9.
+    # _conjugate drops single-qubit terms of norm up to 1e-9, which the
+    # certificate holds: the rows past |t| ≈ 1.5 read the spectrum.
     rng = np.random.default_rng(16)
     local = rng.standard_normal(6)
     spec = _custom(rng.uniform(-1.0, 1.0, 9), 0.3, 5e-10 * local / np.linalg.norm(local))
     assert spec._generator.two_body is not None
-    _assert_paths_agree(spec, np.linspace(0.0, 2 * PI, 201))
+    assert 0 < _assert_paths_agree(spec, np.linspace(0.0, 2 * PI, 201)) < 201
+
+
+@pytest.mark.parametrize("e_l", [1e-12, 1e-200])
+def test_a_dropped_single_qubit_part_sends_its_rows_to_the_spectrum(e_l):
+    # At E_L ≤ about 1e-10 josephson's single-qubit part passes _conjugate's
+    # absolute bound, and the coupling counts as two-body.  The certificate
+    # holds that part, measured scaled: every row where L·|t| times its norm
+    # is past the bound reads the spectrum, here every row but t = 0.
+    spec = HamiltonianSpec.josephson(1.2, e_l)
+    g = spec._generator
+    assert g.two_body is not None
+    times = np.linspace(0.0, 4.0, 50) / e_l
+    local = 0.5 * np.tensordot(_split(g.h / e_l).local_coeffs, _WORDS[:6], 1)
+    dropped = e_l * np.linalg.norm(local, 2)
+    past = hamflow._L * np.abs(times) * dropped > _TOL_VERIFY
+    assert past.sum() == len(times) - 1
+    assert _assert_paths_agree(spec, times) == 1
 
 
 # ---------------------------------------------------------------------------
-# Times beyond the fold's reach
+# Times beyond the certificate's reach
 
 FAR_TIMES = [1e7, 1e8, 1e12, 1e17, 1e300, 1e308, -1e308]
 
@@ -129,40 +170,6 @@ def test_bad_times_keep_their_error(kind, bad, error):
 
 
 # ---------------------------------------------------------------------------
-# The closed-form check at its bound
-
-
-@pytest.mark.parametrize(
-    "factor, simdiags", [(1 + 1e-6, [(1, 4, 4)]), (1 - 1e-6, [])], ids=["past", "inside"]
-)
-def test_a_row_past_the_check_alone_reads_the_spectrum(monkeypatch, spy, factor, simdiags):
-    # The check of the folded points at _TOL_VERIFY: a row just past it, and
-    # only that row, is read from its gate's spectrum; just inside, none is.
-    spec, times, row = TWO_BODY["exchange"](), np.linspace(0.1, 3.0, 7), 3
-    u = spec._generator.flow(times[:, None, None])
-    folded, spectrum = wg.trajectory(spec, times), _gate_coords(u[row])[0]
-    miss = chamber._miss
-
-    def one_row_misses(c, g1, g2c):
-        d = miss(c, g1, g2c)
-        if len(d) == len(times):  # the check of the folded points
-            d[row] = _TOL_VERIFY * factor
-        return d
-
-    monkeypatch.setattr(chamber, "_miss", one_row_misses)
-    calls = spy("_simdiag")
-    table = wg.trajectory(spec, times)
-    assert calls["_simdiag"] == simdiags
-    expected = folded.coords.copy()
-    if simdiags:
-        expected[row] = spectrum
-    np.testing.assert_array_equal(table.coords, expected)
-    np.testing.assert_array_equal(table.is_pe, _in_pe(expected))
-    for column in ("t", "g1", "g2", "g2_imag_residual"):
-        np.testing.assert_array_equal(getattr(table, column), getattr(folded, column))
-
-
-# ---------------------------------------------------------------------------
 # What the closed form costs
 
 
@@ -176,6 +183,26 @@ def test_two_body_flow_reads_no_spectrum(spy, make_spec, simdiags):
     calls = spy("_simdiag")
     wg.trajectory(spec, np.linspace(-1e4, 1e4, 101))
     assert len(calls["_simdiag"]) == simdiags
+
+
+@pytest.mark.parametrize("kind", TWO_BODY)
+def test_rows_within_reach_form_no_gate(spy, kind):
+    # The spec is made under the spy, so its flow calls the spied _evolve.
+    calls = spy("_magic", "_simdiag", "_evolve")
+    spec = TWO_BODY[kind]()
+    g = spec._generator
+    assert g.reach > 1e4  # which derives the Cartan form, through a magic transform of its own
+    calls.clear()
+    wg.trajectory(spec, np.linspace(-1e4, 1e4, 101))
+    assert calls.counts() == {}
+    # Rows past the reach, and only those, form U(t) and read its spectrum.
+    times = np.array([0.5, 3.0 * g.reach, -1.0, -2.0 * g.reach, 1e4])
+    far = np.abs(times) > g.reach
+    table = wg.trajectory(spec, times)
+    assert calls.counts() == {"_magic": 1, "_simdiag": 1, "_evolve": 1}
+    assert calls["_simdiag"] == [(2, 4, 4)]
+    assert_array_equal(table.coords[far], _gate_coords(g.flow(times[far, None, None]))[0])
+    assert_array_equal(table.coords[~far], hamflow._folded(g, times[~far])[0])
 
 
 def test_no_cartan_form_is_derived_once(spy):

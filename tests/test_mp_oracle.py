@@ -23,11 +23,14 @@ perfect entanglers' witness states, taken as exact, have their Ent formed at
 
 The Hamiltonian side is checked the same way, each bound stated beside its
 check: U(t) of the corpus's five flow couplings against ``mp.expm(i·H·t)``,
+the certified closed-form rows of the two-body flows against the oracle of
+that 40-digit U(t), with the certificate's soundness on them,
 ``solve_times`` against ``mp.lu_solve`` on a slice of the corpus plans, and
 the Josephson CNOT root against ``mp.findroot`` of its 40-digit condition and
 the 40-digit invariants of exp(iHt) at the returned (α, t).
 """
 
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath as mp
@@ -35,7 +38,7 @@ import numpy as np
 import pytest
 
 import weylgate as wg
-from weylgate import chamber
+from weylgate import chamber, hamflow
 from weylgate.cartan import _TOL_CHAMBER, TOL_BASE
 from weylgate.invariants import _gate
 
@@ -83,20 +86,25 @@ def _invariants(u):
 def _oracle(u):
     """(chamber point, g1, g2, hull margin) of ``u`` at DIGITS significant digits."""
     with mp.workdps(DIGITS):
-        m, det, g1, g2 = _invariants(mp.matrix(u.tolist()))
-        # e^{-2iα}·m is m of the det-one gate e^{-iα}·U, α = arg(det U)/4.
-        scaled = mp.exp(-1j * mp.arg(det) / 2) * m
-        theta = sorted(mp.arg(z) for z in mp.eig(scaled, left=False, right=False))
-        gaps = [b - a for a, b in zip(theta, theta[1:] + [theta[0] + 2 * mp.pi])]
-        margin = mp.cos(max(gaps) / 2)
-        # Phases summing to 2πk: the k largest lose 2π, or the -k smallest gain it.
-        k = int(mp.nint(sum(theta) / (2 * mp.pi)))
-        if k > 0:
-            theta = theta[: 4 - k] + [t - 2 * mp.pi for t in theta[4 - k :]]
-        elif k < 0:
-            theta = [t + 2 * mp.pi for t in theta[:-k]] + theta[-k:]
-        raw = [(theta[0] + theta[1]) / 2, (theta[1] + theta[3]) / 2, (theta[0] + theta[3]) / 2]
-        return _fold(raw), g1, g2, margin
+        return _oracle_of(mp.matrix(u.tolist()))
+
+
+def _oracle_of(u):
+    """_oracle of an mpmath matrix ``u``, at the working precision."""
+    m, det, g1, g2 = _invariants(u)
+    # e^{-2iα}·m is m of the det-one gate e^{-iα}·U, α = arg(det U)/4.
+    scaled = mp.exp(-1j * mp.arg(det) / 2) * m
+    theta = sorted(mp.arg(z) for z in mp.eig(scaled, left=False, right=False))
+    gaps = [b - a for a, b in zip(theta, theta[1:] + [theta[0] + 2 * mp.pi])]
+    margin = mp.cos(max(gaps) / 2)
+    # Phases summing to 2πk: the k largest lose 2π, or the -k smallest gain it.
+    k = int(mp.nint(sum(theta) / (2 * mp.pi)))
+    if k > 0:
+        theta = theta[: 4 - k] + [t - 2 * mp.pi for t in theta[4 - k :]]
+    elif k < 0:
+        theta = [t + 2 * mp.pi for t in theta[:-k]] + theta[-k:]
+    raw = [(theta[0] + theta[1]) / 2, (theta[1] + theta[3]) / 2, (theta[0] + theta[3]) / 2]
+    return _fold(raw), g1, g2, margin
 
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
@@ -190,7 +198,7 @@ FLOW_SPECS = {
     "josephson": wg.HamiltonianSpec.josephson(1.2),
 }
 NEAR = slice(0, 96, 10)  # ten of each row's 96 times on [0, 2.2π]
-FAR = slice(97, 100)  # 3e4, 2e5 and 1e6, past the fold's reach
+FAR = slice(97, 100)  # 3e4, 2e5 and 1e6: 1e6 past every coupling's certified reach
 FAR_ULPS = 8  # measured at most 1.9 units of ε·‖H‖_max·|t|
 PLAN_SPECS = [wg.HamiltonianSpec.isotropic(), wg.HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0)]
 PLAN_SPECS += [wg.HamiltonianSpec.custom(h) for h in PLAN_CUSTOM]
@@ -217,6 +225,65 @@ def test_flow_matches_the_oracle(kind):
     scale = np.abs(wg.realize(spec)).max() * np.finfo(float).eps
     for t in times[FAR]:
         assert _flow_error(spec, t) <= FAR_ULPS * scale * abs(t), t
+
+
+TWO_BODY_FLOWS = [kind for kind in FLOW_SPECS if kind != "josephson"]
+
+
+@lru_cache(maxsize=None)
+def _certified_rows(kind):
+    """The certified rows of a corpus flow among its NEAR and FAR times: per
+    row, (index, t, the library's table, the 40-digit chamber point, g1 and
+    g2 of exp(i·H·t), and the distance between the table's invariants and those)."""
+    spec, times = FLOW_SPECS[kind], FLOW_T[list(FLOW_SPECS).index(kind)]
+    table, h = wg.trajectory(spec, times), wg.realize(spec)
+    rows = []
+    for i in (*range(96)[NEAR], *range(100)[FAR]):
+        if abs(times[i]) > spec._generator.reach:
+            continue
+        with mp.workdps(DIGITS):
+            coords, g1, g2, _ = _oracle_of(mp.expm(1j * mp.matrix(h.tolist()) * mp.mpf(float(times[i]))))
+            dist = mp.sqrt(abs(mp.mpc(table.g1[i]) - g1) ** 2 + (mp.mpf(table.g2[i]) - g2) ** 2)
+        rows.append((i, times[i], table, np.array(coords, dtype=float), complex(g1), float(g2), float(dist)))
+    return rows
+
+
+@pytest.mark.parametrize("kind", TWO_BODY_FLOWS)
+def test_certified_flow_rows_match_the_oracle(kind):
+    # A certified row is the fold of t·c and the closed form of its point,
+    # with no U(t).  Measured at most 8.2e-15 at the near times (g2 on
+    # exchange).  At a far time, 3e4 on each coupling and 2e5 on all but
+    # exchange, the rounding of t·c and of its fold's mod π grows with |t|,
+    # so each is bounded as U(t) is there: at most 4.8 units of ε·‖H‖_max·|t|
+    # (g2 on isotropic at t = 3e4, 1.6e-11).
+    rows = _certified_rows(kind)
+    assert [i for i, *_ in rows] == [*range(96)[NEAR], 97, *([98] if kind != "exchange" else [])]
+    scale = np.abs(wg.realize(FLOW_SPECS[kind])).max() * np.finfo(float).eps
+    for i, t, table, coords, g1, g2, _ in rows:
+        errors = np.abs(table.coords[i] - coords).max(), abs(table.g1[i] - g1), abs(table.g2[i] - g2)
+        assert max(errors) <= (BOUND if i < 96 else FAR_ULPS * scale * abs(t)), t
+
+
+@pytest.mark.parametrize("kind", TWO_BODY_FLOWS)
+def test_certificate_bounds_the_oracle_distance(kind):
+    # The certificate is sound on every row it covers: the 40-digit distance
+    # between the row's invariants and those of exp(i·H·t) is at most the
+    # row's bound, |t|·slope + _FLOOR; measured at most 0.0094 of it.  The
+    # measured δ, slope/L - ‖c‖₁·_ROUND_LINE, holds the 40-digit residual
+    # ‖H - e0·I - k†·A_H(c)·k‖_F of the Cartan form, k taken as exact.
+    g = FLOW_SPECS[kind]._generator
+    for _, t, _, _, _, _, dist in _certified_rows(kind):
+        assert dist <= abs(t) * g.slope + hamflow._FLOOR, t
+    c, k = g.two_body.coeffs, g.two_body.k
+    with mp.workdps(DIGITS):
+        h = mp.matrix(g.h.tolist())
+        # A_H(c) = Σ c_j·σjσj/2 at 40 digits, the words' entries 0, ±1: exact.
+        words = (np.kron(p, p) for p in (wg.PAULIS["x"], wg.PAULIS["y"], wg.PAULIS["z"]))
+        a = sum((mp.mpf(float(cj)) * mp.matrix(w.tolist()) for cj, w in zip(c, words)), mp.zeros(4)) / 2
+        km = mp.matrix(k.tolist())
+        rest = h - (sum(h[j, j] for j in range(4)) / 4) * mp.eye(4) - km.H * a * km
+        residual = mp.sqrt(sum(abs(z) ** 2 for z in rest))
+    assert float(residual) <= g.slope / hamflow._L - np.abs(c).sum() * hamflow._ROUND_LINE
 
 
 def test_pulse_times_match_the_oracle():

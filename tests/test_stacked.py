@@ -4,8 +4,11 @@
 pass.  The reference here is the per-point loop it ran before: U(t) for one
 t at a time, through the public single-gate functions.  A coupling with
 single-qubit terms reads its coordinates from the spectrum, as that loop
-does, and matches it bit for bit; a two-body coupling folds t·c in closed
-form, which matches within 1e-12 (tests/test_closed_form.py).
+does, and matches it bit for bit, with invariants within 1e-14.  A
+two-body row within the certificate's reach folds t·c in closed form: its
+coordinates match within 1e-12, and its g1 and g2 are the closed form of
+its own point, bit for bit, within the row's certified bound of the loop's
+(tests/test_closed_form.py).
 """
 
 import numpy as np
@@ -17,7 +20,8 @@ import weylgate as wg
 from conftest import PI, PROPERTY, assert_same_chamber_point, gate_at, rand_u4
 from weylgate import HamiltonianSpec, chamber
 from weylgate.chamber import VERTEX_A3, VERTEX_L, VERTEX_O, VERTEX_P, _gate_coords
-from weylgate.invariants import _Gate, _spectrum_of_m
+from weylgate.hamflow import _FLOOR
+from weylgate.invariants import _g_from_coords, _Gate, _spectrum_of_m
 from weylgate.linalg import _SIMDIAG_WEIGHTS, TOL_EIG, _eigh, _simdiag
 
 NAMED_KINDS = (
@@ -54,18 +58,25 @@ def per_point(spec, times):
 def test_trajectory_matches_per_point_loop(spec, times):
     samples = wg.trajectory(spec, times)
     assert len(samples) == len(times)
-    from_spectrum = spec.kind == "josephson"
-    for s, (t, coords, inv, is_pe) in zip(samples, per_point(spec, times)):
+    g = spec._generator
+    folded = np.abs(times) <= g.reach  # every row of a two-body coupling here, and no josephson row
+    assert folded.all() == (spec.kind != "josephson") and folded.any() == folded.all()
+    closed_g1, closed_g2 = _g_from_coords(samples.coords[folded])
+    assert_array_equal(samples.g1[folded], closed_g1)
+    assert_array_equal(samples.g2[folded], closed_g2)
+    assert_array_equal(samples.g2_imag_residual[folded], 0.0)
+    for i, (s, (t, coords, inv, is_pe)) in enumerate(zip(samples, per_point(spec, times))):
         assert s.t == t
-        if from_spectrum:
-            assert_array_equal(s.coords, coords)
-        else:
-            assert_same_chamber_point(s.coords, coords, atol=1e-12)
         assert s.is_pe == is_pe
         # Built-in types: the CLI's json.dump rejects np.bool_.
         assert type(s.t) is float and type(s.is_pe) is bool
         assert type(s.invariants.g1) is complex
         assert type(s.invariants.g2) is float and type(s.invariants.g2_imag_residual) is float
+        if folded[i]:
+            assert_same_chamber_point(s.coords, coords, atol=1e-12)
+            assert wg.invariant_distance(s.invariants, inv) <= abs(t) * g.slope + _FLOOR
+            continue
+        assert_array_equal(s.coords, coords)
         assert abs(s.invariants.g1 - inv.g1) <= 1e-14
         assert abs(s.invariants.g2 - inv.g2) <= 1e-14
         assert abs(s.invariants.g2_imag_residual - inv.g2_imag_residual) <= 1e-14

@@ -621,8 +621,8 @@ def test_one_fold_per_gate_for_coords_and_kak(spy):
 @pytest.mark.parametrize(
     "call, expected",
     [
-        # A two-body flow folds t·c and reads no spectrum.
-        (STACK_CALLS[0], {"_magic": 1}),
+        # A two-body flow within the certificate's reach forms no U(t).
+        (STACK_CALLS[0], {}),
         (STACK_CALLS[1], {"_magic": 1, "_simdiag": 1}),
         (
             lambda: wg.trajectory(HamiltonianSpec.josephson(1.2), np.linspace(0, 3, 7)),
@@ -633,7 +633,8 @@ def test_one_fold_per_gate_for_coords_and_kak(spy):
 )
 def test_one_m_per_stack(spy, call, expected):
     # The spectrum and the invariant check read one record of the whole
-    # stack: one magic transform for its m(U), at most one joint diagonalization.
+    # stack: at most one magic transform for its m(U), and at most one joint
+    # diagonalization.
     _ISO._generator.cartan  # derived once per spec, through a magic transform of its own
     calls = spy("_magic", "_simdiag")
     call()

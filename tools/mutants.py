@@ -71,6 +71,8 @@ MUTANTS = (
            "test_josephson_root_check_bound[g1-past]"),
     Mutant("hamflow.py", "(np.abs(g2.real - 1.0) <= 1e-6)", "(np.abs(g2.real - 1.0) <= 1e-3)",
            "test_josephson_root_check_bound[g2-past]"),
+    Mutant("hamflow.py", "near = np.abs(times) <= g.reach", "near = np.abs(times) <= 1e3 * g.reach",
+           "test_trajectory_certificate_bound[past]"),
 )
 
 
