@@ -1,11 +1,9 @@
 """Lie-algebra layer: su(4) product-operator basis, Cartan splitting, the
 reflection gates that generate the Weyl-group action on canonical
-coordinates, and the fold that reduces coordinates to the chamber by it.
-The fold comes in two functions with the same moves and constants:
-``_fold`` also yields the Weyl-group element P and the π-translation n,
-which only the KAK factors read, so it runs on a gate's record alone;
-``_fold_image`` yields the image alone, for canonicalize, trajectories and
-stacked coordinates.
+coordinates, and the fold that reduces coordinates to the chamber by it
+(``_fold_image``).  The Weyl-group element P and π-translation n that the
+fold's moves compose, which only the KAK factors read, are recovered from
+the input and the image (``_fold_element``).
 
 Conventions
 -----------
@@ -222,14 +220,16 @@ def cartan_conjugate(h) -> CartanTarget:
     Raises
     ------
     NotNonlocalError
-        If the norm of the single-qubit part of ``h`` exceeds 1e-9.
+        If the norm of the single-qubit part of ``h`` exceeds
+        1e-9·max(1, ||h||_F), a bound that grows with h as its rounding does.
     """
     return _conjugate(check_hermitian(h))
 
 
 def _conjugate(h) -> CartanTarget:
     split = _split(h)
-    if split.local_norm > 1e-9:
+    # ||h||_F by hypot, which scales as local_norm's does: no overflow near 1e160.
+    if split.local_norm > 1e-9 * max(1.0, math.hypot(*np.abs(h).flat)):
         raise NotNonlocalError(f"Hamiltonian has single-qubit terms (norm {split.local_norm:.3e})")
     s = _magic(h - split.identity_coeff * np.eye(4))
     mu, v = _eigh(s.real)
@@ -319,7 +319,7 @@ def _weyl_group() -> tuple[np.ndarray, np.ndarray]:
     return np.array(actions), np.array(gates)
 
 
-# The Weyl group acting on canonical coordinates: the fold names its element
+# The Weyl group acting on canonical coordinates: the fold's element is named
 # by an index into these tables.
 _WEYL_ACTIONS, _WEYL_GATES = _weyl_group()
 
@@ -327,97 +327,60 @@ _WEYL_ACTIONS, _WEYL_GATES = _weyl_group()
 # ---------------------------------------------------------------------------
 # The fold: the Weyl group's reduction of coordinates to the chamber
 #
-# Two functions make the same moves with the same constants.  _fold carries
-# the Weyl-group element P and the π-translation n through them, which only
-# the KAK factors need, so it runs on a gate's record alone (_Gate.fold, which
-# gate_coords and kak_decompose share).  _fold_image moves the coordinates
-# alone and returns _fold's image bit for bit, sign of zero included: every
-# caller that reads neither P nor n uses it (canonicalize, and the stacked
-# coordinates of a trajectory or of a stack of gates).
+# One function makes the moves, on the coordinates alone, for every caller
+# (_fold_image).  Their composite is one element P of the group above and one
+# translation n, image = P·c + π·n, which _fold_element reads back from c and
+# the image for the KAK factors.
 
 TOL_BASE = 1e-9  # at or below this, c3 counts as "on the base" for the mirror rule
 _TOL_CHAMBER = 1e-12  # slack for the closed chamber inequalities
 
-# A fold state x has shape (3, N, 3): the coordinates x[0], the codes
-# x[1] = P·(1, 2, 3), which name the element P, and the translations x[2] = n.
-# Every move acts on the three alike, so x[0] = P·c + π·n throughout.
-_CODE = np.array([1.0, 2.0, 3.0])
-_CODE_KEY = np.array([1.0, 7.0, 49.0])  # codes -> key in -171..171
-# Element index by key; a negative key wraps, on lookup as on filling.
-_ELEMENT = np.zeros(343, dtype=np.intp)
-_ELEMENT[(_WEYL_ACTIONS @ _CODE @ _CODE_KEY).astype(np.intp)] = np.arange(len(_WEYL_ACTIONS))
-# x @ M + S applies a move to every triple of a fold state x.  The first mod π
-# leaves each coordinate in [0, π] (no exception was found below |c| = 1e11;
-# far past it, rounding can leave one just above π), and each branch's own
-# test then puts the axes it negates in [-π, 0): their mod π is + π with
-# n + 1, which S adds, as the subtraction of -π would.  No move makes a -0.0:
-# c - n·π is -0.0 only if c is -0.0 and n·π is 0.0, yet floor keeps the sign
-# of c / π, and each move adds a shift of 0.0 or π.  So an image never holds
-# a -0.0, and the two folds agree in the sign of zero with no fix-up.
+# x @ M + S applies a move to a stack x of triples.  The first mod π leaves
+# each coordinate in [0, π] (no exception was found below |c| = 1e11; far
+# past it, rounding can leave one just above π), and each branch's own test
+# then puts the axes it negates in [-π, 0), whose mod π is the + π of S.
+# No move makes a -0.0: c - n·π is -0.0 only if c is -0.0 and n·π is 0.0,
+# yet floor keeps the sign of c / π, and each move adds 0.0 or π.  So equal
+# coordinates are equal bit for bit, and np.sort orders them as a stable
+# sort would.
 _REFLECT_SUM = WEYL_REFLECTIONS["c1+c2"].action.T
-_REFLECT_SHIFT = np.array([[[np.pi, np.pi, 0.0]], [[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]]])
+_REFLECT_SHIFT = np.array([np.pi, np.pi, 0.0])
 _BASE_MIRROR = _frame("c1-c3", "c1+c3")[1].T
-_MIRROR_SHIFT = np.array([[[np.pi, 0.0, 0.0]], [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]])
-
-
-def _fold(c):
-    """Reduce a stack (..., 3) of coordinate triples to the chamber by exact
-    symmetry moves.
-
-    Returns, per row, the image, the index p of a Weyl-group element P into
-    ``_WEYL_ACTIONS`` and ``_WEYL_GATES``, and an integer
-    vector n, with image = P·c + π·n: the moves' composite is one signed
-    permutation and one translation.  The moves, in order: each coordinate
-    mod π; a stable descending sort; one reflection across c1 + c2 = π if
-    needed, then mod π on the two reflected axes and sort again; the base
-    mirror [c1, c2, c3] -> [π-c1, c2, -c3] when c3 ≤ TOL_BASE and
-    c1 > π/2, then sort again.  Each row takes a branch only if its own
-    test holds, so the image is the one each row would get alone.
-    """
-    lead = c.shape[:-1]
-    c = c.reshape(-1, 3)
-    offsets = np.arange(0, c.size, 3)[:, None]
-    n = np.floor(c / np.pi)
-    x = np.empty((3,) + c.shape)
-    np.subtract(c, n * np.pi, out=x[0])  # each coordinate mod π, built in place
-    x[1] = _CODE
-    np.negative(n, out=x[2])
-    x = _sort(x, offsets)
-    m = x[0, :, 0] + x[0, :, 1] > np.pi
-    if m.any():
-        # a + b > π with 0 ≤ b ≤ a ≤ π: -a and -b lie in [-π, 0)
-        y = x @ _REFLECT_SUM + _REFLECT_SHIFT  # -> (π-c2, π-c1, c3)
-        x = np.where(m[:, None], _sort(y, offsets), x)
-    m = (x[0, :, 2] <= TOL_BASE) & (x[0, :, 0] > np.pi / 2 + _TOL_CHAMBER)
-    if m.any():
-        y = x @ _BASE_MIRROR + _MIRROR_SHIFT  # -> (π-c1, c2, -c3), as π/2 < c1 ≤ π
-        x = np.where(m[:, None], _sort(y, offsets), x)
-    p = _ELEMENT[(x[1] @ _CODE_KEY).astype(np.intp)]
-    shape = lead + (3,)
-    return x[0].reshape(shape), p.reshape(lead), x[2].astype(np.intp).reshape(shape)
+_MIRROR_SHIFT = np.array([np.pi, 0.0, 0.0])
+# c @ _WEYL_STACK holds P·c for each element P in table order, side by side.
+_WEYL_STACK = _WEYL_ACTIONS.transpose(2, 0, 1).reshape(3, -1)
 
 
 def _fold_image(c):
-    """_fold(c)[0] alone, bit for bit: the same moves on a stack (..., 3) of
-    coordinate triples, with no element or translation carried through
-    them.  np.sort stands in for the stable sort: they differ only in the
-    order of equal coordinates, and with no -0.0 about, equal coordinates
-    are equal bit for bit."""
-    x = c - np.floor(c / np.pi) * np.pi  # each coordinate mod π, as _fold forms it
+    """Reduce a stack (..., 3) of coordinate triples to the chamber by exact
+    symmetry moves: each coordinate mod π; a descending sort; one reflection
+    across c1 + c2 = π if needed, then mod π on the two reflected axes and
+    sort again; the base mirror [c1, c2, c3] -> [π-c1, c2, -c3] when
+    c3 ≤ TOL_BASE and c1 > π/2, then sort again.  Each row takes a branch
+    only if its own test holds, so the image is the one it would get alone."""
+    x = c - np.floor(c / np.pi) * np.pi  # each coordinate mod π
     x = np.sort(x, axis=-1)[..., ::-1]
     m = x[..., 0] + x[..., 1] > np.pi
     if m.any():
-        y = x @ _REFLECT_SUM + _REFLECT_SHIFT[0, 0]
+        # a + b > π with 0 ≤ b ≤ a ≤ π: -a and -b lie in [-π, 0)
+        y = x @ _REFLECT_SUM + _REFLECT_SHIFT  # -> (π-c2, π-c1, c3)
         x = np.where(m[..., None], np.sort(y, axis=-1)[..., ::-1], x)
     m = (x[..., 2] <= TOL_BASE) & (x[..., 0] > np.pi / 2 + _TOL_CHAMBER)
     if m.any():
-        y = x @ _BASE_MIRROR + _MIRROR_SHIFT[0, 0]
+        y = x @ _BASE_MIRROR + _MIRROR_SHIFT  # -> (π-c1, c2, -c3), as π/2 < c1 ≤ π
         x = np.where(m[..., None], np.sort(y, axis=-1)[..., ::-1], x)
     return x
 
 
-def _sort(x, offsets):
-    """A fold state with each triple sorted descending; equal coordinates
-    keep their order.  ``offsets`` are the rows' starts in x.reshape(3, -1)."""
-    order = (-x[0]).argsort(axis=-1, kind="stable")
-    return x.reshape(3, -1).take(order + offsets, axis=1)
+def _fold_element(c, image):
+    """The fold's composite, per row of the stacks (..., 3) c and
+    image = _fold_image(c): the index p of the Weyl-group element P into
+    ``_WEYL_ACTIONS`` and ``_WEYL_GATES``, and the integer vector n, with
+    image = P·c + π·n.  For each P, d = (image - P·c)/π is n when P is the
+    moves' element; the P whose d lies nearest an integer vector is taken,
+    the first in table order where several are equally near (an exact tie,
+    as at c = 0, where every P maps c to the image)."""
+    d = (image[..., None, :] - (c @ _WEYL_STACK).reshape(c.shape[:-1] + (len(_WEYL_ACTIONS), 3))) / np.pi
+    n = np.rint(d)
+    p = np.abs(d - n).max(-1).argmin(-1)
+    return p, np.take_along_axis(n, p[..., None, None], -2)[..., 0, :].astype(np.intp)

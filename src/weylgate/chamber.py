@@ -13,17 +13,15 @@ the coordinate triple c is unique once reduced to the chamber
 The symmetry group identifying equivalent triples is generated by
 permutations, paired sign flips, and translations by π on each axis; on the
 c3 = 0 face this identifies [c1, c2, 0] with [π-c1, c2, 0].  The fold
-(``cartan._fold``, beside the group it names) reaches the chamber from a
+(``cartan._fold_image``, beside the group) reaches the chamber from a
 whole stack of triples at once, by one fixed sequence of these moves per
-triple, and reports their composite as one Weyl-group element P (a signed
-permutation with an even number of sign flips) and one integer
-translation n: image = P·c + π·n.  P and n are derived only on a gate's
-record, where kak_decompose reads them and gate_coords the image of the
-same fold; canonicalize, trajectory and stacked coordinates read the image
-alone (``cartan._fold_image``, the same moves without P and n).  Every
-gate's coordinates here are read from its spectrum and checked against its
-invariants; only ``hamflow.trajectory`` folds known raw coordinates t·c,
-on rows whose error it has bounded in advance, and forms no gate for them.
+triple.  Their composite is one Weyl-group element P (a signed permutation
+with an even number of sign flips) and one integer translation n:
+image = P·c + π·n, which only kak_decompose reads, recovered from c and
+the image (``cartan._fold_element``).  Every gate's coordinates here are
+read from its spectrum and checked against its invariants; only
+``hamflow.trajectory`` folds known raw coordinates t·c, on rows whose
+error it has bounded in advance, and forms no gate for them.
 
 Named reference points in the chamber (useful constants)::
 

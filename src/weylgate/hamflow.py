@@ -234,7 +234,7 @@ class _Generator:
         k̃ = Q·polar(Re K)·Q† lies within ξ = ‖Im K‖_F + ‖Re Kᵀ·Re K - I‖_F
         of k, so δ = ‖S - e0·I - K†·Λ·K‖_F + ‖Λ‖₂·ξ·(2 + ξ) + rounding.  It
         holds k's orthogonality defect and h's single-qubit part, which
-        _conjugate drops below a norm of 1e-9.  h is first scaled by a power of
+        _conjugate drops below a norm of 1e-9·max(1, ‖h‖_F).  h is first scaled by a power of
         two, 2^-e, to max |h_ij| in [1/2, 1), so nothing underflows
         (josephson at E_L = 1e-200).  The residual and ξ are formed in long
         double, unit roundoff u_L (2^-64 on x86).  By Higham's γ_n bounds (*Accuracy and Stability of

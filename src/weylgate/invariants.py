@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import _fold, _magic, _raw_coords
+from .cartan import _fold_element, _fold_image, _magic, _raw_coords
 from .linalg import (
     _as_gate,
     _as_tol,
@@ -186,9 +186,10 @@ class _Gate:
     of them, derived once: U_B = Q†·U·Q, m(U) = U_Bᵀ·U_B and det U, and, on
     first use, the invariant pair (g1, complex g2), α = arg(det U)/4, the
     spectrum of m(U) and the fold of its raw coordinates into the chamber,
-    as (image, p, n) (see ``cartan._fold``), which gate_coords and
-    kak_decompose share.  A stack reads no KAK: its coordinates fold
-    ``raw`` alone (``cartan._fold_image``), and ``fold`` is left underived.
+    as (image, p, n): the image (``cartan._fold_image``) and the element
+    and translation that take ``raw`` to it (``cartan._fold_element``),
+    which gate_coords and kak_decompose share.  A stack reads no KAK: its
+    coordinates fold ``raw`` alone, and ``fold`` is left underived.
 
     Every array is read-only, so readers hand out copies.  A lazy part that
     raises is not kept: it is derived again on the next use.
@@ -225,7 +226,9 @@ class _Gate:
 
     @_lazy
     def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _read_only(*_fold(self.raw))
+        raw = self.raw
+        image = _fold_image(raw)
+        return _read_only(image, *_fold_element(raw, image))
 
 
 def _keep(record, derive):

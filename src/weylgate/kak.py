@@ -53,8 +53,11 @@ class KakDecomposition:
     """U = e^{iα}·k1·a_factor·k2 with coords in the Weyl chamber.
 
     ``alpha`` is arg(det U)/4 minus (π/2)·Σn for the fold's translation n,
-    wrapped to (-π, π].  ``a_factor`` equals
-    canonical_gate(coords).  ``residual`` is the Frobenius reconstruction
+    wrapped to (-π, π].  Where several Weyl-group elements map the raw
+    coordinates to the fold's image equally exactly (a tie, as at the
+    identity or sqrt-SWAP), the first in the group's table is taken, and
+    k1, k2 and α follow it.  ``a_factor`` equals canonical_gate(coords).
+    ``residual`` is the Frobenius reconstruction
     error actually measured.  Within TOL_BASE of the base, ``coords`` is
     the base mirror's exact image, with -TOL_BASE ≤ c3 ≤ 0; canonicalize
     maps it to the chamber point gate_coords reports.

@@ -185,13 +185,15 @@ def _check_unitary(u) -> np.ndarray:
 
 def check_hermitian(h) -> np.ndarray:
     """Return ``h`` as a fresh complex 4x4 array after checking h = h† within
-    TOL_HERMITIAN (non-numeric and non-finite entries fail the check)."""
+    TOL_HERMITIAN·max(1, ||h||_F), a bound that grows with h as the rounding
+    of a computed h does (non-numeric and non-finite entries fail the check)."""
     h = _as_array(h, (4, 4), "matrix", NotHermitianError, complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf norm
         defect, size = np.linalg.norm(h - h.conj().T), np.linalg.norm(h)
-    if not defect <= TOL_HERMITIAN:
+    # An inf defect fails before an inf ||h|| could excuse it.
+    if not (defect < np.inf and defect <= TOL_HERMITIAN * max(1.0, size)):
         raise NotHermitianError(
-            f"matrix is not Hermitian: ||h - h†|| = {defect:.3e} > {TOL_HERMITIAN:.1e}"
+            f"matrix is not Hermitian: ||h - h†|| = {defect:.3e} > {TOL_HERMITIAN:.1e}·max(1, ||h||)"
         )
     if not size < np.inf:  # eigh returns NaN, and no warning, when ||h|| overflows
         raise InvalidInputError("matrix is too large to compute with: ||h|| overflows")

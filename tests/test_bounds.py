@@ -9,6 +9,7 @@ The certificate is met by a row's time instead: past its bound the row
 reads the spectrum, and inside it the closed form.
 The gap, 1e-6 of the bound, is far above the rounding of each injected
 quantity, so a bound loosened or tightened by more than that fails here.
+A bound relative to ||h|| is pinned at unit scale and at ||h|| = 1e8.
 ``tools/mutants.py`` loosens each bound in a copy of the sources and runs
 the test here that must then fail.
 """
@@ -25,6 +26,7 @@ from weylgate import (
     ConvergenceError,
     DegenerateHamiltonianError,
     HamiltonianSpec,
+    NotHermitianError,
     NotLocalError,
     NotNonlocalError,
     VerificationError,
@@ -82,18 +84,48 @@ def test_eigh_residual_bound(monkeypatch, factor):
     _outcome(factor, ConvergenceError, lambda: linalg._eigh(s))
 
 
+def _hermitian_outcome(factor, scale):
+    # scale·E00 gains δ at (0, 1) alone: ||h - h†||_F = √2·δ against
+    # TOL_HERMITIAN·max(1, ||h||_F), and ||h||_F = scale (δ² is far below
+    # the rounding of scale²).
+    h = scale * E00.astype(complex)
+    h[0, 1] = factor * linalg.TOL_HERMITIAN * scale / np.sqrt(2.0)
+    _outcome(factor, NotHermitianError, lambda: linalg.check_hermitian(h))
+
+
 @FACTORS
-def test_conjugate_single_qubit_bound(factor):
-    # The isotropic coupling gains a·σx⊗I, whose entries sit where the
-    # coupling's are zero: its one single-qubit coefficient tr(σx⊗I·h)/2 is 2a
-    # exactly, and so is the single-qubit norm, against 1e-9.
-    a = factor * 1e-9 / 2.0
-    h = realize(HamiltonianSpec.isotropic()) + a * np.kron(PAULIS["x"], np.eye(2))
+def test_hermitian_bound(factor):
+    _hermitian_outcome(factor, 1.0)
+
+
+@FACTORS
+def test_hermitian_bound_at_1e8(factor):
+    _hermitian_outcome(factor, 1e8)
+
+
+def _single_qubit_outcome(factor, scale):
+    # The isotropic coupling (||h||_F = 0.87) at ``scale`` gains a·σx⊗I, whose
+    # entries sit where the coupling's are zero: its one single-qubit
+    # coefficient tr(σx⊗I·h)/2 is 2a exactly, and so is the single-qubit
+    # norm, against 1e-9·max(1, ||h||_F).
+    h = scale * realize(HamiltonianSpec.isotropic())
+    a = factor * 1e-9 * max(1.0, np.linalg.norm(h)) / 2.0
+    h = h + a * np.kron(PAULIS["x"], np.eye(2))
     if factor > 1:
         with pytest.raises(NotNonlocalError):
             cartan_conjugate(h)
     else:
         assert isinstance(cartan_conjugate(h), CartanTarget)
+
+
+@FACTORS
+def test_conjugate_single_qubit_bound(factor):
+    _single_qubit_outcome(factor, 1.0)
+
+
+@FACTORS
+def test_conjugate_single_qubit_bound_at_1e8(factor):
+    _single_qubit_outcome(factor, 1e8)
 
 
 @FACTORS

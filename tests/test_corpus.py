@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 import weylgate as wg
 from conftest import assert_same_chamber_point
@@ -136,12 +136,10 @@ def test_pe_verdict_and_witness():
 
 
 def test_fold_rows():
-    image, p, n = wg.cartan._fold(CORPUS["fold_in"])
+    image = wg.cartan._fold_image(CORPUS["fold_in"])
     assert_allclose(image, CORPUS["fold_image"], rtol=0.0, atol=1e-12)
+    p, n = wg.cartan._fold_element(CORPUS["fold_in"], image)
     assert (p == CORPUS["fold_p"]).all() and (n == CORPUS["fold_n"]).all()
-    alone = wg.cartan._fold_image(CORPUS["fold_in"])  # the image bit for bit, sign of zero included
-    assert_array_equal(alone, image)
-    assert_array_equal(np.signbit(alone), np.signbit(image))
 
 
 @pytest.mark.parametrize("k, kind", list(enumerate(FLOWS)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_chamber_point, rand_local, rand_su2, rand_u4
+from conftest import TIE_BOUND, rand_chamber_point, rand_local, rand_su2, rand_u4, weyl_misses
 from weylgate import (
     NotLocalError,
     NotUnitaryError,
@@ -18,6 +18,7 @@ from weylgate import (
     kak_reconstruct,
     named_gate,
 )
+from weylgate.invariants import _gate
 
 
 def test_roundtrip_named_gates():
@@ -72,6 +73,22 @@ def test_near_degenerate_coordinates():
         d = kak_decompose(u)
         assert d.residual < 1e-9
         assert np.max(np.abs(d.coords - c)) < 1e-6
+
+
+def test_exact_ties_take_the_first_element():
+    # At the identity the raw coordinates and the image are 0, which every
+    # element maps to 0: the first in table order, the identity, is taken.
+    _, p, n = _gate(np.eye(4, dtype=complex)).fold
+    assert p == 0 and (n == 0).all()
+    # Several elements map these gates' raw coordinates to the image
+    # exactly; the one taken still gives local outer factors.
+    for name in ("sqrtswap", "iswap"):
+        u = named_gate(name)
+        g = _gate(u)
+        assert (weyl_misses(g.raw, g.fold[0]) <= TIE_BOUND).sum() > 1, name
+        d = kak_decompose(u)
+        assert np.linalg.norm(kak_reconstruct(d) - u) <= 1e-9, name
+        assert is_local_gate(d.k1) and is_local_gate(d.k2), name
 
 
 def test_local_gate_decomposes_to_origin():

@@ -63,7 +63,7 @@ DIGITS = 40
 
 def _fold(c):
     """The chamber point of raw coordinates ``c``: the moves of
-    ``cartan._fold``, then magnitudes sorted descending."""
+    ``cartan._fold_image``, then magnitudes sorted descending."""
     pi = mp.pi
     c = sorted((x - pi * mp.floor(x / pi) for x in c), reverse=True)
     if c[0] + c[1] > pi:

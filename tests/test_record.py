@@ -156,7 +156,7 @@ def test_writing_to_returned_arrays_changes_no_later_result(cold, gate):
 
 @pytest.mark.parametrize("gate", ["haar4", "cnot", "sqrtswap", "iswap"])
 def test_readme_sequence_derives_once_per_gate(cold, spy, gate):
-    shapes = spy("_check_unitary", "_magic", "_simdiag", "_fold", "_verdict")
+    shapes = spy("_check_unitary", "_magic", "_simdiag", "_fold_image", "_fold_element", "_verdict")
     readme_sequence(GATES[gate])
     assert dict(shapes) == {
         "_check_unitary": [(4, 4)],
@@ -164,7 +164,8 @@ def test_readme_sequence_derives_once_per_gate(cold, spy, gate):
         # record of the stacked KAK factors k1, k2 for their locality check.
         "_magic": [(4, 4), (2, 4, 4)],
         "_simdiag": [(4, 4)],
-        "_fold": [(3,)],
+        "_fold_image": [(3,)],
+        "_fold_element": [(3,)],
         "_verdict": [()],  # its argument is the gate's record, which has no shape
     }
 

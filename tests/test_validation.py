@@ -599,23 +599,23 @@ STACK_CALLS = [
 @pytest.mark.parametrize("call", STACK_CALLS, ids=["trajectory", "stacked _gate_coords"])
 def test_one_fold_per_stack(spy, call):
     # A stack reads no KAK, so its coordinates are folded once, alone: no
-    # _fold, which also derives the Weyl element and the translation, and no
-    # canonicalize, which folds one triple at a time.
-    folds = spy("_fold", "_fold_image", "canonicalize")
+    # _fold_element, which recovers the Weyl element and the translation, and
+    # no canonicalize, which folds one triple at a time.
+    folds = spy("_fold_element", "_fold_image", "canonicalize")
     call()
     assert folds.counts() == {"_fold_image": 1}
 
 
 def test_one_fold_per_gate_for_coords_and_kak(spy):
     # gate_coords and kak_decompose share one gate's record, whose fold
-    # derives the element and translation the KAK factors read.
+    # recovers the element and translation the KAK factors read.
     u = rand_u4(np.random.default_rng(2**40))
     invariants._gate_of_bytes.cache_clear()
-    folds = spy("_fold", "_fold_image", "canonicalize")
+    folds = spy("_fold_element", "_fold_image", "canonicalize")
     wg.gate_coords(u)
     wg.kak_decompose(u)
     invariants._gate_of_bytes.cache_clear()
-    assert folds.counts() == {"_fold": 1}
+    assert folds.counts() == {"_fold_image": 1, "_fold_element": 1}
 
 
 @pytest.mark.parametrize(

@@ -54,7 +54,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import weylgate as wg  # noqa: E402  (the checkout's sources, never an installed copy)
 from weylgate import chamber  # noqa: E402
-from weylgate.cartan import TOL_BASE, _fold, _raw_coords  # noqa: E402
+from weylgate.cartan import TOL_BASE, _fold_element, _fold_image, _raw_coords  # noqa: E402
 
 SEED = 20261019
 HAAR_GATES = 600
@@ -210,7 +210,8 @@ def compute(inp: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     result["big_canon"] = np.array([_nan(3) if c is None else c for c in big])
     result["big_raises"] = np.array([c is None for c in big])
 
-    result["fold_image"], result["fold_p"], result["fold_n"] = _fold(inp["fold_in"])
+    result["fold_image"] = _fold_image(inp["fold_in"])
+    result["fold_p"], result["fold_n"] = _fold_element(inp["fold_in"], result["fold_image"])
 
     tables = [wg.trajectory(_flow_spec(kind), t) for kind, t in zip(FLOW_KINDS, inp["flow_t"])]
     for col in ("coords", "g1", "g2", "g2_imag_residual", "is_pe"):

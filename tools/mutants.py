@@ -1,5 +1,7 @@
 """The committed mutant list: each self-check bound that ``tests/test_bounds.py``
-pins, loosened 1000× in a copy of the sources, with the test that must then fail.
+pins, loosened 1000× in a copy of the sources (a bound relative to ||h||, at
+unit scale), and each relative bound made absolute again, with the test that
+must then fail.
 
     python tools/mutants.py
 
@@ -37,8 +39,14 @@ MUTANTS = (
            "test_simdiag_off_diagonal_bound[past]"),
     Mutant("linalg.py", "bound = 1e-10 * np.maximum(1.0, _frobenius(s))", "bound = 1e-7 * np.maximum(1.0, _frobenius(s))",
            "test_eigh_residual_bound[past]"),
-    Mutant("cartan.py", "if split.local_norm > 1e-9:", "if split.local_norm > 1e-6:",
+    Mutant("linalg.py", "defect <= TOL_HERMITIAN * max(1.0, size)", "defect <= TOL_HERMITIAN * max(1e3, size)",
+           "test_hermitian_bound[past]"),
+    Mutant("linalg.py", "TOL_HERMITIAN * max(1.0, size))", "TOL_HERMITIAN)",
+           "test_hermitian_bound_at_1e8[inside]"),
+    Mutant("cartan.py", "if split.local_norm > 1e-9 * max(1.0,", "if split.local_norm > 1e-9 * max(1e3,",
            "test_conjugate_single_qubit_bound[past]"),
+    Mutant("cartan.py", "1e-9 * max(1.0, math.hypot(*np.abs(h).flat))", "1e-9",
+           "test_conjugate_single_qubit_bound_at_1e8[inside]"),
     Mutant("kak.py", "if np.abs(o1.imag).max() >= 1e-8:", "if np.abs(o1.imag).max() >= 1e-5:",
            "test_kak_real_frame_bound[past]"),
     Mutant("kak.py", "if residual > 1e-9:", "if residual > 1e-6:",
