@@ -161,7 +161,7 @@ def gate_coords(u) -> np.ndarray:
         1e-8 from the gate's own invariants.
     """
     g = _gate(u)
-    return _verified(g, g.fold[0])[0]
+    return _verified(g, g.image)[0]
 
 
 def _gate_coords(u):
@@ -169,7 +169,7 @@ def _gate_coords(u):
     record: the coordinates (..., 3), read from the spectrum, and the
     (g1, complex g2) they were checked against."""
     g = _Gate(u)
-    return _verified(g, _fold_image(g.raw))
+    return _verified(g, g.image)
 
 
 def _verified(g: _Gate, image):

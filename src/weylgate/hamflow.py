@@ -12,14 +12,16 @@ what synthesis derives from them, ``synth`` keeps on the same record.
 ``trajectory`` takes a coordinate path per coupling.  A purely two-body H
 (up to identity) has a local k with k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2,
 so U(t) is locally equivalent to A(t·c): its chamber point is the fold of
-the line t·c.  One certificate per coupling, measured once and kept by its
-generator record, bounds how far a row's closed form can miss the
-invariants of the exact U(t): |t|·slope + _FLOOR.  A row whose bound is at
-most 1e-8, the bound gate_coords checks, is the fold of t·c with the
-closed-form invariants of its point and g2_imag_residual 0, and no U(t) is
-formed for it.  Every other time, and every time of a coupling with
-single-qubit terms (josephson), forms U(t) and is read from the spectrum of
-m(U(t)).
+the line t·c.  The Josephson H commutes with σx⊗σx, so the spectrum of
+m(U(t)) has a closed form in t, and its chamber point is the fold of the
+raw coordinates of that spectrum.  One certificate per coupling, derived
+once and kept by its generator record, bounds how far a row's closed form
+can miss the invariants of the exact U(t): |t|·slope + _FLOOR.  A row whose
+bound is at most 1e-8, the bound gate_coords checks, is such a fold, with
+the closed-form invariants of its point and g2_imag_residual 0, and no U(t)
+is formed for it.  Every other time, and every time of a coupling with
+single-qubit terms of any other shape, forms U(t) and is read from the
+spectrum of m(U(t)).
 
 Supported kinds
 ---------------
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +71,7 @@ _L = 12.65  # ≥ 4·√10: invariant distance per unit of spectral distance bet
 _ROUND_LINE = 1.35e-16  # per unit of |t|·‖c‖₁: half the rounding of t·c and of its fold
 _ROUND_FOLD = 2.8e-15  # half the rounding of the fold that does not grow with |t|
 _FLOOR = _L * _ROUND_FOLD + TOL_BASE + 1e-13  # and the base mirror's sign, and the closed form's rounding
+_ROUND_JOSEPHSON = 7.9e-15  # per unit of Ω·|t|: a Josephson row's rounding (_Generator.josephson)
 # The Cartan form's residual is formed in long double: a 64-bit significand
 # on x86, and double where the platform has no wider type; the unit roundoff
 # enters the residual's rounding term.  √2·Q has the entries 0, ±1 and ±i,
@@ -147,12 +151,25 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
     raise InvalidInputError(f"UnsupportedKind: {kind!r}")
 
 
+class _Josephson(NamedTuple):
+    """The closed form of a Josephson flow (``_Generator.josephson``): β,
+    E_J and Ω = hypot(β, E_J), each scaled by 2^-e, the power of two 2^e
+    that takes t to the same scale, and the slope of its rows' certificate."""
+
+    beta: float
+    e_j: float
+    omega: float
+    scale: float
+    slope: float
+
+
 class _Generator:
     """What flows need of one checked Hamiltonian h, which depends on the
     coupling alone and not on any target: the flow t ↦ exp(i·h·t),
     diagonalized once as U(t) = V·e^{i·w·t}·V†, with its eigenpair
-    (w, V, V†), and, derived on first use, the Cartan conjugation and the
-    certificate of trajectory rows (``slope`` and ``reach``).
+    (w, V, V†), and, derived on first use, the Cartan conjugation, the
+    Josephson closed form and the certificate of trajectory rows
+    (``slope``, ``josephson`` and ``reach``).
 
     An h with single-qubit terms has no Cartan form: ``two_body`` keeps
     None for it, and ``cartan`` raises NotNonlocalError on every use.
@@ -179,13 +196,76 @@ class _Generator:
     @_lazy
     def reach(self) -> float:
         """The largest |t| whose trajectory row the certificate covers, where
-        |t|·slope + _FLOOR meets _TOL_VERIFY; -inf for an h with
-        single-qubit terms, whose rows all read the spectrum."""
-        if self.two_body is None:
+        |t|·slope + _FLOOR meets _TOL_VERIFY, with the Josephson closed
+        form's slope for a Josephson h (``josephson``; it takes precedence
+        where _conjugate also counts h as two-body) and ``slope`` for any
+        other two-body h; -inf for any other h with single-qubit terms,
+        whose rows all read the spectrum."""
+        if self.josephson is not None:
+            slope = self.josephson.slope
+        elif self.two_body is not None:
+            slope = self.slope
+        else:
             return -np.inf
         # A slope that underflows to 0 reaches every time: what it lost,
         # below 1e-307, times any |t| < 1.8e308 is below 1e-15.
-        return (_TOL_VERIFY - _FLOOR) / self.slope if self.slope else np.inf
+        return (_TOL_VERIFY - _FLOOR) / slope if slope else np.inf
+
+    @_lazy
+    def josephson(self) -> _Josephson | None:
+        """The closed form of a Josephson h, or None for any other h.  h
+        must equal -(E_J/2)(X1 + X2) + β·YY bit for bit, with E_J =
+        -2·Re h01 ≠ 0 and β = -Re h03: the expression ``realize`` builds,
+        so the closed form is that of the very matrix whose flow it replaces.
+
+        Such an h commutes with σx⊗σx.  In the magic basis Q†·h·Q =
+        [[-β, -i·E_J], [i·E_J, β]] ⊕ (-β) ⊕ (β), and det U(t) = 1.  With
+        Ω = hypot(β, E_J), a = β/Ω, b = E_J/Ω, x = Ω·t, s = sin x and
+        c = cos x, the 2×2 block of m(U(t)) is BᵀB = (c² - s²(a² - b²))·I
+        - 2i·a·c·s·σz - 2i·a·b·s²·σx, so m(U(t)) has the eigenphases
+        (φ, -φ, -2βt, 2βt), φ = atan2(r, p) with r = 2|a·s|·√(c² + b²s²)
+        and p = c² - s²(a² - b²), and a row's raw coordinates
+        (``cartan._raw_coords`` of those phases) are (0, (2βt - φ)/2,
+        (2βt + φ)/2).  As cos φ = b² + a²·cos 2x, |dφ/dx| =
+        2|a·c|/√(b² + a²c²) ≤ 2.  β and E_J are scaled by the power of two
+        2^-e that puts the larger in [1/2, 1), and t by 2^e, which changes
+        no rounding of normal numbers and keeps Ω from over- or underflowing.
+
+        The certificate follows ``slope``: with Δ the move of the computed
+        raw coordinates and their fold off an exact symmetry image of the
+        exact ones, a row misses U(t)'s invariants by at most L·‖Δ‖₁/2 +
+        TOL_BASE + 1e-13 (steps 2 to 4 there).  h is the flow's own matrix,
+        so there is no δ.  With u = 2^-53, and hypot, sin, cos and atan2
+        within 1, 4, 4 and 4 ulp (2u, 8u, 8u and 8u of their value):
+
+        1. x̃ = fl(Ω̃·t) misses Ω·t by 3u·Ω|t|, so φ moves by 6u·Ω|t|;
+           fl(2β·t) misses 2βt by 2u·|β||t| ≤ 2u·Ω|t|.
+        2. The φ formula at x̃: a and b carry 3u, s and c 8u, so r carries
+           27u of itself and p 27u in all (s² + c² = 1).  φ moves by at
+           most |Δr| + r·|Δp| and atan2's 8u·φ, with r ≤ φ ≤ 2|x̃|: by
+           124u·|x̃| to first order, and by 128u·|x̃| in all.
+        3. fl(2βt ∓ φ) rounds each raw coordinate by u of itself, as
+           fl(t·c_j) does a two-body one, and the coordinates' 1-norm is
+           max(|2βt|, φ) ≤ 2Ω|t|: with the fold, 2Ω|t|·_ROUND_LINE +
+           _ROUND_FOLD (``slope``, step 3).
+
+        Steps 1 and 2 move each nonzero coordinate by half the moves of 2βt
+        and φ, so ‖Δ‖₁/2 ≤ Ω|t|·(2·_ROUND_LINE + (2 + 6 + 128)u/2) + _ROUND_FOLD
+        = Ω|t|·7.82e-15 + _ROUND_FOLD, and _ROUND_JOSEPHSON = 7.9e-15
+        covers it with the factors 1 + 70u of the rounded bounds.  A row
+        then misses by at most |t|·slope + _FLOOR, with slope =
+        L·Ω·_ROUND_JOSEPHSON.  Underflow adds at most 2^-1075 to a
+        rounding, below 1e-320 in all, which the 1e-13 of _FLOOR holds.
+        """
+        h = self.h
+        e_j, beta = -2.0 * h[0, 1].real, -h[0, 3].real
+        if e_j == 0.0 or not np.array_equal(h, -0.5 * e_j * (_X1 + _X2) + beta * _YY):
+            return None
+        e = int(np.frexp(max(abs(e_j), abs(beta)))[1])
+        beta, e_j = float(np.ldexp(beta, -e)), float(np.ldexp(e_j, -e))
+        omega = float(np.hypot(beta, e_j))
+        slope = _L * float(np.ldexp(omega, e)) * _ROUND_JOSEPHSON
+        return _Josephson(beta, e_j, omega, float(np.ldexp(1.0, e)), slope)
 
     @_lazy
     def slope(self) -> float:
@@ -308,8 +388,9 @@ class Trajectory:
     """A trajectory as columns, one row per time: ``t`` (N), ``coords``
     (N, 3), ``g1`` (N, complex), ``g2`` (N), ``g2_imag_residual`` (N) and
     ``is_pe`` (N, bool).  A row that ``trajectory`` certified in closed form
-    has the closed-form g1 and g2 of its coordinates and g2_imag_residual 0;
-    a row read from the spectrum has U(t)'s own.
+    (two-body and Josephson couplings, within the certificate's reach) has
+    the closed-form g1 and g2 of its coordinates and g2_imag_residual 0; a
+    row read from the spectrum has U(t)'s own.
 
     It reads as the sequence of its rows: ``table[i]`` builds each
     ``TrajectorySample`` when it is read, with built-in scalars and
@@ -346,13 +427,16 @@ def trajectory(spec, times) -> Trajectory:
     one stacked pass, as a ``Trajectory`` table with one row per time.
 
     A two-body coupling, k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2 up to
-    identity, makes U(t) locally equivalent to A(t·c).  A row whose
-    certified bound, |t|·slope + _FLOOR with one slope per coupling (see
-    ``_Generator.slope``), is at most 1e-8, the bound gate_coords checks,
-    is the fold of t·c: g1 and g2 are the closed form of its point,
-    g2_imag_residual is 0, and no U(t) is formed.  Every other row, and
-    every row of a coupling with single-qubit terms (josephson), forms
-    U(t) and is read from the spectrum of m(U(t)), with U(t)'s invariants.
+    identity, makes U(t) locally equivalent to A(t·c); the Josephson
+    coupling, which commutes with σx⊗σx, gives m(U(t)) eigenphases in
+    closed form.  A row whose certified bound, |t|·slope + _FLOOR with one
+    slope per coupling (see ``_Generator.slope`` and
+    ``_Generator.josephson``), is at most 1e-8, the bound gate_coords
+    checks, is the fold of t·c or of the Josephson raw coordinates: g1 and
+    g2 are the closed form of its point, g2_imag_residual is 0, and no U(t)
+    is formed.  Every other row, and every row of a coupling with
+    single-qubit terms of any other shape, forms U(t) and is read from the
+    spectrum of m(U(t)), with U(t)'s invariants.
     """
     g = _generator(spec)
     times = _as_array(times, (None,), "times", InvalidInputError, float)
@@ -371,10 +455,27 @@ def trajectory(spec, times) -> Trajectory:
 
 
 def _folded(g: _Generator, times):
-    """The certified rows of a two-body coupling: the chamber points of t·c
-    and their closed-form (g1, g2)."""
-    coords = _chamber_point(_fold_image(times[:, None] * g.two_body.coeffs))
+    """The certified rows of a coupling: the chamber points of its raw
+    coordinates, the Josephson closed form's or t·c, and their closed-form
+    (g1, g2)."""
+    j = g.josephson
+    raw = times[:, None] * g.two_body.coeffs if j is None else _josephson_raw(j, times)
+    coords = _chamber_point(_fold_image(raw))
     return coords, _g_from_coords(coords)
+
+
+def _josephson_raw(j: _Josephson, times):
+    """The raw coordinates (0, (2βt - φ)/2, (2βt + φ)/2) of a Josephson
+    flow at ``times``, a stack (N, 3) (``_Generator.josephson``)."""
+    t = times * j.scale
+    a, b = j.beta / j.omega, j.e_j / j.omega
+    b2 = b * b
+    x = j.omega * t
+    s, c = np.sin(x), np.cos(x)
+    ss, cc = s * s, c * c
+    phi = np.arctan2(2.0 * np.abs(a * s) * np.sqrt(cc + b2 * ss), cc - (a * a - b2) * ss)
+    y = 2.0 * j.beta * t
+    return np.stack([np.zeros_like(y), (y - phi) / 2.0, (y + phi) / 2.0], axis=-1)
 
 
 @_finite_math

@@ -185,11 +185,12 @@ class _Gate:
     """What the analyses read of a checked gate U, or of a stack (..., 4, 4)
     of them, derived once: U_B = Q†·U·Q, m(U) = U_Bᵀ·U_B and det U, and, on
     first use, the invariant pair (g1, complex g2), α = arg(det U)/4, the
-    spectrum of m(U) and the fold of its raw coordinates into the chamber,
-    as (image, p, n): the image (``cartan._fold_image``) and the element
-    and translation that take ``raw`` to it (``cartan._fold_element``),
-    which gate_coords and kak_decompose share.  A stack reads no KAK: its
-    coordinates fold ``raw`` alone, and ``fold`` is left underived.
+    spectrum of m(U), the ``image`` of its raw coordinates in the chamber
+    (``cartan._fold_image``), which gate_coords reads, and the ``fold``
+    (image, p, n), with the element and translation that take ``raw`` to
+    the image (``cartan._fold_element``), which kak_decompose reads.  A
+    gate_coords call, or a stack, reads no KAK, and leaves ``fold``
+    underived.
 
     Every array is read-only, so readers hand out copies.  A lazy part that
     raises is not kept: it is derived again on the next use.
@@ -219,16 +220,18 @@ class _Gate:
         _read_only(s.theta, s.theta_balanced, s.frame)
         return s
 
-    @property
+    @_lazy
     def raw(self) -> np.ndarray:
         """The raw coordinates of the spectrum (``cartan._raw_coords``), which the folds reduce."""
-        return _raw_coords(self.spectrum.theta_balanced)
+        return _read_only(_raw_coords(self.spectrum.theta_balanced))[0]
+
+    @_lazy
+    def image(self) -> np.ndarray:
+        return _read_only(_fold_image(self.raw))[0]
 
     @_lazy
     def fold(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raw = self.raw
-        image = _fold_image(raw)
-        return _read_only(image, *_fold_element(raw, image))
+        return self.image, *_read_only(*_fold_element(self.raw, self.image))
 
 
 def _keep(record, derive):

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random gates and states, the
 hypothesis setting of the property tests, the named two-body couplings, the
-malformed trajectory times, the chamber-point comparison and the call spy."""
+malformed trajectory times, the chamber-point comparison, the certified bound
+of a trajectory row and the call spy."""
 
 import sys
 from collections import defaultdict
@@ -20,6 +21,7 @@ from weylgate import (
 )
 from weylgate.cartan import _WEYL_ACTIONS
 from weylgate.chamber import TOL_BASE
+from weylgate.hamflow import _FLOOR
 
 PI = np.pi
 
@@ -122,6 +124,13 @@ def assert_same_chamber_point(a, b, atol):
     assert hi[0] > PI / 2, (a, b)
     assert abs(a[2] - TOL_BASE) <= _BASE_BAND and abs(b[2] - TOL_BASE) <= _BASE_BAND, (a, b)
     assert_allclose(np.sort([PI - hi[0], hi[1], hi[2]])[::-1], lo, atol=atol)
+
+
+def certified_bound(g, times):
+    """The certified bound |t|·slope + _FLOOR of each row of a trajectory,
+    for the generator record ``g`` of a Josephson or two-body coupling."""
+    slope = g.slope if g.josephson is None else g.josephson.slope
+    return np.abs(times) * slope + _FLOOR
 
 
 class Calls(defaultdict):

@@ -1,6 +1,6 @@
 """Each self-check of the one-gate analysis chain, of synthesis and of the
-Josephson CNOT search, and the certificate of two-body trajectory rows,
-pinned at its bound.
+Josephson CNOT search, and the certificates of two-body and Josephson
+trajectory rows, pinned at its bound.
 
 A perturbation of the checked quantity is injected, through a monkeypatched
 core or an edited derivation record, at (1 + 1e-6)× the bound, where the
@@ -186,6 +186,29 @@ def test_trajectory_certificate_bound(spy, factor):
     row = 3
     times = np.array([0.1, 0.7, -1.5, 0.0, 2.0])
     times[row] = (factor * chamber._TOL_VERIFY - hamflow._FLOOR) / g.slope
+    calls = spy("_simdiag")
+    table = hamflow.trajectory(spec, times)
+    folded = hamflow._folded(g, times)[0]
+    if factor > 1:
+        assert calls["_simdiag"] == [(1, 4, 4)]
+        folded[row] = chamber._gate_coords(g.flow(times[row]))[0]
+    else:
+        assert calls["_simdiag"] == []
+    np.testing.assert_array_equal(table.coords, folded)
+
+
+@FACTORS
+def test_josephson_certificate_bound(spy, factor):
+    # As above, on the Josephson coupling, with its slope derived here from
+    # the matrix: L·Ω·_ROUND_JOSEPHSON, Ω = hypot(β, E_J), β = -Re h03 and
+    # E_J = -2·Re h01.
+    spec = HamiltonianSpec.josephson(1.2)
+    h = realize(spec)
+    slope = hamflow._L * np.hypot(h[0, 3].real, 2.0 * h[0, 1].real) * hamflow._ROUND_JOSEPHSON
+    g = spec._generator
+    row = 3
+    times = np.array([0.1, 0.7, -1.5, 0.0, 2.0])
+    times[row] = (factor * chamber._TOL_VERIFY - hamflow._FLOOR) / slope
     calls = spy("_simdiag")
     table = hamflow.trajectory(spec, times)
     folded = hamflow._folded(g, times)[0]

@@ -1,6 +1,6 @@
-"""Two-body flows in closed form: ``trajectory`` folds t·c instead of reading
-the spectrum of m(U(t)), on every row its certificate covers, and agrees with
-the spectrum path.
+"""Two-body and Josephson flows in closed form: ``trajectory`` folds t·c, or
+the Josephson raw coordinates, instead of reading the spectrum of m(U(t)),
+on every row its certificate covers, and agrees with the spectrum path.
 
 The spectrum path is ``_gate_coords`` of the same stack of U(t).  A row is
 certified when its bound, |t|·slope + _FLOOR with one slope per coupling,
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import weylgate as wg
-from conftest import BAD_TIMES, PI, PROPERTY, TWO_BODY, assert_same_chamber_point
+from conftest import BAD_TIMES, PI, PROPERTY, TWO_BODY, assert_same_chamber_point, certified_bound, rand_local
 from weylgate import HamiltonianSpec, NotNonlocalError, hamflow
 from weylgate.cartan import _WORDS, TOL_BASE, _split, assemble_nonlocal, cartan_element
 from weylgate.chamber import _TOL_VERIFY, _gate_coords
@@ -34,11 +34,6 @@ def _custom(coeffs, e0=0.0, local=None):
     if local is not None:
         h = h + 0.5 * np.tensordot(local, _WORDS[:6], 1)
     return HamiltonianSpec.custom(h)
-
-
-def _bound(g, times):
-    """The certified bound of each row of a two-body coupling's generator record ``g``."""
-    return np.abs(times) * g.slope + hamflow._FLOOR
 
 
 def _assert_paths_agree(spec, times):
@@ -57,7 +52,7 @@ def _assert_paths_agree(spec, times):
     assert_array_equal(table.g2[folded], closed_g2)
     assert_array_equal(table.g2_imag_residual[folded], 0.0)
     miss = np.hypot(np.abs(table.g1 - g1), table.g2 - g2c.real)[folded]
-    assert (miss <= _bound(g, times[folded])).all()
+    assert (miss <= certified_bound(g, times[folded])).all()
     assert_array_equal(table.coords[~folded], ref[~folded])
     assert_array_equal(table.g1[~folded], g1[~folded])
     assert_array_equal(table.g2[~folded], g2c.real[~folded])
@@ -126,18 +121,22 @@ def test_closed_form_with_tolerated_single_qubit_terms():
     assert 0 < _assert_paths_agree(spec, np.linspace(0.0, 2 * PI, 201)) < 201
 
 
-@pytest.mark.parametrize("e_l", [1e-12, 1e-200])
-def test_a_dropped_single_qubit_part_sends_its_rows_to_the_spectrum(e_l):
-    # At E_L ≤ about 1e-10 josephson's single-qubit part passes _conjugate's
-    # absolute bound, and the coupling counts as two-body.  The certificate
-    # holds that part, measured scaled: every row where L·|t| times its norm
-    # is past the bound reads the spectrum, here every row but t = 0.
-    spec = HamiltonianSpec.josephson(1.2, e_l)
+@pytest.mark.parametrize("scale", [1e-12, 1e-200])
+def test_a_dropped_single_qubit_part_sends_its_rows_to_the_spectrum(scale):
+    # A locally dressed two-body coupling plus a single-qubit part of its own
+    # size: at ‖h‖ ≤ about 1e-10 that part passes _conjugate's absolute
+    # bound, and the coupling counts as two-body.  The certificate holds
+    # that part, measured scaled: every row where L·|t| times its norm is
+    # past the bound reads the spectrum, here every row but t = 0.
+    rng = np.random.default_rng(34)
+    k = rand_local(rng)
+    h = k @ assemble_nonlocal(rng.uniform(-1.0, 1.0, 9)) @ k.conj().T
+    spec = HamiltonianSpec.custom(scale * (h + 0.5 * np.tensordot(rng.uniform(-1.0, 1.0, 6), _WORDS[:6], 1)))
     g = spec._generator
-    assert g.two_body is not None
-    times = np.linspace(0.0, 4.0, 50) / e_l
-    local = 0.5 * np.tensordot(_split(g.h / e_l).local_coeffs, _WORDS[:6], 1)
-    dropped = e_l * np.linalg.norm(local, 2)
+    assert g.two_body is not None and g.josephson is None
+    times = np.linspace(0.0, 4.0, 50) / scale
+    local = 0.5 * np.tensordot(_split(g.h / scale).local_coeffs, _WORDS[:6], 1)
+    dropped = scale * np.linalg.norm(local, 2)
     past = hamflow._L * np.abs(times) * dropped > _TOL_VERIFY
     assert past.sum() == len(times) - 1
     assert _assert_paths_agree(spec, times) == 1
@@ -174,15 +173,13 @@ def test_bad_times_keep_their_error(kind, bad, error):
 
 
 @pytest.mark.parametrize(
-    "make_spec, simdiags",
-    [*((make, 0) for make in TWO_BODY.values()), (lambda: HamiltonianSpec.josephson(1.2), 1)],
-    ids=[*TWO_BODY, "josephson"],
+    "make_spec", [*TWO_BODY.values(), lambda: HamiltonianSpec.josephson(1.2)], ids=[*TWO_BODY, "josephson"]
 )
-def test_two_body_flow_reads_no_spectrum(spy, make_spec, simdiags):
+def test_two_body_flow_reads_no_spectrum(spy, make_spec):
     spec = make_spec()
     calls = spy("_simdiag")
     wg.trajectory(spec, np.linspace(-1e4, 1e4, 101))
-    assert len(calls["_simdiag"]) == simdiags
+    assert len(calls["_simdiag"]) == 0
 
 
 @pytest.mark.parametrize("kind", TWO_BODY)
@@ -206,8 +203,15 @@ def test_rows_within_reach_form_no_gate(spy, kind):
 
 
 def test_no_cartan_form_is_derived_once(spy):
+    # A Josephson trajectory reads its own closed form and asks for no
+    # Cartan form; a coupling with single-qubit terms of another shape
+    # learns once that it has none.
     calls = spy("_conjugate")
-    spec = HamiltonianSpec.josephson(1.2)
+    josephson = HamiltonianSpec.josephson(1.2)
+    spec = HamiltonianSpec.custom(wg.realize(josephson) + 0.1 * _WORDS[2])  # and the word z1
+    for _ in range(8):
+        wg.trajectory(josephson, np.linspace(0.0, 2.0, 5))
+    assert calls.counts() == {}
     for _ in range(8):
         wg.trajectory(spec, np.linspace(0.0, 2.0, 5))
     assert len(calls["_conjugate"]) == 1
@@ -215,6 +219,96 @@ def test_no_cartan_form_is_derived_once(spy):
     for _ in range(2):  # and the Cartan form still raises on every read
         with pytest.raises(NotNonlocalError):
             spec._generator.cartan
+
+
+# ---------------------------------------------------------------------------
+# The Josephson flow in closed form
+
+# (alpha_ratio, e_l).  At E_L = 1e-12 and 1e-200 _conjugate's absolute bound
+# also counts the coupling as two-body; the Josephson closed form takes precedence.
+JOSEPHSON = {
+    f"josephson({a:g},{e_l:g})": (a, e_l) for a, e_l in [(1.2, 1.0), (0.5, 1e-12), (1.2, 1e-200), (2.0, 1e160)]
+}
+# Times in units of 1/E_L: near ones, all within every reach drawn here
+# (9.5e3/E_L at α = 3), and far ones, past every reach (4.4e5/E_L at α = 0.2).
+scaled_times = st.lists(
+    st.one_of(st.floats(-20.0, 20.0), st.floats(1e8, 1e12), st.floats(-1e12, -1e8)), min_size=1, max_size=20
+)
+josephson_params = st.tuples(
+    st.floats(0.2, 3.0), st.one_of(st.floats(0.25, 4.0), st.sampled_from([1e-200, 1e-12, 1e160]))
+)
+
+
+@PROPERTY
+@given(josephson_params, scaled_times)
+@example((1.2, 1e-200), [0.0, -0.0, 2.7309, -PI, 1e9])
+@example((1.2, 1e160), [0.0, 2.7309, 15.0, -1e10])
+def test_josephson_closed_form_matches_spectrum_path(params, times):
+    alpha, e_l = params
+    spec = HamiltonianSpec.josephson(alpha, e_l)
+    assert spec._generator.josephson is not None
+    times = np.asarray(times) / e_l
+    assert _assert_paths_agree(spec, times) == (np.abs(times) <= 20.0 / e_l).sum()
+
+
+@pytest.mark.parametrize("alpha, e_l", JOSEPHSON.values(), ids=JOSEPHSON.keys())
+def test_josephson_rows_within_reach_form_no_gate(spy, alpha, e_l):
+    # The spec is made under the spy, so its flow calls the spied _evolve.
+    calls = spy("_magic", "_simdiag", "_evolve")
+    spec = HamiltonianSpec.josephson(alpha, e_l)
+    g = spec._generator
+    assert g.reach > 1e3 / e_l  # derived from h alone: no magic transform, no Cartan form
+    assert calls.counts() == {}
+    wg.trajectory(spec, np.linspace(-1e3, 1e3, 101) / e_l)
+    assert calls.counts() == {}
+    # Rows past the reach, and only those, form U(t) and read its spectrum.
+    times = np.array([0.5 / e_l, 3.0 * g.reach, -1.0 / e_l, -2.0 * g.reach, 1e3 / e_l])
+    far = np.abs(times) > g.reach
+    table = wg.trajectory(spec, times)
+    assert calls.counts() == {"_magic": 1, "_simdiag": 1, "_evolve": 1}
+    assert calls["_simdiag"] == [(2, 4, 4)]
+    assert_array_equal(table.coords[far], _gate_coords(g.flow(times[far, None, None]))[0])
+    assert_array_equal(table.coords[~far], hamflow._folded(g, times[~far])[0])
+
+
+def _off_by_one_ulp(i, j, imag=False):
+    """The josephson(1.2) matrix with entry (i, j) one ulp up, in its real or
+    imaginary part, and (j, i) its conjugate."""
+    h = wg.realize(HamiltonianSpec.josephson(1.2))
+    part = h[i, j].imag if imag else h[i, j].real
+    h[i, j] += (np.nextafter(part, np.inf) - part) * (1j if imag else 1.0)
+    h[j, i] = h[i, j].conjugate()
+    return h
+
+
+OFF_SHAPE = {
+    "h01": _off_by_one_ulp(0, 1),
+    "h02": _off_by_one_ulp(0, 2),
+    "h03": _off_by_one_ulp(0, 3),
+    "h12": _off_by_one_ulp(1, 2),
+    "imag h01": _off_by_one_ulp(0, 1, imag=True),
+}
+
+
+@pytest.mark.parametrize("h", OFF_SHAPE.values(), ids=OFF_SHAPE.keys())
+def test_a_matrix_off_the_josephson_shape_reads_the_spectrum(spy, h):
+    assert HamiltonianSpec.custom(wg.realize(HamiltonianSpec.josephson(1.2)))._generator.josephson is not None
+    spec = HamiltonianSpec.custom(h)
+    g = spec._generator
+    assert g.josephson is None and g.two_body is None
+    calls = spy("_simdiag")
+    times = np.linspace(0.0, 2.0, 5)
+    table = wg.trajectory(spec, times)
+    assert calls["_simdiag"] == [(5, 4, 4)]
+    assert_array_equal(table.coords, _gate_coords(g.flow(times[:, None, None]))[0])
+
+
+def test_the_zero_matrix_takes_no_josephson_closed_form():
+    # E_J = 0: the Josephson expression with E_J = β = 0 is the zero
+    # matrix, yet its closed form would divide by Ω = 0.
+    spec = HamiltonianSpec.custom(np.zeros((4, 4)))
+    assert spec._generator.josephson is None
+    assert_array_equal(wg.trajectory(spec, [0.0, 1.0, -3.0]).coords, 0.0)
 
 
 @pytest.mark.parametrize(

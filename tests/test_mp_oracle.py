@@ -23,8 +23,8 @@ perfect entanglers' witness states, taken as exact, have their Ent formed at
 
 The Hamiltonian side is checked the same way, each bound stated beside its
 check: U(t) of the corpus's five flow couplings against ``mp.expm(i·H·t)``,
-the certified closed-form rows of the two-body flows against the oracle of
-that 40-digit U(t), with the certificate's soundness on them,
+the certified closed-form rows of the two-body and Josephson flows against
+the oracle of that 40-digit U(t), with the certificate's soundness on them,
 ``solve_times`` against ``mp.lu_solve`` on a slice of the corpus plans, and
 the Josephson CNOT root against ``mp.findroot`` of its 40-digit condition and
 the 40-digit invariants of exp(iHt) at the returned (α, t).
@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 import weylgate as wg
+from conftest import certified_bound
 from weylgate import chamber, hamflow
 from weylgate.cartan import _TOL_CHAMBER, TOL_BASE
 from weylgate.invariants import _gate
@@ -248,32 +249,38 @@ def _certified_rows(kind):
     return rows
 
 
-@pytest.mark.parametrize("kind", TWO_BODY_FLOWS)
+@pytest.mark.parametrize("kind", FLOW_SPECS)
 def test_certified_flow_rows_match_the_oracle(kind):
-    # A certified row is the fold of t·c and the closed form of its point,
-    # with no U(t).  Measured at most 8.2e-15 at the near times (g2 on
-    # exchange).  At a far time, 3e4 on each coupling and 2e5 on all but
-    # exchange, the rounding of t·c and of its fold's mod π grows with |t|,
-    # so each is bounded as U(t) is there: at most 4.8 units of ε·‖H‖_max·|t|
-    # (g2 on isotropic at t = 3e4, 1.6e-11).
+    # A certified row is the fold of t·c, or of the Josephson raw
+    # coordinates, and the closed form of its point, with no U(t).  Measured
+    # at most 8.2e-15 at the near times (g2 on exchange).  At a far time, 3e4
+    # on each coupling and 2e5 on all but exchange and josephson, the
+    # rounding of the raw coordinates and of their fold's mod π grows with
+    # |t|, so each is bounded as U(t) is there: at most 4.8 units of
+    # ε·‖H‖_max·|t| (g2 on isotropic at t = 3e4, 1.6e-11).  On josephson,
+    # at most 1.3e-15 at the near times and 0.86 units (8.3e-12) at 3e4.
     rows = _certified_rows(kind)
-    assert [i for i, *_ in rows] == [*range(96)[NEAR], 97, *([98] if kind != "exchange" else [])]
+    assert [i for i, *_ in rows] == [*range(96)[NEAR], 97, *([98] if kind in ("isotropic", "xy", "ising") else [])]
     scale = np.abs(wg.realize(FLOW_SPECS[kind])).max() * np.finfo(float).eps
     for i, t, table, coords, g1, g2, _ in rows:
         errors = np.abs(table.coords[i] - coords).max(), abs(table.g1[i] - g1), abs(table.g2[i] - g2)
         assert max(errors) <= (BOUND if i < 96 else FAR_ULPS * scale * abs(t)), t
 
 
-@pytest.mark.parametrize("kind", TWO_BODY_FLOWS)
+@pytest.mark.parametrize("kind", FLOW_SPECS)
 def test_certificate_bounds_the_oracle_distance(kind):
     # The certificate is sound on every row it covers: the 40-digit distance
     # between the row's invariants and those of exp(i·H·t) is at most the
-    # row's bound, |t|·slope + _FLOOR; measured at most 0.0094 of it.  The
-    # measured δ, slope/L - ‖c‖₁·_ROUND_LINE, holds the 40-digit residual
-    # ‖H - e0·I - k†·A_H(c)·k‖_F of the Cartan form, k taken as exact.
+    # row's bound, |t|·slope + _FLOOR; measured at most 0.0094 of it, and
+    # 0.0013 on josephson.  The measured δ of a two-body coupling,
+    # slope/L - ‖c‖₁·_ROUND_LINE, holds the 40-digit residual
+    # ‖H - e0·I - k†·A_H(c)·k‖_F of the Cartan form, k taken as exact; the
+    # Josephson closed form is that of H itself.
     g = FLOW_SPECS[kind]._generator
     for _, t, _, _, _, _, dist in _certified_rows(kind):
-        assert dist <= abs(t) * g.slope + hamflow._FLOOR, t
+        assert dist <= certified_bound(g, t), t
+    if kind not in TWO_BODY_FLOWS:
+        return
     c, k = g.two_body.coeffs, g.two_body.k
     with mp.workdps(DIGITS):
         h = mp.matrix(g.h.tolist())

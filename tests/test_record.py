@@ -125,7 +125,7 @@ def test_memo_is_bounded(cold):
 def test_record_arrays_are_read_only(cold):
     g = invariants._gate(wg.check_unitary(GATES["haar0"]))
     verdict = invariants._keep(g, entangler._verdict)[0]
-    arrays = [g.u, g.ub, g.m, g.spectrum.theta, g.spectrum.theta_balanced, g.spectrum.frame, *g.fold]
+    arrays = [g.u, g.ub, g.m, g.spectrum.theta, g.spectrum.theta_balanced, g.spectrum.frame, g.raw, *g.fold]
     arrays += [verdict.phases, verdict.weights]
     assert not any(a.flags.writeable for a in arrays)
 
@@ -168,6 +168,18 @@ def test_readme_sequence_derives_once_per_gate(cold, spy, gate):
         "_fold_element": [(3,)],
         "_verdict": [()],  # its argument is the gate's record, which has no shape
     }
+
+
+@pytest.mark.parametrize("gate", ["haar4", "cnot", "sqrtswap", "iswap"])
+def test_gate_coords_alone_recovers_no_weyl_element(cold, spy, gate):
+    # gate_coords reads the record's image; the element and translation of
+    # the fold are kak_decompose's, derived when it asks, from that image.
+    shapes = spy("_fold_image", "_fold_element")
+    wg.gate_coords(GATES[gate])
+    wg.gate_coords(GATES[gate])
+    assert dict(shapes) == {"_fold_image": [(3,)]}
+    wg.kak_decompose(GATES[gate])
+    assert dict(shapes) == {"_fold_image": [(3,)], "_fold_element": [(3,)]}
 
 
 @pytest.mark.parametrize("name", READERS)

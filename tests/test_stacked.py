@@ -2,13 +2,12 @@
 
 ``trajectory`` runs all of its times through the ``(..., 4, 4)`` cores in one
 pass.  The reference here is the per-point loop it ran before: U(t) for one
-t at a time, through the public single-gate functions.  A coupling with
-single-qubit terms reads its coordinates from the spectrum, as that loop
-does, and matches it bit for bit, with invariants within 1e-14.  A
-two-body row within the certificate's reach folds t·c in closed form: its
-coordinates match within 1e-12, and its g1 and g2 are the closed form of
-its own point, bit for bit, within the row's certified bound of the loop's
-(tests/test_closed_form.py).
+t at a time, through the public single-gate functions.  A row read from the
+spectrum, as that loop reads it, matches it bit for bit, with invariants
+within 1e-14.  A two-body or Josephson row within the certificate's reach
+is a fold in closed form: its coordinates match within 1e-12, and its g1
+and g2 are the closed form of its own point, bit for bit, within the row's
+certified bound of the loop's (tests/test_closed_form.py).
 """
 
 import numpy as np
@@ -17,10 +16,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import weylgate as wg
-from conftest import PI, PROPERTY, assert_same_chamber_point, gate_at, rand_u4
+from conftest import PI, PROPERTY, assert_same_chamber_point, certified_bound, gate_at, rand_u4
 from weylgate import HamiltonianSpec, chamber
 from weylgate.chamber import VERTEX_A3, VERTEX_L, VERTEX_O, VERTEX_P, _gate_coords
-from weylgate.hamflow import _FLOOR
 from weylgate.invariants import _g_from_coords, _Gate, _spectrum_of_m
 from weylgate.linalg import _SIMDIAG_WEIGHTS, TOL_EIG, _eigh, _simdiag
 
@@ -32,9 +30,13 @@ NAMED_KINDS = (
     HamiltonianSpec.josephson(1.2),
 )
 couplings = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9)
+# A two-body coupling plus 0.5·σz⊗I: single-qubit terms of another shape than
+# Josephson's, so every row reads the spectrum.
+Z1 = np.kron(wg.PAULIS["z"], np.eye(2))
 specs = st.one_of(
     st.sampled_from(NAMED_KINDS),
     couplings.map(lambda c: HamiltonianSpec.custom(wg.assemble_nonlocal(c))),
+    couplings.map(lambda c: HamiltonianSpec.custom(wg.assemble_nonlocal(c) + 0.5 * Z1)),
 )
 # Multiples of π, t = 0 among them, ahead of a grid like the CLI's.
 grids = st.tuples(st.floats(0.1, 4 * PI), st.integers(1, 40)).map(
@@ -59,8 +61,9 @@ def test_trajectory_matches_per_point_loop(spec, times):
     samples = wg.trajectory(spec, times)
     assert len(samples) == len(times)
     g = spec._generator
-    folded = np.abs(times) <= g.reach  # every row of a two-body coupling here, and no josephson row
-    assert folded.all() == (spec.kind != "josephson") and folded.any() == folded.all()
+    folded = np.abs(times) <= g.reach
+    reads_spectrum = g.josephson is None and g.two_body is None
+    assert not folded.any() if reads_spectrum else folded.all()  # josephson's rows are folded too
     closed_g1, closed_g2 = _g_from_coords(samples.coords[folded])
     assert_array_equal(samples.g1[folded], closed_g1)
     assert_array_equal(samples.g2[folded], closed_g2)
@@ -74,7 +77,7 @@ def test_trajectory_matches_per_point_loop(spec, times):
         assert type(s.invariants.g2) is float and type(s.invariants.g2_imag_residual) is float
         if folded[i]:
             assert_same_chamber_point(s.coords, coords, atol=1e-12)
-            assert wg.invariant_distance(s.invariants, inv) <= abs(t) * g.slope + _FLOOR
+            assert wg.invariant_distance(s.invariants, inv) <= certified_bound(g, t)
             continue
         assert_array_equal(s.coords, coords)
         assert abs(s.invariants.g1 - inv.g1) <= 1e-14

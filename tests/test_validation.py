@@ -607,12 +607,14 @@ def test_one_fold_per_stack(spy, call):
 
 
 def test_one_fold_per_gate_for_coords_and_kak(spy):
-    # gate_coords and kak_decompose share one gate's record, whose fold
-    # recovers the element and translation the KAK factors read.
+    # gate_coords and kak_decompose share one gate's record: gate_coords
+    # reads its image alone, and kak_decompose its fold, which recovers the
+    # element and translation the KAK factors read from that same image.
     u = rand_u4(np.random.default_rng(2**40))
     invariants._gate_of_bytes.cache_clear()
     folds = spy("_fold_element", "_fold_image", "canonicalize")
     wg.gate_coords(u)
+    assert folds.counts() == {"_fold_image": 1}
     wg.kak_decompose(u)
     invariants._gate_of_bytes.cache_clear()
     assert folds.counts() == {"_fold_image": 1, "_fold_element": 1}
@@ -621,13 +623,10 @@ def test_one_fold_per_gate_for_coords_and_kak(spy):
 @pytest.mark.parametrize(
     "call, expected",
     [
-        # A two-body flow within the certificate's reach forms no U(t).
+        # A two-body or Josephson flow within the certificate's reach forms no U(t).
         (STACK_CALLS[0], {}),
         (STACK_CALLS[1], {"_magic": 1, "_simdiag": 1}),
-        (
-            lambda: wg.trajectory(HamiltonianSpec.josephson(1.2), np.linspace(0, 3, 7)),
-            {"_magic": 1, "_simdiag": 1},
-        ),
+        (lambda: wg.trajectory(HamiltonianSpec.josephson(1.2), np.linspace(0, 3, 7)), {}),
     ],
     ids=["trajectory", "stacked _gate_coords", "trajectory josephson"],
 )

@@ -25,9 +25,10 @@ exactly what was written.  They cover:
 * ``big_*``: triples just below 2^53 through ``canonicalize``, and triples
   at and past it, where it raises (``big_raises``; NaN rows).
 * ``flow_*``: the five couplings of the flow benchmark at 100 times each,
-  through ``trajectory``; the far times reach past the certificate's reach
-  (1e6 on every coupling, 2e5 on exchange), so the spectrum path runs for
-  two-body couplings too.
+  through ``trajectory``.  Every coupling's rows within its certificate's
+  reach are closed-form folds, josephson's too; the far times reach past
+  it (1e6 on every coupling, 2e5 on exchange and josephson), so the
+  spectrum path runs for every coupling.
 * ``plan_*``: seeded targets over six specs, isotropic,
   exchange(1, 0.5, 0.2, 0) and four seeded custom couplings, 15 plans
   each, through ``synthesize`` and ``with_nonnegative_times`` (NaN rows

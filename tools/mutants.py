@@ -79,8 +79,11 @@ MUTANTS = (
            "test_josephson_root_check_bound[g1-past]"),
     Mutant("hamflow.py", "(np.abs(g2.real - 1.0) <= 1e-6)", "(np.abs(g2.real - 1.0) <= 1e-3)",
            "test_josephson_root_check_bound[g2-past]"),
-    Mutant("hamflow.py", "near = np.abs(times) <= g.reach", "near = np.abs(times) <= 1e3 * g.reach",
+    Mutant("hamflow.py", "slope = self.slope", "slope = 1e-3 * self.slope",
            "test_trajectory_certificate_bound[past]"),
+    Mutant("hamflow.py", "_L * float(np.ldexp(omega, e)) * _ROUND_JOSEPHSON",
+           "1e-3 * _L * float(np.ldexp(omega, e)) * _ROUND_JOSEPHSON",
+           "test_josephson_certificate_bound[past]"),
 )
 
 
