@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,6 +204,25 @@ class CartanTarget:
     k: np.ndarray
 
 
+class _Conjugation(NamedTuple):
+    """The Cartan form as ``_conjugate`` derives it: ``coeffs`` as in
+    CartanTarget, and what it formed on the way, which the trajectory
+    certificate reads (``hamflow._Generator.slope``): the magic transform
+    s = Q†·(h - e0·I)·Q, the orthogonal eigenvector frame V of Re s with its
+    columns in the Cartan order, and ``local`` = ||Im s||_F, the
+    single-qubit norm it tested.  The local gate k = Q·Vᵀ·Q† is formed
+    when it is read, which a trajectory never does."""
+
+    coeffs: np.ndarray
+    s: np.ndarray
+    frame: np.ndarray
+    local: float
+
+    @property
+    def k(self) -> np.ndarray:
+        return MAGIC @ self.frame.T @ Q_DAG
+
+
 @_finite_math
 def cartan_conjugate(h) -> CartanTarget:
     """Rotate a purely two-body Hamiltonian into span{σxσx, σyσy, σzσz}.
@@ -223,15 +243,19 @@ def cartan_conjugate(h) -> CartanTarget:
         If the norm of the single-qubit part of ``h`` exceeds
         1e-9·max(1, ||h||_F), a bound that grows with h as its rounding does.
     """
-    return _conjugate(check_hermitian(h))
+    c = _conjugate(check_hermitian(h))
+    return CartanTarget(coeffs=c.coeffs, k=c.k)
 
 
-def _conjugate(h) -> CartanTarget:
-    split = _split(h)
-    # ||h||_F by hypot, which scales as local_norm's does: no overflow near 1e160.
-    if split.local_norm > 1e-9 * max(1.0, math.hypot(*np.abs(h).flat)):
-        raise NotNonlocalError(f"Hamiltonian has single-qubit terms (norm {split.local_norm:.3e})")
-    s = _magic(h - split.identity_coeff * np.eye(4))
+def _conjugate(h) -> _Conjugation:
+    e0 = float(np.trace(h).real) / 4.0
+    s = _magic(h - e0 * np.eye(4))
+    # In the magic basis the single-qubit words are imaginary and the rest
+    # real, so ||Im s||_F is the single-qubit norm.  Both norms by hypot,
+    # which scales by the largest entry: no overflow near 1e160.
+    local = math.hypot(*s.imag.flat)
+    if local > 1e-9 * max(1.0, math.hypot(*np.abs(h).flat)):
+        raise NotNonlocalError(f"Hamiltonian has single-qubit terms (norm {local:.3e})")
     mu, v = _eigh(s.real)
 
     # A Cartan element has the magic-basis diagonal _PATTERN·c/2.  Reading the
@@ -239,8 +263,7 @@ def _conjugate(h) -> CartanTarget:
     # that diagonal gives c1 = μ0+μ1 ≥ c2 = μ0+μ2 ≥ c3 = μ1+μ2.  The eigenvector
     # columns take the same even permutation, so det stays +1.
     perm = [1, 0, 3, 2]
-    k = MAGIC @ v[:, perm].T @ Q_DAG
-    return CartanTarget(coeffs=_raw_coords(2 * mu[perm]), k=k)
+    return _Conjugation(_raw_coords(2 * mu[perm]), s, v[:, perm], local)
 
 
 @_finite_math

@@ -6,8 +6,9 @@ coupling models, provides closed-form invariant curves for the exactly
 solvable ones, and solves the minimum-time CNOT problem for the
 Josephson-junction (capacitively coupled charge qubit) model.  A coupling
 is a ``HamiltonianSpec`` (a matrix enters as ``HamiltonianSpec.custom``); its
-flow and Cartan form are derived once and kept by the spec (``_Generator``);
-what synthesis derives from them, ``synth`` keeps on the same record.
+flow and Cartan form are derived once, each on first read, and kept by the
+spec (``_Generator``); what synthesis derives from them, ``synth`` keeps on
+the same record.
 
 ``trajectory`` takes a coordinate path per coupling.  A purely two-body H
 (up to identity) has a local k with k·H·k† = (c1 σxσx + c2 σyσy + c3 σzσz)/2,
@@ -16,12 +17,14 @@ the line t·c.  The Josephson H commutes with σx⊗σx, so the spectrum of
 m(U(t)) has a closed form in t, and its chamber point is the fold of the
 raw coordinates of that spectrum.  One certificate per coupling, derived
 once and kept by its generator record, bounds how far a row's closed form
-can miss the invariants of the exact U(t): |t|·slope + _FLOOR.  A row whose
+can miss the invariants of the exact U(t): |t|·slope + _FLOOR.  A two-body
+coupling's slope reads the magic transform and the eigenvector frame of its
+Cartan form, so the conjugation is its one derivation.  A row whose
 bound is at most 1e-8, the bound gate_coords checks, is such a fold, with
 the closed-form invariants of its point and g2_imag_residual 0, and no U(t)
 is formed for it.  Every other time, and every time of a coupling with
-single-qubit terms of any other shape, forms U(t) and is read from the
-spectrum of m(U(t)).
+single-qubit terms of any other shape, forms U(t) from the flow, which only
+such rows derive, and is read from the spectrum of m(U(t)).
 
 Supported kinds
 ---------------
@@ -35,13 +38,14 @@ Supported kinds
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cartan import _PATTERN, _WORDS, MAGIC, TOL_BASE, CartanTarget, _conjugate, _fold_image, cartan_element
+from .cartan import _PATTERN, _WORDS, TOL_BASE, _Conjugation, _conjugate, _fold_image, cartan_element
 from .chamber import _TOL_VERIFY, _chamber_point, _gate_coords
 from .entangler import _in_pe
 from .errors import ConvergenceError, InvalidInputError, NotNonlocalError
@@ -72,14 +76,17 @@ _ROUND_LINE = 1.35e-16  # per unit of |t|·‖c‖₁: half the rounding of t·c
 _ROUND_FOLD = 2.8e-15  # half the rounding of the fold that does not grow with |t|
 _FLOOR = _L * _ROUND_FOLD + TOL_BASE + 1e-13  # and the base mirror's sign, and the closed form's rounding
 _ROUND_JOSEPHSON = 7.9e-15  # per unit of Ω·|t|: a Josephson row's rounding (_Generator.josephson)
-# The Cartan form's residual is formed in long double: a 64-bit significand
-# on x86, and double where the platform has no wider type; the unit roundoff
-# enters the residual's rounding term.  √2·Q has the entries 0, ±1 and ±i,
-# so Q†·X·Q = (√2·Q)†·X·(√2·Q)/2 rounds nothing but the sums.
+# δ of a two-body coupling (_Generator.slope) reads the magic transform s
+# and the eigenvector frame that _conjugate formed.  The frame's residual and
+# orthogonality defect are measured in long double, a 64-bit significand on
+# x86 and double where the platform has no wider type, with unit roundoff
+# _U_LONG.
+_U = 2.0**-53
 _U_LONG = float(np.finfo(np.longdouble).eps) / 2
-_SQ = np.round(np.sqrt(2.0) * MAGIC).astype(np.clongdouble)
-_SQ_H = _SQ.conj().T
+_ROUND_MAGIC = 9.2e-16  # per unit of ‖s‖_F: the rounding of s
+_HALF_PATTERN = _PATTERN.astype(np.longdouble) / 2.0
 _EYE_LONG = np.eye(4, dtype=np.longdouble)
+_ONES = np.ones(4)
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,12 @@ class HamiltonianSpec:
         return _Generator(realize(self))
 
 
-# The Cartan coefficients of the named kinds, and the parameters per kind.
-_NAMED_COEFFS = {"isotropic": [0.5, 0.5, 0.5], "xy": [0.5, 0.5, 0.0], "ising": [0.0, 0.0, 0.5]}
+# The matrices of the named kinds, built once from their Cartan
+# coefficients (realize hands out copies), and the parameters per kind.
+_NAMED = {
+    kind: cartan_element(c)
+    for kind, c in {"isotropic": [0.5, 0.5, 0.5], "xy": [0.5, 0.5, 0.0], "ising": [0.0, 0.0, 0.5]}.items()
+}
 _ARITY = {"isotropic": 0, "xy": 0, "ising": 0, "exchange": 4, "josephson": 2, "custom": 32}
 
 # The Pauli words x1, x2, xx, xy, yx, yy (rows of _WORDS, see BASIS_LABELS).
@@ -135,8 +146,8 @@ def realize(spec: HamiltonianSpec) -> np.ndarray:
     """The explicit Hermitian matrix of a HamiltonianSpec (nothing else), which it checks."""
     kind = _as_instance(_as_spec(spec).kind, str, "Hamiltonian kind")
     params = _as_array(spec.params, (_ARITY.get(kind),), f"{kind} params", InvalidInputError, float)
-    if kind in _NAMED_COEFFS:
-        return cartan_element(_NAMED_COEFFS[kind])
+    if kind in _NAMED:
+        return _NAMED[kind].copy()
     if kind == "exchange":
         jxx, jyy, jxy, jyx = params
         return 0.5 * (jxx * _XX + jyy * _YY + jxy * _XY + jyx * _YX)
@@ -165,31 +176,50 @@ class _Josephson(NamedTuple):
 
 class _Generator:
     """What flows need of one checked Hamiltonian h, which depends on the
-    coupling alone and not on any target: the flow t ↦ exp(i·h·t),
-    diagonalized once as U(t) = V·e^{i·w·t}·V†, with its eigenpair
-    (w, V, V†), and, derived on first use, the Cartan conjugation, the
-    Josephson closed form and the certificate of trajectory rows
-    (``slope``, ``josephson`` and ``reach``).
+    coupling alone and not on any target, each part derived on first read:
+    the flow t ↦ exp(i·h·t), diagonalized as U(t) = V·e^{i·w·t}·V†, with its
+    eigenpair (w, V, V†), which synthesis, the Josephson CNOT search and
+    trajectory rows past the reach read; the Cartan conjugation, whose magic
+    transform and frame also serve the certificate; the Josephson closed
+    form; and the certificate of trajectory rows (``slope``, ``josephson``
+    and ``reach``).  A trajectory whose rows are all certified derives no
+    flow.
 
     An h with single-qubit terms has no Cartan form: ``two_body`` keeps
     None for it, and ``cartan`` raises NotNonlocalError on every use.
     """
 
     def __init__(self, h):
-        self.h, self.flow = h, _flow(h)
-        self.w, self.v, self.vh = self.flow.args
+        self.h = h
 
     @_lazy
-    def two_body(self) -> CartanTarget | None:
-        """The Cartan conjugation of h (its identity part dropped), or None
-        when h has single-qubit terms."""
+    def flow(self):
+        """t ↦ exp(i·h·t), with the eigenpair in its ``args``."""
+        return _flow(self.h)
+
+    @_lazy
+    def w(self) -> np.ndarray:
+        return self.flow.args[0]
+
+    @_lazy
+    def v(self) -> np.ndarray:
+        return self.flow.args[1]
+
+    @_lazy
+    def vh(self) -> np.ndarray:
+        return self.flow.args[2]
+
+    @_lazy
+    def two_body(self) -> _Conjugation | None:
+        """The Cartan conjugation of h (its identity part dropped), with what
+        it formed on the way, or None when h has single-qubit terms."""
         try:
             return _conjugate(self.h)
         except NotNonlocalError:
             return None
 
     @property
-    def cartan(self) -> CartanTarget:
+    def cartan(self) -> _Conjugation:
         # _conjugate raises NotNonlocalError again, with its message
         return self.two_body or _conjugate(self.h)
 
@@ -309,33 +339,80 @@ class _Generator:
         _ROUND_FOLD) + TOL_BASE + 1e-13 = |t|·slope + _FLOOR, with slope =
         L·(δ + ‖c‖₁·_ROUND_LINE).
 
-        δ is measured here, in the magic basis Q: with K = Q†·k·Q, S =
-        Q†·h·Q and Λ = diag(_PATTERN·c)/2 = Q†·A_H(c)·Q, the local gate
-        k̃ = Q·polar(Re K)·Q† lies within ξ = ‖Im K‖_F + ‖Re Kᵀ·Re K - I‖_F
-        of k, so δ = ‖S - e0·I - K†·Λ·K‖_F + ‖Λ‖₂·ξ·(2 + ξ) + rounding.  It
-        holds k's orthogonality defect and h's single-qubit part, which
-        _conjugate drops below a norm of 1e-9·max(1, ‖h‖_F).  h is first scaled by a power of
-        two, 2^-e, to max |h_ij| in [1/2, 1), so nothing underflows
-        (josephson at E_L = 1e-200).  The residual and ξ are formed in long
-        double, unit roundoff u_L (2^-64 on x86).  By Higham's γ_n bounds (*Accuracy and Stability of
-        Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 3), with complex
-        products within √2·γ_2 and ‖h‖_F ≤ 4, ‖K‖_F ≤ 2 + ξ in these units,
-        their rounding is below 32·u_L + 208·u_L·‖Λ‖₂·(1 + ξ/2)²: the term
-        256·u_L·(1 + ‖Λ‖₂·(1 + ξ)²) covers it, and a factor 1 + 32·u_L the
-        norms' own.
+        δ is measured on what _conjugate formed (``two_body``): the magic
+        transform s = fl(Q̂†·X·Q̂) of X = fl(h - e0·I), e0 the computed
+        double, and the real frame V of Re s, with k = Q·Vᵀ·Q† and
+        Λ = diag(_PATTERN·c)/2 = Q†·A_H(c)·Q.  Write V = Ṽ·P, its polar
+        decomposition.  Ṽ is orthogonal with det V's sign, +1
+        (``linalg._eigh``), so k̃ = Q·Ṽᵀ·Q† is local and exactly unitary,
+        and Q†·(h - e0·I - k̃†·A_H(c)·k̃)·Q = S - Ṽ·Λ·Ṽᵀ, S = Q†·(h - e0·I)·Q
+        exact.  As V·Λ·Vᵀ = Ṽ·P·Λ·P·Ṽᵀ, it misses Ṽ·Λ·Ṽᵀ by at most
+        ‖Λ‖₂·ζ·(2 + ζ), ζ ≥ ‖P - I‖_F: with ξ = ‖Vᵀ·V - I‖_F, each singular
+        value σ of V has σ ≥ √(1 - ξ) ≥ 1 - ξ and |σ - 1| = |σ² - 1|/(1 + σ),
+        so ζ = ξ/(2 - ξ) for ξ < 1, and ζ = ξ for any ξ.  The first is
+        taken below ξ = 1/2 and the second above, where either makes
+        ζ·(2 + ζ) grow at most twice as fast as ξ, relatively.  So
+
+            δ = ‖S - s‖_F + ‖Im s‖_F + ‖Re s - V·Λ·Vᵀ‖_F + ‖Λ‖₂·ζ·(2 + ζ).
+
+        ‖Im s‖_F is the single-qubit norm that _conjugate tests against
+        1e-9·max(1, ‖h‖_F), so δ holds the single-qubit part it drops.
+        With u = 2^-53, u_L the long double's unit roundoff (2^-64 on x86)
+        and γ_n = n·u/(1 - n·u) (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., SIAM 2002, ch. 3):
+
+        a. The transform.  Every nonzero entry of Q̂ = fl(Q) is ±a or ±i·a,
+           a = fl(1/fl(√2)), so Q̂ = (1 + η)·Q with η = a·√2 - 1 = -8.9e-17,
+           |η| ≤ 0.8u.  Each row and column of Q̂ holds two, so each real
+           part of an entry of P = fl(Q̂†·X), and of fl(P·Q̂), is a sum of
+           two rounded real products and exact zeros, which misses by
+           γ_2·|Q̂†|·|X| and γ_2·|P|·|Q̂|; ‖|Q̂|‖₂ = 2a = √2·(1 + η) and
+           ‖P‖_F ≈ ‖X‖_F.  X's diagonal is rounded by u of itself.  So
+           ‖S - s‖_F ≤ (u + 2|η| + 2·√2·γ_2)·‖X‖_F = 8.26u·‖X‖_F to first
+           order, with ‖X‖_F = ‖S‖_F ≤ ‖s‖_F·(1 + 9u) and ‖s‖_F read by
+           hypot within 3u: _ROUND_MAGIC = 9.2e-16 per unit of the measured
+           ‖s‖_F covers 8.26u·(1 + 13u) = 9.17e-16.
+        b. The frame.  s and c are scaled by 2^-e, ‖s‖_F·2^-e in [1/2, 1),
+           so nothing overflows and only entries below 2^-1022 of ‖s‖_F
+           lose bits.  R = Re s - V·Λ·Vᵀ and G = I - V·Vᵀ, ‖G‖_F = ξ, are
+           formed in long double from one product (V·diag(λ), V)·Vᵀ.  With
+           n = ‖c‖₁/2 ≥ ‖Λ‖₂, λ = _PATTERN·c/2 rounded by γ_2^L·n, products
+           of length 4 and ‖|V|·D·|V|ᵀ‖_F ≤ ‖D‖₂·‖V‖_F² ≤ ‖D‖₂·(4 + 2ξ):
+           ‖R‖_F ≤ ‖R̂‖_F·(1 + 1.01u_L) + n·(γ_5^L·(4 + 2ξ)·(1 + γ_2^L) +
+           2γ_2^L·(1 + ξ)) ≤ ‖R̂‖_F·(1 + 1.01u_L) + 25u_L·n·(1 + ξ), and
+           ξ ≤ (‖Ĝ‖_F·(1 + 1.01u_L) + 4γ_4^L)/(1 - 2γ_4^L).  A norm, 16
+           squares summed and a square root, is read within 9.1u_L, and its
+           conversion to double within u: the measured r bounds ‖R̂‖_F and
+           g + 17u_L bounds ξ, within 1 + u + 19u_L of themselves.
+        c. The sum.  δ = 2^e·δ', with δ' = _ROUND_MAGIC·‖s‖_F + ‖Im s‖_F +
+           r + n·(ζ·(2 + ζ) + 25u_L·(1 + ξ)) in scaled units, ξ and ζ read
+           from g + 17u_L.  Each term is formed within a relative 16u +
+           38u_L of what it bounds: ‖Im s‖_F by hypot within 2u, r within
+           u + 10.2u_L, ζ·(2 + ζ) within 2·(2u + 19u_L) from ξ and 6u from
+           its own four roundings, n·(…) within 4u more (the 1-norm's two
+           roundings among them), then at most three additions and the
+           product by the factor 1 + 24u + 64u_L, which covers these and
+           the slope's last two roundings.  The factor rounds to 1 + 24u
+           where u_L = 2^-64, and is 1 + 88u where long double is double.
+           Its slack, above 5u·_ROUND_MAGIC/2 in scaled units, holds what
+           scaling the entries of Re s and c loses below 2^-1074.  A δ that
+           underflows loses at most 2^-1075, which times any |t| < 1.8e308
+           the 1e-13 of _FLOOR holds.
         """
-        target = self.two_body
-        e = int(np.frexp(np.abs(self.h).max())[1])
-        lam = _PATTERN @ np.ldexp(target.coeffs, -e).astype(np.longdouble) / 2.0
-        h = np.ldexp(self.h.view(float), -e).view(complex)
-        s, kb = _SQ_H @ np.array([h, target.k]) @ _SQ / 2.0
-        top = np.abs(lam).max()
-        r = s - s.trace().real / 4.0 * _EYE_LONG - kb.conj().T @ (lam[:, None] * kb)
-        ore = kb.real
-        xi = _frobenius(kb.imag) + _frobenius(ore.T @ ore - _EYE_LONG)
-        rounding = 256.0 * _U_LONG * (1.0 + top * (1.0 + xi) ** 2)
-        delta = (_frobenius(r.view(np.longdouble)) + top * xi * (2.0 + xi) + rounding) * (1.0 + 32.0 * _U_LONG)
-        return _L * (float(np.ldexp(delta, e)) + float(np.abs(target.coeffs).sum()) * _ROUND_LINE)
+        form = self.two_body
+        size = math.hypot(*form.s.real.flat, form.local)  # ‖s‖_F
+        e = math.frexp(size)[1]
+        lam = _HALF_PATTERN @ np.ldexp(form.coeffs, -e)
+        v = form.frame.astype(np.longdouble)
+        res = np.array([np.ldexp(form.s.real, -e), _EYE_LONG]) - (v * np.array([lam, _ONES])[:, None]) @ v.T
+        r, g = _frobenius(res).astype(float)
+        xi = g + 17.0 * _U_LONG
+        zeta = xi / (2.0 - xi) if xi < 0.5 else xi
+        norm1 = float(np.abs(form.coeffs).sum())
+        n = math.ldexp(norm1, -e) / 2.0
+        delta = _ROUND_MAGIC * math.ldexp(size, -e) + math.ldexp(form.local, -e) + r
+        delta += n * (zeta * (2.0 + zeta) + 25.0 * _U_LONG * (1.0 + xi))
+        return _L * (math.ldexp(delta * (1.0 + 24.0 * _U + 64.0 * _U_LONG), e) + norm1 * _ROUND_LINE)
 
 
 def _as_spec(spec) -> HamiltonianSpec:

@@ -15,9 +15,9 @@ Work per generator and per target
 ---------------------------------
 Everything that depends on the coupling alone is derived once per
 ``HamiltonianSpec`` object and kept on its generator record
-(``hamflow._Generator``).  The record derives the checked matrix, the
-eigenpair (w, V) of its flow U(t) = V·e^{i·w·t}·V†, and its Cartan
-coefficients and conjugating gate k.  This module derives from it the
+(``hamflow._Generator``).  The record holds the checked matrix and derives,
+each on first read, the eigenpair (w, V) of its flow U(t) = V·e^{i·w·t}·V†
+and its Cartan coefficients and conjugating gate k.  This module derives from it the
 plan frame and the recurrence period, and ``invariants._keep`` keeps both on
 the same record.  The frame holds k and k†, the two middle locals, their
 images V†·k_i·V in the eigenbasis, and the pulse-time matrix M with its

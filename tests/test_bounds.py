@@ -6,7 +6,8 @@ A perturbation of the checked quantity is injected, through a monkeypatched
 core or an edited derivation record, at (1 + 1e-6)× the bound, where the
 typed error must be raised, and at (1 - 1e-6)×, where the call must pass.
 The certificate is met by a row's time instead: past its bound the row
-reads the spectrum, and inside it the closed form.
+reads the spectrum, and inside it the closed form.  The single-qubit part
+that δ holds is pinned on the row's certified bound itself.
 The gap, 1e-6 of the bound, is far above the rounding of each injected
 quantity, so a bound loosened or tightened by more than that fails here.
 A bound relative to ||h|| is pinned at unit scale and at ||h|| = 1e8.
@@ -17,7 +18,7 @@ the test here that must then fail.
 import numpy as np
 import pytest
 
-from conftest import rand_u4
+from conftest import certified_bound, rand_local, rand_u4
 from weylgate import (
     MAGIC,
     PAULIS,
@@ -30,6 +31,7 @@ from weylgate import (
     NotLocalError,
     NotNonlocalError,
     VerificationError,
+    assemble_nonlocal,
     cartan_conjugate,
     chamber,
     entangler,
@@ -40,6 +42,7 @@ from weylgate import (
     realize,
     synth,
 )
+from weylgate.cartan import _WORDS
 from weylgate.invariants import _Gate
 
 E00 = np.diag([1.0, 0.0, 0.0, 0.0])  # the (0, 0) unit matrix
@@ -195,6 +198,25 @@ def test_trajectory_certificate_bound(spy, factor):
     else:
         assert calls["_simdiag"] == []
     np.testing.assert_array_equal(table.coords, folded)
+
+
+@FACTORS
+def test_trajectory_certificate_single_qubit_bound(factor):
+    # A dressed two-body coupling at ‖h‖ ≈ 1e-4 with a single-qubit part of
+    # Frobenius norm 5e-10, which _conjugate's absolute bound, 1e-9, lets
+    # pass: δ holds that part, and the rest of the slope, near 1e-19, is
+    # below 1e-9 of it.  So at the time where L·|t|·5e-10 + _FLOOR is
+    # factor·_TOL_VERIFY, a row's certified bound lies past _TOL_VERIFY, or
+    # inside it.  Which rows such a bound sends to the spectrum is pinned
+    # above, on the slope as derived.
+    rng = np.random.default_rng(35)
+    k = rand_local(rng)
+    part = 0.5 * np.tensordot(rng.standard_normal(6), _WORDS[:6], 1)
+    h = 1e-4 * k @ assemble_nonlocal(rng.uniform(-1.0, 1.0, 9)) @ k.conj().T + 5e-10 * part / np.linalg.norm(part)
+    g = HamiltonianSpec.custom(h)._generator
+    assert g.two_body is not None and g.josephson is None
+    t = (factor * chamber._TOL_VERIFY - hamflow._FLOOR) / (hamflow._L * 5e-10)
+    assert (certified_bound(g, t) > chamber._TOL_VERIFY) == (factor > 1)
 
 
 @FACTORS

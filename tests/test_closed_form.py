@@ -126,8 +126,9 @@ def test_a_dropped_single_qubit_part_sends_its_rows_to_the_spectrum(scale):
     # A locally dressed two-body coupling plus a single-qubit part of its own
     # size: at ‖h‖ ≤ about 1e-10 that part passes _conjugate's absolute
     # bound, and the coupling counts as two-body.  The certificate holds
-    # that part, measured scaled: every row where L·|t| times its norm is
-    # past the bound reads the spectrum, here every row but t = 0.
+    # that part's norm, as _conjugate measured it, with no under- or
+    # overflow: every row where L·|t| times its norm is past the bound
+    # reads the spectrum, here every row but t = 0.
     rng = np.random.default_rng(34)
     k = rand_local(rng)
     h = k @ assemble_nonlocal(rng.uniform(-1.0, 1.0, 9)) @ k.conj().T
@@ -140,6 +141,23 @@ def test_a_dropped_single_qubit_part_sends_its_rows_to_the_spectrum(scale):
     past = hamflow._L * np.abs(times) * dropped > _TOL_VERIFY
     assert past.sum() == len(times) - 1
     assert _assert_paths_agree(spec, times) == 1
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e8, 1e150])
+def test_dressed_couplings_reach_far_at_every_scale(scale):
+    # s·k·h·k† for a random local k and two-body h: the two-body test and
+    # the certificate raise no warning (the suite turns any into an error),
+    # and the reach is at least 1e5 in units of 1/‖H‖_F (measured 1.5e5 to
+    # 3.1e5 here).  Near rows agree with the spectrum path.
+    rng = np.random.default_rng(0)
+    k = rand_local(rng)
+    h = k @ assemble_nonlocal(rng.uniform(-1.0, 1.0, 9)) @ k.conj().T
+    spec = HamiltonianSpec.custom(scale * h)
+    g = spec._generator
+    assert g.two_body is not None and g.josephson is None
+    norm = scale * np.linalg.norm(h)
+    assert g.reach * norm >= 1e5
+    assert _assert_paths_agree(spec, np.array([0.0, 1.0, -2.5, 10.0]) / norm) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +218,37 @@ def test_rows_within_reach_form_no_gate(spy, kind):
     assert calls["_simdiag"] == [(2, 4, 4)]
     assert_array_equal(table.coords[far], _gate_coords(g.flow(times[far, None, None]))[0])
     assert_array_equal(table.coords[~far], hamflow._folded(g, times[~far])[0])
+
+
+@pytest.mark.parametrize("kind", TWO_BODY)
+def test_a_fresh_two_body_coupling_is_derived_in_one_pass(spy, kind):
+    # Rows within reach of a fresh spec: one magic transform and one
+    # eigendecomposition, the Cartan form's, which the certificate reads
+    # too; no Pauli split and no flow.
+    calls = spy("_magic", "_eigh", "_split", "_flow")
+    wg.trajectory(TWO_BODY[kind](), np.linspace(-1e4, 1e4, 101))
+    assert calls.counts() == {"_magic": 1, "_eigh": 1}
+
+
+@pytest.mark.parametrize("alpha, e_l", [(1.2, 1.0), (0.5, 1e-12)], ids=["josephson(1.2)", "josephson(0.5,1e-12)"])
+def test_a_fresh_josephson_coupling_derives_no_flow(spy, alpha, e_l):
+    calls = spy("_magic", "_eigh", "_split", "_flow")
+    wg.trajectory(HamiltonianSpec.josephson(alpha, e_l), np.linspace(-1e3, 1e3, 101) / e_l)
+    assert calls.counts() == {}
+
+
+@pytest.mark.parametrize(
+    "make_spec", [*TWO_BODY.values(), lambda: HamiltonianSpec.josephson(1.2)], ids=[*TWO_BODY, "josephson"]
+)
+def test_rows_past_the_reach_derive_the_flow_once_per_spec(spy, make_spec):
+    calls = spy("_flow")
+    spec = make_spec()
+    far = 3.0 * spec._generator.reach
+    wg.trajectory(spec, [0.5, -1.0])
+    assert calls.counts() == {}
+    for _ in range(3):
+        wg.trajectory(spec, [0.5, far, -far])
+    assert calls.counts() == {"_flow": 1}
 
 
 def test_no_cartan_form_is_derived_once(spy):

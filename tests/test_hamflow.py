@@ -37,6 +37,17 @@ def test_realize_xy_and_ising():
     assert_array_equal(realize(HamiltonianSpec.ising()), cartan_element([0.0, 0.0, 0.5]))
 
 
+@pytest.mark.parametrize("kind", ["isotropic", "xy", "ising"])
+def test_realize_named_kind_hands_out_a_fresh_matrix(kind):
+    # The named matrices are built once; a write to one realize result
+    # reaches neither a later result nor a fresh spec's generator.
+    c = {"isotropic": [0.5] * 3, "xy": [0.5, 0.5, 0.0], "ising": [0.0, 0.0, 0.5]}[kind]
+    spec = getattr(HamiltonianSpec, kind)
+    realize(spec())[:] = 7.0
+    assert_array_equal(realize(spec()), cartan_element(c))
+    assert_array_equal(spec()._generator.h, cartan_element(c))
+
+
 def test_realize_exchange():
     h = realize(HamiltonianSpec.exchange(1.0, 0.5, 0.2, -0.1))
     sx, sy = PAULIS["x"], PAULIS["y"]

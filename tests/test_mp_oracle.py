@@ -199,7 +199,7 @@ FLOW_SPECS = {
     "josephson": wg.HamiltonianSpec.josephson(1.2),
 }
 NEAR = slice(0, 96, 10)  # ten of each row's 96 times on [0, 2.2π]
-FAR = slice(97, 100)  # 3e4, 2e5 and 1e6: 1e6 past every coupling's certified reach
+FAR = slice(97, 100)  # 3e4, 2e5 and 1e6: 1e6 past the certified reach of every coupling but ising
 FAR_ULPS = 8  # measured at most 1.9 units of ε·‖H‖_max·|t|
 PLAN_SPECS = [wg.HamiltonianSpec.isotropic(), wg.HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0)]
 PLAN_SPECS += [wg.HamiltonianSpec.custom(h) for h in PLAN_CUSTOM]
@@ -254,13 +254,14 @@ def test_certified_flow_rows_match_the_oracle(kind):
     # A certified row is the fold of t·c, or of the Josephson raw
     # coordinates, and the closed form of its point, with no U(t).  Measured
     # at most 8.2e-15 at the near times (g2 on exchange).  At a far time, 3e4
-    # on each coupling and 2e5 on all but exchange and josephson, the
+    # on each coupling, 2e5 on all but josephson and 1e6 on ising, the
     # rounding of the raw coordinates and of their fold's mod π grows with
     # |t|, so each is bounded as U(t) is there: at most 4.8 units of
     # ε·‖H‖_max·|t| (g2 on isotropic at t = 3e4, 1.6e-11).  On josephson,
     # at most 1.3e-15 at the near times and 0.86 units (8.3e-12) at 3e4.
     rows = _certified_rows(kind)
-    assert [i for i, *_ in rows] == [*range(96)[NEAR], 97, *([98] if kind in ("isotropic", "xy", "ising") else [])]
+    far = {"josephson": [97], "ising": [97, 98, 99]}.get(kind, [97, 98])
+    assert [i for i, *_ in rows] == [*range(96)[NEAR], *far]
     scale = np.abs(wg.realize(FLOW_SPECS[kind])).max() * np.finfo(float).eps
     for i, t, table, coords, g1, g2, _ in rows:
         errors = np.abs(table.coords[i] - coords).max(), abs(table.g1[i] - g1), abs(table.g2[i] - g2)
@@ -271,7 +272,7 @@ def test_certified_flow_rows_match_the_oracle(kind):
 def test_certificate_bounds_the_oracle_distance(kind):
     # The certificate is sound on every row it covers: the 40-digit distance
     # between the row's invariants and those of exp(i·H·t) is at most the
-    # row's bound, |t|·slope + _FLOOR; measured at most 0.0094 of it, and
+    # row's bound, |t|·slope + _FLOOR; measured at most 0.0121 of it, and
     # 0.0013 on josephson.  The measured δ of a two-body coupling,
     # slope/L - ‖c‖₁·_ROUND_LINE, holds the 40-digit residual
     # ‖H - e0·I - k†·A_H(c)·k‖_F of the Cartan form, k taken as exact; the

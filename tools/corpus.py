@@ -27,8 +27,8 @@ exactly what was written.  They cover:
 * ``flow_*``: the five couplings of the flow benchmark at 100 times each,
   through ``trajectory``.  Every coupling's rows within its certificate's
   reach are closed-form folds, josephson's too; the far times reach past
-  it (1e6 on every coupling, 2e5 on exchange and josephson), so the
-  spectrum path runs for every coupling.
+  it (1e6 on every coupling but ising, 2e5 on josephson), so the spectrum
+  path runs for every coupling but ising, whose reach is 1.3e6.
 * ``plan_*``: seeded targets over six specs, isotropic,
   exchange(1, 0.5, 0.2, 0) and four seeded custom couplings, 15 plans
   each, through ``synthesize`` and ``with_nonnegative_times`` (NaN rows

@@ -43,7 +43,7 @@ MUTANTS = (
            "test_hermitian_bound[past]"),
     Mutant("linalg.py", "TOL_HERMITIAN * max(1.0, size))", "TOL_HERMITIAN)",
            "test_hermitian_bound_at_1e8[inside]"),
-    Mutant("cartan.py", "if split.local_norm > 1e-9 * max(1.0,", "if split.local_norm > 1e-9 * max(1e3,",
+    Mutant("cartan.py", "if local > 1e-9 * max(1.0,", "if local > 1e-9 * max(1e3,",
            "test_conjugate_single_qubit_bound[past]"),
     Mutant("cartan.py", "1e-9 * max(1.0, math.hypot(*np.abs(h).flat))", "1e-9",
            "test_conjugate_single_qubit_bound_at_1e8[inside]"),
@@ -81,6 +81,8 @@ MUTANTS = (
            "test_josephson_root_check_bound[g2-past]"),
     Mutant("hamflow.py", "slope = self.slope", "slope = 1e-3 * self.slope",
            "test_trajectory_certificate_bound[past]"),
+    Mutant("hamflow.py", "math.ldexp(size, -e) + math.ldexp(form.local, -e) + r", "math.ldexp(size, -e) + r",
+           "test_trajectory_certificate_single_qubit_bound[past]"),
     Mutant("hamflow.py", "_L * float(np.ldexp(omega, e)) * _ROUND_JOSEPHSON",
            "1e-3 * _L * float(np.ldexp(omega, e)) * _ROUND_JOSEPHSON",
            "test_josephson_certificate_bound[past]"),
