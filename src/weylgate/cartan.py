@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NotNonlocalError
-from .linalg import _as_array, _as_triple, _eigh, _finite_math, check_hermitian
+from .errors import ConvergenceError, InvalidInputError, NotNonlocalError
+from .linalg import TOL_EIG, _as_array, _as_triple, _eigh, _finite_math, _frobenius, check_hermitian
 
 __all__ = [
     "BASIS_LABELS",
@@ -208,14 +208,15 @@ class _Conjugation(NamedTuple):
     """The Cartan form as ``_conjugate`` derives it: ``coeffs`` as in
     CartanTarget, and what it formed on the way, which the trajectory
     certificate reads (``hamflow._Generator.slope``): the magic transform
-    s = Q†·(h - e0·I)·Q, the orthogonal eigenvector frame V of Re s with its
-    columns in the Cartan order, and ``local`` = ||Im s||_F, the
-    single-qubit norm it tested.  The local gate k = Q·Vᵀ·Q† is formed
+    s = Q†·(h - e0·I)·Q, the eigenvector frame V of Re s, unchecked, and its
+    eigenvalues ``mu``, both in the Cartan order, and ``local`` = ||Im s||_F,
+    the single-qubit norm it tested.  The local gate k = Q·Vᵀ·Q† is formed
     when it is read, which a trajectory never does."""
 
     coeffs: np.ndarray
     s: np.ndarray
     frame: np.ndarray
+    mu: np.ndarray
     local: float
 
     @property
@@ -242,8 +243,14 @@ def cartan_conjugate(h) -> CartanTarget:
     NotNonlocalError
         If the norm of the single-qubit part of ``h`` exceeds
         1e-9·max(1, ||h||_F), a bound that grows with h as its rounding does.
+    ConvergenceError
+        If ||Re S - V·diag(μ)·Vᵀ||_F, for the eigenvector frame V of Re S
+        and its eigenvalues μ, exceeds TOL_EIG·max(1, ||Re S||_F).
     """
     c = _conjugate(check_hermitian(h))
+    resid = _frobenius(c.s.real - (c.frame * c.mu) @ c.frame.T)
+    if not resid <= TOL_EIG * max(1.0, _frobenius(c.s.real)):  # a NaN residual fails too
+        raise ConvergenceError(f"Cartan frame residual {resid:.3e} too large")
     return CartanTarget(coeffs=c.coeffs, k=c.k)
 
 
@@ -259,11 +266,11 @@ def _conjugate(h) -> _Conjugation:
     mu, v = _eigh(s.real)
 
     # A Cartan element has the magic-basis diagonal _PATTERN·c/2.  Reading the
-    # descending eigenvalues μ0..μ3 (sum zero) in the order (μ1, μ0, μ3, μ2) as
+    # descending eigenvalues μ0..μ3 (sum ≈ 0) in the order (μ1, μ0, μ3, μ2) as
     # that diagonal gives c1 = μ0+μ1 ≥ c2 = μ0+μ2 ≥ c3 = μ1+μ2.  The eigenvector
     # columns take the same even permutation, so det stays +1.
-    perm = [1, 0, 3, 2]
-    return _Conjugation(_raw_coords(2 * mu[perm]), s, v[:, perm], local)
+    mu, v = mu[[1, 0, 3, 2]], v[:, [1, 0, 3, 2]]
+    return _Conjugation(_raw_coords(2 * mu), s, v, mu, local)
 
 
 @_finite_math

@@ -32,7 +32,7 @@ class WeylgateError(Exception):
 class InvalidInputError(WeylgateError, ValueError):
     """A wrong shape; coordinates, coefficients, times or other scalars that
     are not finite reals; an unknown gate name, Hamiltonian or option; or
-    arguments too large to compute with.  A ``ValueError`` too."""
+    finite arguments out of range, huge or tiny.  A ``ValueError`` too."""
 
 
 class NotUnitaryError(WeylgateError):

@@ -372,11 +372,13 @@ class _Generator:
            order, with ‖X‖_F = ‖S‖_F ≤ ‖s‖_F·(1 + 9u) and ‖s‖_F read by
            hypot within 3u: _ROUND_MAGIC = 9.2e-16 per unit of the measured
            ‖s‖_F covers 8.26u·(1 + 13u) = 9.17e-16.
-        b. The frame.  s and c are scaled by 2^-e, ‖s‖_F·2^-e in [1/2, 1),
-           so nothing overflows and only entries below 2^-1022 of ‖s‖_F
-           lose bits.  R = Re s - V·Λ·Vᵀ and G = I - V·Vᵀ, ‖G‖_F = ξ, are
-           formed in long double from one product (V·diag(λ), V)·Vᵀ.  With
-           n = ‖c‖₁/2 ≥ ‖Λ‖₂, λ = _PATTERN·c/2 rounded by γ_2^L·n, products
+        b. The frame, which ``linalg._eigh`` does not check: R and G are
+           the trajectory path's only measure of it.  s and c are scaled by
+           2^-e, ‖s‖_F·2^-e in [1/2, 1), so nothing overflows and only
+           entries below 2^-1022 of ‖s‖_F lose bits.  R = Re s - V·Λ·Vᵀ and
+           G = I - V·Vᵀ, ‖G‖_F = ξ, are formed in long double from one
+           product (V·diag(λ), V)·Vᵀ.  With n = ‖c‖₁/2 ≥ ‖Λ‖₂, λ =
+           _PATTERN·c/2 rounded by γ_2^L·n, products
            of length 4 and ‖|V|·D·|V|ᵀ‖_F ≤ ‖D‖₂·‖V‖_F² ≤ ‖D‖₂·(4 + 2ξ):
            ‖R‖_F ≤ ‖R̂‖_F·(1 + 1.01u_L) + n·(γ_5^L·(4 + 2ξ)·(1 + γ_2^L) +
            2γ_2^L·(1 + ξ)) ≤ ‖R̂‖_F·(1 + 1.01u_L) + 25u_L·n·(1 + ξ), and

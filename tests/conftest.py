@@ -18,10 +18,12 @@ from weylgate import (
     assemble_nonlocal,
     canonical_gate,
     cartan_conjugate,
+    m_spectrum,
 )
 from weylgate.cartan import _WEYL_ACTIONS
 from weylgate.chamber import TOL_BASE
 from weylgate.hamflow import _FLOOR
+from weylgate.invariants import _Gate
 
 PI = np.pi
 
@@ -124,6 +126,17 @@ def assert_same_chamber_point(a, b, atol):
     assert hi[0] > PI / 2, (a, b)
     assert abs(a[2] - TOL_BASE) <= _BASE_BAND and abs(b[2] - TOL_BASE) <= _BASE_BAND, (a, b)
     assert_allclose(np.sort([PI - hi[0], hi[1], hi[2]])[::-1], lo, atol=atol)
+
+
+def assert_m_frame(u):
+    """m_spectrum's frame of ``u``, which only _simdiag's off-diagonal test
+    checks in the library, is orthogonal with det +1 and rebuilds m of the
+    det-one gate e^{-iα}·U, α = arg(det U)/4."""
+    spec = m_spectrum(u)
+    assert_allclose(spec.frame @ spec.frame.T, np.eye(4), atol=1e-12)
+    assert abs(np.linalg.det(spec.frame) - 1.0) <= 1e-12
+    m = _Gate(np.exp(-1j * np.angle(np.linalg.det(u)) / 4.0) * u).m
+    assert_allclose(spec.frame.T @ np.diag(np.exp(1j * spec.theta)) @ spec.frame, m, atol=1e-9)
 
 
 def certified_bound(g, times):

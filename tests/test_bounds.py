@@ -1,6 +1,6 @@
-"""Each self-check of the one-gate analysis chain, of synthesis and of the
-Josephson CNOT search, and the certificates of two-body and Josephson
-trajectory rows, pinned at its bound.
+"""Each self-check of the one-gate analysis chain, of the Cartan form, of
+synthesis and of the Josephson CNOT search, and the certificates of
+two-body and Josephson trajectory rows, pinned at its bound.
 
 A perturbation of the checked quantity is injected, through a monkeypatched
 core or an edited derivation record, at (1 + 1e-6)× the bound, where the
@@ -32,7 +32,9 @@ from weylgate import (
     NotNonlocalError,
     VerificationError,
     assemble_nonlocal,
+    cartan,
     cartan_conjugate,
+    cartan_element,
     chamber,
     entangler,
     gate_coords,
@@ -78,13 +80,21 @@ def test_simdiag_off_diagonal_bound(monkeypatch, factor):
 
 
 @FACTORS
-def test_eigh_residual_bound(monkeypatch, factor):
-    # LAPACK answers with an eigenvalue off by δ, so the residual is δ against
-    # 1e-10·max(1, ||s||) = 2e-10.
-    s = np.diag([0.0, 0.5, 1.0, np.sqrt(2.75)])  # ||s|| = 2
-    delta = factor * 1e-10 * 2.0
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.diag(m) + [delta, 0.0, 0.0, 0.0], np.eye(4)))
-    _outcome(factor, ConvergenceError, lambda: linalg._eigh(s))
+def test_cartan_frame_residual_bound(monkeypatch, factor):
+    # A = (σxσx + σyσy)/2 has Re s = diag(0, 1, -1, 0) exactly and Im s
+    # below 1e-16.  _eigh answers with its exact frame turned by φ in the
+    # plane of the eigenvalues 1 and 0, so the residual is √2·|sin φ| (the
+    # rounding of cos φ to 1 moves it by sin²φ) against
+    # TOL_EIG·max(1, ||Re s||_F) = √2·TOL_EIG.
+    phi = np.arcsin(factor * linalg.TOL_EIG)
+
+    def turned(m):
+        v = np.eye(4)[:, [1, 0, 3, 2]]  # columns for 1, 0, 0, -1: det +1
+        v[:, :2] = v[:, :2] @ [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
+        return m.diagonal()[[1, 0, 3, 2]], v
+
+    monkeypatch.setattr(cartan, "_eigh", turned)
+    _outcome(factor, ConvergenceError, lambda: cartan_conjugate(cartan_element([1.0, 1.0, 0.0])))
 
 
 def _hermitian_outcome(factor, scale):

@@ -1,23 +1,36 @@
 """Generator basis, Killing form, Hamiltonian splitting, Cartan rotation."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import rand_local
 from weylgate import (
     BASIS_LABELS,
     MAGIC,
     PAULIS,
     WEYL_REFLECTIONS,
+    ConvergenceError,
+    HamiltonianSpec,
     InvalidInputError,
     NotNonlocalError,
+    VerificationError,
     assemble_nonlocal,
+    cartan,
     cartan_conjugate,
     cartan_element,
     commutator,
+    expm_i_hermitian,
     generator_basis,
     killing_form,
+    local_invariants,
+    named_gate,
+    realize,
     split_hamiltonian,
+    synthesize,
+    trajectory,
 )
 
 SX, SY, SZ = PAULIS["x"], PAULIS["y"], PAULIS["z"]
@@ -165,6 +178,50 @@ def test_cartan_conjugate_random_nonlocal():
         from weylgate import is_local_gate
 
         assert is_local_gate(k)
+
+
+def test_cartan_conjugate_ignores_a_large_identity_offset():
+    # At E = 2^27 the diagonal E ± a of E·I + h rounds to different ulps on
+    # the two sides of the binade boundary, so tr(Re s) keeps 3e-8 of E's
+    # rounding in 5 of these 10 draws, which no trace-free Cartan form
+    # rebuilds: the frame is measured against the eigenvalues it diagonalizes.
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        loc = rand_local(rng)
+        h = loc @ assemble_nonlocal(rng.uniform(-1, 1, size=9)) @ loc.conj().T
+        target = cartan_conjugate(2.0**27 * np.eye(4) + h)
+        assert_allclose(target.coeffs, cartan_conjugate(h).coeffs, atol=1e-7)
+        assert_allclose(target.k @ h @ target.k.conj().T, cartan_element(target.coeffs), atol=1e-7)
+
+
+def test_each_reader_checks_the_cartan_frame(monkeypatch):
+    # _eigh checks no frame, so one turned by 1e-6 in one plane reaches every
+    # reader of the Cartan form, and each checks it where it reads it:
+    # cartan_conjugate by the frame's residual, synthesis by the plan's, and
+    # a trajectory's certificate by δ, which holds the frame's residual, so
+    # the reach shrinks and the rows past it read the spectrum.
+    spec = partial(HamiltonianSpec.exchange, 1.0, 0.5, 0.2, 0.0)  # a fresh spec derives afresh
+    reach = spec()._generator.reach
+    eigh, turn = cartan._eigh, np.eye(4)
+    turn[:2, :2] = [[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]]
+
+    def turned(s):
+        mu, v = eigh(s)
+        return mu, v @ turn
+
+    monkeypatch.setattr(cartan, "_eigh", turned)
+    h = realize(spec())
+    with pytest.raises(ConvergenceError):
+        cartan_conjugate(h)
+    with pytest.raises(VerificationError):
+        synthesize(named_gate("cnot"), spec())
+    fresh = spec()
+    times = np.linspace(0.0, 2 * np.pi, 41)
+    table = trajectory(fresh, times)
+    assert fresh._generator.reach < 1e-7 * reach < times[1]
+    for t, g1, g2 in zip(times, table.g1, table.g2):
+        ref = local_invariants(expm_i_hermitian(h, t))
+        assert abs(g1 - ref.g1) < 1e-8 and abs(g2 - ref.g2) < 1e-8
 
 
 def test_cartan_conjugate_rejects_local_terms():

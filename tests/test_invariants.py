@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import rand_local, rand_u4
+from conftest import assert_m_frame, rand_local, rand_u4
 from weylgate import (
     canonical_gate,
     invariant_distance,
@@ -93,12 +93,7 @@ def test_m_spectrum_reconstruction():
         # principal branch values.
         assert abs(np.sum(spec.theta_balanced)) < 1e-9
         assert np.max(np.abs(spec.theta_balanced - spec.theta)) <= 2 * np.pi + 1e-9
-        # Frame is real orthogonal and reproduces m of the det-normalized u.
-        assert_allclose(spec.frame @ spec.frame.T, np.eye(4), atol=1e-10)
-        alpha = np.angle(np.linalg.det(u)) / 4.0
-        m = _Gate(np.exp(-1j * alpha) * u).m
-        rebuilt = spec.frame.T @ np.diag(np.exp(1j * spec.theta)) @ spec.frame
-        assert_allclose(rebuilt, m, atol=1e-9)
+        assert_m_frame(u)
 
 
 def test_locally_equivalent_named_pairs():

@@ -19,6 +19,7 @@ from conftest import (
     PI,
     PROPERTY,
     TIE_BOUND,
+    assert_m_frame,
     assert_same_chamber_point,
     gate_at,
     rand_chamber_point,
@@ -414,6 +415,14 @@ def test_kak_on_chamber_boundary(u):
     # image, c3 ≤ 0; the chamber point it names is gate_coords'.
     assert in_chamber(d.coords, tol=TOL_BASE)
     assert_allclose(canonicalize(d.coords), gate_coords(u), atol=1e-9)
+
+
+@PROPERTY
+@given(boundary_gates())
+def test_m_frame_on_chamber_boundary(u):
+    # Faces, edges and vertices repeat eigenphases of m, where _simdiag's
+    # blend must pick a joint frame from a degenerate one.
+    assert_m_frame(u)
 
 
 # Vertices, edges and faces of the perfect-entangler polyhedron

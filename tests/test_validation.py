@@ -376,6 +376,13 @@ def test_malformed_input_raises_typed_error(fn, bad, error):
     assert not isinstance(info.value, np.linalg.LinAlgError), info.value
 
 
+@pytest.mark.parametrize("e_l", [5e-324, 1.7e308])
+def test_an_overflow_names_its_argument_out_of_range(e_l):
+    # A tiny E_L overflows as a huge one does, so the message names neither.
+    with pytest.raises(InvalidInputError, match=r"^josephson_cnot_min_time: argument out of range \(overflow"):
+        wg.josephson_cnot_min_time(e_l=e_l)
+
+
 @pytest.mark.parametrize("fn", SPEC_FNS.values(), ids=SPEC_FNS.keys())
 def test_a_matrix_is_not_a_coupling(fn):
     # The one accepted form is a spec; the error names the one that takes a matrix.
