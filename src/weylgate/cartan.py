@@ -259,7 +259,8 @@ def _conjugate(h) -> _Conjugation:
     s = _magic(h - e0 * np.eye(4))
     # In the magic basis the single-qubit words are imaginary and the rest
     # real, so ||Im s||_F is the single-qubit norm.  Both norms by hypot,
-    # which scales by the largest entry: no overflow near 1e160.
+    # which scales by the largest entry: a sum of squares would overflow
+    # above 1.3e154, and check_hermitian admits any h of finite ||h||_F.
     local = math.hypot(*s.imag.flat)
     if local > 1e-9 * max(1.0, math.hypot(*np.abs(h).flat)):
         raise NotNonlocalError(f"Hamiltonian has single-qubit terms (norm {local:.3e})")
@@ -409,8 +410,9 @@ def _fold_element(c, image):
     image = P·c + π·n.  For each P, d = (image - P·c)/π is n when P is the
     moves' element; the P whose d lies nearest an integer vector is taken,
     the first in table order where several are equally near (an exact tie,
-    as at c = 0, where every P maps c to the image)."""
+    as at c = 0, where every P maps c to the image).  Its n is that P's
+    rint(d), read out of each row by plain indexing."""
     d = (image[..., None, :] - (c @ _WEYL_STACK).reshape(c.shape[:-1] + (len(_WEYL_ACTIONS), 3))) / np.pi
     n = np.rint(d)
     p = np.abs(d - n).max(-1).argmin(-1)
-    return p, np.take_along_axis(n, p[..., None, None], -2)[..., 0, :].astype(np.intp)
+    return p, n[(*np.indices(p.shape, sparse=True), p)].astype(np.intp)

@@ -44,6 +44,7 @@ _PARITY_WORDS = reduce(
 )
 _PARITY_KEY = np.array([1, 2, 4])
 _WEYL_GATES_Q = _WEYL_GATES @ MAGIC  # g_P·Q: k1 and k2 absorb g_P with the basis change
+_WEYL_GATES_Q_DAG = _WEYL_GATES_Q.conj().swapaxes(-1, -2)  # (g_P·Q)†, which k1 absorbs
 _EYE = np.eye(4)
 _TOL_LOCAL = 1e-8  # the locality test's bound on m = λ·I and on a tensor factorization
 
@@ -161,31 +162,47 @@ def kak_decompose(u) -> KakDecomposition:
     Raises
     ------
     VerificationError
-        If the left frame is not real within 1e-8, the reconstruction
-        residual exceeds 1e-9, or an outer factor fails the locality test.
+        If the left frame is not real within 1e-8, the real frames o1
+        and o2 of the outer factors are not rotations (max|oᵀo - I| above
+        5e-9, or det o ≤ 0), or the reconstruction residual exceeds 1e-9.
     """
     return _kak(_gate(u))
 
 
 def _kak(g: _Gate) -> KakDecomposition:
-    """kak_decompose's core on a gate's record.  It forms no m or det of
-    its own: α comes from the record, the frames from its U_B and
-    spectrum, and the coordinates, P and n from its fold.  Only the outer
-    factors k1 and k2 get an m, in one stacked locality check."""
+    """kak_decompose's core on a gate's record.  It forms no m or det of a
+    gate: α comes from the record, the frames from its U_B and spectrum,
+    and the coordinates, P and n from its fold.  The outer factors k1 and
+    k2 are checked local on their real magic-basis frames o1 and o2, in
+    one stacked rotation test."""
     alpha = float(g.alpha)
     theta, o2 = g.spectrum.theta_balanced, g.spectrum.frame
     # The det-one gate's U_B is e^{-iα}·U_B, and F = diag(e^{iθ/2}).
     o1 = g.ub @ (o2.T * np.exp(-1j * (alpha + 0.5 * theta)))
     if np.abs(o1.imag).max() >= 1e-8:
         raise VerificationError("the square-root branch did not produce a real frame")
+    # The outer factors are local iff o1 and o2 are rotations.  Below,
+    # k1 = Q·o1·Sᵀ·Q† and k2 = Q·D·S·o2·Q†, with S = Q†·g_P·Q a signed
+    # permutation and D = Q†·W·Q a ±1 diagonal, both of det +1
+    # (tests/test_kak.py).  So m(k1) = S·o1ᵀo1·Sᵀ, m(k2) = o2ᵀo2 and
+    # det k = det o: m(k) - I holds the entries of oᵀo - I, signed and
+    # permuted.  A defect d = max|oᵀo - I| ≤ _TOL_LOCAL/2 with det o > 0
+    # implies _m_scalar's test at λ = m(k)[0, 0] = 1 ± d: max|m(k) - λ·I|
+    # ≤ 2·d ≤ _TOL_LOCAL (two diagonal entries differ by at most 2·d), and
+    # det k = +√det(oᵀo) lies within about 2·d of 1, as λ² does.  So this
+    # test is never looser than that one, up to the rounding of m(k) itself
+    # (about 1e-15).
+    o = np.array([o1.real, o2])
+    defect = np.abs(o.swapaxes(-1, -2) @ o - _EYE).max()
+    if not (defect <= _TOL_LOCAL / 2 and (np.linalg.det(o) > 0).all()):  # NaN fails
+        raise VerificationError("a reduced outer factor failed local recognition")
 
     # Before the fold, k1 = Q·o1·Q† and k2 = Q·o2·Q†.  With
     # coords = P·c_raw + π·n: A(c) = g_P†·A(P·c)·g_P, and
     # A(y) = A(y + π·n)·Π_j (-i·W_j)^(n_j), the W_j commuting and squaring to I.
     coords, p, n = g.fold
-    gq = _WEYL_GATES_Q[p]
-    k1 = MAGIC @ o1.real @ gq.conj().T
-    k2 = _PARITY_WORDS[(n % 2) @ _PARITY_KEY] @ gq @ o2 @ Q_DAG
+    k1 = MAGIC @ o1.real @ _WEYL_GATES_Q_DAG[p]
+    k2 = _PARITY_WORDS[(n % 2) @ _PARITY_KEY] @ _WEYL_GATES_Q[p] @ o2 @ Q_DAG
     alpha -= np.pi / 2.0 * n.sum(-1)
     turn = np.exp(1j * alpha)
     alpha_out = float(np.arctan2(turn.imag, turn.real))  # wrap to (-π, π], as np.angle does
@@ -195,8 +212,6 @@ def _kak(g: _Gate) -> KakDecomposition:
     residual = float(np.linalg.norm(g.u - rec))
     if residual > 1e-9:
         raise VerificationError(f"reconstruction residual {residual:.3e} > 1e-9")
-    if not (np.abs(_m_scalar(np.array([k1, k2])) - 1.0) <= _TOL_LOCAL).all():  # NaN fails
-        raise VerificationError("a reduced outer factor failed local recognition")
 
     return KakDecomposition(
         alpha=alpha_out,

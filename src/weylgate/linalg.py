@@ -182,8 +182,15 @@ def check_hermitian(h) -> np.ndarray:
     TOL_HERMITIAN·max(1, ||h||_F), a bound that grows with h as the rounding
     of a computed h does (non-numeric and non-finite entries fail the check)."""
     h = _as_array(h, (4, 4), "matrix", NotHermitianError, complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as an inf norm
-        defect, size = np.linalg.norm(h - h.conj().T), np.linalg.norm(h)
+    # Both norms are of h·2^-e, times 2^e, with e ≥ 0 the least that brings
+    # every |Re| and |Im| below 1: the squares np.linalg.norm sums cannot
+    # overflow, so a norm is finite up to the float range, and a power-of-two
+    # scaling is exact, so where h's own squares do not overflow the norm
+    # has the bits np.linalg.norm(h) has.
+    e = max(np.frexp(np.abs(h.view(float)).max())[1], 0)
+    hs = h * np.ldexp(1.0, -e)
+    with np.errstate(over="ignore"):  # a norm past the range reads as inf
+        defect, size = (np.ldexp(np.linalg.norm(a), e) for a in (hs - hs.conj().T, hs))
     # An inf defect fails before an inf ||h|| could excuse it.
     if not (defect < np.inf and defect <= TOL_HERMITIAN * max(1.0, size)):
         raise NotHermitianError(

@@ -10,10 +10,13 @@ reads the spectrum, and inside it the closed form.  The single-qubit part
 that δ holds is pinned on the row's certified bound itself.
 The gap, 1e-6 of the bound, is far above the rounding of each injected
 quantity, so a bound loosened or tightened by more than that fails here.
+The KAK frames' orientation test, det o > 0, is met by a reflected frame.
 A bound relative to ||h|| is pinned at unit scale and at ||h|| = 1e8.
 ``tools/mutants.py`` loosens each bound in a copy of the sources and runs
 the test here that must then fail.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -162,13 +165,35 @@ def test_kak_reconstruction_bound(factor):
     _outcome(factor, VerificationError, lambda: kak._kak(g))
 
 
+def _scale_frame_row(g: _Gate, scale: float) -> None:
+    """Scale row 0 of the record's frame o2, and with it column 0 of the left
+    frame o1 = U_B·o2ᵀ·F̄, and make the record's gate the product that the
+    factors then rebuild, Q·U_B·o2ᵀo2·Q†, so the reconstruction passes."""
+    o2 = g.spectrum.frame.copy()
+    o2[0] *= scale
+    g.spectrum = dataclasses.replace(g.spectrum, frame=o2)
+    g.u = MAGIC @ g.ub @ o2.T @ o2 @ MAGIC.conj().T
+
+
 @FACTORS
-def test_kak_outer_factor_locality_bound(monkeypatch, factor):
-    # The outer factors' λ = m(k)[0, 0] moves by t off 1.
+def test_kak_outer_factor_locality_bound(factor):
+    # With row 0 of o2 scaled by √(1 + t), t = factor·_TOL_LOCAL/2,
+    # o1ᵀo1 - I gains t at (0, 0), and o2ᵀo2 - I gains t times the outer
+    # product of o2's unit row 0, no larger entry: the frames' defect is t,
+    # rounded a few times, against _TOL_LOCAL/2.
     g = _haar_record()
-    m_scalar = kak._m_scalar
-    monkeypatch.setattr(kak, "_m_scalar", lambda u: m_scalar(u) + factor * kak._TOL_LOCAL)
+    _scale_frame_row(g, np.sqrt(1.0 + factor * kak._TOL_LOCAL / 2))
     _outcome(factor, VerificationError, lambda: kak._kak(g))
+
+
+def test_kak_frame_orientation():
+    # Row 0 of o2 negated negates column 0 of o1: both frames stay
+    # orthogonal but turn det -1, reflections rather than rotations, and the
+    # factors still rebuild the gate.  Only the sign of det o refuses them.
+    g = _haar_record()
+    _scale_frame_row(g, -1.0)
+    with pytest.raises(VerificationError, match="local recognition"):
+        kak._kak(g)
 
 
 @FACTORS

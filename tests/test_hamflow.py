@@ -345,3 +345,16 @@ def test_josephson_trajectory_scales_with_energy(e_l):
     table = trajectory(HamiltonianSpec.josephson(1.2, e_l), tau / e_l)
     for got, want in ((table.coords, ref.coords), (table.g1, ref.g1), (table.g2, ref.g2)):
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_custom_coupling_past_1e154_is_its_josephson_spec():
+    # ||h||_F is about 2.3e160, so the squares of an unscaled Frobenius norm
+    # overflow.  check_hermitian takes both norms of h scaled by a power of
+    # two, which accepts the matrix; its coupling is then read as Josephson,
+    # and every column of its table is the josephson spec's, bit for bit.
+    spec = HamiltonianSpec.josephson(1.2, 1e160)
+    custom = HamiltonianSpec.custom(realize(spec))
+    times = np.linspace(0.0, 4e-160, 50)
+    table, ref = trajectory(custom, times), trajectory(spec, times)
+    for name in ("t", "coords", "g1", "g2", "g2_imag_residual", "is_pe"):
+        assert_array_equal(getattr(table, name), getattr(ref, name), err_msg=name)

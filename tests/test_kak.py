@@ -2,14 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import TIE_BOUND, rand_chamber_point, rand_local, rand_su2, rand_u4, weyl_misses
+from conftest import (
+    PROPERTY,
+    TIE_BOUND,
+    gate_at,
+    rand_chamber_point,
+    rand_local,
+    rand_su2,
+    rand_u4,
+    weyl_misses,
+)
 from weylgate import (
+    MAGIC,
     NotLocalError,
     NotUnitaryError,
     canonical_gate,
     canonicalize,
+    chamber,
     factor_local,
     gate_coords,
     in_chamber,
@@ -18,7 +31,11 @@ from weylgate import (
     kak_reconstruct,
     named_gate,
 )
+from weylgate.cartan import _WEYL_GATES, Q_DAG
 from weylgate.invariants import _gate
+from weylgate.kak import _PARITY_WORDS
+
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def test_roundtrip_named_gates():
@@ -153,3 +170,57 @@ def test_swap_is_not_local():
         assert not is_local_gate(u)
         with pytest.raises(NotLocalError):
             factor_local(u)
+
+
+# kak_decompose checks its outer factors local on their real magic-basis
+# frames o1 and o2 alone.  That rests on the Weyl-group gates and the parity
+# words, which k1 and k2 also absorb, being exact rotations in the magic basis.
+
+
+def _magic_rounded(gates):
+    """Q†·g·Q for each gate, its entries rounded to integers, and the largest
+    distance of an entry from its rounding."""
+    s = Q_DAG @ gates @ MAGIC
+    r = np.rint(s.real)
+    return r, np.abs(s - r).max()
+
+
+def test_weyl_gates_are_signed_permutations_in_the_magic_basis():
+    r, miss = _magic_rounded(_WEYL_GATES)
+    assert len(r) == 24 and miss <= 4 * UNIT_ROUNDOFF
+    assert (np.abs(r).sum(-1) == 1).all() and (np.abs(r).sum(-2) == 1).all()
+    assert (np.linalg.det(r) == 1.0).all()
+
+
+def test_parity_words_are_sign_diagonals_in_the_magic_basis():
+    r, miss = _magic_rounded(_PARITY_WORDS)
+    assert len(r) == 8 and miss <= 4 * UNIT_ROUNDOFF
+    assert (np.abs(r) == np.eye(4)).all()
+    assert (np.linalg.det(r) == 1.0).all()
+
+
+_VERTICES = [getattr(chamber, f"VERTEX_{name}") for name in "O A1 A2 A3 L M N P Q".split()]
+
+
+@st.composite
+def kak_gates(draw):
+    """A Haar gate, or a chamber vertex dressed with random locals and a
+    global phase."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rand_u4(rng)
+    return gate_at(draw(st.sampled_from(_VERTICES)), rng, phase=rng.uniform(0.0, 2 * np.pi))
+
+
+@PROPERTY
+@given(kak_gates())
+def test_frame_defect_is_the_outer_factors_locality_defect(u):
+    d = kak_decompose(u)
+    g = _gate(u)
+    o2 = g.spectrum.frame
+    o1 = g.ub @ (o2.T * np.exp(-1j * (float(g.alpha) + 0.5 * g.spectrum.theta_balanced)))
+    o = np.array([o1.real, o2])
+    kb = Q_DAG @ np.array([d.k1, d.k2]) @ MAGIC
+    frame_defect = np.abs(o.swapaxes(-1, -2) @ o - np.eye(4)).max()
+    factor_defect = np.abs(kb.swapaxes(-1, -2) @ kb - np.eye(4)).max()  # max|m(k) - I|
+    assert abs(frame_defect - factor_defect) <= 1e-14

@@ -160,9 +160,7 @@ def test_readme_sequence_derives_once_per_gate(cold, spy, gate):
     readme_sequence(GATES[gate])
     assert dict(shapes) == {
         "_check_unitary": [(4, 4)],
-        # One magic transform of the gate, for U_B and m(U); the other is the
-        # record of the stacked KAK factors k1, k2 for their locality check.
-        "_magic": [(4, 4), (2, 4, 4)],
+        "_magic": [(4, 4)],  # the gate's, for U_B and m(U)
         "_simdiag": [(4, 4)],
         "_fold_image": [(3,)],
         "_fold_element": [(3,)],

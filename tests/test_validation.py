@@ -767,6 +767,19 @@ def test_extreme_finite_arguments_raise_only_typed_errors(entry, shape, takes, s
             pass
 
 
+def test_coupling_past_1e154_raises_only_typed_errors():
+    # check_hermitian accepts this coupling (||h||_F = 2.3e154, whose square
+    # overflows); the Cartan form and synthesis behind it overflow further on
+    # and must say so with a typed error.
+    h = 2e154 * wg.realize(HamiltonianSpec.exchange(1.0, 0.5, 0.2, 0.0))
+    spec = HamiltonianSpec.custom(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: wg.cartan_conjugate(h), lambda: wg.synthesize(CNOT, spec)):
+            with pytest.raises(WeylgateError):
+                call()
+
+
 @pytest.mark.parametrize("entry, shape, takes", ENTRIES.values(), ids=ENTRIES.keys())
 def test_bad_input_raises_only_typed_errors(entry, shape, takes):
     # Warnings are errors; a malformed argument raises, and one of a shape

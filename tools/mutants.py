@@ -1,7 +1,7 @@
 """The committed mutant list: each self-check bound that ``tests/test_bounds.py``
 pins, loosened 1000× in a copy of the sources (a bound relative to ||h||, at
-unit scale), and each relative bound made absolute again, with the test that
-must then fail.
+unit scale), each relative bound made absolute again, and the KAK frames'
+orientation test made vacuous, with the test that must then fail.
 
     python tools/mutants.py
 
@@ -51,8 +51,10 @@ MUTANTS = (
            "test_kak_real_frame_bound[past]"),
     Mutant("kak.py", "if residual > 1e-9:", "if residual > 1e-6:",
            "test_kak_reconstruction_bound[past]"),
-    Mutant("kak.py", "np.array([k1, k2])) - 1.0) <= _TOL_LOCAL)", "np.array([k1, k2])) - 1.0) <= 1e3 * _TOL_LOCAL)",
+    Mutant("kak.py", "defect <= _TOL_LOCAL / 2", "defect <= 1e3 * _TOL_LOCAL / 2",
            "test_kak_outer_factor_locality_bound[past]"),
+    Mutant("kak.py", "(np.linalg.det(o) > 0)", "(np.linalg.det(o) > -2)",
+           "test_kak_frame_orientation"),
     Mutant("chamber.py", "if (dist > _TOL_VERIFY).any():", "if (dist > 1e3 * _TOL_VERIFY).any():",
            "test_gate_coords_verify_bound[past]"),
     Mutant("entangler.py", "if abs(_ent(psi_in)) > 1e-9 or", "if abs(_ent(psi_in)) > 1e-6 or",
